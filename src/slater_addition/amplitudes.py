@@ -17,6 +17,8 @@ the double-series reconstructions of the k = 0 closed forms.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from .specfun import (
     binomial_general,
     double_factorial,
     factorial,
+    gamma_real_cache,
     kummer_1f1,
     upper_incomplete_gamma,
 )
@@ -326,7 +329,6 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
         raise DomainError("cheshire_series: k > 1; pass allow_k_gt_1=True to override")
     if k_dot_x2 is None:
         k_dot_x2 = k * x2
-    policy = policy or default_policy()
 
     def term(n: int) -> complex:
         gamma_n32 = double_factorial(2 * n + 1) * _SQRT_PI / 2.0 ** (n + 1)
@@ -342,9 +344,8 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
             * kummer_1f1(n + 1, 2 * n + 2, -1j * k_dot_x2)
         )
 
-    if k == 0:
-        return accumulate_series(iter([term(0)]), policy)
-    return accumulate_series((term(n) for n in range(policy.max_terms)), policy)
+    # every n >= 1 term carries k^{2n}: at k = 0 the series is exact at one term
+    return accumulate_series(map(term, range(1) if k == 0 else itertools.count()), policy)
 
 
 def theorem2_angular(eta2: float, x1: float, x2: float) -> complex:
@@ -356,6 +357,22 @@ def theorem2_angular(eta2: float, x1: float, x2: float) -> complex:
         raise DomainError("theorem2_angular: eta2, x1, x2 must be positive")
     c = math.sqrt(2.0) * math.sqrt(x1 * x2) * eta2
     return math.sqrt(2.0) * (-math.exp(-c) + cmath.exp(-1j * c)) / (x1 * x2 * eta2)
+
+
+def _theorem2_oracle(eta2: float, x1: float, x2: float) -> complex:
+    # theorem2_angular by quadrature, split at u = 0 where sqrt(-u x1 x2) turns imaginary
+    c = math.sqrt(2 * x1 * x2) * eta2
+
+    def neg_half(w: float) -> float:
+        return 2.0 * math.exp(-c * w) / math.sqrt(x1 * x2)
+
+    def pos_half(w: float) -> complex:
+        return 2.0 * cmath.exp(-1j * c * w) / (1j * math.sqrt(x1 * x2))
+
+    return (
+        integrate_finite(neg_half, 0.0, 1.0, 1e-12).value
+        + integrate_finite(pos_half, 0.0, 1.0, 1e-12).value
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,44 +420,32 @@ def _theorem3_term(n: int, k: int, i: int, j: int, eta1: float, eta2: float,
     )
 
 
-def _make_gamma_cache(z: float):
-    cache: dict[float, float] = {}
-
-    def gamma_at(arg: float) -> float:
-        if arg not in cache:
-            cache[arg] = upper_incomplete_gamma(arg, z).real
-        return cache[arg]
-
-    return gamma_at
-
-
 def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
                            policy: TruncationPolicy | None = None) -> list[float]:
     """The k-series of block n (each entry already summed over the finite i, j
-    sums), truncated by the policy tail rule against the block's running sum."""
+    sums), truncated by the policy tail rule against the block's running sum.
+    k_max caps the number of k terms, also above ``policy.max_terms``."""
     if n % 2 != 0 or n < 0:
         raise DomainError("theorem3 blocks exist for even n >= 0 only")
-    policy = policy or default_policy()
-    gamma_at = _make_gamma_cache(p.x2 * p.eta2)
+    if k_max < 1:
+        raise DomainError("theorem3_block_k_terms: need k_max >= 1")
+    gamma_at = gamma_real_cache(p.x2 * p.eta2)
     j_top = 0 if n == 0 else n // 2 - 1
-    out: list[float] = []
-    run = 0.0
-    small = 0
-    for k in range(k_max):
-        t = math.fsum(
-            _theorem3_term(n, k, i, j, p.eta1, p.eta2, p.x2, gamma_at)
-            for i in range(n // 2 + 1)
-            for j in range(j_top + 1)
-        )
-        out.append(t)
-        run += t
-        if abs(t) <= policy.rel_tol * abs(run) + policy.abs_tol:
-            small += 1
-            if small >= policy.tail_window:
-                break
-        else:
-            small = 0
-    return out
+
+    def k_terms():
+        for k in range(k_max):
+            yield math.fsum(
+                _theorem3_term(n, k, i, j, p.eta1, p.eta2, p.x2, gamma_at)
+                for i in range(n // 2 + 1)
+                for j in range(j_top + 1)
+            )
+
+    # the generator's end, not the policy's term budget, enforces the k_max cap
+    base = policy or default_policy()
+    ev = accumulate_series(
+        k_terms(), dataclasses.replace(base, max_terms=max(k_max, base.tail_window))
+    )
+    return [t.real for t in ev.terms]
 
 
 def theorem3_series(p: SlaterPair, bounds: SeriesIndexBounds | None = None,
@@ -454,7 +459,6 @@ def theorem3_series(p: SlaterPair, bounds: SeriesIndexBounds | None = None,
     not a rejection.
     """
     bounds = bounds or SeriesIndexBounds()
-    policy = policy or default_policy()
     if not bounds.even_only:
         raise DomainError(
             "theorem3_series: odd-n terms vanish identically (angular parity); "
@@ -501,7 +505,7 @@ def theorem4_block(n: int, eta2: float, x2: float) -> float:
     """Block n (even) of the equal-exponent reconstruction: the finite (i, j) sum."""
     if n % 2 != 0 or n < 0:
         raise DomainError("theorem4 blocks exist for even n >= 0 only")
-    gamma_at = _make_gamma_cache(x2 * eta2)
+    gamma_at = gamma_real_cache(x2 * eta2)
     j_top = 0 if n == 0 else n // 2 - 1
     return math.fsum(
         _theorem4_term(n, i, j, eta2, x2, gamma_at)
@@ -520,7 +524,6 @@ def theorem4_series(eta2: float, x2: float, bounds: SeriesIndexBounds | None = N
     if eta2 <= 0 or x2 <= 0:
         raise DomainError("theorem4_series: eta2, x2 must be positive")
     bounds = bounds or SeriesIndexBounds()
-    policy = policy or default_policy()
 
     def blocks():
         for n in range(0, bounds.n_max + 1, 2):

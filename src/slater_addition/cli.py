@@ -251,16 +251,6 @@ def _ei_oracle(p: dict, ctx: Context) -> complex:
     return -res.value
 
 
-def _theorem2_oracle(p: dict, ctx: Context) -> complex:
-    eta2, x1, x2 = float(p["eta2"]), float(p["x1"]), float(p["x2"])
-    c = math.sqrt(2 * x1 * x2) * eta2
-    neg = integrate_finite(lambda w: 2.0 * math.exp(-c * w) / math.sqrt(x1 * x2), 0, 1, 1e-12)
-    pos = integrate_finite(
-        lambda w: 2.0 * cmath.exp(-1j * c * w) / (1j * math.sqrt(x1 * x2)), 0, 1, 1e-12
-    )
-    return neg.value + pos.value
-
-
 def _s1_defining_2d(eta1: float, eta2: float | None, x2: float, tol: float) -> complex:
     # int d^3x1 (e^{-eta1 x1}/x1) f(x12): reduced to (x1, u) with u = cos(theta)
     def f(x1: float, u: float) -> float:
@@ -425,7 +415,7 @@ TARGETS: dict[str, Target] = {
         ("eta2", "x1", "x2"), (),
         lambda p, c: Outcome(value=amplitudes.theorem2_angular(
             float(p["eta2"]), float(p["x1"]), float(p["x2"]))),
-        _theorem2_oracle,
+        lambda p, c: amplitudes._theorem2_oracle(float(p["eta2"]), float(p["x1"]), float(p["x2"])),
         ("theorem2_angular",),
     ),
     "theorem3": Target(

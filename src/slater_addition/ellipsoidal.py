@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import bessel_i_half, factorial, upper_incomplete_gamma
-from .theorems import SeriesEvaluation, TruncationPolicy, accumulate_series, default_policy
+from .specfun import bessel_i_half, factorial, gamma_real_cache
+from .theorems import SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
     "EllipsoidalParams",
@@ -56,7 +56,10 @@ class EllipsoidalParams:
 
 def t_abc_integrand(pt: EllipsoidalParams) -> float:
     """Integrand of T(a,bc) including the 2 R^3 measure factor."""
-    R, lam, mu = pt.R, pt.lam, pt.mu
+    return _t_abc_at(pt.R, pt.lam, pt.mu)
+
+
+def _t_abc_at(R: float, lam: float, mu: float) -> float:
     root = math.sqrt(lam * lam + mu * mu - 1.0)
     poly = (lam - mu) / R + (lam * lam - mu * mu)
     return 2.0 * R**3 * poly * math.exp(-3.0 * R * lam - R * mu - R * root)
@@ -67,8 +70,9 @@ def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
     if R <= 0:
         raise DomainError("t_abc_oracle: R must be positive")
 
+    # R is checked above; the nodes lie in the domain, so skip EllipsoidalParams checks
     def f(lam: float, mu: float) -> float:
-        return t_abc_integrand(EllipsoidalParams(R, lam, min(1.0, max(-1.0, mu))))
+        return _t_abc_at(R, lam, min(1.0, max(-1.0, mu)))
 
     return integrate_2d(f, (1.0, math.inf, -1.0, 1.0), tol)
 
@@ -106,8 +110,7 @@ def t_abc_term(n: int, big_j: int, R: float, gamma_at=None) -> float:
     if not 0 <= big_j <= nt:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     if gamma_at is None:
-        z = 4.0 * R
-        gamma_at = lambda a: upper_incomplete_gamma(a, z).real
+        gamma_at = gamma_real_cache(4.0 * R)
     g1 = gamma_at(-big_j - n + 1)
     g2 = gamma_at(-big_j - n + 2)
     g3 = gamma_at(-big_j - n + 3)
@@ -136,14 +139,7 @@ def t_abc_series(R: float, n_max: int = 20,
     """
     if R <= 0:
         raise DomainError("t_abc_series: R must be positive")
-    policy = policy or default_policy()
-    z = 4.0 * R
-    cache: dict[int, float] = {}
-
-    def gamma_at(a: int) -> float:
-        if a not in cache:
-            cache[a] = upper_incomplete_gamma(a, z).real
-        return cache[a]
+    gamma_at = gamma_real_cache(4.0 * R)
 
     def increments():
         for n in range(n_max + 1):

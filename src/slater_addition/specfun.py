@@ -15,8 +15,10 @@ immutable once written, so concurrent use is safe.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import CapacityError, DomainError, RangeError, TruncationError
 
@@ -327,6 +329,11 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     if cmath.isinf(g) or cmath.isnan(g):
         raise CapacityError("upper_incomplete_gamma overflowed double precision")
     return g
+
+
+def gamma_real_cache(z: float) -> Callable[[float], float]:
+    """Memoised a -> Re Gamma(a, z) at one fixed z, for series that revisit orders."""
+    return functools.cache(lambda a: upper_incomplete_gamma(a, z).real)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ consecutive terms drop below ``rel_tol * |sum| + abs_tol``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import DomainError, PoleError
 from .specfun import (
@@ -124,14 +125,16 @@ class SeriesEvaluation:
 
 
 def accumulate_series(terms: Iterable[complex],
-                      policy: TruncationPolicy) -> SeriesEvaluation:
+                      policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Kahan-compensated accumulation with tail-window truncation.
 
     The iterator is drawn until ``tail_window`` consecutive terms satisfy
     |term| <= rel_tol * |sum| + abs_tol, or until max_terms terms have been
     taken (flagged as not converged).  A generator that simply stops early
-    declares its own (exact, degenerate) convergence.
+    declares its own (exact, degenerate) convergence.  ``policy`` defaults
+    to default_policy().
     """
+    policy = policy or default_policy()
     out_terms: list[complex] = []
     partials: list[complex] = []
     s = 0.0 + 0.0j
@@ -190,51 +193,41 @@ def yukawa_form(p: YukawaFormParams) -> complex:
     return cmath.exp(-p.x2 * ell) / ell
 
 
+def _macdonald_term(n: int, p: YukawaFormParams, shift: int) -> complex:
+    """Term n of theorem 1 (shift 0) or theorem 5 (shift 1), which moves the C exponent
+    by +1/2 and the Bessel order by -1 (K_{-1/2} = K_{1/2} at n = 0)."""
+    name = ("theorem1_term", "theorem5_term")[shift]
+    if n < 0:
+        raise DomainError(f"{name}: n must be >= 0")
+    c = complex(p.C)
+    if c == 0:
+        raise PoleError(f"{name}: C = 0")
+    root_c = cmath.sqrt(c)
+    return (
+        math.sqrt(2.0 / math.pi)
+        * (-1.0) ** n
+        * p.B**n
+        * p.k ** (2 * n)
+        / factorial(n)
+        * 2.0 ** (-n)
+        * p.x2 ** (n + 0.5)
+        * c ** (shift / 2.0 - n / 2.0 - 0.25)
+        * bessel_k_half(n - shift, p.x2 * root_c)
+    )
+
+
 def theorem1_term(n: int, p: YukawaFormParams) -> complex:
     """Term n of the base series:
     sqrt(2/pi) (-1)^n B^n k^{2n} / n! 2^{-n} x2^{n+1/2} C^{-n/2-1/4} K_{n+1/2}(x2 sqrt(C)).
     """
-    if n < 0:
-        raise DomainError("theorem1_term: n must be >= 0")
-    c = complex(p.C)
-    if c == 0:
-        raise PoleError("theorem1_term: C = 0")
-    root_c = cmath.sqrt(c)
-    return (
-        math.sqrt(2.0 / math.pi)
-        * (-1.0) ** n
-        * p.B**n
-        * p.k ** (2 * n)
-        / factorial(n)
-        * 2.0 ** (-n)
-        * p.x2 ** (n + 0.5)
-        * c ** (-n / 2.0 - 0.25)
-        * bessel_k_half(n, p.x2 * root_c)
-    )
+    return _macdonald_term(n, p, 0)
 
 
 def theorem5_term(n: int, p: YukawaFormParams) -> complex:
     """Term n of the derivative series (for e^{-x2 sqrt(Bk^2+C)}, no denominator):
-    sqrt(2/pi) (-1)^n B^n k^{2n} / n! 2^{-n} x2^{n+1/2} C^{1/4-n/2} K_{n-1/2}(x2 sqrt(C)),
-    with the order n-1/2 routed through K_{-nu} = K_nu.
+    sqrt(2/pi) (-1)^n B^n k^{2n} / n! 2^{-n} x2^{n+1/2} C^{1/4-n/2} K_{n-1/2}(x2 sqrt(C)).
     """
-    if n < 0:
-        raise DomainError("theorem5_term: n must be >= 0")
-    c = complex(p.C)
-    if c == 0:
-        raise PoleError("theorem5_term: C = 0")
-    root_c = cmath.sqrt(c)
-    return (
-        math.sqrt(2.0 / math.pi)
-        * (-1.0) ** n
-        * p.B**n
-        * p.k ** (2 * n)
-        / factorial(n)
-        * 2.0 ** (-n)
-        * p.x2 ** (n + 0.5)
-        * c ** (0.25 - n / 2.0)
-        * bessel_k_half(n - 1, p.x2 * root_c)
-    )
+    return _macdonald_term(n, p, 1)
 
 
 def theorem6_term(j: int, n: int, p: YukawaFormParams, quad_tol: float = 1e-11) -> complex:
@@ -258,18 +251,13 @@ def theorem6_term(j: int, n: int, p: YukawaFormParams, quad_tol: float = 1e-11) 
     )
 
 
-def _degenerate(term0: complex) -> Iterator[complex]:
-    yield term0
-
-
 def _series_eval(term_fn: Callable[[int], complex], p: YukawaFormParams,
                  policy: TruncationPolicy | None, allow_k_gt_1: bool) -> SeriesEvaluation:
-    policy = policy or default_policy()
     _check_k(p, allow_k_gt_1)
-    if p.B * p.k**2 == 0:
-        # every n >= 1 term carries B^n k^{2n} = 0: the series is exact at one term
-        return accumulate_series(_degenerate(term_fn(0)), policy)
-    return accumulate_series((term_fn(n) for n in range(policy.max_terms)), policy)
+    # every n >= 1 term carries B^n k^{2n}: at B k^2 = 0 the series is exact at one term
+    return accumulate_series(
+        map(term_fn, range(1) if p.B * p.k**2 == 0 else itertools.count()), policy
+    )
 
 
 def theorem1_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None,
@@ -377,9 +365,6 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
     """
     if cfg.variant != "C1":
         raise DomainError("corollary1_legendre_eval expects a C1 configuration")
-    policy = policy or default_policy()
-    p = corollary_to_params(cfg)
-    _check_k(p, allow_k_gt_1)
     eta, x1, x2, u = cfg.eta, cfg.x1, cfg.x2, cfg.cos_theta
     k2 = cfg.k**2
 
@@ -400,9 +385,7 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
             inner += (-1.0) ** j * 2.0**j * x2**j * binomial(n, j) * x1 ** (2 * n - j) * leg
         return pref * inner
 
-    if p.B * p.k**2 == 0:
-        return accumulate_series(_degenerate(term(0)), policy)
-    return accumulate_series((term(n) for n in range(policy.max_terms)), policy)
+    return _series_eval(term, corollary_to_params(cfg), policy, allow_k_gt_1)
 
 
 # ---------------------------------------------------------------------------

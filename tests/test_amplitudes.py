@@ -25,6 +25,7 @@ from slater_addition.amplitudes import (
 )
 from slater_addition.errors import DomainError
 from slater_addition.quadrature import integrate_2d
+from slater_addition.theorems import TruncationPolicy
 
 # the point at which the general-k reference values were computed
 PAIR = SlaterPair(eta1=0.82, eta2=0.66, x2=0.36, k=0.19)
@@ -196,6 +197,13 @@ class TestTheorem3Series:
         for g, w in zip(got, want_n4):
             assert g == pytest.approx(w, abs=5e-6)
 
+    def test_k_max_caps_block_above_policy_budget(self):
+        # a tail rule that never fires: k_max, not max_terms = 3, ends the k-series
+        never = TruncationPolicy(rel_tol=1e-300, max_terms=3, tail_window=2)
+        got = theorem3_block_k_terms(2, RECON, k_max=9, policy=never)
+        assert got == theorem3_block_k_terms(2, RECON, k_max=9)
+        assert len(got) == 9
+
     def test_blocks_positive_and_monotone_partials(self):
         ev = theorem3_series(RECON, SeriesIndexBounds(n_max=8, k_max=60))
         assert all(t.real > 0 for t in ev.terms)
@@ -285,6 +293,8 @@ class TestSlaterPairValidation:
     def test_bounds_validation(self):
         with pytest.raises(DomainError):
             SeriesIndexBounds(n_max=-2)
+        with pytest.raises(DomainError, match="theorem3_block_k_terms"):
+            theorem3_block_k_terms(0, RECON, k_max=0)
 
 
 class TestReconstructionConvergenceDirection:

@@ -9,11 +9,14 @@ from slater_addition.ellipsoidal import (
     StallReport,
     stall_detector,
     t_abc_exact,
+    t_abc_integrand,
     t_abc_oracle,
     t_abc_series,
     t_abc_term,
 )
 from slater_addition.errors import DomainError
+from slater_addition.quadrature import integrate_2d
+from slater_addition.specfun import gamma_real_cache
 from slater_addition.theorems import SeriesEvaluation
 
 
@@ -39,6 +42,15 @@ class TestOracleAndExact:
         assert oracle.converged
         exact = t_abc_exact(R)
         assert abs(exact - oracle.value.real) <= max(oracle.error_estimate, 1e-7 * exact)
+
+    def test_oracle_matches_validated_integrand(self):
+        # the oracle's unvalidated integrand is the public one, bit for bit
+        R = 0.5
+        want = integrate_2d(
+            lambda lam, mu: t_abc_integrand(EllipsoidalParams(R, lam, min(1.0, max(-1.0, mu)))),
+            (1.0, math.inf, -1.0, 1.0), 1e-9,
+        )
+        assert t_abc_oracle(R) == want
 
     def test_reference_values(self):
         assert t_abc_exact(0.11) == pytest.approx(0.360071, abs=1e-6)
@@ -76,6 +88,13 @@ class TestSeries:
             top = abs(t_abc_term(n, n - 1, R))
             rest = sum(abs(t_abc_term(n, j, R)) for j in range(n - 1))
             assert top > rest
+
+    def test_term_default_gamma_is_the_shared_cache(self):
+        R = 0.11
+        gamma_at = gamma_real_cache(4.0 * R)
+        for n in range(6):
+            for big_j in range(max(n, 1)):
+                assert t_abc_term(n, big_j, R) == t_abc_term(n, big_j, R, gamma_at)
 
     def test_j_bound_enforced(self):
         with pytest.raises(DomainError):

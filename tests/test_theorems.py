@@ -1,11 +1,13 @@
 """Addition theorems: golden terms, corollary groupings, two-range baseline."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from slater_addition import theorems as th
+from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
 from slater_addition.errors import DomainError, PoleError
 from slater_addition.theorems import (
     CorollaryConfig,
@@ -27,6 +29,8 @@ from slater_addition.theorems import (
 # Meijer-G reference terms are anchored at the x2/k-swapped companion tuple
 GOLDEN = YukawaFormParams(B=0.13, C=0.11, k=0.17, x2=0.23)
 GOLDEN_T5 = YukawaFormParams(B=0.13, C=0.11, k=0.23, x2=0.17)
+B_ZERO = YukawaFormParams(B=0.0, C=0.11, k=0.23, x2=0.17)
+C1_K_ZERO = CorollaryConfig(variant="C1", eta=0.5, x1=0.3, x2=0.7, cos_theta=0.4, k=0.0)
 
 
 class TestYukawaForm:
@@ -70,11 +74,20 @@ class TestTheorem1:
         assert ev.converged
         assert abs(sum(ev.terms[:4]) - yukawa_form(GOLDEN)) <= 5e-4
 
-    def test_degenerate_b_zero_single_term(self):
-        p = YukawaFormParams(B=0.0, C=0.11, k=0.23, x2=0.17)
-        ev = theorem1_eval(p)
+    # every series whose n >= 1 terms carry B^n k^{2n} (or k^{2n}) stops after one exact term
+    @pytest.mark.parametrize("evaluate, want, rel", [
+        (lambda: theorem1_eval(B_ZERO), lambda: yukawa_form(B_ZERO), 1e-15),
+        (lambda: theorem5_eval(B_ZERO), lambda: math.exp(-0.17 * math.sqrt(0.11)), 1e-15),
+        (lambda: th.theorem6_eval(2, B_ZERO),
+         lambda: math.sqrt(0.11) * math.exp(-0.17 * math.sqrt(0.11)), 1e-9),
+        (lambda: corollary1_legendre_eval(C1_K_ZERO),
+         lambda: yukawa_form(corollary_to_params(C1_K_ZERO)), 1e-14),
+        (lambda: cheshire_series(0.82, 0.036, 0.0), lambda: s1_equal_eta_closed(0.82, 0.036), 1e-14),
+    ], ids=["theorem1", "theorem5", "theorem6", "corollary1_legendre", "cheshire"])
+    def test_degenerate_b_zero_single_term(self, evaluate, want, rel):
+        ev = evaluate()
         assert ev.converged and ev.terms_used == 1
-        assert ev.value == pytest.approx(yukawa_form(p), rel=1e-15)
+        assert ev.value == pytest.approx(want(), rel=rel)
 
     def test_moderate_ratio_high_precision(self):
         p = YukawaFormParams(B=0.1, C=0.66**2, k=1.0, x2=1.0)
@@ -291,6 +304,8 @@ class TestPolicyAndEnv:
         pol = th.default_policy()
         assert pol.max_terms == 3
         ev = theorem1_eval(GOLDEN, pol)
+        assert ev.terms_used == 3 and not ev.converged
+        ev = th.accumulate_series(itertools.repeat(1.0))
         assert ev.terms_used == 3 and not ev.converged
         monkeypatch.delenv("SLATER_ADDITION_MAX_TERMS")
         assert th.default_policy().max_terms == 60
