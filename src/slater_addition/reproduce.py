@@ -38,12 +38,13 @@ def _close(got: float, want: float, atol: float) -> bool:
     return abs(got - want) <= atol
 
 
-def _fmt(x: complex | float) -> str:
+def _fmt(x: complex | float, digits: int = 9) -> str:
+    """``digits`` significant digits, complex as ``re+imi``; the CLI prints with it too."""
     if isinstance(x, complex):
         if x.imag == 0:
-            return f"{x.real:.9g}"
-        return f"{x.real:.9g}{x.imag:+.9g}i"
-    return f"{x:.9g}"
+            return f"{x.real:.{digits}g}"
+        return f"{x.real:.{digits}g}{x.imag:+.{digits}g}i"
+    return f"{x:.{digits}g}"
 
 
 # -- criterion 1: base series golden point ----------------------------------
@@ -79,8 +80,7 @@ def chk_theorem5_terms() -> tuple[bool, str]:
 
 def chk_theorem5_sum() -> tuple[bool, str]:
     ev = theorems.theorem5_eval(_T5_POINT)
-    l2 = _T5_POINT.B * _T5_POINT.k**2 + _T5_POINT.C
-    closed = math.exp(-_T5_POINT.x2 * math.sqrt(l2))
+    closed = theorems._theorem6_closed(1, _T5_POINT).real
     ok = ev.converged and _close(ev.value.real, closed, 5e-6)
     return ok, f"sum {ev.value.real:.8f} vs closed {closed:.8f} (atol 5e-6)"
 
@@ -104,8 +104,7 @@ def chk_theorem6_j0_j1() -> tuple[bool, str]:
 def chk_theorem6_j2() -> tuple[bool, str]:
     got = [theorems.theorem6_term(2, n, _T5_POINT).real for n in range(4)]
     terms_ok = all(_close(g, w, 5e-5) for g, w in zip(got, _T6_TERMS_J2))
-    l2 = _T5_POINT.B * _T5_POINT.k**2 + _T5_POINT.C
-    closed = math.sqrt(l2) * math.exp(-_T5_POINT.x2 * math.sqrt(l2))
+    closed = theorems._theorem6_closed(2, _T5_POINT).real
     sum_ok = _close(sum(got), closed, 5e-4) and _close(sum(got), 0.32257, 5e-4)
     return terms_ok and sum_ok, (
         f"terms {[_fmt(g) for g in got]} vs {_T6_TERMS_J2}; sum {sum(got):.6f} "
@@ -274,8 +273,7 @@ def chk_one_vs_two_range_grid() -> tuple[bool, str]:
 
 def chk_corollary_mutual() -> tuple[bool, str]:
     x1, x2, ct, eta = 0.3, 0.17, 0.4, 0.13
-    x12 = math.sqrt(x1**2 - 2 * x1 * x2 * ct + x2**2)
-    direct = math.exp(-eta * x12) / x12
+    direct = theorems._slater_direct(theorems.CorollaryConfig("C4", eta, x1, x2, ct))
     results = {}
     for variant in ("C1", "C2", "C3", "C4"):
         cfg = theorems.CorollaryConfig(variant=variant, eta=eta, x1=x1, x2=x2, cos_theta=ct)

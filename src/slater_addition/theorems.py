@@ -193,6 +193,21 @@ def yukawa_form(p: YukawaFormParams) -> complex:
     return cmath.exp(-p.x2 * ell) / ell
 
 
+def _theorem6_closed(j: int, p: YukawaFormParams) -> complex:
+    """Theorem 6's left-hand side (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}; theorem 5 is j = 1."""
+    ell = cmath.sqrt(p.B * p.k**2 + complex(p.C))
+    return ell ** (j - 1.0) * cmath.exp(-p.x2 * ell)
+
+
+def _slater_direct(cfg: CorollaryConfig) -> float:
+    """e^{-eta r}/r at the separation r of a corollary geometry, the left-hand side it expands."""
+    if cfg.variant in ("C5", "C6"):
+        r = math.sqrt(cfg.x1**2 + cfg.y1**2 + (cfg.z1 - cfg.z2) ** 2)
+    else:
+        r = math.sqrt(cfg.x1**2 - 2 * cfg.x1 * cfg.x2 * cfg.cos_theta + cfg.x2**2)
+    return math.exp(-cfg.eta * r) / r
+
+
 def _macdonald_term(n: int, p: YukawaFormParams, shift: int) -> complex:
     """Term n of theorem 1 (shift 0) or theorem 5 (shift 1), which moves the C exponent
     by +1/2 and the Bessel order by -1 (K_{-1/2} = K_{1/2} at n = 0)."""
