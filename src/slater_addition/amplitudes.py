@@ -379,66 +379,53 @@ def _theorem2_oracle(eta2: float, x1: float, x2: float) -> complex:
 # double-series reconstructions of the k = 0 closed forms
 # ---------------------------------------------------------------------------
 
-def _poch(a: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def _gamma_half_odd(n: int) -> float:
-    # Gamma((n+3)/2) for even n: (n+1)!! sqrt(pi) / 2^{(n+2)/2}
-    return double_factorial(n + 1) * _SQRT_PI / 2.0 ** ((n + 2) // 2)
-
-
-def _theorem3_term(n: int, k: int, i: int, j: int, eta1: float, eta2: float,
-                   x2: float, gamma_at) -> float:
-    sign = (-1.0) ** (n // 2) * (-1.0) ** (k - i)
+def _theorem3_coef(n: int, i: int, j: int, lead: float, eta2: float, x2: float) -> float:
+    # the k-invariant part of term (n, k, i, j); theorem 3 has lead = eta1, theorem 4 lead = eta2
     num = (
         _SQRT_PI
-        * sign
-        * eta1
+        * (-1.0) ** (n // 2 + i)
+        * lead
         * 2.0 ** (-j + n / 2.0 + 3.0)
-        * _gamma_half_odd(n)
+        * double_factorial(n + 1) * _SQRT_PI / 2.0 ** ((n + 2) // 2)  # Gamma((n+3)/2)
         * binomial(n // 2, i)
         * eta2 ** (n - 2 * i)
-        * _poch((n + 3) / 2.0, k)
         * factorial((abs(n - 1) + 2 * j - 1) // 2)
     )
-    den = (
-        factorial(j)
-        * factorial(k)
-        * factorial(n + 1)
-        * factorial((abs(n - 1) - 2 * j - 1) // 2)
-    )
-    return (
-        num
-        / den
-        * x2 ** (n + 2 * k + 2 - 2 * i)
-        * (eta1**2 - eta2**2) ** k
-        * gamma_at(2 * i - j - 2 * k - n // 2 - 2)
-    )
+    den = factorial(j) * factorial(n + 1) * factorial((abs(n - 1) - 2 * j - 1) // 2)
+    return num / den * x2 ** (n + 2 - 2 * i)
+
+
+def _theorem3_coefs(n: int, lead: float, eta2: float, x2: float) -> list[tuple[float, int]]:
+    """(coefficient, Gamma order at k = 0) for every (i, j) of block n; the
+    k-th term of the block is b_k sum coefficient * Gamma(order - 2k, x2 eta2)."""
+    if n % 2 != 0 or n < 0:
+        raise DomainError("theorem3/theorem4 blocks exist for even n >= 0 only")
+    return [
+        (_theorem3_coef(n, i, j, lead, eta2, x2), 2 * i - j - n // 2 - 2)
+        for i in range(n // 2 + 1)
+        for j in range(1 if n == 0 else n // 2)
+    ]
 
 
 def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
-                           policy: TruncationPolicy | None = None) -> list[float]:
+                           policy: TruncationPolicy | None = None,
+                           gamma_at=None) -> list[float]:
     """The k-series of block n (each entry already summed over the finite i, j
     sums), truncated by the policy tail rule against the block's running sum.
-    k_max caps the number of k terms, also above ``policy.max_terms``."""
-    if n % 2 != 0 or n < 0:
-        raise DomainError("theorem3 blocks exist for even n >= 0 only")
+    k_max caps the number of k terms, also above ``policy.max_terms``.
+    ``gamma_at`` is an a -> Re Gamma(a, x2 eta2) ladder a series shares between blocks."""
+    coefs = _theorem3_coefs(n, p.eta1, p.eta2, p.x2)
     if k_max < 1:
         raise DomainError("theorem3_block_k_terms: need k_max >= 1")
-    gamma_at = gamma_real_cache(p.x2 * p.eta2)
-    j_top = 0 if n == 0 else n // 2 - 1
+    gamma_at = gamma_at or gamma_real_cache(p.x2 * p.eta2)
+    ratio = p.x2 * p.x2 * (p.eta1**2 - p.eta2**2)
 
     def k_terms():
+        # b_k = (-1)^k ((n+3)/2)_k / k! (x2^2 (eta1^2 - eta2^2))^k
+        b_k = 1.0
         for k in range(k_max):
-            yield math.fsum(
-                _theorem3_term(n, k, i, j, p.eta1, p.eta2, p.x2, gamma_at)
-                for i in range(n // 2 + 1)
-                for j in range(j_top + 1)
-            )
+            yield math.fsum(b_k * c * gamma_at(order - 2 * k) for c, order in coefs)
+            b_k *= -((n + 3) / 2.0 + k) / (k + 1) * ratio
 
     # the generator's end, not the policy's term budget, enforces the k_max cap
     base = policy or default_policy()
@@ -474,44 +461,21 @@ def theorem3_series(p: SlaterPair, bounds: SeriesIndexBounds | None = None,
             stacklevel=2,
         )
 
+    gamma_at = gamma_real_cache(p.x2 * p.eta2)
+
     def blocks():
         for n in range(0, bounds.n_max + 1, 2):
-            yield math.fsum(theorem3_block_k_terms(n, p, bounds.k_max, policy))
+            yield math.fsum(theorem3_block_k_terms(n, p, bounds.k_max, policy, gamma_at))
 
     return accumulate_series(blocks(), policy)
 
 
-def _theorem4_term(n: int, i: int, j: int, eta2: float, x2: float, gamma_at) -> float:
-    sign = (-1.0) ** (n // 2) * (-1.0) ** i
-    num = (
-        _SQRT_PI
-        * sign
-        * 2.0 ** (-j + n / 2.0 + 3.0)
-        * _gamma_half_odd(n)
-        * binomial(n // 2, i)
-        * factorial((abs(n - 1) + 2 * j - 1) // 2)
-    )
-    den = factorial(j) * factorial(n + 1) * factorial((abs(n - 1) - 2 * j - 1) // 2)
-    return (
-        num
-        / den
-        * x2 ** (n + 2 - 2 * i)
-        * eta2 ** (n + 1 - 2 * i)
-        * gamma_at(2 * i - j - n // 2 - 2)
-    )
-
-
-def theorem4_block(n: int, eta2: float, x2: float) -> float:
-    """Block n (even) of the equal-exponent reconstruction: the finite (i, j) sum."""
-    if n % 2 != 0 or n < 0:
-        raise DomainError("theorem4 blocks exist for even n >= 0 only")
-    gamma_at = gamma_real_cache(x2 * eta2)
-    j_top = 0 if n == 0 else n // 2 - 1
-    return math.fsum(
-        _theorem4_term(n, i, j, eta2, x2, gamma_at)
-        for i in range(n // 2 + 1)
-        for j in range(j_top + 1)
-    )
+def theorem4_block(n: int, eta2: float, x2: float, gamma_at=None) -> float:
+    """Block n (even) of the equal-exponent reconstruction: the finite (i, j) sum,
+    which is the k = 0 term of the theorem-3 block at eta1 = eta2."""
+    coefs = _theorem3_coefs(n, eta2, eta2, x2)
+    gamma_at = gamma_at or gamma_real_cache(x2 * eta2)
+    return math.fsum(c * gamma_at(order) for c, order in coefs)
 
 
 def theorem4_series(eta2: float, x2: float, bounds: SeriesIndexBounds | None = None,
@@ -525,9 +489,11 @@ def theorem4_series(eta2: float, x2: float, bounds: SeriesIndexBounds | None = N
         raise DomainError("theorem4_series: eta2, x2 must be positive")
     bounds = bounds or SeriesIndexBounds()
 
+    gamma_at = gamma_real_cache(x2 * eta2)
+
     def blocks():
         for n in range(0, bounds.n_max + 1, 2):
-            yield theorem4_block(n, eta2, x2)
+            yield theorem4_block(n, eta2, x2, gamma_at)
 
     return accumulate_series(blocks(), policy)
 

@@ -282,6 +282,59 @@ def _gamma_anchor(a0: float, z: complex) -> complex:
     return _gamma_series_small(0.5, z) if small else _gamma_cf(0.5, z)
 
 
+class _GammaLadder:
+    """Gamma(a, z) at one fixed z, each order on one of four chains walked
+    from its anchor (integers up from 1, down from 0; half-integers both ways
+    from 1/2).  A chain keeps every value it has walked through, so a series
+    visiting many orders walks each chain once, in any request order."""
+
+    def __init__(self, z: complex | float):
+        self.z = complex(z)
+        # (anchor, direction) -> [Gamma(anchor), Gamma(anchor + direction), ...]
+        self._chains: dict[tuple[float, float], list[complex]] = {}
+
+    def __call__(self, a: float) -> complex:
+        two_a = round(2 * a)
+        if abs(2 * a - two_a) > 1e-12:
+            raise DomainError(f"upper_incomplete_gamma: a = {a} is not integer or half-integer")
+        a = two_a / 2.0
+        z = self.z
+        if z == 0:
+            if a > 0:
+                return complex(math.gamma(a))
+            raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
+        if z.imag == 0 and z.real < 0:
+            raise DomainError("upper_incomplete_gamma: z on the negative real axis")
+
+        anchor = 0.5 if two_a % 2 else (1.0 if a >= 1 else 0.0)
+        steps = int(round(abs(a - anchor)))
+        if steps > GAMMA_RECURRENCE_LIMIT:
+            raise CapacityError(
+                f"upper_incomplete_gamma: recurrence depth {steps} exceeds bound {GAMMA_RECURRENCE_LIMIT}"
+            )
+        direction = 1.0 if a >= anchor else -1.0
+        key = (anchor, direction)
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = [_gamma_anchor(anchor, z)]
+        g, b = chain[-1], anchor + direction * (len(chain) - 1)
+        try:
+            emz = cmath.exp(-z)
+            while len(chain) <= steps:
+                if direction > 0:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
+                    g = b * g + z**b * emz
+                else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
+                    g = (g - z ** (b - 1.0) * emz) / (b - 1.0)
+                b += direction
+                chain.append(g)
+        except OverflowError as exc:
+            raise CapacityError(f"upper_incomplete_gamma: the walk to a = {a} overflows") from exc
+        g = chain[steps]
+        if cmath.isinf(g) or cmath.isnan(g):
+            raise CapacityError("upper_incomplete_gamma overflowed double precision")
+        return g
+
+
 def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     """Upper incomplete gamma Gamma(a, z) for integer or half-integer a.
 
@@ -290,50 +343,17 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z}  (upward for a above the anchor,
     downward for a below, including nonpositive integers).  z may be complex
     but must stay off the negative real axis, where the principal branch of
-    z^a has its cut.
+    z^a has its cut.  Where the walk leaves double precision, CapacityError
+    is raised.
     """
-    two_a = round(2 * a)
-    if abs(2 * a - two_a) > 1e-12:
-        raise DomainError(f"upper_incomplete_gamma: a = {a} is not integer or half-integer")
-    a = two_a / 2.0
-    z = complex(z)
-    if z == 0:
-        if a > 0:
-            return complex(math.gamma(a))
-        raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
-    if z.imag == 0 and z.real < 0:
-        raise DomainError("upper_incomplete_gamma: z on the negative real axis")
-
-    if two_a % 2 == 0:
-        anchor = 1.0 if a >= 1 else 0.0
-    else:
-        anchor = 0.5
-    steps = int(round(abs(a - anchor)))
-    if steps > GAMMA_RECURRENCE_LIMIT:
-        raise CapacityError(
-            f"upper_incomplete_gamma: recurrence depth {steps} exceeds bound {GAMMA_RECURRENCE_LIMIT}"
-        )
-
-    g = _gamma_anchor(anchor, z)
-    emz = cmath.exp(-z)
-    if a >= anchor:
-        b = anchor
-        while b < a:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
-            g = b * g + z**b * emz
-            b += 1.0
-    else:
-        b = anchor
-        while b > a:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
-            g = (g - z ** (b - 1.0) * emz) / (b - 1.0)
-            b -= 1.0
-    if cmath.isinf(g) or cmath.isnan(g):
-        raise CapacityError("upper_incomplete_gamma overflowed double precision")
-    return g
+    return _GammaLadder(z)(a)
 
 
-def gamma_real_cache(z: float) -> Callable[[float], float]:
-    """Memoised a -> Re Gamma(a, z) at one fixed z, for series that revisit orders."""
-    return functools.cache(lambda a: upper_incomplete_gamma(a, z).real)
+def gamma_real_cache(z: complex | float) -> Callable[[float], float]:
+    """Memoised a -> Re Gamma(a, z) at one fixed z, for series that revisit orders:
+    one shared walk, each value bit-identical to upper_incomplete_gamma(a, z).real."""
+    ladder = _GammaLadder(z)
+    return functools.cache(lambda a: ladder(a).real)
 
 
 # ---------------------------------------------------------------------------

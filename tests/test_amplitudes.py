@@ -25,6 +25,7 @@ from slater_addition.amplitudes import (
 )
 from slater_addition.errors import DomainError
 from slater_addition.quadrature import integrate_2d
+from slater_addition.specfun import gamma_real_cache
 from slater_addition.theorems import TruncationPolicy
 
 # the point at which the general-k reference values were computed
@@ -231,6 +232,46 @@ class TestTheorem3Series:
     def test_equal_exponents_rejected(self):
         with pytest.raises(DomainError):
             theorem3_series(SlaterPair(eta1=0.5, eta2=0.5, x2=1.0))
+
+
+def _per_term_k_series(n, p, k_count):
+    """(k-term, sum of |term|) of block n with every (k, i, j) term built from
+    scratch, the way the blocks were summed before their coefficients were
+    hoisted out of k."""
+    gamma_at = gamma_real_cache(p.x2 * p.eta2)
+    fact = math.factorial
+
+    def term(k, i, j):
+        num = (math.sqrt(math.pi) * (-1.0) ** (n // 2) * (-1.0) ** (k - i) * p.eta1
+               * 2.0 ** (-j + n / 2.0 + 3.0) * math.gamma((n + 3) / 2.0) * math.comb(n // 2, i)
+               * p.eta2 ** (n - 2 * i) * math.prod((n + 3) / 2.0 + m for m in range(k))
+               * fact((abs(n - 1) + 2 * j - 1) // 2))
+        den = fact(j) * fact(k) * fact(n + 1) * fact((abs(n - 1) - 2 * j - 1) // 2)
+        return (num / den * p.x2 ** (n + 2 * k + 2 - 2 * i) * (p.eta1**2 - p.eta2**2) ** k
+                * gamma_at(2 * i - j - 2 * k - n // 2 - 2))
+
+    out = []
+    for k in range(k_count):
+        terms = [term(k, i, j) for i in range(n // 2 + 1) for j in range(1 if n == 0 else n // 2)]
+        out.append((math.fsum(terms), math.fsum(map(abs, terms))))
+    return out
+
+
+class TestBlockCoefficients:
+    @pytest.mark.parametrize("n", [0, 2, 10, 40])
+    def test_theorem4_block_is_theorem3_k0_at_equal_exponents(self, n):
+        e, x2 = 0.37, 0.29
+        assert theorem3_block_k_terms(n, SlaterPair(e, e, x2), k_max=1)[0] == theorem4_block(n, e, x2)
+
+    @pytest.mark.parametrize("n", [2, 10, 40])
+    @pytest.mark.parametrize("p", [RECON, SlaterPair(0.52, 0.5, 0.45), SlaterPair(0.3, 0.32, 0.7)])
+    def test_k_terms_match_per_term_formula(self, n, p):
+        # the (i, j) sums cancel (max|term| / |sum| reaches 4e10 at n = 40), so
+        # both summation orders are compared on the scale of the terms they add
+        got = theorem3_block_k_terms(n, p, k_max=80)
+        want = _per_term_k_series(n, p, len(got))
+        for k, (g, (w, magnitude)) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 1e-12 * magnitude, k
 
 
 class TestTheorem4Series:

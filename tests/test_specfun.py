@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slater_addition import specfun as sf
+from slater_addition.cli import EXIT_ERROR, main
 from slater_addition.errors import CapacityError, DomainError, RangeError
 from slater_addition.quadrature import integrate_finite, integrate_semi_infinite
 
@@ -239,6 +241,74 @@ class TestUpperIncompleteGamma:
         with pytest.raises(CapacityError):
             sf.upper_incomplete_gamma(-500.0, 0.5)
         assert sf.upper_incomplete_gamma(2.0, 0.0).real == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("a, z", [(-120.0, 0.001), (300.0, 50.0)])
+    def test_power_overflow_is_capacity_error(self, a, z, capsys):
+        # z^b leaves double precision on the walk, before the final isinf check
+        with pytest.raises(CapacityError):
+            sf.upper_incomplete_gamma(a, z)
+        code = main(["eval", "upper_incomplete_gamma", "--param", f"a={a:g}", "--param", f"z={z:g}"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+LADDER_ZS = (0.01, 0.25, 1.9, 2.1, 4.8, 0.5 + 1j)
+LADDER_ORDERS = [two_a / 2.0 for two_a in range(-120, 61)]  # integers and half-integers in [-60, 30]
+
+
+class TestGammaLadder:
+    @pytest.mark.parametrize("z", LADDER_ZS)
+    def test_bit_identical_to_kernel(self, z):
+        gamma_at = sf.gamma_real_cache(z)
+        for a in LADDER_ORDERS:
+            assert gamma_at(a) == sf.upper_incomplete_gamma(a, z).real, a
+
+    @pytest.mark.parametrize("z", LADDER_ZS)
+    def test_independent_of_request_order(self, z):
+        shuffled = list(LADDER_ORDERS)
+        random.Random(7).shuffle(shuffled)
+        results = []
+        for orders in (LADDER_ORDERS, LADDER_ORDERS[::-1], shuffled):
+            gamma_at = sf.gamma_real_cache(z)
+            results.append({a: gamma_at(a) for a in orders})
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("a, z, error", [
+        (-1.0, 0.0, DomainError), (0.0, 0.0, DomainError),            # z = 0, a <= 0
+        (2.0, -3.0, DomainError), (-1.5, -0.5, DomainError),          # negative real z
+        (0.25, 1.0, DomainError),                                     # a off the half-integers
+        (-500.0, 0.5, CapacityError), (402.5, 1.0, CapacityError),    # past GAMMA_RECURRENCE_LIMIT
+        (-120.0, 0.001, CapacityError),                               # z^b overflows on the walk
+    ])
+    def test_errors_match_kernel(self, a, z, error):
+        with pytest.raises(error):
+            sf.upper_incomplete_gamma(a, z)
+        with pytest.raises(error):
+            sf.gamma_real_cache(z)(a)
+
+    def test_chain_stays_valid_after_an_overflow(self):
+        # the walk to -120 overflows near -103; the orders it passed keep their values
+        gamma_at = sf.gamma_real_cache(0.001)
+        with pytest.raises(CapacityError):
+            gamma_at(-120.0)
+        for a in (-50.0, -100.0, -3.0):
+            assert gamma_at(a) == sf.upper_incomplete_gamma(a, 0.001).real
+
+    @pytest.mark.parametrize("zs, orders", [
+        # theorem 3/4 blocks: z = x2 eta2 in (0, 0.25], a in [-120, 18]
+        ((0.005, 0.01, 0.03, 0.07, 0.12, 0.25), range(-120, 19)),
+        # T(a,bc): z = 4R in [0.2, 4.8] across the anchor switch at |z| = 2, a in [-40, 3]
+        ((0.2, 0.9, 1.96, 2.04, 3.3, 4.8), range(-40, 4)),
+    ])
+    def test_vs_mpmath_on_block_series_orders(self, zs, orders):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for z in zs:
+                gamma_at = sf.gamma_real_cache(z)
+                for a in orders:
+                    want = mpmath.gammainc(a, z)
+                    assert float(abs((gamma_at(a) - want) / want)) <= 5e-14, (a, z)
 
 
 class TestErfComplex:
