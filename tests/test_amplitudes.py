@@ -22,6 +22,7 @@ from slater_addition.amplitudes import (
     theorem3_series,
     theorem4_block,
     theorem4_series,
+    _theorem3_coefs,
 )
 from slater_addition.errors import DomainError
 from slater_addition.quadrature import integrate_2d
@@ -273,6 +274,29 @@ class TestBlockCoefficients:
         for k, (g, (w, magnitude)) in enumerate(zip(got, want)):
             assert abs(g - w) <= 1e-12 * magnitude, k
 
+    @pytest.mark.parametrize("lead, eta2, x2", [
+        (0.37, 0.37, 0.29), (0.11, 0.13, 0.17), (0.52, 0.5, 0.45), (1.0, 0.1, 2.5), (0.3, 0.32, 0.7),
+    ])
+    def test_coefficients_match_mpmath(self, lead, eta2, x2):
+        # each (n, i, j) coefficient against the unsplit theorem-3 formula at 40
+        # digits, its integer factors taken as one exact ratio
+        mp = pytest.importorskip("mpmath")
+        fact = math.factorial
+        with mp.workdps(40):
+            for n in range(0, 61, 2):
+                head = (mp.sqrt(mp.pi) * (-1) ** (n // 2) * mp.mpf(lead) * mp.gamma(mp.mpf(n + 3) / 2)
+                        * mp.mpf(2) ** (mp.mpf(n) / 2 + 3))
+                pairs = [(i, j) for i in range(n // 2 + 1) for j in range(1 if n == 0 else n // 2)]
+                got = _theorem3_coefs(n, lead, eta2, x2)
+                assert len(got) == len(pairs)
+                for (c, order), (i, j) in zip(got, pairs):
+                    assert order == 2 * i - j - n // 2 - 2
+                    ratio = mp.mpf(
+                        (-1) ** i * math.comb(n // 2, i) * fact((abs(n - 1) + 2 * j - 1) // 2)
+                    ) / (fact(j) * fact(n + 1) * fact((abs(n - 1) - 2 * j - 1) // 2) * 2 ** j)
+                    want = head * ratio * mp.mpf(eta2) ** (n - 2 * i) * mp.mpf(x2) ** (n + 2 - 2 * i)
+                    assert abs(c - want) <= 4e-15 * abs(want), (n, i, j)
+
 
 class TestTheorem4Series:
     def test_blocks_all_positive(self):
@@ -289,6 +313,10 @@ class TestTheorem4Series:
     def test_odd_block_rejected(self):
         with pytest.raises(DomainError):
             theorem4_block(3, 0.13, 0.17)
+
+    def test_odd_parity_bounds_rejected(self):
+        with pytest.raises(DomainError, match="theorem4_series"):
+            theorem4_series(0.13, 0.17, SeriesIndexBounds(even_only=False))
 
 
 class TestCorollary6N0:
