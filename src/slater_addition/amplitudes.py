@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,15 +28,18 @@ from .specfun import (
     bessel_k_half,
     binomial,
     binomial_general,
-    double_factorial,
     factorial,
     gamma_real_cache,
+    k_half_coef,
     kummer_1f1,
     upper_incomplete_gamma,
 )
 from .theorems import (
     SeriesEvaluation,
     TruncationPolicy,
+    YukawaFormParams,
+    _macdonald_term,
+    _series_eval,
     accumulate_series,
     default_policy,
 )
@@ -94,14 +96,13 @@ class SlaterPair:
 class SeriesIndexBounds:
     """Caps for the doubly-infinite reconstruction series.
 
-    n_max bounds the outer index value (even values only when even_only is
-    set, as required for the k = 0 reconstructions); k_max bounds the inner
-    geometric-correction series.
+    n_max bounds the outer index value (even values only: the odd-n terms
+    of the k = 0 reconstructions vanish by angular parity); k_max bounds the
+    inner geometric-correction series.
     """
 
     n_max: int = 40
     k_max: int = 80
-    even_only: bool = True
 
     def __post_init__(self):
         if self.n_max < 0 or self.k_max < 1:
@@ -237,7 +238,7 @@ def s1_n0_erf_closed(p: SlaterPair) -> complex:
     return pref * (erf_complex(w(p.eta1)) - erf_complex(w(p.eta2)))
 
 
-def s1_general_term_gamma(n: int, p: SlaterPair, rel_tol: float = 1e-15) -> complex:
+def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
     """Term n of the series as a sum of incomplete gamma functions.
 
     Expanding the binomials and the finite Macdonald series turns term n into
@@ -260,15 +261,8 @@ def s1_general_term_gamma(n: int, p: SlaterPair, rel_tol: float = 1e-15) -> comp
     t1 = p.eta2 - big_d
     t2 = p.eta1 - big_d
     phase = cmath.exp(-1j * x2 * x2 * d / (4.0 * kx2))
-    pref = (
-        TWO_PI
-        * 2.0 ** (1 - n)
-        * p.k ** (2 * n)
-        * x2**n
-        / factorial(n)
-        * d ** (-2 * n - 1)
-        * cmath.exp(1j * p.eta2**2 * kx2 / d)
-    )
+    # K_{n+1/2}(s x2)'s sqrt(pi/(2 s x2)); its s^{-1/2} cancels the s^{1/2} of s1_series_n_term
+    pref = _series_prefactor(n, p) * math.sqrt(math.pi / (2.0 * x2))
 
     gauss_cache: dict[int, complex] = {}
 
@@ -293,7 +287,7 @@ def s1_general_term_gamma(n: int, p: SlaterPair, rel_tol: float = 1e-15) -> comp
             piece = coeff * big_d**kk * gauss(q - kk)
             total += piece
             kk += 1
-            if kk > 8 and abs(piece) <= rel_tol * max(abs(total), 1e-300):
+            if kk > 8 and abs(piece) <= 1e-15 * max(abs(total), 1e-300):
                 break
             if kk > 600:
                 raise TruncationError("s1_general_term_gamma: shift series stalled")
@@ -305,12 +299,7 @@ def s1_general_term_gamma(n: int, p: SlaterPair, rel_tol: float = 1e-15) -> comp
         for j in range(n + 1):
             cj = (-1.0) ** j * p.eta2 ** (2 * j) * binomial(n, j)
             for cap_j in range(n + 1):
-                ck = (
-                    factorial(cap_j + n)
-                    / (factorial(cap_j) * factorial(n - cap_j))
-                    * 2.0 ** (-cap_j)
-                    * x2 ** (-cap_j)
-                )
+                ck = k_half_coef(n, cap_j) * 2.0 ** (-cap_j) * x2 ** (-cap_j)
                 total += cm * cj * ck * s_power_channel(3 * n - 2 * m - 2 * j - cap_j)
     return pref * phase * total
 
@@ -318,34 +307,26 @@ def s1_general_term_gamma(n: int, p: SlaterPair, rel_tol: float = 1e-15) -> comp
 def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = None,
                     policy: TruncationPolicy | None = None,
                     allow_k_gt_1: bool = False) -> SeriesEvaluation:
-    """Equal-exponent amplitude as a Kummer-function series:
+    """Equal-exponent amplitude as a Kummer-function series: theorem 1 with
+    B = tau(1 - tau), C = eta1^2 integrated against 2 pi e^{-i (k.x2) tau} over
+    tau in [0, 1], term by term (DLMF 13.4.1):
 
-        2 pi sum_n (-1)^n 2^{-3n-1/2} k^{2n} x2^{n+1/2} eta1^{-n-1/2} / Gamma(n+3/2)
-              K_{n+1/2}(x2 eta1) 1F1(n+1; 2n+2; -i k.x2).
+        2 pi sum_n n!^2/(2n+1)! theorem1_term(n; B = 1, C = eta1^2, k, x2) 1F1(n+1; 2n+2; -i k.x2).
     """
     if eta1 <= 0 or x2 <= 0 or k < 0:
         raise DomainError("cheshire_series: eta1, x2 must be positive and k >= 0")
-    if k > 1 and not allow_k_gt_1:
-        raise DomainError("cheshire_series: k > 1; pass allow_k_gt_1=True to override")
     if k_dot_x2 is None:
         k_dot_x2 = k * x2
+    p = YukawaFormParams(1.0, eta1**2, k, x2)
 
     def term(n: int) -> complex:
-        gamma_n32 = double_factorial(2 * n + 1) * _SQRT_PI / 2.0 ** (n + 1)
         return (
-            TWO_PI
-            * (-1.0) ** n
-            * 2.0 ** (-3 * n - 0.5)
-            * k ** (2 * n)
-            * x2 ** (n + 0.5)
-            * eta1 ** (-n - 0.5)
-            / gamma_n32
-            * bessel_k_half(n, x2 * eta1).real
+            TWO_PI * factorial(n) ** 2 / factorial(2 * n + 1)
+            * _macdonald_term(n, p, 0)
             * kummer_1f1(n + 1, 2 * n + 2, -1j * k_dot_x2)
         )
 
-    # every n >= 1 term carries k^{2n}: at k = 0 the series is exact at one term
-    return accumulate_series(map(term, range(1) if k == 0 else itertools.count()), policy)
+    return _series_eval(term, p, policy, allow_k_gt_1)
 
 
 def theorem2_angular(eta2: float, x1: float, x2: float) -> complex:
@@ -392,19 +373,10 @@ def _theorem3_coefs(n: int, lead: float, eta2: float, x2: float) -> list[tuple[f
     # A P_i, with P_i = (-1)^i C(m, i) eta2^{n-2i} x2^{n+2-2i}
     ap = [a * (-1) ** i * binomial(m, i) * eta2 ** (n - 2 * i) * x2 ** (n + 2 - 2 * i)
           for i in range(m + 1)]
-    # Q_j = 2^{-j} ((|n-1|+2j-1)/2)! / (j! ((|n-1|-2j-1)/2)!), an exact integer before 2^{-j}
-    q = [math.ldexp(factorial((abs(n - 1) + 2 * j - 1) // 2)
-                    // (factorial(j) * factorial((abs(n - 1) - 2 * j - 1) // 2)), -j)
-         for j in range(max(m, 1))]
+    # Q_j = 2^{-j} k_half_coef(nu, j) with nu = (|n-1|-1)/2
+    nu = abs(n - 1) // 2
+    q = [math.ldexp(k_half_coef(nu, j), -j) for j in range(nu + 1)]
     return [(api * qj, 2 * i - j - m - 2) for i, api in enumerate(ap) for j, qj in enumerate(q)]
-
-
-def _even_only(name: str, bounds: SeriesIndexBounds | None) -> SeriesIndexBounds:
-    bounds = bounds or SeriesIndexBounds()
-    if not bounds.even_only:
-        raise DomainError(f"{name}: odd-n terms vanish identically (angular parity); "
-                          "only even_only bounds are meaningful")
-    return bounds
 
 
 def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
@@ -448,7 +420,7 @@ def theorem3_series(p: SlaterPair, bounds: SeriesIndexBounds | None = None,
     |eta1^2 - eta2^2| < eta2^2 validity heuristic is surfaced as a warning,
     not a rejection.
     """
-    bounds = _even_only("theorem3_series", bounds)
+    bounds = bounds or SeriesIndexBounds()
     if p.eta1 == p.eta2:
         raise DomainError("theorem3_series: eta1 = eta2; use theorem4_series")
     ratio = abs(p.eta1**2 - p.eta2**2) / p.eta2**2
@@ -485,7 +457,7 @@ def theorem4_series(eta2: float, x2: float, bounds: SeriesIndexBounds | None = N
     """
     if eta2 <= 0 or x2 <= 0:
         raise DomainError("theorem4_series: eta2, x2 must be positive")
-    bounds = _even_only("theorem4_series", bounds)
+    bounds = bounds or SeriesIndexBounds()
     gamma_at = gamma_real_cache(x2 * eta2)
 
     def blocks():

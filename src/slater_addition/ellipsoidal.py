@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import bessel_i_half, factorial, gamma_real_cache
+from .specfun import bessel_i_half, gamma_real_cache, k_half_coef
 from .theorems import SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
@@ -115,13 +115,7 @@ def t_abc_term(n: int, big_j: int, R: float, gamma_at=None) -> float:
     g2 = gamma_at(-big_j - n + 2)
     g3 = gamma_at(-big_j - n + 3)
     # the Gamma(n+1) of the assembled line cancels the 1/n! of the source series
-    pref = (
-        _SQRT_PI
-        * 2.0 ** (big_j + 2 * n - 4.5)
-        * R ** (2 * n)
-        * factorial(nt + big_j)
-        / (factorial(big_j) * factorial(nt - big_j))
-    )
+    pref = _SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5) * R ** (2 * n) * k_half_coef(nt, big_j)
     combo = 4.0 * g2 + g3
     bracket = (
         bessel_i_half(n + 2, R) * (combo - 16.0 * R * R * g1) * R ** (-n - 0.5)

@@ -42,6 +42,10 @@ __all__ = [
 FACTORIAL_LIMIT = 170
 # Recurrence depth bound for the incomplete gamma chains.
 GAMMA_RECURRENCE_LIMIT = 400
+# kummer_1f1's Taylor cut-off, term budget, and largest accepted max|term|/|sum| (~5 digits lost)
+KUMMER_REL_TOL = 1e-15
+KUMMER_MAX_TERMS = 500
+KUMMER_CANCELLATION_LIMIT = 1e5
 
 _SQRT_PI = math.sqrt(math.pi)
 _FACT: list[int] = [1, 1]
@@ -80,6 +84,11 @@ def binomial(n: int, k: int) -> int:
     return factorial(n) // (factorial(k) * factorial(n - k))
 
 
+def k_half_coef(n: int, j: int) -> int:
+    """(n+j)!/(j!(n-j)!), the coefficient of (2z)^{-j} in K_{n+1/2}(z), as an exact integer."""
+    return factorial(n + j) // (factorial(j) * factorial(n - j))
+
+
 def binomial_general(p: int, k: int) -> float:
     """Generalised binomial coefficient p(p-1)...(p-k+1)/k! for integer p of any sign."""
     num = 1.0
@@ -100,6 +109,7 @@ def bessel_k_half(n: int, z: complex | float, scaled: bool = False) -> complex:
     Negative n is routed through K_{-nu} = K_nu (order -(n+1/2) = (-n-1)+1/2),
     so e.g. n = -1 evaluates K_{-1/2} = K_{1/2}.  All complex powers take the
     principal branch.  With ``scaled=True`` the factor e^{-z} is omitted.
+    A result that leaves double precision raises CapacityError.
     """
     if n < 0:
         n = -n - 1
@@ -112,9 +122,10 @@ def bessel_k_half(n: int, z: complex | float, scaled: bool = False) -> complex:
     for J in range(n, -1, -1):
         s += factorial(J + n) / (factorial(J) * factorial(n - J)) * (2 * z) ** (-J)
     pref = cmath.sqrt(math.pi / (2 * z))
-    if scaled:
-        return pref * s
-    return pref * cmath.exp(-z) * s
+    k = pref * s if scaled else pref * cmath.exp(-z) * s
+    if not cmath.isfinite(k):
+        raise CapacityError(f"bessel_k_half: order {n}+1/2 at z = {z} overflows double precision")
+    return k
 
 
 def bessel_i_half(n: int, x: float) -> float:
@@ -392,29 +403,38 @@ def erf_complex(z: complex | float) -> complex:
     return 1.0 - _gamma_cf(0.5, z2) / _SQRT_PI
 
 
-def kummer_1f1(a: int, b: int, z: complex | float, rel_tol: float = 1e-15,
-               max_terms: int = 500) -> complex:
-    """Confluent hypergeometric 1F1(a; b; z) by its Taylor series.
+def kummer_1f1(a: int, b: int, z: complex | float) -> complex:
+    """Confluent hypergeometric 1F1(a; b; z) by its Taylor series, for integers b >= a >= 1.
 
-    Intended for integer b >= a >= 1, where every series coefficient is
-    positive and the sum is cancellation-free for the small |z| used here.
+    Off the positive real axis the terms cancel, costing ~log10(max|term|/|sum|)
+    digits: past KUMMER_CANCELLATION_LIMIT = 1e5 RangeError is raised.  Below
+    that bound the measured relative error stays under 1e-11.
     """
     if not (isinstance(a, int) and isinstance(b, int) and b >= a >= 1):
         raise DomainError("kummer_1f1 requires integers b >= a >= 1")
     z = complex(z)
     term = 1.0 + 0.0j
     total = term
+    peak = 1.0
     small = 0
-    for k in range(max_terms):
+    for k in range(KUMMER_MAX_TERMS):
         term *= (a + k) * z / ((b + k) * (k + 1))
         total += term
-        if abs(term) <= rel_tol * abs(total):
+        size = abs(term)
+        if size > peak:
+            peak = size
+        if size <= KUMMER_REL_TOL * abs(total):
             small += 1
             if small >= 2:
+                if peak > KUMMER_CANCELLATION_LIMIT * abs(total):
+                    raise RangeError(
+                        f"kummer_1f1({a}, {b}, {z}): max|term| = {peak:.3g} against "
+                        f"|sum| = {abs(total):.3g}; the Taylor series cancels"
+                    )
                 return total
         else:
             small = 0
-    raise TruncationError(f"kummer_1f1 did not converge in {max_terms} terms")
+    raise TruncationError(f"kummer_1f1 did not converge in {KUMMER_MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------

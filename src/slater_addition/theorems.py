@@ -13,7 +13,7 @@ min/max expansion kept as a comparison baseline.
 
 The truncation engine shared by every series in the package also lives
 here: Kahan-compensated accumulation that stops after ``tail_window``
-consecutive terms drop below ``rel_tol * |sum| + abs_tol``.
+consecutive terms drop below ``rel_tol * |sum|``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .errors import DomainError, PoleError
@@ -89,13 +89,12 @@ class TruncationPolicy:
     """Tolerances and term limits governing infinite-series cutoff."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 0.0
     max_terms: int = 60
     tail_window: int = 2
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol < 0:
-            raise DomainError("TruncationPolicy: tolerances must be positive")
+        if self.rel_tol <= 0:
+            raise DomainError("TruncationPolicy: rel_tol must be positive")
         if not self.max_terms >= self.tail_window >= 1:
             raise DomainError("TruncationPolicy: need max_terms >= tail_window >= 1")
 
@@ -129,7 +128,7 @@ def accumulate_series(terms: Iterable[complex],
     """Kahan-compensated accumulation with tail-window truncation.
 
     The iterator is drawn until ``tail_window`` consecutive terms satisfy
-    |term| <= rel_tol * |sum| + abs_tol, or until max_terms terms have been
+    |term| <= rel_tol * |sum|, or until max_terms terms have been
     taken (flagged as not converged).  A generator that simply stops early
     declares its own (exact, degenerate) convergence.  ``policy`` defaults
     to default_policy().
@@ -154,7 +153,7 @@ def accumulate_series(terms: Iterable[complex],
         s = new_s
         out_terms.append(t)
         partials.append(s)
-        if abs(t) <= policy.rel_tol * abs(s) + policy.abs_tol:
+        if abs(t) <= policy.rel_tol * abs(s):
             small_run += 1
             if small_run >= policy.tail_window:
                 converged = True
@@ -374,33 +373,24 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
                              allow_k_gt_1: bool = False) -> SeriesEvaluation:
     """Corollary-1 series with its finite Legendre second series written out.
 
-    Term n carries the inner finite sums over j (binomial expansion of
-    (x1^2 - 2 x1 x2 cos)^n) and over m (expansion of cos^j in Legendre
-    polynomials); it equals theorem1_term of the C1 mapping exactly.
+    Term n is theorem1_term of the C1 mapping with B^n = (x1^2 - 2 x1 x2 cos)^n
+    written out as the inner finite sums over j (its binomial expansion) and
+    over m (the expansion of cos^j in Legendre polynomials).
     """
     if cfg.variant != "C1":
         raise DomainError("corollary1_legendre_eval expects a C1 configuration")
-    eta, x1, x2, u = cfg.eta, cfg.x1, cfg.x2, cfg.cos_theta
-    k2 = cfg.k**2
+    x1, x2, u = cfg.x1, cfg.x2, cfg.cos_theta
+    p = corollary_to_params(cfg)
+    unit_b = replace(p, B=1.0)
 
     def term(n: int) -> complex:
-        pref = (
-            (1.0 / math.sqrt(math.pi))
-            * (-1.0) ** n
-            * k2**n
-            / factorial(n)
-            * 2.0 ** (0.5 - n)
-            * eta ** (n + 0.5)
-            * x2 ** (-n - 0.5)
-            * bessel_k_half(n, eta * x2)
-        )
         inner = 0.0
         for j in range(n + 1):
             leg = cos_power_to_legendre(j).evaluate(u)
             inner += (-1.0) ** j * 2.0**j * x2**j * binomial(n, j) * x1 ** (2 * n - j) * leg
-        return pref * inner
+        return _macdonald_term(n, unit_b, 0) * inner
 
-    return _series_eval(term, corollary_to_params(cfg), policy, allow_k_gt_1)
+    return _series_eval(term, p, policy, allow_k_gt_1)
 
 
 # ---------------------------------------------------------------------------

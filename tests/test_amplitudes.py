@@ -26,7 +26,7 @@ from slater_addition.amplitudes import (
 )
 from slater_addition.errors import DomainError
 from slater_addition.quadrature import integrate_2d
-from slater_addition.specfun import gamma_real_cache
+from slater_addition.specfun import bessel_k_half, double_factorial, gamma_real_cache, kummer_1f1
 from slater_addition.theorems import TruncationPolicy
 
 # the point at which the general-k reference values were computed
@@ -154,6 +154,27 @@ class TestCheshireSeries:
         assert ev.converged
         oracle = s1_tau_oracle(SlaterPair(eta1, eta1, x2, k, kdot), tol=1e-11)
         assert abs(ev.value - oracle.value) <= 1e-6 * abs(oracle.value)
+
+    @pytest.mark.parametrize(
+        "eta1, x2, k, kdot",
+        [(0.82, 0.036, 0.019, 0.019 * 0.036), (1.0, 1.0, 0.5, 0.3), (0.82, 0.36, 0.19, 0.19 * 0.36)],
+    )
+    def test_terms_match_gamma_formula(self, eta1, x2, k, kdot):
+        # 2 pi (-1)^n 2^{-3n-1/2} k^{2n} x2^{n+1/2} eta1^{-n-1/2} / Gamma(n+3/2)
+        #     K_{n+1/2}(x2 eta1) 1F1(n+1; 2n+2; -i k.x2), written out term by term.
+        # The series' theorem-1 form raises eta1^2 to -(2n+1)/4, which magnifies
+        # the rounding of eta1^2 up to ~1.7e-15 at n = 30.
+        every = TruncationPolicy(rel_tol=1e-300, max_terms=31, tail_window=1)
+        ev = cheshire_series(eta1, x2, k, kdot, every)
+        assert ev.terms_used == 31
+        for n, got in enumerate(ev.terms):
+            gamma_n32 = double_factorial(2 * n + 1) * math.sqrt(math.pi) / 2.0 ** (n + 1)
+            want = (
+                2.0 * math.pi * (-1.0) ** n * 2.0 ** (-3 * n - 0.5) * k ** (2 * n)
+                * x2 ** (n + 0.5) * eta1 ** (-n - 0.5) / gamma_n32
+                * bessel_k_half(n, x2 * eta1).real * kummer_1f1(n + 1, 2 * n + 2, -1j * kdot)
+            )
+            assert abs(got - want) <= 2e-15 * abs(want), n
 
     def test_k_gate(self):
         with pytest.raises(DomainError):
@@ -314,10 +335,6 @@ class TestTheorem4Series:
         with pytest.raises(DomainError):
             theorem4_block(3, 0.13, 0.17)
 
-    def test_odd_parity_bounds_rejected(self):
-        with pytest.raises(DomainError, match="theorem4_series"):
-            theorem4_series(0.13, 0.17, SeriesIndexBounds(even_only=False))
-
 
 class TestCorollary6N0:
     def test_double_ratio_value_and_quadrature(self):
@@ -378,7 +395,3 @@ class TestReconstructionConvergenceDirection:
         r8 = closed - theorem3_series(RECON, SeriesIndexBounds(n_max=8, k_max=60)).value.real
         r16 = closed - theorem3_series(RECON, SeriesIndexBounds(n_max=16, k_max=60)).value.real
         assert 0 < r16 < r8
-
-    def test_odd_parity_bounds_rejected(self):
-        with pytest.raises(DomainError):
-            theorem3_series(RECON, SeriesIndexBounds(n_max=4, k_max=10, even_only=False))

@@ -107,6 +107,22 @@ class TestBesselKHalf:
         with pytest.raises(CapacityError):
             sf.bessel_k_half(90, 1.0)
 
+    def test_overflow_raises(self, capsys):
+        # 0.02^-83 times the J = 83 coefficient leaves double precision
+        with pytest.raises(CapacityError, match="overflows"):
+            sf.bessel_k_half(83, 0.01)
+        assert main(["eval", "bessel_k_half", "--param", "n=83", "--param", "z=0.01"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: bessel_k_half")
+
+    def test_k_half_coef_is_the_series_coefficient(self):
+        # K_{n+1/2}(z) sqrt(2z/pi) e^z = sum_j k_half_coef(n, j) (2z)^{-j}
+        assert [sf.k_half_coef(3, j) for j in range(4)] == [1, 12, 60, 120]
+        z = 1.7
+        for n in range(6):
+            want = sf.bessel_k_half(n, z, scaled=True).real * math.sqrt(2 * z / math.pi)
+            got = math.fsum(sf.k_half_coef(n, j) * (2 * z) ** -j for j in range(n + 1))
+            assert got == pytest.approx(want, rel=1e-14)
+
 
 class TestBesselIHalf:
     def test_i_half_closed_form(self):
@@ -384,6 +400,20 @@ class TestKummer1F1:
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.kummer_1f1(2, 1, 0.5)
+
+    def test_cancellation_raises(self):
+        # max|term|/|sum| = 2.7e11 here, where the unguarded Taylor sum is 5.5e-5 off
+        with pytest.raises(RangeError, match="cancels"):
+            sf.kummer_1f1(4, 8, -30j)
+        with pytest.raises(RangeError):
+            sf.kummer_1f1(1, 2, -40.0)
+
+    def test_accepted_cancellation_stays_accurate(self):
+        mpmath = pytest.importorskip("mpmath")
+        # up to the 1e5 cancellation bound the Taylor sum keeps ~11 digits
+        for a, b, im in ((4, 8, -13.0), (2, 4, -14.0), (10, 20, -17.0), (30, 62, -20.0)):
+            want = complex(mpmath.hyp1f1(a, b, mpmath.mpc(0, im)))
+            assert abs(sf.kummer_1f1(a, b, complex(0, im)) - want) <= 1e-11 * abs(want)
 
 
 class TestHermite:

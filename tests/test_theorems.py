@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
 from slater_addition.errors import DomainError, PoleError
+from slater_addition.specfun import bessel_k_half, cos_power_to_legendre
 from slater_addition.theorems import (
     CorollaryConfig,
     TruncationPolicy,
@@ -245,6 +246,31 @@ class TestCorollary1Legendre:
         direct = theorem1_eval(corollary_to_params(cfg), pol)
         for a, b in zip(legendre.terms, direct.terms):
             assert a.real == pytest.approx(b.real, rel=1e-10)
+
+    @pytest.mark.parametrize("cfg", [
+        CorollaryConfig(variant="C1", eta=0.13, x1=0.3, x2=0.17, cos_theta=0.4),
+        CorollaryConfig(variant="C1", eta=0.3, x1=0.2, x2=0.9, cos_theta=0.0),
+        CorollaryConfig(variant="C1", eta=0.4, x1=0.1, x2=0.8, cos_theta=0.3),
+    ])
+    def test_terms_match_explicit_prefactor(self, cfg):
+        # (1/sqrt(pi)) (-1)^n k^{2n}/n! 2^{1/2-n} eta^{n+1/2} x2^{-n-1/2} K_{n+1/2}(eta x2)
+        # times the Legendre inner sum.  The theorem-1 form raises x2^2 to
+        # -(2n+1)/4, which magnifies the rounding of x2^2 up to ~1.7e-15 at n = 30.
+        every = TruncationPolicy(rel_tol=1e-300, max_terms=31, tail_window=1)
+        ev = corollary1_legendre_eval(cfg, every)
+        assert ev.terms_used == 31
+        eta, x1, x2, u = cfg.eta, cfg.x1, cfg.x2, cfg.cos_theta
+        for n, got in enumerate(ev.terms):
+            pref = (
+                (-1.0) ** n * cfg.k ** (2 * n) / math.factorial(n) * 2.0 ** (0.5 - n) / math.sqrt(math.pi)
+                * eta ** (n + 0.5) * x2 ** (-n - 0.5) * bessel_k_half(n, eta * x2)
+            )
+            inner = 0.0
+            for j in range(n + 1):
+                leg = cos_power_to_legendre(j).evaluate(u)
+                inner += (-1.0) ** j * 2.0**j * x2**j * math.comb(n, j) * x1 ** (2 * n - j) * leg
+            want = pref * inner
+            assert abs(got - want) <= 2e-15 * abs(want), n
 
     def test_cos_zero_reduces_inner_sum(self):
         cfg = CorollaryConfig(variant="C1", eta=0.3, x1=0.2, x2=0.9, cos_theta=0.0)
