@@ -34,7 +34,6 @@ from .theorems import (
     yukawa_form,
 )
 from .amplitudes import (
-    SeriesIndexBounds,
     SlaterPair,
     cheshire_series,
     corollary6_n0_closed,

@@ -17,14 +17,14 @@ the double-series reconstructions of the k = 0 closed forms.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, RangeError, TruncationError
 from .quadrature import QuadratureResult, integrate_finite
 from .specfun import (
+    _GammaLadder,
     bessel_k_half,
     binomial,
     binomial_general,
@@ -32,7 +32,6 @@ from .specfun import (
     gamma_real_cache,
     k_half_coef,
     kummer_1f1,
-    upper_incomplete_gamma,
 )
 from .theorems import (
     SeriesEvaluation,
@@ -41,12 +40,10 @@ from .theorems import (
     _macdonald_term,
     _series_eval,
     accumulate_series,
-    default_policy,
 )
 
 __all__ = [
     "SlaterPair",
-    "SeriesIndexBounds",
     "s1_coulomb_closed",
     "s1_two_slater_closed",
     "s1_equal_eta_closed",
@@ -90,23 +87,6 @@ class SlaterPair:
             object.__setattr__(self, "k_dot_x2", self.k * self.x2)
         elif abs(self.k_dot_x2) > self.k * self.x2 * (1 + 1e-12):
             raise DomainError("SlaterPair: |k_dot_x2| exceeds k*x2")
-
-
-@dataclass(frozen=True)
-class SeriesIndexBounds:
-    """Caps for the doubly-infinite reconstruction series.
-
-    n_max bounds the outer index value (even values only: the odd-n terms
-    of the k = 0 reconstructions vanish by angular parity); k_max bounds the
-    inner geometric-correction series.
-    """
-
-    n_max: int = 40
-    k_max: int = 80
-
-    def __post_init__(self):
-        if self.n_max < 0 or self.k_max < 1:
-            raise DomainError("SeriesIndexBounds: need n_max >= 0, k_max >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +244,12 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
     # K_{n+1/2}(s x2)'s sqrt(pi/(2 s x2)); its s^{-1/2} cancels the s^{1/2} of s1_series_n_term
     pref = _series_prefactor(n, p) * math.sqrt(math.pi / (2.0 * x2))
 
-    gauss_cache: dict[int, complex] = {}
+    gamma_t1, gamma_t2 = _GammaLadder(a * t1 * t1), _GammaLadder(a * t2 * t2)
 
     def gauss(q: int) -> complex:
         # int_{t1}^{t2} t^q e^{-a t^2} dt along the shifted segment
-        if q not in gauss_cache:
-            alpha = (q + 1) / 2.0
-            g = upper_incomplete_gamma(alpha, a * t1 * t1) - upper_incomplete_gamma(
-                alpha, a * t2 * t2
-            )
-            gauss_cache[q] = 0.5 * a ** (-alpha) * g
-        return gauss_cache[q]
+        alpha = (q + 1) / 2.0
+        return 0.5 * a ** (-alpha) * (gamma_t1(alpha) - gamma_t2(alpha))
 
     def s_power_channel(q: int) -> complex:
         # int_{eta2}^{eta1} s^q e^{-s x2} e^{-i s^2 (k.x2)/d} ds / phase
@@ -313,17 +288,14 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
 
         2 pi sum_n n!^2/(2n+1)! theorem1_term(n; B = 1, C = eta1^2, k, x2) 1F1(n+1; 2n+2; -i k.x2).
     """
-    if eta1 <= 0 or x2 <= 0 or k < 0:
-        raise DomainError("cheshire_series: eta1, x2 must be positive and k >= 0")
-    if k_dot_x2 is None:
-        k_dot_x2 = k * x2
+    pair = SlaterPair(eta1, eta1, x2, k, k_dot_x2)
     p = YukawaFormParams(1.0, eta1**2, k, x2)
 
     def term(n: int) -> complex:
         return (
             TWO_PI * factorial(n) ** 2 / factorial(2 * n + 1)
             * _macdonald_term(n, p, 0)
-            * kummer_1f1(n + 1, 2 * n + 2, -1j * k_dot_x2)
+            * kummer_1f1(n + 1, 2 * n + 2, -1j * pair.k_dot_x2)
         )
 
     return _series_eval(term, p, policy, allow_k_gt_1)
@@ -402,25 +374,21 @@ def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
             yield math.fsum(b_k * c * gamma_at(order - 2 * k) for c, order in coefs)
             b_k *= -((n + 3) / 2.0 + k) / (k + 1) * ratio
 
-    # the generator's end, not the policy's term budget, enforces the k_max cap
-    base = policy or default_policy()
-    ev = accumulate_series(
-        k_terms(), dataclasses.replace(base, max_terms=max(k_max, base.tail_window))
-    )
+    ev = accumulate_series(k_terms(), replace(policy or TruncationPolicy(), max_terms=k_max))
     return [t.real for t in ev.terms]
 
 
-def theorem3_series(p: SlaterPair, bounds: SeriesIndexBounds | None = None,
+def theorem3_series(p: SlaterPair, n_max: int = 40, k_max: int = 80,
                     policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """k = 0 reconstruction of s1_two_slater_closed as a double series.
 
-    Terms of the returned evaluation are the per-n blocks (n even, ascending),
-    each an inner k-series over incomplete gammas accumulated k-minor with
+    Terms of the returned evaluation are the per-n blocks for even n <= n_max
+    (the odd-n terms vanish by angular parity), each an inner k-series of at
+    most k_max terms over incomplete gammas, accumulated k-minor with
     compensated summation.  The expansion is organised around eta2; the
     |eta1^2 - eta2^2| < eta2^2 validity heuristic is surfaced as a warning,
     not a rejection.
     """
-    bounds = bounds or SeriesIndexBounds()
     if p.eta1 == p.eta2:
         raise DomainError("theorem3_series: eta1 = eta2; use theorem4_series")
     ratio = abs(p.eta1**2 - p.eta2**2) / p.eta2**2
@@ -434,8 +402,8 @@ def theorem3_series(p: SlaterPair, bounds: SeriesIndexBounds | None = None,
     gamma_at = gamma_real_cache(p.x2 * p.eta2)
 
     def blocks():
-        for n in range(0, bounds.n_max + 1, 2):
-            yield math.fsum(theorem3_block_k_terms(n, p, bounds.k_max, policy, gamma_at))
+        for n in range(0, n_max + 1, 2):
+            yield math.fsum(theorem3_block_k_terms(n, p, k_max, policy, gamma_at))
 
     return accumulate_series(blocks(), policy)
 
@@ -448,7 +416,7 @@ def theorem4_block(n: int, eta2: float, x2: float, gamma_at=None) -> float:
     return math.fsum(c * gamma_at(order) for c, order in coefs)
 
 
-def theorem4_series(eta2: float, x2: float, bounds: SeriesIndexBounds | None = None,
+def theorem4_series(eta2: float, x2: float, n_max: int = 40,
                     policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Equal-exponent reconstruction of s1_equal_eta_closed.
 
@@ -457,11 +425,10 @@ def theorem4_series(eta2: float, x2: float, bounds: SeriesIndexBounds | None = N
     """
     if eta2 <= 0 or x2 <= 0:
         raise DomainError("theorem4_series: eta2, x2 must be positive")
-    bounds = bounds or SeriesIndexBounds()
     gamma_at = gamma_real_cache(x2 * eta2)
 
     def blocks():
-        for n in range(0, bounds.n_max + 1, 2):
+        for n in range(0, n_max + 1, 2):
             yield theorem4_block(n, eta2, x2, gamma_at)
 
     return accumulate_series(blocks(), policy)

@@ -13,15 +13,15 @@ The TARGETS table is the single declaration of every target's parameters:
 the signature of its ``run(ctx, **params)`` names them, and a default makes
 one optional.  One name -> type map (``_TYPES``) coerces them for every
 target: integer parameters must take integral values, booleans are
-``true``/``false``, and an unknown key, on the command line or in a scenario
-file, is an error.  The comparison tolerance (``--tol`` or ``tol =``) must be
-finite and > 0.
+``true``/``false``, every other number must be finite and not a boolean, and
+an unknown key, on the command line or in a scenario file, is an error.  The
+comparison tolerance (``--tol`` or ``tol =``) must be finite and > 0.
 
 Scenario files are plain ``key = value`` lines with ``#`` comments and
 complex values written ``re+imi``.  Exit codes: 0 success/converged,
 1 usage or domain error, 2 truncation or tolerance failure, 3 failed
-reproduction checks.  SLATER_ADDITION_MAX_TERMS overrides the default
-series term budget.
+reproduction checks.  Every series runs under the default TruncationPolicy
+(at most 60 terms).
 """
 
 from __future__ import annotations
@@ -90,13 +90,21 @@ def parse_value(text: str):
 
 
 def _coerce(name: str, value):
-    """``value`` as the ``_TYPES`` type of ``name``; int and bool values are checked, not cast."""
+    """``value`` as the ``_TYPES`` type of ``name``; int and bool values are checked, not cast,
+    and any other number (also an untyped one) must be finite and not a boolean."""
     kind = _TYPES.get(name)
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     if kind in (int, bool) and type(value) is not kind:
         what = "an integer" if kind is int else "true or false"
         raise UsageError(f"parameter {name} must be {what}, got {value!r}")
+    if kind in (float, complex, None) and not isinstance(value, str):
+        try:
+            finite = not isinstance(value, bool) and cmath.isfinite(value)
+        except OverflowError:  # an integer beyond double precision
+            finite = False
+        if not finite:
+            raise UsageError(f"parameter {name} must be a finite number, got {value!r}")
     return kind(value) if kind in (float, complex, str) else value
 
 
@@ -264,9 +272,9 @@ def _tabc_stall(ctx: Context, R: float, n_max: int = 20, window: int = 4) -> Out
 
 
 def _cos_power(ctx: Context, j: int) -> Outcome:
-    cs = specfun.cos_power_to_legendre(j)
-    pairs = ", ".join(f"P_{m}: {c:.12g}" for m, c in sorted(cs.coeffs.items()))
-    return Outcome(value=None, text=f"cos^{cs.power} = {{{pairs}}}")
+    coeffs = specfun.cos_power_to_legendre(j)
+    pairs = ", ".join(f"P_{m}: {c:.12g}" for m, c in sorted(coeffs.items()))
+    return Outcome(value=None, text=f"cos^{j} = {{{pairs}}}")
 
 
 TARGETS: dict[str, Target] = {
@@ -372,14 +380,13 @@ TARGETS: dict[str, Target] = {
     ),
     "theorem3": Target(
         lambda c, eta1, eta2, x2, n_max=40, k_max=80: amplitudes.theorem3_series(
-            amplitudes.SlaterPair(eta1, eta2, x2), amplitudes.SeriesIndexBounds(n_max, k_max)),
+            amplitudes.SlaterPair(eta1, eta2, x2), n_max, k_max),
         lambda c, eta1, eta2, x2, **_: amplitudes.s1_two_slater_closed(
             amplitudes.SlaterPair(eta1, eta2, x2)),
         ("theorem3_series", "theorem3_block_k_terms"),
     ),
     "theorem4": Target(
-        lambda c, eta2, x2, n_max=40: amplitudes.theorem4_series(
-            eta2, x2, amplitudes.SeriesIndexBounds(n_max)),
+        lambda c, eta2, x2, n_max=40: amplitudes.theorem4_series(eta2, x2, n_max),
         lambda c, eta2, x2, **_: amplitudes.s1_equal_eta_closed(eta2, x2),
         ("theorem4_series", "theorem4_block"),
     ),

@@ -174,7 +174,7 @@ def chk_theorem3_n0_k_terms() -> tuple[bool, str]:
 
 
 def _t3_blocks() -> list[float]:
-    pol = TruncationPolicy(rel_tol=1e-12, max_terms=200, tail_window=2)
+    pol = TruncationPolicy(rel_tol=1e-12, max_terms=200)
     return [
         math.fsum(amplitudes.theorem3_block_k_terms(n, _T3_PAIR, k_max=80, policy=pol))
         for n in (2, 4, 6, 8)
@@ -320,7 +320,7 @@ def chk_theorem2_grid() -> tuple[bool, str]:
 
 
 def chk_theorem3_imag_residue() -> tuple[bool, str]:
-    ev = amplitudes.theorem3_series(_T3_PAIR, amplitudes.SeriesIndexBounds(n_max=8, k_max=60))
+    ev = amplitudes.theorem3_series(_T3_PAIR, n_max=8, k_max=60)
     resid = abs(ev.value.imag)
     return resid < 1e-12, f"imaginary residue {resid:.1e} (bound 1e-12)"
 

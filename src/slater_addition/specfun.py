@@ -17,13 +17,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import CapacityError, DomainError, RangeError, TruncationError
 
 __all__ = [
-    "LegendreCoeffSet",
     "factorial",
     "double_factorial",
     "bessel_k_half",
@@ -185,25 +183,12 @@ def hermite_h(j: int, x: float) -> float:
     return h1
 
 
-@dataclass(frozen=True)
-class LegendreCoeffSet:
-    """Coefficients c_m with cos^j(theta) = sum_m c_m P_m(cos theta).
+def cos_power_to_legendre(j: int) -> dict[int, float]:
+    """{m: c_m} with cos^j(theta) = sum_m c_m P_m(cos theta):
 
-    Only m of the same parity as j appear; the smallest m is 0 or 1
-    according to whether j is even or odd.
-    """
+    c_m = (2m+1) j! 2^{(m-j)/2} / ( ((j-m)/2)! (j+m+1)!! ),  m = j, j-2, ..., (0 or 1),
 
-    power: int
-    coeffs: dict[int, float] = field(default_factory=dict)
-
-    def evaluate(self, u: float) -> float:
-        return sum(c * legendre_p(m, u) for m, c in self.coeffs.items())
-
-
-def cos_power_to_legendre(j: int) -> LegendreCoeffSet:
-    """Expansion of cos^j(theta) in Legendre polynomials.
-
-    c_m = (2m+1) j! 2^{(m-j)/2} / ( ((j-m)/2)! (j+m+1)!! ),  m = j, j-2, ..., (0 or 1).
+    so only m of the same parity as j appear.
     """
     if j < 0:
         raise DomainError("cos_power_to_legendre: negative power")
@@ -217,7 +202,7 @@ def cos_power_to_legendre(j: int) -> LegendreCoeffSet:
             / (factorial((j - m) // 2) * double_factorial(j + m + 1))
         )
         m -= 2
-    return LegendreCoeffSet(power=j, coeffs=coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ and Cartesian Slater-orbital geometry, and the classical two-range
 min/max expansion kept as a comparison baseline.
 
 The truncation engine shared by every series in the package also lives
-here: Kahan-compensated accumulation that stops after ``tail_window``
-consecutive terms drop below ``rel_tol * |sum|``.
+here: Kahan-compensated accumulation that stops once ``TAIL_WINDOW``
+consecutive terms drop below ``rel_tol * |sum|``, or after ``max_terms``
+terms (60 unless a ``TruncationPolicy`` says otherwise).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
@@ -44,7 +44,6 @@ __all__ = [
     "CorollaryConfig",
     "COROLLARY_VARIANTS",
     "accumulate_series",
-    "default_policy",
     "yukawa_form",
     "theorem1_term",
     "theorem1_eval",
@@ -58,7 +57,8 @@ __all__ = [
     "two_range_mos_eval",
 ]
 
-MAX_TERMS_ENV = "SLATER_ADDITION_MAX_TERMS"
+# consecutive terms below rel_tol * |sum| that end a series
+TAIL_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -90,22 +90,12 @@ class TruncationPolicy:
 
     rel_tol: float = 1e-10
     max_terms: int = 60
-    tail_window: int = 2
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise DomainError("TruncationPolicy: rel_tol must be positive")
-        if not self.max_terms >= self.tail_window >= 1:
-            raise DomainError("TruncationPolicy: need max_terms >= tail_window >= 1")
-
-
-def default_policy() -> TruncationPolicy:
-    """Default truncation policy; SLATER_ADDITION_MAX_TERMS overrides max_terms."""
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw:
-        n = int(raw)
-        return TruncationPolicy(max_terms=n, tail_window=min(2, n))
-    return TruncationPolicy()
+        if self.max_terms < 1:
+            raise DomainError("TruncationPolicy: need max_terms >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,13 +117,13 @@ def accumulate_series(terms: Iterable[complex],
                       policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Kahan-compensated accumulation with tail-window truncation.
 
-    The iterator is drawn until ``tail_window`` consecutive terms satisfy
+    The iterator is drawn until TAIL_WINDOW consecutive terms satisfy
     |term| <= rel_tol * |sum|, or until max_terms terms have been
     taken (flagged as not converged).  A generator that simply stops early
     declares its own (exact, degenerate) convergence.  ``policy`` defaults
-    to default_policy().
+    to TruncationPolicy().
     """
-    policy = policy or default_policy()
+    policy = policy or TruncationPolicy()
     out_terms: list[complex] = []
     partials: list[complex] = []
     s = 0.0 + 0.0j
@@ -155,7 +145,7 @@ def accumulate_series(terms: Iterable[complex],
         partials.append(s)
         if abs(t) <= policy.rel_tol * abs(s):
             small_run += 1
-            if small_run >= policy.tail_window:
+            if small_run >= TAIL_WINDOW:
                 converged = True
                 break
         else:
@@ -386,7 +376,7 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
     def term(n: int) -> complex:
         inner = 0.0
         for j in range(n + 1):
-            leg = cos_power_to_legendre(j).evaluate(u)
+            leg = sum(c * legendre_p(m, u) for m, c in cos_power_to_legendre(j).items())
             inner += (-1.0) ** j * 2.0**j * x2**j * binomial(n, j) * x1 ** (2 * n - j) * leg
         return _macdonald_term(n, unit_b, 0) * inner
 
@@ -405,6 +395,8 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
     """
     if eta <= 0 or x1 <= 0 or x2 <= 0:
         raise DomainError("two_range_mos: eta, x1, x2 must be positive")
+    if n_terms < 1:
+        raise DomainError("two_range_mos: n_terms must be >= 1")
     if abs(cos_theta) > 1:
         raise DomainError("two_range_mos: |cos_theta| > 1")
     if x1 == x2:

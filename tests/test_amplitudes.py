@@ -5,8 +5,8 @@ import math
 
 import pytest
 
+from slater_addition import amplitudes
 from slater_addition.amplitudes import (
-    SeriesIndexBounds,
     SlaterPair,
     cheshire_series,
     corollary6_n0_closed,
@@ -26,7 +26,13 @@ from slater_addition.amplitudes import (
 )
 from slater_addition.errors import DomainError
 from slater_addition.quadrature import integrate_2d
-from slater_addition.specfun import bessel_k_half, double_factorial, gamma_real_cache, kummer_1f1
+from slater_addition.specfun import (
+    bessel_k_half,
+    double_factorial,
+    gamma_real_cache,
+    kummer_1f1,
+    upper_incomplete_gamma,
+)
 from slater_addition.theorems import TruncationPolicy
 
 # the point at which the general-k reference values were computed
@@ -131,6 +137,27 @@ class TestSeriesTerms:
         erf0 = s1_n0_erf_closed(rev)
         assert abs(erf0 - s1_series_n_term(0, rev)) <= 1e-8 * abs(erf0)
 
+    @pytest.mark.parametrize("n", range(3))
+    @pytest.mark.parametrize("pair", [
+        PAIR,
+        SlaterPair(eta1=0.66, eta2=0.82, x2=0.36, k=0.19),
+        SlaterPair(eta1=0.968, eta2=0.5538, x2=0.5035, k=0.4027),  # NaN at n = 1, 2
+        SlaterPair(eta1=0.65, eta2=1.0438, x2=0.6761, k=0.2833),  # CapacityError at n = 1
+    ])
+    def test_shared_ladders_match_one_walk_per_gamma(self, n, pair, monkeypatch):
+        # the two segment-end ladders against a fresh upper_incomplete_gamma walk per
+        # Gamma value: bit-identical values, NaNs and exceptions
+        def outcome():
+            try:
+                v = s1_general_term_gamma(n, pair)
+            except Exception as exc:
+                return type(exc)
+            return v.real.hex(), v.imag.hex()
+
+        shared = outcome()
+        monkeypatch.setattr(amplitudes, "_GammaLadder", lambda z: lambda a: upper_incomplete_gamma(a, z))
+        assert outcome() == shared
+
     def test_degenerate_interval_rejected(self):
         p = SlaterPair(eta1=0.5, eta2=0.5, x2=1.0, k=0.2)
         for fn in (lambda: s1_series_n_term(0, p), lambda: s1_n0_erf_closed(p),
@@ -164,7 +191,7 @@ class TestCheshireSeries:
         #     K_{n+1/2}(x2 eta1) 1F1(n+1; 2n+2; -i k.x2), written out term by term.
         # The series' theorem-1 form raises eta1^2 to -(2n+1)/4, which magnifies
         # the rounding of eta1^2 up to ~1.7e-15 at n = 30.
-        every = TruncationPolicy(rel_tol=1e-300, max_terms=31, tail_window=1)
+        every = TruncationPolicy(rel_tol=1e-300, max_terms=31)
         ev = cheshire_series(eta1, x2, k, kdot, every)
         assert ev.terms_used == 31
         for n, got in enumerate(ev.terms):
@@ -179,6 +206,10 @@ class TestCheshireSeries:
     def test_k_gate(self):
         with pytest.raises(DomainError):
             cheshire_series(1.0, 1.0, 1.5)
+
+    def test_phase_scalar_bounded_by_k_x2(self):
+        with pytest.raises(DomainError, match="k_dot_x2"):
+            cheshire_series(0.8, 0.5, 0.1, k_dot_x2=5.0)
 
 
 class TestTheorem2Angular:
@@ -222,34 +253,33 @@ class TestTheorem3Series:
 
     def test_k_max_caps_block_above_policy_budget(self):
         # a tail rule that never fires: k_max, not max_terms = 3, ends the k-series
-        never = TruncationPolicy(rel_tol=1e-300, max_terms=3, tail_window=2)
+        never = TruncationPolicy(rel_tol=1e-300, max_terms=3)
         got = theorem3_block_k_terms(2, RECON, k_max=9, policy=never)
         assert got == theorem3_block_k_terms(2, RECON, k_max=9)
         assert len(got) == 9
 
     def test_blocks_positive_and_monotone_partials(self):
-        ev = theorem3_series(RECON, SeriesIndexBounds(n_max=8, k_max=60))
+        ev = theorem3_series(RECON, n_max=8, k_max=60)
         assert all(t.real > 0 for t in ev.terms)
         for a, b in zip(ev.partial_sums, ev.partial_sums[1:]):
             assert b.real > a.real
         assert abs(ev.value.imag) < 1e-12
 
     def test_converges_toward_closed_form(self):
-        ev = theorem3_series(RECON, SeriesIndexBounds(n_max=8, k_max=80))
+        ev = theorem3_series(RECON, n_max=8, k_max=80)
         closed = s1_two_slater_closed(RECON)
         assert 0 < closed - ev.value.real < 0.2
 
     def test_swapped_exponents_converge_to_same_value(self):
         swapped = SlaterPair(eta1=0.13, eta2=0.11, x2=0.17)
-        ev = theorem3_series(swapped, SeriesIndexBounds(n_max=8, k_max=80))
+        ev = theorem3_series(swapped, n_max=8, k_max=80)
         closed = s1_two_slater_closed(swapped)
         assert closed == pytest.approx(s1_two_slater_closed(RECON), rel=1e-14)
         assert 0 < closed - ev.value.real < 0.2
 
     def test_validity_guard_warns(self):
         with pytest.warns(UserWarning):
-            theorem3_series(SlaterPair(eta1=1.0, eta2=0.5, x2=0.4),
-                            SeriesIndexBounds(n_max=2, k_max=4))
+            theorem3_series(SlaterPair(eta1=1.0, eta2=0.5, x2=0.4), n_max=2, k_max=4)
 
     def test_equal_exponents_rejected(self):
         with pytest.raises(DomainError):
@@ -325,10 +355,9 @@ class TestTheorem4Series:
         assert all(b > 0 for b in blocks)
 
     def test_bracketed_by_neighbouring_theorem3(self):
-        bounds = SeriesIndexBounds(n_max=8, k_max=60)
-        mid = theorem4_series(0.13, 0.17, bounds).value.real
-        lo = theorem3_series(SlaterPair(0.13 * (1 + 1e-4), 0.13, 0.17), bounds).value.real
-        hi = theorem3_series(SlaterPair(0.13 * (1 - 1e-4), 0.13, 0.17), bounds).value.real
+        mid = theorem4_series(0.13, 0.17, n_max=8).value.real
+        lo = theorem3_series(SlaterPair(0.13 * (1 + 1e-4), 0.13, 0.17), n_max=8, k_max=60).value.real
+        hi = theorem3_series(SlaterPair(0.13 * (1 - 1e-4), 0.13, 0.17), n_max=8, k_max=60).value.real
         assert min(lo, hi) <= mid <= max(lo, hi)
 
     def test_odd_block_rejected(self):
@@ -377,8 +406,12 @@ class TestSlaterPairValidation:
             SlaterPair(1.0, 1.0, 2.0, 0.25, k_dot_x2=0.6)
 
     def test_bounds_validation(self):
-        with pytest.raises(DomainError):
-            SeriesIndexBounds(n_max=-2)
+        with pytest.raises(DomainError, match="empty series"):
+            theorem3_series(RECON, n_max=-2)
+        with pytest.raises(DomainError, match="empty series"):
+            theorem4_series(0.13, 0.17, n_max=-2)
+        with pytest.raises(DomainError, match="theorem3_block_k_terms"):
+            theorem3_series(RECON, k_max=0)
         with pytest.raises(DomainError, match="theorem3_block_k_terms"):
             theorem3_block_k_terms(0, RECON, k_max=0)
 
@@ -386,12 +419,12 @@ class TestSlaterPairValidation:
 class TestReconstructionConvergenceDirection:
     def test_theorem4_residual_shrinks_with_bounds(self):
         closed = s1_equal_eta_closed(0.13, 0.17)
-        r8 = closed - theorem4_series(0.13, 0.17, SeriesIndexBounds(n_max=8)).value.real
-        r30 = closed - theorem4_series(0.13, 0.17, SeriesIndexBounds(n_max=30)).value.real
+        r8 = closed - theorem4_series(0.13, 0.17, n_max=8).value.real
+        r30 = closed - theorem4_series(0.13, 0.17, n_max=30).value.real
         assert 0 < r30 < r8
 
     def test_theorem3_residual_shrinks_with_bounds(self):
         closed = s1_two_slater_closed(RECON)
-        r8 = closed - theorem3_series(RECON, SeriesIndexBounds(n_max=8, k_max=60)).value.real
-        r16 = closed - theorem3_series(RECON, SeriesIndexBounds(n_max=16, k_max=60)).value.real
+        r8 = closed - theorem3_series(RECON, n_max=8, k_max=60).value.real
+        r16 = closed - theorem3_series(RECON, n_max=16, k_max=60).value.real
         assert 0 < r16 < r8

@@ -76,13 +76,6 @@ class TestEval:
         err = capsys.readouterr().err
         assert "bogus" in err
 
-    def test_env_var_overrides_max_terms(self, capsys, monkeypatch):
-        monkeypatch.setenv("SLATER_ADDITION_MAX_TERMS", "1")
-        rc = main(["eval", "theorem1"] + GOLDEN_ARGS)
-        out = capsys.readouterr().out
-        assert rc == 2
-        assert "terms_used = 1" in out and "converged = false" in out
-
     def test_quadrature_target(self, capsys):
         rc = main(["eval", "s1_tau_oracle", "--param", "eta1=0.82", "--param", "eta2=0.66",
                    "--param", "x2=0.36", "--param", "k=0.19"])
@@ -232,11 +225,10 @@ class TestCoverage:
     def test_every_public_operation_reachable(self):
         required = set()
         for module, skip in (
-            (specfun, {"LegendreCoeffSet", "factorial", "double_factorial"}),
+            (specfun, {"factorial", "double_factorial"}),
             (theorems, {"YukawaFormParams", "TruncationPolicy", "SeriesEvaluation",
-                        "CorollaryConfig", "COROLLARY_VARIANTS", "accumulate_series",
-                        "default_policy"}),
-            (amplitudes, {"SlaterPair", "SeriesIndexBounds"}),
+                        "CorollaryConfig", "COROLLARY_VARIANTS", "accumulate_series"}),
+            (amplitudes, {"SlaterPair"}),
             (ellipsoidal, {"EllipsoidalParams", "StallReport"}),
         ):
             required |= set(module.__all__) - skip

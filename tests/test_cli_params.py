@@ -54,11 +54,44 @@ class TestCoercion:
         assert main(K_HALF + ["--param", "n=1", "--param", f"scaled={value}"]) == 1
         assert "parameter scaled must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["eval", "theorem1", "--param", "B=true", "--param", "C=0.11", "--param", "k=0.17",
+         "--param", "x2=0.23"],
+        ["eval", "theorem1", "--param", "B=0.13", "--param", "C=false", "--param", "k=0.17",
+         "--param", "x2=0.23"],
+        ["eval", "yukawa_form", "--param", "B=0.13", "--param", "C=0.11", "--param", "k=0.17",
+         "--param", "x2=nan"],
+        ["eval", "s1_equal_eta", "--param", "eta2=inf", "--param", "x2=0.1"],
+        ["eval", "s1_equal_eta", "--param", "eta2=0.5", "--param", "x2=-inf"],
+        ["eval", "s1_equal_eta", "--param", "eta2=1" + "0" * 400, "--param", "x2=0.1"],
+        ["eval", "erf_complex", "--param", "z=1+nani"],
+        ["eval", "upper_incomplete_gamma", "--param", "a=inf", "--param", "z=1.5"],
+    ])
+    def test_number_must_be_finite_and_not_a_bool(self, args, capsys):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "must be a finite number" in captured.err and captured.out == ""
+
     def test_bool_parameter_false_is_unscaled(self, capsys):
         assert main(K_HALF + ["--param", "n=1"]) == 0
         unscaled = capsys.readouterr().out
         assert main(K_HALF + ["--param", "n=1", "--param", "scaled=FALSE"]) == 0
         assert capsys.readouterr().out == unscaled
+
+
+class TestLibraryDomains:
+    @pytest.mark.parametrize("n_terms", ["0", "-3"])
+    def test_two_range_needs_a_term(self, n_terms, capsys):
+        args = ["--param", "eta=0.13", "--param", "x1=0.3", "--param", "x2=0.17",
+                "--param", "cos_theta=0.4", "--param", f"n_terms={n_terms}"]
+        assert main(["eval", "two_range_mos"] + args) == 1
+        assert main(["table", "two_range_mos"] + args) == 1
+        assert "n_terms must be >= 1" in capsys.readouterr().err
+
+    def test_cheshire_phase_scalar_is_bounded(self, capsys):
+        assert main(["eval", "cheshire", "--param", "eta1=0.8", "--param", "x2=0.5",
+                     "--param", "k=0.1", "--param", "k_dot_x2=5"]) == 1
+        assert "exceeds k*x2" in capsys.readouterr().err
 
 
 class TestTolerance:

@@ -1,6 +1,5 @@
 """Addition theorems: golden terms, corollary groupings, two-range baseline."""
 
-import itertools
 import math
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
 from slater_addition.errors import DomainError, PoleError
-from slater_addition.specfun import bessel_k_half, cos_power_to_legendre
+from slater_addition.specfun import bessel_k_half, cos_power_to_legendre, legendre_p
 from slater_addition.theorems import (
     CorollaryConfig,
     TruncationPolicy,
@@ -241,7 +240,7 @@ class TestCorollaries:
 class TestCorollary1Legendre:
     def test_terms_match_direct_binomial_power(self):
         cfg = CorollaryConfig(variant="C1", eta=0.13, x1=0.3, x2=0.17, cos_theta=0.4)
-        pol = TruncationPolicy(rel_tol=1e-14, max_terms=5, tail_window=1)
+        pol = TruncationPolicy(rel_tol=1e-14, max_terms=5)
         legendre = corollary1_legendre_eval(cfg, pol)
         direct = theorem1_eval(corollary_to_params(cfg), pol)
         for a, b in zip(legendre.terms, direct.terms):
@@ -256,7 +255,7 @@ class TestCorollary1Legendre:
         # (1/sqrt(pi)) (-1)^n k^{2n}/n! 2^{1/2-n} eta^{n+1/2} x2^{-n-1/2} K_{n+1/2}(eta x2)
         # times the Legendre inner sum.  The theorem-1 form raises x2^2 to
         # -(2n+1)/4, which magnifies the rounding of x2^2 up to ~1.7e-15 at n = 30.
-        every = TruncationPolicy(rel_tol=1e-300, max_terms=31, tail_window=1)
+        every = TruncationPolicy(rel_tol=1e-300, max_terms=31)
         ev = corollary1_legendre_eval(cfg, every)
         assert ev.terms_used == 31
         eta, x1, x2, u = cfg.eta, cfg.x1, cfg.x2, cfg.cos_theta
@@ -267,7 +266,7 @@ class TestCorollary1Legendre:
             )
             inner = 0.0
             for j in range(n + 1):
-                leg = cos_power_to_legendre(j).evaluate(u)
+                leg = sum(c * legendre_p(m, u) for m, c in cos_power_to_legendre(j).items())
                 inner += (-1.0) ** j * 2.0**j * x2**j * math.comb(n, j) * x1 ** (2 * n - j) * leg
             want = pref * inner
             assert abs(got - want) <= 2e-15 * abs(want), n
@@ -302,6 +301,13 @@ class TestTwoRangeBaseline:
         got = two_range_mos_eval(eta, x1, x2, 1.0, n_terms=60)
         assert got == pytest.approx(math.exp(-eta * (x2 - x1)) / (x2 - x1), rel=1e-8)
 
+    @pytest.mark.parametrize("n_terms", [0, -3])
+    def test_empty_expansion_rejected(self, n_terms):
+        with pytest.raises(DomainError, match="n_terms"):
+            two_range_mos_terms(0.13, 0.3, 0.17, 0.4, n_terms)
+        with pytest.raises(DomainError, match="n_terms"):
+            two_range_mos_eval(0.13, 0.3, 0.17, 0.4, n_terms)
+
     def test_equal_radii_warns_but_evaluates(self):
         with pytest.warns(UserWarning):
             val = two_range_mos_eval(0.8, 1.0, 1.0, 0.3, n_terms=60)
@@ -323,15 +329,4 @@ class TestPolicyAndEnv:
         with pytest.raises(DomainError):
             TruncationPolicy(rel_tol=0.0)
         with pytest.raises(DomainError):
-            TruncationPolicy(max_terms=1, tail_window=2)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SLATER_ADDITION_MAX_TERMS", "3")
-        pol = th.default_policy()
-        assert pol.max_terms == 3
-        ev = theorem1_eval(GOLDEN, pol)
-        assert ev.terms_used == 3 and not ev.converged
-        ev = th.accumulate_series(itertools.repeat(1.0))
-        assert ev.terms_used == 3 and not ev.converged
-        monkeypatch.delenv("SLATER_ADDITION_MAX_TERMS")
-        assert th.default_policy().max_terms == 60
+            TruncationPolicy(max_terms=0)
