@@ -231,25 +231,37 @@ def _ei_oracle(ctx: Context, x: float) -> float:
 
 
 def _s1_defining_2d(eta1: float, eta2: float | None, x2: float, tol: float) -> QuadratureResult:
-    # int d^3x1 (e^{-eta1 x1}/x1) f(x12): reduced to (x1, u) with u = cos(theta)
+    # int d^3x1 (e^{-eta1 x1}/x1) f(x12): reduced to (x1, u) with u = cos(theta).
+    # The u-integral has a kink in x1 at x1 = x2, where x12 vanishes at u = 1,
+    # so the outer range is split there and each side integrated on its own.
     def f(x1: float, u: float) -> float:
         x12 = math.sqrt(max(x1 * x1 - 2 * x1 * x2 * u + x2 * x2, 1e-300))
         tail = 1.0 / x12 if eta2 is None else math.exp(-eta2 * x12) / x12
         return 2.0 * math.pi * x1 * math.exp(-eta1 * x1) * tail
 
-    return integrate_2d(f, (0.0, math.inf, -1.0, 1.0), tol)
+    inner = integrate_2d(f, (0.0, x2, -1.0, 1.0), tol)
+    outer = integrate_2d(f, (x2, math.inf, -1.0, 1.0), tol)
+    return QuadratureResult(
+        value=inner.value + outer.value,
+        error_estimate=inner.error_estimate + outer.error_estimate,
+        evaluations=inner.evaluations + outer.evaluations,
+        converged=inner.converged and outer.converged,
+    )
 
 
 def _corollary6_2d_oracle(ctx: Context, eta1: float, eta2: float) -> QuadratureResult:
     # sqrt(pi) II drho1 drho2 e^{-eta1^2/4rho1 - eta2^2/4rho2} / (rho1 sqrt(rho2)(rho1+rho2)),
     # reduced with tau = rho1/(rho1+rho2) = v^2 (regularises the tau^{-1/2} edge)
     # and w = 1/rho2 (restores exponential decay on the semi-infinite direction)
+    sqrt_pi = math.sqrt(math.pi)
+    eta1_sq, eta2_sq = eta1 * eta1, eta2 * eta2
+
     def f(w: float, v: float) -> float:
         if v <= 0.0 or w <= 0.0:
             return 0.0
         tau = v * v
-        b = (eta1 * eta1 * (1.0 - tau) / tau + eta2 * eta2) / 4.0
-        return math.sqrt(math.pi) * (2.0 / v) * math.exp(-b * w) / math.sqrt(w)
+        b = (eta1_sq * (1.0 - tau) / tau + eta2_sq) / 4.0
+        return sqrt_pi * (2.0 / v) * math.exp(-b * w) / math.sqrt(w)
 
     return integrate_2d(f, (0.0, math.inf, 0.0, 1.0), _oracle_tol(ctx))
 
@@ -486,6 +498,12 @@ def _build_scenario(args) -> dict:
     return scenario
 
 
+@functools.cache
+def _declared(run: Callable) -> tuple[inspect.Parameter, ...]:
+    """The parameters a target's ``run(ctx, **params)`` declares after ``ctx``."""
+    return tuple(inspect.signature(run).parameters.values())[1:]
+
+
 def _lookup(scenario: dict) -> tuple[str, Target, dict]:
     """The target and its coerced parameters, defaults filled in from the run signature."""
     name = scenario.get("target")
@@ -495,7 +513,7 @@ def _lookup(scenario: dict) -> tuple[str, Target, dict]:
         raise UsageError(f"unknown target {name!r}; known: {', '.join(sorted(TARGETS))}")
     target = TARGETS[name]
     params = {k: v for k, v in scenario.items() if k not in _RESERVED_KEYS}
-    declared = list(inspect.signature(target.run).parameters.values())[1:]
+    declared = _declared(target.run)
     unknown = sorted(set(params) - {d.name for d in declared})
     if unknown:
         raise UsageError(f"unknown parameter(s) for {name}: {', '.join(unknown)}")

@@ -56,13 +56,14 @@ class EllipsoidalParams:
 
 def t_abc_integrand(pt: EllipsoidalParams) -> float:
     """Integrand of T(a,bc) including the 2 R^3 measure factor."""
-    return _t_abc_at(pt.R, pt.lam, pt.mu)
+    return _t_abc_at(pt.R, 2.0 * pt.R**3, pt.lam, pt.mu)
 
 
-def _t_abc_at(R: float, lam: float, mu: float) -> float:
+def _t_abc_at(R: float, measure: float, lam: float, mu: float) -> float:
+    # measure = 2 R^3, taken as an argument so the oracle computes it once
     root = math.sqrt(lam * lam + mu * mu - 1.0)
     poly = (lam - mu) / R + (lam * lam - mu * mu)
-    return 2.0 * R**3 * poly * math.exp(-3.0 * R * lam - R * mu - R * root)
+    return measure * poly * math.exp(-3.0 * R * lam - R * mu - R * root)
 
 
 def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
@@ -71,8 +72,10 @@ def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
         raise DomainError("t_abc_oracle: R must be positive")
 
     # R is checked above; the nodes lie in the domain, so skip EllipsoidalParams checks
+    measure = 2.0 * R**3
+
     def f(lam: float, mu: float) -> float:
-        return _t_abc_at(R, lam, min(1.0, max(-1.0, mu)))
+        return _t_abc_at(R, measure, lam, min(1.0, max(-1.0, mu)))
 
     return integrate_2d(f, (1.0, math.inf, -1.0, 1.0), tol)
 

@@ -6,10 +6,50 @@ import random
 
 import pytest
 
+from slater_addition import amplitudes
 from slater_addition import specfun as sf
+from slater_addition.cli import _s1_defining_2d
 from slater_addition.errors import QuadratureError
-from slater_addition.quadrature import integrate_2d, integrate_finite, integrate_semi_infinite
+from slater_addition.quadrature import (
+    _WG, _WGK, _XGK, _gk15, integrate_2d, integrate_finite, integrate_semi_infinite,
+)
 from slater_addition.theorems import YukawaFormParams, yukawa_form
+
+
+def _gk15_complex_loop(f, a, b):
+    """Reference panel: the node loop with every value and sum in complex."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fc = complex(f(mid))
+    ik = _WGK[7] * fc
+    ig = _WG[3] * fc
+    for i in range(7):
+        dx = half * _XGK[i]
+        fv = complex(f(mid - dx)) + complex(f(mid + dx))
+        ik += _WGK[i] * fv
+        if i % 2 == 1:
+            ig += _WG[i // 2] * fv
+    ik *= half
+    ig *= half
+    return ik, abs(ik - ig)
+
+
+class TestPanel:
+    @pytest.mark.parametrize("f", [
+        lambda t: math.exp(-t) * math.cos(3.0 * t) - 0.25,
+        lambda t: cmath.exp(complex(-t, 2.0 * t)) / (1.0 + t * t),
+        lambda t: math.sin(t) if t < 0.4 else complex(math.cos(t), -t),
+    ], ids=["real", "complex", "mixed"])
+    def test_matches_complex_loop_bit_for_bit(self, f):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            a = rng.uniform(-2.0, 2.0)
+            b = a + 10.0 ** rng.uniform(-8.0, 1.0)
+            value, err = _gk15(f, a, b)
+            want_value, want_err = _gk15_complex_loop(f, a, b)
+            assert type(value) is complex
+            assert value == want_value
+            assert err == want_err
 
 
 class TestFinite:
@@ -140,9 +180,34 @@ class TestTwoDimensional:
         assert res.value.real == pytest.approx(51.3025821, rel=1e-6)
 
 
+class TestS1DefiningOracle:
+    @pytest.mark.parametrize("eta1, eta2, x2", [
+        (1.2340591979700124, 0.8132778399726039, 0.6180776076027422),
+        (1.0635752976061903, 1.1687853792236353, 0.33460864566165105),
+    ])
+    def test_meets_its_tolerance_near_x12_zero(self, eta1, eta2, x2):
+        # the outer x1 range is split at the kink x1 = x2; without the split
+        # these points were 2.2e-6 and 5.5e-6 off at a 2e-8 request
+        res = _s1_defining_2d(eta1, eta2, x2, 2e-8)
+        ref = amplitudes.s1_two_slater_closed(amplitudes.SlaterPair(eta1, eta2, x2))
+        assert res.converged
+        assert abs(res.value - ref) <= 2e-8 * abs(ref)
+
+
 class TestPathologies:
     def test_nan_integrand_is_flagged_not_silent(self):
         res = integrate_finite(lambda t: float("nan") if 0.4 < t < 0.6 else t, 0.0, 1.0, 1e-10)
+        assert not res.converged
+        assert math.isinf(res.error_estimate)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 2.0j])
+    @pytest.mark.parametrize("cut", [0.6, 1e-3], ids=["first-panel", "after-bisection"])
+    def test_bad_node_value_in_float_or_complex_is_flagged(self, bad, scale, cut):
+        # below the cut the integrand is bad: the first panel's nodes reach 0.6,
+        # 1e-3 only after the 1/sqrt(t) singularity has forced bisections
+        res = integrate_finite(lambda t: scale * (bad if t < cut else 1.0 / math.sqrt(t)),
+                               0.0, 1.0, 1e-10)
         assert not res.converged
         assert math.isinf(res.error_estimate)
 
