@@ -475,7 +475,7 @@ TARGETS: dict[str, Target] = {
     "meijer_g_0313": Target(
         lambda c, j, mu, arg, quad_tol=1e-12: specfun.meijer_g_0313(j, mu, arg, quad_tol),
         None,
-        ("meijer_g_0313", "integrate_semi_infinite", "hermite_h"),
+        ("meijer_g_0313", "integrate_finite"),
     ),
 }
 

@@ -448,6 +448,21 @@ class TestExpIntegral:
             sf.exp_integral_ei(1.0)
 
 
+def _mpmath_meijer_g(mpmath, j, mu, arg):
+    return float(mpmath.meijerg([[0.5, 1, -mu], []], [[], [(j + 1) / 2]], arg))
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def _hermite_cancels(j, mu):
+    """mu = -(k+3)/2 with 0 <= k < j, k = j (mod 2): there the large-arg leading
+    order int_0^inf w^k e^{-w^2} H_j(w) dw of the transform vanishes by orthogonality."""
+    k = -2 * mu - 3
+    return k == int(k) and 0 <= k < j and (j - k) % 2 == 0
+
+
 class TestMeijerG:
     def test_j0_is_macdonald_half(self):
         # at j = 0, mu = -1/2 the defining integral collapses to
@@ -457,7 +472,49 @@ class TestMeijerG:
             assert sf.meijer_g_0313(0, -0.5, arg) == pytest.approx(want, rel=1e-10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.meijer_g_0313(0, 0.0, -1.0)
-        with pytest.raises(DomainError):
-            sf.meijer_g_0313(-1, 0.0, 1.0)
+        for j, mu, arg in ((0, 0.0, -1.0), (-1, 0.0, 1.0), (1.5, 0.0, 1.0), (True, 0.0, 1.0),
+                           (2.0, 0.0, 1.0), (0, math.nan, 1.0), (0, math.inf, 1.0),
+                           (0, 0.0, math.nan), (0, 0.0, math.inf), (0, 0.0, 0.0)):
+            with pytest.raises(DomainError):
+                sf.meijer_g_0313(j, mu, arg)
+
+    def test_overflow_raises(self):
+        # mpmath gives 2.35e432, past the largest double
+        with pytest.raises(CapacityError):
+            sf.meijer_g_0313(0, -60.0, 1e6)
+
+    def test_hermite_cancellation_raises(self):
+        # at mu = -4 the leading large-arg order of H_7's transform vanishes, so the
+        # Hermite terms cancel to 1.77 from ~1e28 (mpmath.meijerg gives 1.7720994)
+        with pytest.raises(RangeError, match="cancel"):
+            sf.meijer_g_0313(7, -4.0, 1e8)
+
+    def test_vs_mpmath_on_theorem6_range(self):
+        # theorem6_term calls mu = n - (j+1)/2 and arg = 4/(C x2^2)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            for j in (0, 1, 2):
+                for n in range(0, 21, 2):
+                    mu = n - (j + 1) / 2
+                    for arg in (10.0, 50.0, 1e3, 8e3, 1e4):
+                        want = _mpmath_meijer_g(mpmath, j, mu, arg)
+                        assert _rel(sf.meijer_g_0313(j, mu, arg), want) <= 1e-14, (j, mu, arg)
+
+    @pytest.mark.parametrize("j", range(9))
+    def test_vs_mpmath_wide(self, j):
+        mpmath = pytest.importorskip("mpmath")
+        raised = []
+        with mpmath.workdps(20):
+            for mu in (-4.0, -3.5, -3.0, -2.25, -1.5, 0.3, 4.5, 30.0):
+                for arg in (1e-2, 1.0, 1e2, 1e4, 1e8):
+                    try:
+                        got = sf.meijer_g_0313(j, mu, arg)
+                    except RangeError:
+                        raised.append((mu, arg))
+                        continue
+                    want = _mpmath_meijer_g(mpmath, j, mu, arg)
+                    bound = 1e-12 if _hermite_cancels(j, mu) else 1e-13
+                    assert _rel(got, want) <= bound, (mu, arg)
+        # the guard sums |monomials|, so past j = 6 it also fires where H_j's own
+        # terms cancel inside a node; below that only on the cancellation set
+        assert j > 6 or all(_hermite_cancels(j, mu) for mu, _ in raised), raised
