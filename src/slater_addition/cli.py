@@ -251,17 +251,21 @@ def _s1_defining_2d(eta1: float, eta2: float | None, x2: float, tol: float) -> Q
 
 def _corollary6_2d_oracle(ctx: Context, eta1: float, eta2: float) -> QuadratureResult:
     # sqrt(pi) II drho1 drho2 e^{-eta1^2/4rho1 - eta2^2/4rho2} / (rho1 sqrt(rho2)(rho1+rho2)),
-    # reduced with tau = rho1/(rho1+rho2) = v^2 (regularises the tau^{-1/2} edge)
-    # and w = 1/rho2 (restores exponential decay on the semi-infinite direction)
+    # reduced by three substitutions:
+    #   tau = rho1/(rho1+rho2) = v^2 regularises the tau^{-1/2} edge;
+    #   w = 1/rho2 restores exponential decay on the semi-infinite direction;
+    #   w = s^2 turns dw/sqrt(w) into 2 ds, removing the 1/sqrt(w) edge at w = 0.
+    # The inner v-integral still grows like ln(1/s) as s -> 0; that mild
+    # endpoint behaviour is left to the adaptive rule.
     sqrt_pi = math.sqrt(math.pi)
     eta1_sq, eta2_sq = eta1 * eta1, eta2 * eta2
 
-    def f(w: float, v: float) -> float:
-        if v <= 0.0 or w <= 0.0:
+    def f(s: float, v: float) -> float:
+        if v <= 0.0:
             return 0.0
         tau = v * v
         b = (eta1_sq * (1.0 - tau) / tau + eta2_sq) / 4.0
-        return sqrt_pi * (2.0 / v) * math.exp(-b * w) / math.sqrt(w)
+        return sqrt_pi * (4.0 / v) * math.exp(-b * s * s)
 
     return integrate_2d(f, (0.0, math.inf, 0.0, 1.0), _oracle_tol(ctx))
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from slater_addition import amplitudes
+from slater_addition import amplitudes, cli
 from slater_addition.amplitudes import (
     SlaterPair,
     cheshire_series,
@@ -381,6 +381,16 @@ class TestCorollary6N0:
 
         oracle = integrate_2d(f, (0.0, math.inf, 0.0, 1.0), 1e-7)
         assert got == pytest.approx(oracle.value.real, rel=1e-6)
+
+    @pytest.mark.parametrize("eta1,ratio", [(0.05, 1.01), (0.3, 20.0), (1.0, 2.0), (5.0, 1.1)])
+    def test_cli_oracle_in_s_matches_closed_form(self, eta1, ratio):
+        # --tol 1e-6 gives oracle tol 2e-8.  The s-form needs 222k-281k
+        # evaluations here; an outer integrand with a 1/sqrt(w) edge needs >= 736k.
+        ctx = cli.Context(tol=1e-6, allow_k_gt_1=False)
+        res = cli._corollary6_2d_oracle(ctx, eta1, eta1 * ratio)
+        assert res.converged
+        assert res.evaluations < 350_000
+        assert res.value.real == pytest.approx(corollary6_n0_closed(eta1, eta1 * ratio), rel=5e-9)
 
     def test_equal_exponent_limit(self):
         assert corollary6_n0_closed(1.0, 1.0 + 1e-8) == pytest.approx(4 * math.pi, rel=1e-6)
