@@ -317,10 +317,10 @@ TARGETS: dict[str, Target] = {
         ("theorem5_eval", "theorem5_term"),
     ),
     "theorem6": Target(
-        lambda c, j, B, C, k, x2, quad_tol=1e-11: theorems.theorem6_eval(
-            j, YukawaFormParams(B, C, k, x2), None, quad_tol, c.allow_k_gt_1),
-        lambda c, j, quad_tol, **p: theorems._theorem6_closed(j, YukawaFormParams(**p)),
-        ("theorem6_eval", "theorem6_term", "meijer_g_0313"),
+        lambda c, j, B, C, k, x2: theorems.theorem6_eval(
+            j, YukawaFormParams(B, C, k, x2), allow_k_gt_1=c.allow_k_gt_1),
+        lambda c, j, **p: theorems._theorem6_closed(j, YukawaFormParams(**p)),
+        ("theorem6_eval", "theorem6_term"),
     ),
     "corollary": Target(
         _corollary,

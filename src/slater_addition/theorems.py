@@ -5,11 +5,11 @@ The closed form treated throughout is
     yukawa_form:  e^{-x2 sqrt(B k^2 + C)} / sqrt(B k^2 + C),
 
 expanded for k <= 1 into Macdonald-function series with increasing
-half-integer order (an alternating series when B, C > 0): the base theorem
-and its derivative (no 1/L denominator), the Meijer-G generalisation, the
-six corollary substitutions that specialise the same identity to spherical
-and Cartesian Slater-orbital geometry, and the classical two-range
-min/max expansion kept as a comparison baseline.
+half-integer order (an alternating series when B, C > 0): the base theorem,
+its derivative (no 1/L denominator) and the Meijer-G generalisation, all as
+x2-derivatives of the base term, the six corollary substitutions that
+specialise the same identity to spherical and Cartesian Slater-orbital
+geometry, and the classical two-range min/max expansion kept as a baseline.
 
 The truncation engine shared by every series in the package also lives
 here: Kahan-compensated accumulation that stops once ``TAIL_WINDOW``
@@ -20,13 +20,15 @@ terms (60 unless a ``TruncationPolicy`` says otherwise).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, RangeError
 from .specfun import (
     bessel_i_half,
     bessel_k_half,
@@ -34,7 +36,6 @@ from .specfun import (
     cos_power_to_legendre,
     factorial,
     legendre_p,
-    meijer_g_0313,
 )
 
 __all__ = [
@@ -59,6 +60,8 @@ __all__ = [
 
 # consecutive terms below rel_tol * |sum| that end a series
 TAIL_WINDOW = 2
+# largest eps * sum|entry| / |sum entry| a theorem-6 term may return
+DERIVATIVE_REL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -197,17 +200,31 @@ def _slater_direct(cfg: CorollaryConfig) -> float:
     return math.exp(-cfg.eta * r) / r
 
 
-def _macdonald_term(n: int, p: YukawaFormParams, shift: int) -> complex:
-    """Term n of theorem 1 (shift 0) or theorem 5 (shift 1), which moves the C exponent
-    by +1/2 and the Bessel order by -1 (K_{-1/2} = K_{1/2} at n = 0)."""
-    name = ("theorem1_term", "theorem5_term")[shift]
+@functools.cache
+def _derivative_table(j: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (a, coefficient), a < j, of the entries s^a x^{n+1/2-j+a} K_{n+1/2-a}(xs) of
+    (-d/dx)^j [x^{n+1/2} K_{n+1/2}(xs)], whose top entry a = j has coefficient 1.  A step
+    maps x^q K_nu(xs) to s x^q K_{nu-1}(xs) + (nu-q) x^{q-1} K_nu(xs) (DLMF 10.29.2), and
+    nu - q = step - 2a does not involve n."""
+    coefs = [1]
+    for step in range(j):
+        coefs = [(step - 2 * a) * c + c_below
+                 for a, (c, c_below) in enumerate(zip(coefs + [0], [0] + coefs))]
+    return tuple((a, coef) for a, coef in enumerate(coefs[:-1]) if coef)
+
+
+def _macdonald_term(n: int, p: YukawaFormParams, j: int) -> complex:
+    """Term n of theorem 1 (j = 0), theorem 5 (j = 1) or theorem 6 (order j): (-d/dx2)^j of
+    theorem 1's term, whose top entry moves the C exponent by +j/2 and the Bessel order by -j
+    (K_{-nu} = K_nu); for j >= 2 the lower entries of _derivative_table(j) are added."""
+    name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
     if n < 0:
         raise DomainError(f"{name}: n must be >= 0")
     c = complex(p.C)
     if c == 0:
         raise PoleError(f"{name}: C = 0")
-    root_c = cmath.sqrt(c)
-    return (
+    z = p.x2 * cmath.sqrt(c)
+    pref = (
         math.sqrt(2.0 / math.pi)
         * (-1.0) ** n
         * p.B**n
@@ -215,9 +232,20 @@ def _macdonald_term(n: int, p: YukawaFormParams, shift: int) -> complex:
         / factorial(n)
         * 2.0 ** (-n)
         * p.x2 ** (n + 0.5)
-        * c ** (shift / 2.0 - n / 2.0 - 0.25)
-        * bessel_k_half(n - shift, p.x2 * root_c)
     )
+    top = pref * c ** (j / 2.0 - n / 2.0 - 0.25) * bessel_k_half(n - j, z)
+    lower = _derivative_table(j)
+    if not lower:
+        return top
+    entries = [top] + [
+        pref * coef * c ** (a / 2.0 - n / 2.0 - 0.25) * p.x2 ** (a - j) * bessel_k_half(n - a, z)
+        for a, coef in lower
+    ]
+    total, size = sum(entries), sum(map(abs, entries))
+    if sys.float_info.epsilon * size > DERIVATIVE_REL_TOL * abs(total):
+        raise RangeError(f"{name}: the order-{j} derivative entries cancel to "
+                         f"{abs(total) / size:.3g} of their size at n = {n}")
+    return total
 
 
 def theorem1_term(n: int, p: YukawaFormParams) -> complex:
@@ -234,25 +262,15 @@ def theorem5_term(n: int, p: YukawaFormParams) -> complex:
     return _macdonald_term(n, p, 1)
 
 
-def theorem6_term(j: int, n: int, p: YukawaFormParams, quad_tol: float = 1e-11) -> complex:
-    """Term n of the order-j series for (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}:
-    (1/sqrt(pi)) (-1)^n B^n k^{2n}/n! C^{j/2-n-1/2} G(j, mu=n-(j+1)/2, arg=4/(C x2^2)),
-    with the G factor supplied by the inverse-Gaussian-transform quadrature.
-    Requires real positive C (the quadrature identity's domain).
-    """
-    c = complex(p.C)
-    if c.imag != 0 or c.real <= 0:
-        raise DomainError("theorem6_term: requires real C > 0")
-    g = meijer_g_0313(j, n - (j + 1) / 2.0, 4.0 / (c.real * p.x2**2), tol=quad_tol)
-    return (
-        (1.0 / math.sqrt(math.pi))
-        * (-1.0) ** n
-        * p.B**n
-        * p.k ** (2 * n)
-        / factorial(n)
-        * c.real ** (j / 2.0 - n - 0.5)
-        * g
-    )
+def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
+    """Term n of the order-j series for (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}, which the paper
+    writes (1/sqrt(pi)) (-1)^n B^n k^{2n}/n! C^{j/2-n-1/2} G(j, n-(j+1)/2, 4/(C x2^2)), as
+    (-d/dx2)^j theorem1_term(n, p): at most j+1 half-integer K's, theorem1_term and theorem5_term
+    at j = 0 and 1, for any C they accept.  RangeError where eps sum|K entry| exceeds
+    DERIVATIVE_REL_TOL |term|."""
+    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
+        raise DomainError(f"theorem6_term: j must be an integer >= 0, got {j!r}")
+    return _macdonald_term(n, p, j)
 
 
 def _series_eval(term_fn: Callable[[int], complex], p: YukawaFormParams,
@@ -277,13 +295,13 @@ def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None,
 
 
 def theorem6_eval(j: int, p: YukawaFormParams, policy: TruncationPolicy | None = None,
-                  quad_tol: float = 1e-11, allow_k_gt_1: bool = False) -> SeriesEvaluation:
+                  allow_k_gt_1: bool = False) -> SeriesEvaluation:
     """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}.
 
-    j = 0 and j = 1 reproduce theorem1_eval and theorem5_eval term for term
-    (up to quadrature tolerance).
+    j = 0 and j = 1 reproduce theorem1_eval and theorem5_eval term for term,
+    bit for bit.
     """
-    return _series_eval(lambda n: theorem6_term(j, n, p, quad_tol), p, policy, allow_k_gt_1)
+    return _series_eval(lambda n: theorem6_term(j, n, p), p, policy, allow_k_gt_1)
 
 
 # ---------------------------------------------------------------------------

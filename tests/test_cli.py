@@ -133,6 +133,12 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "oracle = 0.322570" in out
 
+    def test_theorem6_negative_c(self, capsys):
+        assert main(["compare", "theorem6", "--param", "j=2", "--param", "B=0.05",
+                     "--param", "C=-0.11", "--param", "k=0.5", "--param", "x2=0.3",
+                     "--tol", "1e-10"]) == 0
+        assert "within_tol = true" in capsys.readouterr().out
+
     def test_term_pair_oracle(self, capsys):
         rc = main(["compare", "s1_general_term_gamma", "--param", "n=1",
                    "--param", "eta1=0.82", "--param", "eta2=0.66", "--param", "x2=0.36",

@@ -109,6 +109,12 @@ class TestTolerance:
 
 
 class TestScenarioKeys:
+    def test_theorem6_has_no_quad_tol(self, capsys):
+        # theorem 6 is a finite sum of Bessel K's: nothing is integrated, so nothing to tune
+        args = ["eval", "theorem6", "--param", "j=2", "--param", "quad_tol=1e-9"] + GOLDEN
+        assert main(args) == 1
+        assert "unknown parameter(s) for theorem6: quad_tol" in capsys.readouterr().err
+
     def test_digits_is_not_a_scenario_key(self, tmp_path, capsys):
         scen = tmp_path / "case.scn"
         scen.write_text("target = yukawa_form\ndigits = 3\nB = 0.13\nC = 0.11\nk = 0.17\nx2 = 0.23\n")

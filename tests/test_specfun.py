@@ -490,7 +490,8 @@ class TestMeijerG:
             sf.meijer_g_0313(7, -4.0, 1e8)
 
     def test_vs_mpmath_on_theorem6_range(self):
-        # theorem6_term calls mu = n - (j+1)/2 and arg = 4/(C x2^2)
+        # theorem 6's G-form term (the golden suite's reference for theorem6_term)
+        # takes mu = n - (j+1)/2 and arg = 4/(C x2^2)
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(20):
             for j in (0, 1, 2):

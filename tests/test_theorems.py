@@ -1,13 +1,14 @@
 """Addition theorems: golden terms, corollary groupings, two-range baseline."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
-from slater_addition.errors import DomainError, PoleError
+from slater_addition.errors import DomainError, PoleError, RangeError
 from slater_addition.specfun import bessel_k_half, cos_power_to_legendre, legendre_p
 from slater_addition.theorems import (
     CorollaryConfig,
@@ -79,7 +80,7 @@ class TestTheorem1:
         (lambda: theorem1_eval(B_ZERO), lambda: yukawa_form(B_ZERO), 1e-15),
         (lambda: theorem5_eval(B_ZERO), lambda: math.exp(-0.17 * math.sqrt(0.11)), 1e-15),
         (lambda: th.theorem6_eval(2, B_ZERO),
-         lambda: math.sqrt(0.11) * math.exp(-0.17 * math.sqrt(0.11)), 1e-9),
+         lambda: math.sqrt(0.11) * math.exp(-0.17 * math.sqrt(0.11)), 1e-14),
         (lambda: corollary1_legendre_eval(C1_K_ZERO),
          lambda: yukawa_form(corollary_to_params(C1_K_ZERO)), 1e-14),
         (lambda: cheshire_series(0.82, 0.036, 0.0), lambda: s1_equal_eta_closed(0.82, 0.036), 1e-14),
@@ -150,13 +151,21 @@ class TestTheorem5:
             assert fd == pytest.approx(t5, rel=1e-6)
 
 
+def _mpmath_theorem6_term(mpmath, j, n, p):
+    """(-d/dx2)^j of theorem 1's term n, differentiated by mpmath at the working precision."""
+    B, C, k = mpmath.mpf(p.B), mpmath.mpf(p.C), mpmath.mpf(p.k)
+    half = mpmath.mpf(1) / 2
+    lead = (mpmath.sqrt(2 / mpmath.pi) * (-B * k**2 / 2) ** n / mpmath.factorial(n)
+            * C ** (-(n + half) / 2))
+    term = lambda x: lead * x ** (n + half) * mpmath.besselk(n + half, x * mpmath.sqrt(C))
+    return (-1) ** j * mpmath.diff(term, mpmath.mpf(p.x2), j)
+
+
 class TestTheorem6:
     def test_j0_and_j1_reduce_term_for_term(self):
         for n in range(4):
-            assert theorem6_term(0, n, GOLDEN_T5).real == pytest.approx(
-                theorem1_term(n, GOLDEN_T5).real, rel=1e-6)
-            assert theorem6_term(1, n, GOLDEN_T5).real == pytest.approx(
-                theorem5_term(n, GOLDEN_T5).real, rel=1e-6)
+            assert theorem6_term(0, n, GOLDEN_T5) == theorem1_term(n, GOLDEN_T5)
+            assert theorem6_term(1, n, GOLDEN_T5) == theorem5_term(n, GOLDEN_T5)
 
     def test_j2_leading_term(self):
         assert theorem6_term(2, 0, GOLDEN_T5).real == pytest.approx(0.31348, abs=5e-5)
@@ -167,9 +176,46 @@ class TestTheorem6:
         closed = math.sqrt(l2) * math.exp(-GOLDEN_T5.x2 * math.sqrt(l2))
         assert ev.value.real == pytest.approx(closed, abs=5e-4)
 
-    def test_requires_positive_real_c(self):
+    @pytest.mark.parametrize("C", [-0.4, 0.3 + 0.2j], ids=["negative", "complex"])
+    def test_negative_and_complex_c(self, C):
+        p = YukawaFormParams(B=0.2, C=C, k=1.0, x2=0.5)
+        for j in range(4):
+            ev = th.theorem6_eval(j, p)
+            assert ev.converged
+            assert ev.value == pytest.approx(th._theorem6_closed(j, p), rel=1e-9), j
+
+    @pytest.mark.parametrize("j", range(9))
+    def test_vs_mpmath_derivative_of_theorem1(self, j):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(21)
+        bound = 1e-13 if j <= 2 else 1e-11
+        accepted = tried = 0
+        with mpmath.workdps(40):
+            for _ in range(8):
+                p = YukawaFormParams(B=rng.uniform(0.05, 1), C=rng.uniform(0.05, 2),
+                                     k=rng.uniform(0.05, 1), x2=rng.uniform(0.05, 2))
+                for n in (0, 1, 2, 5, 10, 20):
+                    tried += 1
+                    try:
+                        got = theorem6_term(j, n, p).real
+                    except RangeError:
+                        continue
+                    want = _mpmath_theorem6_term(mpmath, j, n, p)
+                    assert float(abs((got - want) / want)) <= bound, (n, p)
+                    accepted += 1
+        # the guard fires only where the entries cancel, on at most a quarter of the box
+        assert 4 * accepted >= 3 * tried
+
+    def test_cancelling_entries_raise(self):
+        # at small x2 sqrt(C) the order-8 entries cancel to ~1e-14 of their size
+        p = YukawaFormParams(B=0.25784198547080417, C=0.6150741484514469,
+                             k=0.4866232924508469, x2=0.09190492526852231)
+        with pytest.raises(RangeError, match="cancel"):
+            theorem6_term(8, 0, p)
+
+    def test_negative_j_is_a_domain_error(self):
         with pytest.raises(DomainError):
-            theorem6_term(1, 0, YukawaFormParams(B=0.2, C=-0.4, k=1.0, x2=0.5))
+            theorem6_term(-1, 0, GOLDEN_T5)
 
 
 class TestCorollaries:
