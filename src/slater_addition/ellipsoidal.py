@@ -10,15 +10,18 @@ Three routes are provided: the 2-D quadrature oracle, the exact
 Ei/exponential closed form, and the single-series expansion obtained by
 inserting the derivative-form addition theorem (the exponential carries no
 1/L denominator here, so the series of Macdonald order n - 1/2 applies with
-C = lam^2 and B = mu^2 - 1).  The series decays algebraically after a few
-terms; stall_detector quantifies the plateau the way the convergence study
-reports it.
+C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
+removes the sqrt(lam - 1) edge of the root at lam = 1, with the peak factor
+e^{-3R} applied after the quadrature.  The series computes the J-invariant
+Bessel I values and R powers of increment n once.  It decays algebraically
+after a few terms; stall_detector quantifies the plateau the way the
+convergence study reports it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, integrate_2d
@@ -39,6 +42,11 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
+def _check_r(name: str, R: float) -> None:
+    if not (math.isfinite(R) and R > 0):
+        raise DomainError(f"{name}: R must be positive and finite, got {R!r}")
+
+
 @dataclass(frozen=True)
 class EllipsoidalParams:
     """A point (lam, mu) of the integration domain at separation R."""
@@ -48,46 +56,61 @@ class EllipsoidalParams:
     mu: float
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise DomainError("EllipsoidalParams: R must be positive")
-        if self.lam < 1.0 or abs(self.mu) > 1.0:
+        _check_r("EllipsoidalParams", self.R)
+        if not (self.lam >= 1.0 and abs(self.mu) <= 1.0):
             raise DomainError("EllipsoidalParams: need lam >= 1 and |mu| <= 1")
 
 
 def t_abc_integrand(pt: EllipsoidalParams) -> float:
     """Integrand of T(a,bc) including the 2 R^3 measure factor."""
-    return _t_abc_at(pt.R, 2.0 * pt.R**3, pt.lam, pt.mu)
+    return math.exp(-3.0 * pt.R) * _t_abc_scaled(pt.R, 2.0 * pt.R**3, pt.lam - 1.0, pt.mu)
 
 
-def _t_abc_at(R: float, measure: float, lam: float, mu: float) -> float:
+def _t_abc_scaled(R: float, measure: float, t2: float, mu: float) -> float:
+    # e^{3R} times the integrand at lam = 1 + t2, so the exponent peaks at 0:
+    # lam^2 + mu^2 - 1 = t2 (2 + t2) + mu^2, and -3R lam = -3R - 3R t2.
     # measure = 2 R^3, taken as an argument so the oracle computes it once
-    root = math.sqrt(lam * lam + mu * mu - 1.0)
+    lam = 1.0 + t2
+    root = math.sqrt(t2 * (2.0 + t2) + mu * mu)
     poly = (lam - mu) / R + (lam * lam - mu * mu)
-    return measure * poly * math.exp(-3.0 * R * lam - R * mu - R * root)
+    return measure * poly * math.exp(-3.0 * R * t2 - R * mu - R * root)
+
+
+def _t_abc_oracle_integrand(R: float):
+    """The oracle's integrand over (t, mu) in [0, inf) x [-1, 1]: lam = 1 + t^2 and
+    dlam = 2t dt, without the e^{-3R} factor."""
+    measure = 2.0 * R**3
+
+    def f(t: float, mu: float) -> float:
+        # R is checked by the caller and the nodes lie in the domain, so skip EllipsoidalParams
+        return 2.0 * t * _t_abc_scaled(R, measure, t * t, min(1.0, max(-1.0, mu)))
+
+    return f
 
 
 def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
-    """T(a,bc) by nested adaptive quadrature over [1, inf) x [-1, 1]."""
-    if R <= 0:
-        raise DomainError("t_abc_oracle: R must be positive")
+    """T(a,bc) by nested adaptive quadrature in lam = 1 + t^2 over [0, inf) x [-1, 1].
 
-    # R is checked above; the nodes lie in the domain, so skip EllipsoidalParams checks
-    measure = 2.0 * R**3
-
-    def f(lam: float, mu: float) -> float:
-        return _t_abc_at(R, measure, lam, min(1.0, max(-1.0, mu)))
-
-    return integrate_2d(f, (1.0, math.inf, -1.0, 1.0), tol)
+    The substitution removes the sqrt(lam - 1) edge of the root at lam = 1, and
+    the peak factor e^{-3R} multiplies value and error estimate after the
+    quadrature, so a T far below the quadrature's absolute floor keeps its
+    relative accuracy.
+    """
+    _check_r("t_abc_oracle", R)
+    res = integrate_2d(_t_abc_oracle_integrand(R), (0.0, math.inf, -1.0, 1.0), tol)
+    peak = math.exp(-3.0 * R)
+    return replace(res, value=res.value * peak, error_estimate=res.error_estimate * peak)
 
 
 def t_abc_exact(R: float) -> float:
     """The exact closed form in Ei and exponentials.
 
-    The second group carries a single overall minus sign; this reading
-    matches the quadrature oracle to eight digits over R in [0.011, 1.1].
+    The second group carries a single overall minus sign.  Against the same
+    form in 40-digit mpmath, over 600 log-spaced R, the relative error is at
+    most 4.8e-14 on [0.011, 0.05] and 4.2e-15 on [0.05, 20]; it grows to
+    8.5e-13 at R = 0.001 as the 116/(9R) terms cancel.
     """
-    if R <= 0:
-        raise DomainError("t_abc_exact: R must be positive")
+    _check_r("t_abc_exact", R)
     from .specfun import exp_integral_ei
 
     ei8 = exp_integral_ei(-8.0 * R)
@@ -106,41 +129,59 @@ def _j_top(n: int) -> int:
     return 0 if n == 0 else n - 1
 
 
+def _term_factors(n: int, R: float) -> tuple[float, float, float, float, float]:
+    # the J-invariant factors of term n, each kept as its own float so that
+    # _term multiplies them in the order of the assembled line
+    return (R ** (2 * n), bessel_i_half(n + 2, R), R ** (-n - 0.5),
+            (2 * n + 3) * bessel_i_half(n + 1, R), R ** (-n - 1.5))
+
+
+def _term(n: int, big_j: int, R: float, gamma_at, factors) -> float:
+    r_2n, i_top, r_top, i_low, r_low = factors
+    g1 = gamma_at(-big_j - n + 1)
+    g2 = gamma_at(-big_j - n + 2)
+    g3 = gamma_at(-big_j - n + 3)
+    # the Gamma(n+1) of the assembled line cancels the 1/n! of the source series
+    pref = _SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5) * r_2n * k_half_coef(_j_top(n), big_j)
+    combo = 4.0 * g2 + g3
+    bracket = i_top * (combo - 16.0 * R * R * g1) * r_top + i_low * combo * r_low
+    return pref * bracket
+
+
 def t_abc_term(n: int, big_j: int, R: float, gamma_at=None) -> float:
     """The (n, J) contribution after both angular moments are expressed in
-    modified Bessel I and the lam integral in incomplete gammas."""
+    modified Bessel I and the lam integral in incomplete gammas:
+
+        sqrt(pi) 2^{J+2n-9/2} R^{2n} c(max(n-1, 0), J)
+            [I_{n+2}(R) (4 G2 + G3 - 16 R^2 G1) R^{-n-1/2}
+             + (2n+3) I_{n+1}(R) (4 G2 + G3) R^{-n-3/2}],
+
+    with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).
+    """
+    _check_r("t_abc_term", R)
     nt = _j_top(n)
     if not 0 <= big_j <= nt:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     if gamma_at is None:
         gamma_at = gamma_real_cache(4.0 * R)
-    g1 = gamma_at(-big_j - n + 1)
-    g2 = gamma_at(-big_j - n + 2)
-    g3 = gamma_at(-big_j - n + 3)
-    # the Gamma(n+1) of the assembled line cancels the 1/n! of the source series
-    pref = _SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5) * R ** (2 * n) * k_half_coef(nt, big_j)
-    combo = 4.0 * g2 + g3
-    bracket = (
-        bessel_i_half(n + 2, R) * (combo - 16.0 * R * R * g1) * R ** (-n - 0.5)
-        + (2 * n + 3) * bessel_i_half(n + 1, R) * combo * R ** (-n - 1.5)
-    )
-    return pref * bracket
+    return _term(n, big_j, R, gamma_at, _term_factors(n, R))
 
 
 def t_abc_series(R: float, n_max: int = 20,
                  policy: TruncationPolicy | None = None) -> SeriesEvaluation:
-    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term.
+    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term, with
+    the J-invariant Bessel I values and R powers computed once per n.
 
     Convergence plateaus (dominated by the J = n-1 term) rather than failing
     outright; run stall_detector on the result to size the plateau.
     """
-    if R <= 0:
-        raise DomainError("t_abc_series: R must be positive")
+    _check_r("t_abc_series", R)
     gamma_at = gamma_real_cache(4.0 * R)
 
     def increments():
         for n in range(n_max + 1):
-            yield math.fsum(t_abc_term(n, big_j, R, gamma_at) for big_j in range(_j_top(n) + 1))
+            factors = _term_factors(n, R)
+            yield math.fsum(_term(n, big_j, R, gamma_at, factors) for big_j in range(_j_top(n) + 1))
 
     return accumulate_series(increments(), policy)
 

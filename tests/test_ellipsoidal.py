@@ -13,9 +13,9 @@ from slater_addition.ellipsoidal import (
     t_abc_oracle,
     t_abc_series,
     t_abc_term,
+    _t_abc_oracle_integrand,
 )
 from slater_addition.errors import DomainError
-from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import gamma_real_cache
 from slater_addition.theorems import SeriesEvaluation
 
@@ -43,14 +43,29 @@ class TestOracleAndExact:
         exact = t_abc_exact(R)
         assert abs(exact - oracle.value.real) <= max(oracle.error_estimate, 1e-7 * exact)
 
+    @pytest.mark.parametrize("R", [0.011, 0.18, 1.1, 5.0, 8.0, 12.0, 20.0])
+    def test_oracle_tight_across_separations(self, R):
+        # with e^{-3R} taken outside, a T far below the quadrature's absolute
+        # floor (T(20) ~ 1e-26) keeps its relative accuracy
+        oracle = t_abc_oracle(R, 1e-10)
+        assert oracle.converged
+        exact = t_abc_exact(R)
+        assert abs(oracle.value.real - exact) <= 1e-12 * exact
+
+    def test_oracle_cost_at_unit_separation(self):
+        # the compare command's oracle tolerance; 45,795 evaluations in lam
+        assert t_abc_oracle(1.1, 2e-9).evaluations <= 20_000
+
     def test_oracle_matches_validated_integrand(self):
-        # the oracle's unvalidated integrand is the public one, bit for bit
-        R = 0.5
-        want = integrate_2d(
-            lambda lam, mu: t_abc_integrand(EllipsoidalParams(R, lam, min(1.0, max(-1.0, mu)))),
-            (1.0, math.inf, -1.0, 1.0), 1e-9,
-        )
-        assert t_abc_oracle(R) == want
+        # the oracle's (t, mu) integrand is e^{3R} 2t times the public one at lam = 1 + t^2;
+        # these t have lam - 1 == t^2 exactly
+        for R in (0.05, 1.1, 12.0):
+            f = _t_abc_oracle_integrand(R)
+            peak = math.exp(-3.0 * R)
+            for t in (0.125, 0.5, 1.5, 3.0):
+                for mu in (-1.0, -0.3, 0.0, 0.7, 1.0):
+                    want = 2.0 * t * t_abc_integrand(EllipsoidalParams(R, 1.0 + t * t, mu))
+                    assert peak * f(t, mu) == pytest.approx(want, rel=1e-15, abs=0.0), (R, t, mu)
 
     def test_reference_values(self):
         assert t_abc_exact(0.11) == pytest.approx(0.360071, abs=1e-6)
@@ -70,8 +85,18 @@ class TestOracleAndExact:
             t_abc_exact(0.0)
         with pytest.raises(DomainError):
             t_abc_oracle(-1.0)
-        with pytest.raises(DomainError):
-            EllipsoidalParams(R=1.0, lam=0.5, mu=0.0)
+        for lam, mu in ((0.5, 0.0), (math.nan, 0.0), (2.0, math.nan), (2.0, 1.5)):
+            with pytest.raises(DomainError):
+                EllipsoidalParams(R=1.0, lam=lam, mu=mu)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("route", [
+        t_abc_exact, t_abc_oracle, t_abc_series, lambda R: t_abc_term(1, 0, R),
+        lambda R: EllipsoidalParams(R, 1.0, 0.0),
+    ], ids=["exact", "oracle", "series", "term", "params"])
+    def test_non_finite_or_nonpositive_separation_rejected(self, route, R):
+        with pytest.raises(DomainError, match="positive and finite"):
+            route(R)
 
 
 class TestSeries:
@@ -101,6 +126,15 @@ class TestSeries:
             t_abc_term(0, 1, 0.11)
         with pytest.raises(DomainError):
             t_abc_term(3, 3, 0.11)
+
+    def test_series_increments_are_fsums_of_public_terms(self):
+        # the series hoists the J-invariant factors; the public term must not drift from it
+        for R in (0.003, 0.05, 0.11, 0.37, 0.8, 1.1, 2.5, 7.0):
+            gamma_at = gamma_real_cache(4.0 * R)
+            ev = t_abc_series(R, n_max=20)
+            for n, got in enumerate(ev.terms):
+                want = math.fsum(t_abc_term(n, big_j, R, gamma_at) for big_j in range(max(n, 1)))
+                assert got == want, (R, n)
 
 
 class TestStallDetector:

@@ -161,6 +161,18 @@ def _mpmath_theorem6_term(mpmath, j, n, p):
     return (-1) ** j * mpmath.diff(term, mpmath.mpf(p.x2), j)
 
 
+def _mpmath_theorem6_g_form(mpmath, j, n, p):
+    """The paper's G-form of theorem 6's term n, with mpmath.meijerg at the working precision:
+    (1/sqrt(pi)) (-B k^2)^n / n! C^{j/2-n-1/2} G^{0,3}_{3,1}(4/(C x2^2) | 1/2, 1, -mu; (j+1)/2),
+    mu = n - (j+1)/2."""
+    B, C, k, x2 = (mpmath.mpf(v) for v in (p.B, p.C, p.k, p.x2))
+    half = mpmath.mpf(1) / 2
+    top = mpmath.mpf(j + 1) / 2
+    g = mpmath.meijerg([[half, 1, top - n], []], [[], [top]], 4 / (C * x2**2))
+    return ((-B * k**2) ** n / mpmath.factorial(n) / mpmath.sqrt(mpmath.pi)
+            * C ** (j * half - n - half) * g)
+
+
 class TestTheorem6:
     def test_j0_and_j1_reduce_term_for_term(self):
         for n in range(4):
@@ -204,6 +216,27 @@ class TestTheorem6:
                     assert float(abs((got - want) / want)) <= bound, (n, p)
                     accepted += 1
         # the guard fires only where the entries cancel, on at most a quarter of the box
+        assert 4 * accepted >= 3 * tried
+
+    @pytest.mark.parametrize("j", range(3, 9))
+    def test_vs_mpmath_meijer_g_form(self, j):
+        # independent of the derivative route: the paper's G-form, not d/dx2 of theorem 1
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(5)
+        accepted = tried = 0
+        with mpmath.workdps(40):
+            for _ in range(6):
+                p = YukawaFormParams(B=rng.uniform(0.05, 1), C=rng.uniform(0.05, 2),
+                                     k=rng.uniform(0.05, 1), x2=rng.uniform(0.05, 2))
+                for n in (0, 1, 2, 5, 10, 20):
+                    tried += 1
+                    try:
+                        got = theorem6_term(j, n, p).real
+                    except RangeError:
+                        continue
+                    want = _mpmath_theorem6_g_form(mpmath, j, n, p)
+                    assert float(abs((got - want) / want)) <= 1e-11, (n, p)
+                    accepted += 1
         assert 4 * accepted >= 3 * tried
 
     def test_cancelling_entries_raise(self):
