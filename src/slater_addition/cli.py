@@ -12,10 +12,10 @@ or a closed form); table renders per-term report rows as CSV or JSON.
 The TARGETS table is the single declaration of every target's parameters:
 the signature of its ``run(ctx, **params)`` names them, and a default makes
 one optional.  One name -> type map (``_TYPES``) coerces them for every
-target: integer parameters must take integral values, booleans are
-``true``/``false``, every other number must be finite and not a boolean, and
-an unknown key, on the command line or in a scenario file, is an error.  The
-comparison tolerance (``--tol`` or ``tol =``) must be finite and > 0.
+target: integer parameters must take integral values, every other number
+must be finite and not a boolean, and an unknown key, on the command line or
+in a scenario file, is an error.  The comparison tolerance (``--tol`` or
+``tol =``) must be finite and > 0.
 
 Scenario files are plain ``key = value`` lines with ``#`` comments and
 complex values written ``re+imi``.  Exit codes: 0 success/converged,
@@ -60,7 +60,6 @@ _TYPES = {
     **dict.fromkeys(("B", "k", "x2", "eta", "x1", "cos_theta", "y1", "z1", "z2", "eta1", "eta2",
                      "k_dot_x2", "quad_tol", "R", "x", "u", "mu", "arg"), float),
     "z": complex,
-    "scaled": bool,
     "variant": str,
 }
 
@@ -90,14 +89,13 @@ def parse_value(text: str):
 
 
 def _coerce(name: str, value):
-    """``value`` as the ``_TYPES`` type of ``name``; int and bool values are checked, not cast,
-    and any other number (also an untyped one) must be finite and not a boolean."""
+    """``value`` as the ``_TYPES`` type of ``name``; int values are checked, not cast, and
+    any other number (also an untyped one) must be finite and not a boolean."""
     kind = _TYPES.get(name)
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if kind in (int, bool) and type(value) is not kind:
-        what = "an integer" if kind is int else "true or false"
-        raise UsageError(f"parameter {name} must be {what}, got {value!r}")
+    if kind is int and type(value) is not int:
+        raise UsageError(f"parameter {name} must be an integer, got {value!r}")
     if kind in (float, complex, None) and not isinstance(value, str):
         try:
             finite = not isinstance(value, bool) and cmath.isfinite(value)
@@ -432,7 +430,7 @@ TARGETS: dict[str, Target] = {
         ("stall_detector",),
     ),
     "bessel_k_half": Target(
-        lambda c, n, z, scaled=False: specfun.bessel_k_half(n, z, scaled),
+        lambda c, n, z: specfun.bessel_k_half(n, z),
         _k_half_integral_oracle,
         ("bessel_k_half",),
     ),

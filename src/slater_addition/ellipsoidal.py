@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import bessel_i_half, gamma_real_cache, k_half_coef
+from .specfun import bessel_i_half, exp_integral_ei, gamma_real_cache, k_half_coef
 from .theorems import SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
@@ -62,8 +62,10 @@ class EllipsoidalParams:
 
 
 def t_abc_integrand(pt: EllipsoidalParams) -> float:
-    """Integrand of T(a,bc) including the 2 R^3 measure factor."""
-    return math.exp(-3.0 * pt.R) * _t_abc_scaled(pt.R, 2.0 * pt.R**3, pt.lam - 1.0, pt.mu)
+    """Integrand of T(a,bc) including the 2 R^3 measure factor; 0 past lam ~ 1e154, where
+    lam^2 overflows to inf and the exponential has underflowed to 0."""
+    value = math.exp(-3.0 * pt.R) * _t_abc_scaled(pt.R, 2.0 * pt.R**3, pt.lam - 1.0, pt.mu)
+    return 0.0 if math.isnan(value) else value
 
 
 def _t_abc_scaled(R: float, measure: float, t2: float, mu: float) -> float:
@@ -108,11 +110,12 @@ def t_abc_exact(R: float) -> float:
     The second group carries a single overall minus sign.  Against the same
     form in 40-digit mpmath, over 600 log-spaced R, the relative error is at
     most 4.8e-14 on [0.011, 0.05] and 4.2e-15 on [0.05, 20]; it grows to
-    8.5e-13 at R = 0.001 as the 116/(9R) terms cancel.
+    8.5e-13 at R = 0.001 as the 116/(9R) terms cancel, so its domain is
+    R >= 0.001: below it DomainError is raised.
     """
     _check_r("t_abc_exact", R)
-    from .specfun import exp_integral_ei
-
+    if R < 1e-3:
+        raise DomainError(f"t_abc_exact: R = {R!r} is below its domain R >= 0.001")
     ei8 = exp_integral_ei(-8.0 * R)
     ei2 = exp_integral_ei(-2.0 * R)
     t1 = math.exp(3.0 * R) * (-16.0 * R**2 + 44.0 * R + 116.0 / (9.0 * R) - 116.0 / 3.0) * ei8

@@ -105,15 +105,14 @@ def binomial_general(p: int, k: int) -> float:
 # half-integer Bessel functions
 # ---------------------------------------------------------------------------
 
-def bessel_k_half(n: int, z: complex | float, scaled: bool = False) -> complex:
+def bessel_k_half(n: int, z: complex | float) -> complex:
     """Macdonald function of half-integer order, K_{n+1/2}(z), as a finite series.
 
         K_{n+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_{J=0}^{n} (J+n)!/(J!(n-J)!) (2z)^{-J}
 
     Negative n is routed through K_{-nu} = K_nu (order -(n+1/2) = (-n-1)+1/2),
     so e.g. n = -1 evaluates K_{-1/2} = K_{1/2}.  All complex powers take the
-    principal branch.  With ``scaled=True`` the factor e^{-z} is omitted.
-    A result that leaves double precision raises CapacityError.
+    principal branch.  A result that leaves double precision raises CapacityError.
     """
     if n < 0:
         n = -n - 1
@@ -126,7 +125,7 @@ def bessel_k_half(n: int, z: complex | float, scaled: bool = False) -> complex:
     for J in range(n, -1, -1):
         s += factorial(J + n) / (factorial(J) * factorial(n - J)) * (2 * z) ** (-J)
     pref = cmath.sqrt(math.pi / (2 * z))
-    k = pref * s if scaled else pref * cmath.exp(-z) * s
+    k = pref * cmath.exp(-z) * s
     if not cmath.isfinite(k):
         raise CapacityError(f"bessel_k_half: order {n}+1/2 at z = {z} overflows double precision")
     return k

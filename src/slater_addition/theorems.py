@@ -7,7 +7,8 @@ The closed form treated throughout is
 expanded for k <= 1 into Macdonald-function series with increasing
 half-integer order (an alternating series when B, C > 0): the base theorem,
 its derivative (no 1/L denominator) and the Meijer-G generalisation, all as
-x2-derivatives of the base term, the six corollary substitutions that
+x2-derivatives of the base term (e^{-z} times one exact polynomial in
+z = x2 sqrt(C) per order and term), the six corollary substitutions that
 specialise the same identity to spherical and Cartesian Slater-orbital
 geometry, and the classical two-range min/max expansion kept as a baseline.
 
@@ -28,13 +29,14 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import CapacityError, DomainError, PoleError, RangeError
 from .specfun import (
     bessel_i_half,
     bessel_k_half,
     binomial,
     cos_power_to_legendre,
     factorial,
+    k_half_coef,
     legendre_p,
 )
 
@@ -60,7 +62,7 @@ __all__ = [
 
 # consecutive terms below rel_tol * |sum| that end a series
 TAIL_WINDOW = 2
-# largest eps * sum|entry| / |sum entry| a theorem-6 term may return
+# largest eps * sum|beta_p z^p| / |P(z)| a theorem-6 term may return
 DERIVATIVE_REL_TOL = 1e-11
 
 
@@ -201,22 +203,23 @@ def _slater_direct(cfg: CorollaryConfig) -> float:
 
 
 @functools.cache
-def _derivative_table(j: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (a, coefficient), a < j, of the entries s^a x^{n+1/2-j+a} K_{n+1/2-a}(xs) of
-    (-d/dx)^j [x^{n+1/2} K_{n+1/2}(xs)], whose top entry a = j has coefficient 1.  A step
-    maps x^q K_nu(xs) to s x^q K_{nu-1}(xs) + (nu-q) x^{q-1} K_nu(xs) (DLMF 10.29.2), and
-    nu - q = step - 2a does not involve n."""
-    coefs = [1]
-    for step in range(j):
-        coefs = [(step - 2 * a) * c + c_below
-                 for a, (c, c_below) in enumerate(zip(coefs + [0], [0] + coefs))]
-    return tuple((a, coef) for a, coef in enumerate(coefs[:-1]) if coef)
+def _macdonald_coefs(n: int, j: int) -> tuple[float, ...]:
+    """P_{n,j} / (n! 4^n), highest power first.  x^{n+1/2} K_{n+1/2}(xs) is sqrt(pi/2s) e^{-xs}
+    (2s)^{-n} sum_p c(n, n-p) (2xs)^p with c = k_half_coef (DLMF 10.49.12), and (-d/dx)^j
+    [e^{-xs} Q] = e^{-xs} (s - d/dx)^j Q, so the alternating derivative sum cancels exactly in
+    the integers beta_p = sum_i (-1)^i binom(j, i) c(n, n-p-i) 2^{p+i} (p+i)!/p!."""
+    scale = factorial(n) * 4**n
+    return tuple(
+        sum((-1) ** i * math.comb(j, i) * k_half_coef(n, n - p - i) * 2 ** (p + i)
+            * math.perm(p + i, i) for i in range(min(j, n - p) + 1)) / scale
+        for p in range(n, -1, -1)
+    )
 
 
 def _macdonald_term(n: int, p: YukawaFormParams, j: int) -> complex:
-    """Term n of theorem 1 (j = 0), theorem 5 (j = 1) or theorem 6 (order j): (-d/dx2)^j of
-    theorem 1's term, whose top entry moves the C exponent by +j/2 and the Bessel order by -j
-    (K_{-nu} = K_nu); for j >= 2 the lower entries of _derivative_table(j) are added."""
+    """Term n of theorem 1 (j = 0), theorem 5 (j = 1) or theorem 6 (order j), (-d/dx2)^j of
+    theorem 1's term: (-B k^2)^n C^{j/2-n-1/2} e^{-z} P_{n,j}(z) / (n! 4^n) at z = x2 sqrt(C).
+    For j >= 2, RangeError where eps sum|beta_p z^p| exceeds DERIVATIVE_REL_TOL |P_{n,j}(z)|."""
     name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
     if n < 0:
         raise DomainError(f"{name}: n must be >= 0")
@@ -224,28 +227,27 @@ def _macdonald_term(n: int, p: YukawaFormParams, j: int) -> complex:
     if c == 0:
         raise PoleError(f"{name}: C = 0")
     z = p.x2 * cmath.sqrt(c)
-    pref = (
-        math.sqrt(2.0 / math.pi)
-        * (-1.0) ** n
-        * p.B**n
-        * p.k ** (2 * n)
-        / factorial(n)
-        * 2.0 ** (-n)
-        * p.x2 ** (n + 0.5)
-    )
-    top = pref * c ** (j / 2.0 - n / 2.0 - 0.25) * bessel_k_half(n - j, z)
-    lower = _derivative_table(j)
-    if not lower:
-        return top
-    entries = [top] + [
-        pref * coef * c ** (a / 2.0 - n / 2.0 - 0.25) * p.x2 ** (a - j) * bessel_k_half(n - a, z)
-        for a, coef in lower
-    ]
-    total, size = sum(entries), sum(map(abs, entries))
-    if sys.float_info.epsilon * size > DERIVATIVE_REL_TOL * abs(total):
-        raise RangeError(f"{name}: the order-{j} derivative entries cancel to "
-                         f"{abs(total) / size:.3g} of their size at n = {n}")
-    return total
+    decay = cmath.exp(-z)
+    if decay == 0:
+        return 0j
+    poly, size, r = 0.0, 0.0, abs(z)
+    for a in _macdonald_coefs(n, j):
+        poly, size = poly * z + a, size * r + abs(a)
+    # powers of exact inputs; only where C^{-n-1/2} overflows, (-Bk^2/C)^n (n-fold rounding)
+    for scale in (lambda: (-1.0) ** n * p.B**n * p.k ** (2 * n) * c ** (j / 2 - n - 0.5),
+                  lambda: (-p.B * p.k**2 / p.C) ** n * c ** (j / 2 - 0.5)):
+        try:
+            term = scale() * decay * poly
+        except OverflowError:
+            continue
+        if cmath.isfinite(term):
+            break
+    else:
+        raise CapacityError(f"{name}: term {n} at x2 sqrt(C) = {z} overflows double precision")
+    if j >= 2 and sys.float_info.epsilon * size > DERIVATIVE_REL_TOL * abs(poly):
+        raise RangeError(f"{name}: the order-{j} polynomial cancels to "
+                         f"{abs(poly) / size:.3g} of its size at n = {n}")
+    return term
 
 
 def theorem1_term(n: int, p: YukawaFormParams) -> complex:
@@ -265,9 +267,9 @@ def theorem5_term(n: int, p: YukawaFormParams) -> complex:
 def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
     """Term n of the order-j series for (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}, which the paper
     writes (1/sqrt(pi)) (-1)^n B^n k^{2n}/n! C^{j/2-n-1/2} G(j, n-(j+1)/2, 4/(C x2^2)), as
-    (-d/dx2)^j theorem1_term(n, p): at most j+1 half-integer K's, theorem1_term and theorem5_term
-    at j = 0 and 1, for any C they accept.  RangeError where eps sum|K entry| exceeds
-    DERIVATIVE_REL_TOL |term|."""
+    (-d/dx2)^j theorem1_term(n, p): e^{-z} times a degree-n polynomial in z = x2 sqrt(C) with
+    exact integer coefficients; theorem1_term and theorem5_term (and evals) bit for bit at j = 0
+    and 1.  RangeError where eps sum|beta_p z^p| exceeds DERIVATIVE_REL_TOL |P(z)|."""
     if isinstance(j, bool) or not isinstance(j, int) or j < 0:
         raise DomainError(f"theorem6_term: j must be an integer >= 0, got {j!r}")
     return _macdonald_term(n, p, j)
@@ -296,11 +298,7 @@ def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None,
 
 def theorem6_eval(j: int, p: YukawaFormParams, policy: TruncationPolicy | None = None,
                   allow_k_gt_1: bool = False) -> SeriesEvaluation:
-    """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}.
-
-    j = 0 and j = 1 reproduce theorem1_eval and theorem5_eval term for term,
-    bit for bit.
-    """
+    """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}."""
     return _series_eval(lambda n: theorem6_term(j, n, p), p, policy, allow_k_gt_1)
 
 

@@ -27,8 +27,6 @@ from slater_addition.amplitudes import (
 from slater_addition.errors import DomainError
 from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import (
-    bessel_k_half,
-    double_factorial,
     gamma_real_cache,
     kummer_1f1,
     upper_incomplete_gamma,
@@ -188,20 +186,22 @@ class TestCheshireSeries:
     )
     def test_terms_match_gamma_formula(self, eta1, x2, k, kdot):
         # 2 pi (-1)^n 2^{-3n-1/2} k^{2n} x2^{n+1/2} eta1^{-n-1/2} / Gamma(n+3/2)
-        #     K_{n+1/2}(x2 eta1) 1F1(n+1; 2n+2; -i k.x2), written out term by term.
-        # The series' theorem-1 form raises eta1^2 to -(2n+1)/4, which magnifies
-        # the rounding of eta1^2 up to ~1.7e-15 at n = 30.
+        #     K_{n+1/2}(x2 eta1) 1F1(n+1; 2n+2; -i k.x2), written out term by term
+        # in 50-digit mpmath: a float re-evaluation through bessel_k_half at
+        # x2 eta1 ~ 0.03 carries ~2e-15 error of its own.
+        mp = pytest.importorskip("mpmath")
         every = TruncationPolicy(rel_tol=1e-300, max_terms=31)
         ev = cheshire_series(eta1, x2, k, kdot, every)
         assert ev.terms_used == 31
-        for n, got in enumerate(ev.terms):
-            gamma_n32 = double_factorial(2 * n + 1) * math.sqrt(math.pi) / 2.0 ** (n + 1)
-            want = (
-                2.0 * math.pi * (-1.0) ** n * 2.0 ** (-3 * n - 0.5) * k ** (2 * n)
-                * x2 ** (n + 0.5) * eta1 ** (-n - 0.5) / gamma_n32
-                * bessel_k_half(n, x2 * eta1).real * kummer_1f1(n + 1, 2 * n + 2, -1j * kdot)
-            )
-            assert abs(got - want) <= 2e-15 * abs(want), n
+        with mp.workdps(50):
+            e1, x, kk, kd = (mp.mpf(v) for v in (eta1, x2, k, kdot))
+            for n, got in enumerate(ev.terms):
+                want = (
+                    2 * mp.pi * (-1) ** n * mp.mpf(2) ** (-3 * n - mp.mpf(1) / 2) * kk ** (2 * n)
+                    * x ** (n + mp.mpf(1) / 2) * e1 ** (-n - mp.mpf(1) / 2) / mp.gamma(n + mp.mpf(3) / 2)
+                    * mp.besselk(n + mp.mpf(1) / 2, x * e1) * mp.hyp1f1(n + 1, 2 * n + 2, mp.mpc(0, -kd))
+                )
+                assert abs(got - want) <= 2e-15 * abs(want), n
 
     def test_k_gate(self):
         with pytest.raises(DomainError):

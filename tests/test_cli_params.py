@@ -49,11 +49,6 @@ class TestCoercion:
         assert main(["compare", "upper_incomplete_gamma", "--param", "a=-2.5",
                      "--param", "z=1.5+0.5i", "--tol", "1e-9"]) == 0
 
-    @pytest.mark.parametrize("value", ["no", "1", "0.0"])
-    def test_bool_parameter_must_be_true_or_false(self, value, capsys):
-        assert main(K_HALF + ["--param", "n=1", "--param", f"scaled={value}"]) == 1
-        assert "parameter scaled must be true or false" in capsys.readouterr().err
-
     @pytest.mark.parametrize("args", [
         ["eval", "theorem1", "--param", "B=true", "--param", "C=0.11", "--param", "k=0.17",
          "--param", "x2=0.23"],
@@ -71,12 +66,6 @@ class TestCoercion:
         assert main(args) == 1
         captured = capsys.readouterr()
         assert "must be a finite number" in captured.err and captured.out == ""
-
-    def test_bool_parameter_false_is_unscaled(self, capsys):
-        assert main(K_HALF + ["--param", "n=1"]) == 0
-        unscaled = capsys.readouterr().out
-        assert main(K_HALF + ["--param", "n=1", "--param", "scaled=FALSE"]) == 0
-        assert capsys.readouterr().out == unscaled
 
 
 class TestLibraryDomains:

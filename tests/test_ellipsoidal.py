@@ -67,6 +67,15 @@ class TestOracleAndExact:
                     want = 2.0 * t * t_abc_integrand(EllipsoidalParams(R, 1.0 + t * t, mu))
                     assert peak * f(t, mu) == pytest.approx(want, rel=1e-15, abs=0.0), (R, t, mu)
 
+    def test_integrand_past_lam_squared_overflow_is_zero(self):
+        # lam^2 overflows to inf where the exponential has underflowed to 0
+        assert t_abc_integrand(EllipsoidalParams(1.0, 1e200, 0.0)) == 0.0
+
+    def test_exact_below_its_domain_raises(self):
+        # the 1/R terms cancel: 5.9e-12 off at R = 1e-4
+        with pytest.raises(DomainError, match="R >= 0.001"):
+            t_abc_exact(1e-4)
+
     def test_reference_values(self):
         assert t_abc_exact(0.11) == pytest.approx(0.360071, abs=1e-6)
         assert t_abc_exact(1.1) == pytest.approx(0.06739364, abs=1e-7)
