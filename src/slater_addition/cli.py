@@ -442,7 +442,7 @@ TARGETS: dict[str, Target] = {
     "legendre_p": Target(
         lambda c, n, u: specfun.legendre_p(n, u),
         _legendre_explicit,
-        ("legendre_p",),
+        ("legendre_p", "legendre_walk"),
     ),
     "cos_power_to_legendre": Target(
         _cos_power,

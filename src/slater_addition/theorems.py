@@ -31,13 +31,14 @@ from typing import Callable, Iterable
 
 from .errors import CapacityError, DomainError, PoleError, RangeError
 from .specfun import (
+    FACTORIAL_LIMIT,
     bessel_i_half,
     bessel_k_half,
     binomial,
     cos_power_to_legendre,
     factorial,
     k_half_coef,
-    legendre_p,
+    legendre_walk,
 )
 
 __all__ = [
@@ -64,6 +65,8 @@ __all__ = [
 TAIL_WINDOW = 2
 # largest eps * sum|beta_p z^p| / |P(z)| a theorem-6 term may return
 DERIVATIVE_REL_TOL = 1e-11
+# two_range_mos_terms' largest n_terms: I_{n+1/2} needs (2n+1)!! within FACTORIAL_LIMIT
+TWO_RANGE_MAX_TERMS = (FACTORIAL_LIMIT - 1) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -385,15 +388,22 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
     """
     if cfg.variant != "C1":
         raise DomainError("corollary1_legendre_eval expects a C1 configuration")
-    x1, x2, u = cfg.x1, cfg.x2, cfg.cos_theta
+    x1, x2 = cfg.x1, cfg.x2
     p = corollary_to_params(cfg)
     unit_b = replace(p, B=1.0)
+    walk = legendre_walk(cfg.cos_theta)
+    # per series, grown with n: P_m(cos) and L_j = cos^j = sum_m c_{j,m} P_m(cos)
+    legendre: list[float] = []
+    cos_powers: list[float] = []
 
     def term(n: int) -> complex:
+        while len(cos_powers) <= n:
+            legendre.append(next(walk))
+            cos_powers.append(sum(c * legendre[m] for m, c in
+                                  cos_power_to_legendre(len(cos_powers)).items()))
         inner = 0.0
         for j in range(n + 1):
-            leg = sum(c * legendre_p(m, u) for m, c in cos_power_to_legendre(j).items())
-            inner += (-1.0) ** j * 2.0**j * x2**j * binomial(n, j) * x1 ** (2 * n - j) * leg
+            inner += (-1.0) ** j * 2.0**j * x2**j * binomial(n, j) * x1 ** (2 * n - j) * cos_powers[j]
         return _macdonald_term(n, unit_b, 0) * inner
 
     return _series_eval(term, p, policy, allow_k_gt_1)
@@ -408,11 +418,17 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
     """Terms of the classical min/max expansion of e^{-eta x12}/x12:
 
         x1^{-1/2} x2^{-1/2} (2n+1) P_n(cos) I_{n+1/2}(eta x_<) K_{n+1/2}(eta x_>).
+
+    1 <= n_terms <= TWO_RANGE_MAX_TERMS = 85: order 84 is bessel_i_half's last
+    (CapacityError beyond).  P_0 ... P_{n_terms-1} come from one legendre_walk.
     """
     if eta <= 0 or x1 <= 0 or x2 <= 0:
         raise DomainError("two_range_mos: eta, x1, x2 must be positive")
     if n_terms < 1:
         raise DomainError("two_range_mos: n_terms must be >= 1")
+    if n_terms > TWO_RANGE_MAX_TERMS:
+        raise CapacityError(f"two_range_mos: n_terms = {n_terms} exceeds {TWO_RANGE_MAX_TERMS}, "
+                            "past the last order bessel_i_half holds")
     if abs(cos_theta) > 1:
         raise DomainError("two_range_mos: |cos_theta| > 1")
     if x1 == x2:
@@ -426,10 +442,10 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
     return [
         pref
         * (2 * n + 1)
-        * legendre_p(n, cos_theta)
+        * legendre
         * bessel_i_half(n, eta * lo)
         * bessel_k_half(n, eta * hi).real
-        for n in range(n_terms)
+        for n, legendre in zip(range(n_terms), legendre_walk(cos_theta))
     ]
 
 

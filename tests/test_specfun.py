@@ -1,6 +1,7 @@
 """Special-function kernel: frozen values, independent oracles, properties."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -138,6 +139,12 @@ class TestBesselIHalf:
             total += (x / 2.0) ** (2 * k + nu) / (math.factorial(k) * math.gamma(k + nu + 1.0))
         assert sf.bessel_i_half(n, x) == pytest.approx(total, rel=1e-14)
 
+    def test_underflowed_value_returned(self):
+        # the leading term is already subnormal: I_{83.5}(0.01) = 2.0248713e-318 (mpmath)
+        assert sf.bessel_i_half(83, 0.01) == pytest.approx(2.0248713e-318, rel=1e-5)
+        # I_{83.5}(0.001) = 6.4e-402 lies below the smallest double
+        assert sf.bessel_i_half(83, 0.001) == 0.0
+
     def test_errors(self):
         with pytest.raises(DomainError):
             sf.bessel_i_half(0, 0.0)
@@ -168,6 +175,33 @@ class TestLegendre:
     def test_domain(self):
         with pytest.raises(DomainError):
             sf.legendre_p(2, 1.0001)
+        with pytest.raises(DomainError):
+            sf.legendre_p(-1, 0.5)
+        with pytest.raises(DomainError):
+            next(sf.legendre_walk(-1.0001))
+
+    @pytest.mark.parametrize("u", [-1.0, -0.73, 0.0, 0.31, 1.0])
+    def test_walk_is_legendre_p_bit_for_bit(self, u):
+        walk = itertools.islice(sf.legendre_walk(u), 85)
+        assert list(walk) == [sf.legendre_p(n, u) for n in range(85)]
+
+    @pytest.mark.parametrize("band, tol", [
+        # measured worst: 2.2e-15 for |u| <= 0.99, 2.0e-13 within 1e-7 of an endpoint
+        ("interior", 2e-14),
+        ("endpoint", 5e-13),
+    ])
+    def test_vs_mpmath(self, band, tol):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2718)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                if band == "interior":
+                    size = rng.uniform(0.0, 0.99)
+                else:
+                    size = 1.0 - 10.0 ** rng.uniform(-9.0, -2.0)
+                u = rng.choice([-1.0, 1.0]) * size
+                for n, got in enumerate(itertools.islice(sf.legendre_walk(u), 85)):
+                    assert abs(got - float(mpmath.legendre(n, u))) <= tol, (n, u)
 
 
 class TestCosPowerToLegendre:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
 from slater_addition.errors import CapacityError, DomainError, PoleError, RangeError
-from slater_addition.specfun import bessel_k_half, cos_power_to_legendre, legendre_p
+from slater_addition.specfun import bessel_i_half, bessel_k_half, cos_power_to_legendre, legendre_p
 from slater_addition.theorems import (
     CorollaryConfig,
     TruncationPolicy,
@@ -367,6 +368,15 @@ class TestCorollaries:
             CorollaryConfig(variant="C5", eta=1.0, x1=0.0, y1=0.0, z1=1.0, z2=0.0)
 
 
+def _legendre_inner_sum(cfg, n):
+    """Corollary 1's finite second series at term n, every cos^j rebuilt from legendre_p."""
+    inner = 0.0
+    for j in range(n + 1):
+        leg = sum(c * legendre_p(m, cfg.cos_theta) for m, c in cos_power_to_legendre(j).items())
+        inner += (-1.0) ** j * 2.0**j * cfg.x2**j * math.comb(n, j) * cfg.x1 ** (2 * n - j) * leg
+    return inner
+
+
 class TestCorollary1Legendre:
     def test_terms_match_direct_binomial_power(self):
         cfg = CorollaryConfig(variant="C1", eta=0.13, x1=0.3, x2=0.17, cos_theta=0.4)
@@ -388,18 +398,26 @@ class TestCorollary1Legendre:
         every = TruncationPolicy(rel_tol=1e-300, max_terms=31)
         ev = corollary1_legendre_eval(cfg, every)
         assert ev.terms_used == 31
-        eta, x1, x2, u = cfg.eta, cfg.x1, cfg.x2, cfg.cos_theta
+        eta, x2 = cfg.eta, cfg.x2
         for n, got in enumerate(ev.terms):
             pref = (
                 (-1.0) ** n * cfg.k ** (2 * n) / math.factorial(n) * 2.0 ** (0.5 - n) / math.sqrt(math.pi)
                 * eta ** (n + 0.5) * x2 ** (-n - 0.5) * bessel_k_half(n, eta * x2)
             )
-            inner = 0.0
-            for j in range(n + 1):
-                leg = sum(c * legendre_p(m, u) for m, c in cos_power_to_legendre(j).items())
-                inner += (-1.0) ** j * 2.0**j * x2**j * math.comb(n, j) * x1 ** (2 * n - j) * leg
-            want = pref * inner
+            want = pref * _legendre_inner_sum(cfg, n)
             assert abs(got - want) <= 2e-15 * abs(want), n
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 31])
+    @pytest.mark.parametrize("u", [-1.0, 0.0, 1.0, -0.4261, 0.8817])
+    def test_terms_bit_for_bit_per_term_legendre(self, u, n_terms):
+        rng = random.Random(f"{u}/{n_terms}")
+        cfg = CorollaryConfig(variant="C1", eta=rng.uniform(0.1, 2.0), x1=rng.uniform(0.05, 1.5),
+                              x2=rng.uniform(0.05, 1.5), cos_theta=u)
+        ev = corollary1_legendre_eval(cfg, TruncationPolicy(rel_tol=1e-300, max_terms=n_terms))
+        assert ev.terms_used == n_terms
+        unit_b = replace(corollary_to_params(cfg), B=1.0)
+        assert list(ev.terms) == [theorem1_term(n, unit_b) * _legendre_inner_sum(cfg, n)
+                                  for n in range(n_terms)]
 
     def test_cos_zero_reduces_inner_sum(self):
         cfg = CorollaryConfig(variant="C1", eta=0.3, x1=0.2, x2=0.9, cos_theta=0.0)
@@ -430,6 +448,30 @@ class TestTwoRangeBaseline:
         eta, x1, x2 = 1.0, 0.5, 1.0
         got = two_range_mos_eval(eta, x1, x2, 1.0, n_terms=60)
         assert got == pytest.approx(math.exp(-eta * (x2 - x1)) / (x2 - x1), rel=1e-8)
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 31])
+    @pytest.mark.parametrize("u", [-1.0, 0.0, 1.0, -0.4261, 0.8817])
+    def test_terms_bit_for_bit_per_term_legendre(self, u, n_terms):
+        rng = random.Random(f"{u}/{n_terms}")
+        eta, x1, x2 = rng.uniform(0.1, 2.0), rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5)
+        lo, hi = min(x1, x2), max(x1, x2)
+        want = [
+            1.0 / math.sqrt(x1 * x2) * (2 * n + 1) * legendre_p(n, u)
+            * bessel_i_half(n, eta * lo) * bessel_k_half(n, eta * hi).real
+            for n in range(n_terms)
+        ]
+        assert two_range_mos_terms(eta, x1, x2, u, n_terms) == want
+
+    def test_underflowed_bessel_i_orders(self):
+        # I_{n+1/2}(0.003) is subnormal from n = 72 and 0.0 from n = 76: terms, not errors
+        x12 = math.sqrt(0.01**2 - 2 * 0.01 * 2.0 * 0.5 + 2.0**2)
+        got = two_range_mos_eval(0.3, 0.01, 2.0, 0.5, n_terms=84)
+        assert got == pytest.approx(math.exp(-0.3 * x12) / x12, rel=1e-15)
+
+    def test_order_bound_names_n_terms(self):
+        assert math.isfinite(two_range_mos_eval(0.3, 0.5, 2.0, 0.5, n_terms=th.TWO_RANGE_MAX_TERMS))
+        with pytest.raises(CapacityError, match="n_terms = 86"):
+            two_range_mos_terms(0.3, 0.5, 2.0, 0.5, th.TWO_RANGE_MAX_TERMS + 1)
 
     @pytest.mark.parametrize("n_terms", [0, -3])
     def test_empty_expansion_rejected(self, n_terms):
