@@ -11,15 +11,17 @@ Ei/exponential closed form, and the single-series expansion obtained by
 inserting the derivative-form addition theorem (the exponential carries no
 1/L denominator here, so the series of Macdonald order n - 1/2 applies with
 C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
-removes the sqrt(lam - 1) edge of the root at lam = 1, with the peak factor
-e^{-3R} applied after the quadrature.  The series computes the J-invariant
-Bessel I values and R powers of increment n once.  It decays algebraically
-after a few terms; stall_detector quantifies the plateau the way the
-convergence study reports it.
+removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
+[0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
+is one walk: each Gamma(a, 4R), Bessel I value and coefficient row is computed
+once per series, not once per (n, J) term.  It decays algebraically after a
+few terms; stall_detector quantifies the plateau the way the convergence study
+reports it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -64,34 +66,44 @@ class EllipsoidalParams:
 def t_abc_integrand(pt: EllipsoidalParams) -> float:
     """Integrand of T(a,bc) including the 2 R^3 measure factor; 0 past lam ~ 1e154, where
     lam^2 overflows to inf and the exponential has underflowed to 0."""
-    value = math.exp(-3.0 * pt.R) * _t_abc_scaled(pt.R, 2.0 * pt.R**3, pt.lam - 1.0, pt.mu)
+    value = math.exp(-3.0 * pt.R) * _t_abc_scaled(pt.R, 2.0 * pt.R**3, pt.lam - 1.0, pt.mu)[0]
     return 0.0 if math.isnan(value) else value
 
 
-def _t_abc_scaled(R: float, measure: float, t2: float, mu: float) -> float:
-    # e^{3R} times the integrand at lam = 1 + t2, so the exponent peaks at 0:
-    # lam^2 + mu^2 - 1 = t2 (2 + t2) + mu^2, and -3R lam = -3R - 3R t2.
+def _t_abc_scaled(R: float, measure: float, t2: float, mu: float) -> tuple[float, float]:
+    # e^{3R} times the integrand at lam = 1 + t2 and mu, then at -mu, so the exponents peak
+    # at 0: lam^2 + mu^2 - 1 = t2 (2 + t2) + mu^2 is even in mu, and -3R lam = -3R - 3R t2.
     # measure = 2 R^3, taken as an argument so the oracle computes it once
     lam = 1.0 + t2
     root = math.sqrt(t2 * (2.0 + t2) + mu * mu)
-    poly = (lam - mu) / R + (lam * lam - mu * mu)
-    return measure * poly * math.exp(-3.0 * R * t2 - R * mu - R * root)
+    even = lam / R + (lam * lam - mu * mu)
+    odd = mu / R
+    x = -3.0 * R * t2 - R * root
+    return (measure * (even - odd) * math.exp(x - R * mu),
+            measure * (even + odd) * math.exp(x + R * mu))
 
 
-def _t_abc_oracle_integrand(R: float):
-    """The oracle's integrand over (t, mu) in [0, inf) x [-1, 1]: lam = 1 + t^2 and
-    dlam = 2t dt, without the e^{-3R} factor."""
+def _t_abc_oracle_integrand(R: float, folded: bool = False):
+    """The oracle's integrand f(t, mu) over [0, inf) x [-1, 1]: lam = 1 + t^2 and
+    dlam = 2t dt, without the e^{-3R} factor.  folded gives f(t, mu) + f(t, -mu)
+    over [0, inf) x [0, 1], one call sharing the mu-even root and exponent."""
     measure = 2.0 * R**3
 
+    # R is checked by the caller and the nodes lie in the domain, so skip EllipsoidalParams
     def f(t: float, mu: float) -> float:
-        # R is checked by the caller and the nodes lie in the domain, so skip EllipsoidalParams
-        return 2.0 * t * _t_abc_scaled(R, measure, t * t, min(1.0, max(-1.0, mu)))
+        return 2.0 * t * _t_abc_scaled(R, measure, t * t, min(1.0, max(-1.0, mu)))[0]
 
-    return f
+    def f_folded(t: float, mu: float) -> float:
+        at_mu, at_minus_mu = _t_abc_scaled(R, measure, t * t, min(1.0, mu))
+        return 2.0 * t * (at_mu + at_minus_mu)
+
+    return f_folded if folded else f
 
 
 def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
-    """T(a,bc) by nested adaptive quadrature in lam = 1 + t^2 over [0, inf) x [-1, 1].
+    """T(a,bc) by nested adaptive quadrature in lam = 1 + t^2 over [0, inf) x [-1, 1],
+    with mu folded onto [0, 1]: the quadrature integrates f(t, mu) + f(t, -mu), so
+    each evaluation it counts is the integrand at two points.
 
     The substitution removes the sqrt(lam - 1) edge of the root at lam = 1, and
     the peak factor e^{-3R} multiplies value and error estimate after the
@@ -99,7 +111,7 @@ def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
     relative accuracy.
     """
     _check_r("t_abc_oracle", R)
-    res = integrate_2d(_t_abc_oracle_integrand(R), (0.0, math.inf, -1.0, 1.0), tol)
+    res = integrate_2d(_t_abc_oracle_integrand(R, folded=True), (0.0, math.inf, 0.0, 1.0), tol)
     peak = math.exp(-3.0 * R)
     return replace(res, value=res.value * peak, error_estimate=res.error_estimate * peak)
 
@@ -132,20 +144,22 @@ def _j_top(n: int) -> int:
     return 0 if n == 0 else n - 1
 
 
-def _term_factors(n: int, R: float) -> tuple[float, float, float, float, float]:
-    # the J-invariant factors of term n, each kept as its own float so that
-    # _term multiplies them in the order of the assembled line
-    return (R ** (2 * n), bessel_i_half(n + 2, R), R ** (-n - 0.5),
-            (2 * n + 3) * bessel_i_half(n + 1, R), R ** (-n - 1.5))
+@functools.cache
+def _coef_row(nu: int) -> tuple[float, ...]:
+    # float(k_half_coef(nu, J)) for J = 0..nu; one row per Macdonald index, shared by all R
+    return tuple(float(k_half_coef(nu, big_j)) for big_j in range(nu + 1))
 
 
-def _term(n: int, big_j: int, R: float, gamma_at, factors) -> float:
+def _term_factors(n: int, R: float, i_low: float, i_top: float) -> tuple[float, float, float, float, float]:
+    # the J-invariant factors of term n from I_{n+3/2}(R) and I_{n+5/2}(R), each kept as
+    # its own float so that _term multiplies them in the order of the assembled line
+    return R ** (2 * n), i_top, R ** (-n - 0.5), (2 * n + 3) * i_low, R ** (-n - 1.5)
+
+
+def _term(n: int, big_j: int, R: float, g1: float, g2: float, g3: float, coef: float, factors) -> float:
     r_2n, i_top, r_top, i_low, r_low = factors
-    g1 = gamma_at(-big_j - n + 1)
-    g2 = gamma_at(-big_j - n + 2)
-    g3 = gamma_at(-big_j - n + 3)
     # the Gamma(n+1) of the assembled line cancels the 1/n! of the source series
-    pref = _SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5) * r_2n * k_half_coef(_j_top(n), big_j)
+    pref = _SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5) * r_2n * coef
     combo = 4.0 * g2 + g3
     bracket = i_top * (combo - 16.0 * R * R * g1) * r_top + i_low * combo * r_low
     return pref * bracket
@@ -167,24 +181,42 @@ def t_abc_term(n: int, big_j: int, R: float, gamma_at=None) -> float:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     if gamma_at is None:
         gamma_at = gamma_real_cache(4.0 * R)
-    return _term(n, big_j, R, gamma_at, _term_factors(n, R))
+    a = -big_j - n
+    factors = _term_factors(n, R, bessel_i_half(n + 1, R), bessel_i_half(n + 2, R))
+    return _term(n, big_j, R, gamma_at(a + 1), gamma_at(a + 2), gamma_at(a + 3),
+                 _coef_row(nt)[big_j], factors)
 
 
 def t_abc_series(R: float, n_max: int = 20,
                  policy: TruncationPolicy | None = None) -> SeriesEvaluation:
-    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term, with
-    the J-invariant Bessel I values and R powers computed once per n.
+    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term.
 
-    Convergence plateaus (dominated by the J = n-1 term) rather than failing
-    outright; run stall_detector on the result to size the plateau.
+    One walk serves the whole series, each list grown as n rises: the
+    Gamma(a, 4R) values of the integer orders a = 3, 2, 1, 0, -1, ... (term
+    (n, J) reads three neighbours), I_{k+1/2}(R) for k = 1..n_max+2 (step n
+    reads k = n+1 and n+2), and the coefficient row of Macdonald index
+    max(n-1, 0).  Convergence plateaus (dominated by the J = n-1 term) rather
+    than failing outright; run stall_detector on the result to size the plateau.
     """
     _check_r("t_abc_series", R)
     gamma_at = gamma_real_cache(4.0 * R)
 
     def increments():
+        # gammas[k] = Gamma(3 - k, 4R), so term (n, J) reads G1, G2, G3 at k = J+n+2, J+n+1, J+n
+        gammas: list[float] = []
+        i_low = bessel_i_half(1, R)
         for n in range(n_max + 1):
-            factors = _term_factors(n, R)
-            yield math.fsum(_term(n, big_j, R, gamma_at, factors) for big_j in range(_j_top(n) + 1))
+            nt = _j_top(n)
+            while len(gammas) < nt + n + 3:
+                gammas.append(gamma_at(3 - len(gammas)))
+            i_top = bessel_i_half(n + 2, R)
+            factors = _term_factors(n, R, i_low, i_top)
+            row = _coef_row(nt)
+            yield math.fsum(
+                _term(n, big_j, R, gammas[big_j + n + 2], gammas[big_j + n + 1], gammas[big_j + n],
+                      row[big_j], factors)
+                for big_j in range(nt + 1))
+            i_low = i_top
 
     return accumulate_series(increments(), policy)
 

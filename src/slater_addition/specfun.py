@@ -139,7 +139,8 @@ def bessel_i_half(n: int, x: float) -> float:
     Evaluated by the ascending series (x/2)^{n+1/2}/Gamma(n+3/2) * sum_k
     (x^2/4)^k / (k! (n+3/2)_k), which is uniformly accurate; the familiar
     sinh/cosh closed forms cancel catastrophically once x << n.  A value below
-    the smallest double comes back as its underflowed double, down to 0.0.
+    the smallest double comes back as its underflowed double, down to 0.0; a
+    value above the largest double (I_{1/2}(x) from x ~ 714) raises CapacityError.
     Order bound: n <= 84, the last with (2n+1)!! within FACTORIAL_LIMIT (CapacityError beyond).
     """
     if x <= 0:
@@ -148,7 +149,10 @@ def bessel_i_half(n: int, x: float) -> float:
         raise DomainError("bessel_i_half: order index n must be >= 0")
     # Gamma(n+3/2) = (2n+1)!! sqrt(pi) / 2^{n+1}
     g = double_factorial(2 * n + 1) * _SQRT_PI / 2.0 ** (n + 1)
-    term = (x / 2.0) ** (n + 0.5) / g
+    try:
+        term = (x / 2.0) ** (n + 0.5) / g
+    except OverflowError:  # the leading power alone leaves double precision
+        term = math.inf
     total = term
     q = x * x / 4.0
     k = 1
@@ -156,6 +160,8 @@ def bessel_i_half(n: int, x: float) -> float:
         term *= q / (k * (n + 0.5 + k))
         total += term
         if term <= 1e-17 * total:  # <=: an underflowed series stops at total = 0
+            if math.isinf(total):
+                raise CapacityError(f"bessel_i_half: order {n}+1/2 at x = {x} overflows double precision")
             return total
         k += 1
         if k > 500:
@@ -257,8 +263,9 @@ def _gamma_series_small(a: float, z: complex) -> complex:
     return math.gamma(a) - z**a * s
 
 
-def _gamma_cf(a: float, z: complex) -> complex:
-    """Gamma(a, z) ~ e^{-z} z^a / (z+1-a - 1(1-a)/(z+3-a - ...)) by modified Lentz."""
+def _gamma_cf(a: float, z: complex, emz: complex) -> complex:
+    """Gamma(a, z) ~ e^{-z} z^a / (z+1-a - 1(1-a)/(z+3-a - ...)) by modified Lentz;
+    emz is e^{-z}."""
     tiny = 1e-300
     b = z + 1.0 - a
     c = 1.0 / tiny
@@ -277,12 +284,12 @@ def _gamma_cf(a: float, z: complex) -> complex:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return cmath.exp(-z) * z**a * h
+            return emz * z**a * h
     raise TruncationError("incomplete gamma continued fraction did not converge")
 
 
-def _gamma_anchor(a0: float, z: complex) -> complex:
-    """Gamma(a0, z) at the chain anchors a0 in {0, 1/2, 1}.
+def _gamma_anchor(a0: float, z: complex, emz: complex) -> complex:
+    """Gamma(a0, z) at the chain anchors a0 in {0, 1/2, 1}, given emz = e^{-z}.
 
     The continued fraction converges well only with z away from the branch
     cut; at steep arguments the (entire) ascending series is used instead,
@@ -291,23 +298,26 @@ def _gamma_anchor(a0: float, z: complex) -> complex:
     surfaces as TruncationError rather than a wrong value.
     """
     if a0 == 1.0:
-        return cmath.exp(-z)
+        return emz
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
     small = abs(z) < 2.0 or (steep and abs(z) <= 9.0)
     if a0 == 0.0:
-        return _exp1_small(z) if small else _gamma_cf(0.0, z)
+        return _exp1_small(z) if small else _gamma_cf(0.0, z, emz)
     # a0 == 1/2
-    return _gamma_series_small(0.5, z) if small else _gamma_cf(0.5, z)
+    return _gamma_series_small(0.5, z) if small else _gamma_cf(0.5, z, emz)
 
 
 class _GammaLadder:
     """Gamma(a, z) at one fixed z, each order on one of four chains walked
     from its anchor (integers up from 1, down from 0; half-integers both ways
     from 1/2).  A chain keeps every value it has walked through, so a series
-    visiting many orders walks each chain once, in any request order."""
+    visiting many orders walks each chain once, in any request order.  e^{-z}
+    is evaluated once, at the first order that needs it, and shared by the
+    anchors and every step of the walk."""
 
     def __init__(self, z: complex | float):
         self.z = complex(z)
+        self._emz: complex | None = None
         # (anchor, direction) -> [Gamma(anchor), Gamma(anchor + direction), ...]
         self._chains: dict[tuple[float, float], list[complex]] = {}
 
@@ -333,11 +343,13 @@ class _GammaLadder:
         direction = 1.0 if a >= anchor else -1.0
         key = (anchor, direction)
         chain = self._chains.get(key)
-        if chain is None:
-            chain = self._chains[key] = [_gamma_anchor(anchor, z)]
-        g, b = chain[-1], anchor + direction * (len(chain) - 1)
         try:
-            emz = cmath.exp(-z)
+            emz = self._emz
+            if emz is None:
+                emz = self._emz = cmath.exp(-z)
+            if chain is None:
+                chain = self._chains[key] = [_gamma_anchor(anchor, z, emz)]
+            g, b = chain[-1], anchor + direction * (len(chain) - 1)
             while len(chain) <= steps:
                 if direction > 0:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
                     g = b * g + z**b * emz
@@ -407,7 +419,7 @@ def erf_complex(z: complex | float) -> complex:
             if abs(term) < 1e-18 * (2 * k + 1) * max(abs(total), 1e-30):
                 return 2.0 / _SQRT_PI * total
         raise TruncationError("erf Taylor series did not converge")
-    return 1.0 - _gamma_cf(0.5, z2) / _SQRT_PI
+    return 1.0 - _gamma_cf(0.5, z2, cmath.exp(-z2)) / _SQRT_PI
 
 
 def kummer_1f1(a: int, b: int, z: complex | float) -> complex:

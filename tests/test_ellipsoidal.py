@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from slater_addition import ellipsoidal
 from slater_addition.ellipsoidal import (
     EllipsoidalParams,
     StallReport,
@@ -16,7 +17,7 @@ from slater_addition.ellipsoidal import (
     _t_abc_oracle_integrand,
 )
 from slater_addition.errors import DomainError
-from slater_addition.specfun import gamma_real_cache
+from slater_addition.specfun import bessel_i_half, gamma_real_cache
 from slater_addition.theorems import SeriesEvaluation
 
 
@@ -66,6 +67,16 @@ class TestOracleAndExact:
                 for mu in (-1.0, -0.3, 0.0, 0.7, 1.0):
                     want = 2.0 * t * t_abc_integrand(EllipsoidalParams(R, 1.0 + t * t, mu))
                     assert peak * f(t, mu) == pytest.approx(want, rel=1e-15, abs=0.0), (R, t, mu)
+
+    def test_folded_integrand_is_the_mu_even_part(self):
+        # the oracle integrates f(t, mu) + f(t, -mu) over mu in [0, 1]
+        for R in (0.05, 1.1, 12.0, 800.0):
+            f = _t_abc_oracle_integrand(R)
+            folded = _t_abc_oracle_integrand(R, folded=True)
+            for t in (0.0, 0.125, 1.5, 3.0):
+                for mu in (0.0, 0.3, 0.7, 1.0):
+                    want = f(t, mu) + f(t, -mu)
+                    assert folded(t, mu) == pytest.approx(want, rel=1e-15, abs=0.0), (R, t, mu)
 
     def test_integrand_past_lam_squared_overflow_is_zero(self):
         # lam^2 overflows to inf where the exponential has underflowed to 0
@@ -144,6 +155,20 @@ class TestSeries:
             for n, got in enumerate(ev.terms):
                 want = math.fsum(t_abc_term(n, big_j, R, gamma_at) for big_j in range(max(n, 1)))
                 assert got == want, (R, n)
+
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 20])
+    def test_series_walks_each_bessel_i_once(self, n_max, monkeypatch):
+        # I_{k+1/2}(R) for k = 1..n_max+2: step n's I_{n+2} is step n+1's I_{n+1}
+        orders = []
+
+        def counted(k, x):
+            orders.append(k)
+            return bessel_i_half(k, x)
+
+        monkeypatch.setattr(ellipsoidal, "bessel_i_half", counted)
+        t_abc_series(0.37, n_max=n_max)
+        assert orders == list(range(1, n_max + 3))
 
 
 class TestStallDetector:

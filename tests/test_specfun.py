@@ -151,6 +151,13 @@ class TestBesselIHalf:
         with pytest.raises(DomainError):
             sf.bessel_i_half(-1, 1.0)
 
+    def test_overflow_raises(self):
+        # I_{1/2}(700) = 1.5293200e302 (mpmath) is still a double; I_{1/2}(800) ~ 1e346 is not
+        assert sf.bessel_i_half(0, 700.0) == pytest.approx(1.5293200e302, rel=1e-7)
+        for n, x in ((0, 800.0), (0, 1e10), (5, 1e200)):
+            with pytest.raises(CapacityError, match="overflows"):
+                sf.bessel_i_half(n, x)
+
 
 class TestLegendre:
     def test_low_orders(self):
@@ -330,6 +337,18 @@ class TestGammaLadder:
             sf.upper_incomplete_gamma(a, z)
         with pytest.raises(error):
             sf.gamma_real_cache(z)(a)
+
+    @pytest.mark.parametrize("z", [1.5, 3.0, 0.5 + 1j])
+    def test_exp_minus_z_evaluated_once_per_ladder(self, z, monkeypatch):
+        # the anchors (series at |z| < 2, continued fraction above) and every
+        # step of the four chains share one e^{-z}
+        calls = []
+        exp = cmath.exp
+        monkeypatch.setattr(cmath, "exp", lambda w: calls.append(w) or exp(w))
+        gamma_at = sf.gamma_real_cache(z)
+        for a in LADDER_ORDERS:
+            gamma_at(a)
+        assert calls == [-complex(z)]
 
     def test_chain_stays_valid_after_an_overflow(self):
         # the walk to -120 overflows near -103; the orders it passed keep their values

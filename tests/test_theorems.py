@@ -473,6 +473,12 @@ class TestTwoRangeBaseline:
         with pytest.raises(CapacityError, match="n_terms = 86"):
             two_range_mos_terms(0.3, 0.5, 2.0, 0.5, th.TWO_RANGE_MAX_TERMS + 1)
 
+    def test_overflowed_bessel_i_raises(self):
+        # I_{n+1/2}(800) leaves double precision while K_{n+1/2}(801) underflows to 0:
+        # their product would be NaN
+        with pytest.raises(CapacityError, match="bessel_i_half"):
+            two_range_mos_eval(1.0, 800.0, 801.0, 0.5, n_terms=5)
+
     @pytest.mark.parametrize("n_terms", [0, -3])
     def test_empty_expansion_rejected(self, n_terms):
         with pytest.raises(DomainError, match="n_terms"):
