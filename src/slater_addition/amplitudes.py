@@ -37,7 +37,7 @@ from .theorems import (
     SeriesEvaluation,
     TruncationPolicy,
     YukawaFormParams,
-    _macdonald_term,
+    _macdonald_terms,
     _series_eval,
     accumulate_series,
 )
@@ -290,15 +290,10 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
     """
     pair = SlaterPair(eta1, eta1, x2, k, k_dot_x2)
     p = YukawaFormParams(1.0, eta1**2, k, x2)
-
-    def term(n: int) -> complex:
-        return (
-            TWO_PI * factorial(n) ** 2 / factorial(2 * n + 1)
-            * _macdonald_term(n, p, 0)
-            * kummer_1f1(n + 1, 2 * n + 2, -1j * pair.k_dot_x2)
-        )
-
-    return _series_eval(term, p, policy, allow_k_gt_1)
+    terms = (TWO_PI * factorial(n) ** 2 / factorial(2 * n + 1) * t
+             * kummer_1f1(n + 1, 2 * n + 2, -1j * pair.k_dot_x2)
+             for n, t in enumerate(_macdonald_terms(p, 0)))
+    return _series_eval(terms, p, policy, allow_k_gt_1)
 
 
 def theorem2_angular(eta2: float, x1: float, x2: float) -> complex:

@@ -114,13 +114,14 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
 
     Negative n is routed through K_{-nu} = K_nu (order -(n+1/2) = (-n-1)+1/2),
     so e.g. n = -1 evaluates K_{-1/2} = K_{1/2}.  All complex powers take the
-    principal branch.  A result that leaves double precision raises CapacityError.
+    principal branch.  z = 0 or a non-finite z raises DomainError; a result that leaves
+    double precision raises CapacityError.
     """
     if n < 0:
         n = -n - 1
     z = complex(z)
-    if z == 0:
-        raise DomainError("bessel_k_half: z = 0")
+    if z == 0 or not cmath.isfinite(z):
+        raise DomainError(f"bessel_k_half: z = {z}, not a nonzero finite number")
     if 2 * n > FACTORIAL_LIMIT:
         raise CapacityError(f"bessel_k_half: order {n}+1/2 exceeds the factorial cache")
     s = 0.0 + 0.0j
@@ -134,7 +135,7 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
 
 
 def bessel_i_half(n: int, x: float) -> float:
-    """Modified Bessel function I_{n+1/2}(x) for x > 0.
+    """Modified Bessel function I_{n+1/2}(x) for finite x > 0 (DomainError otherwise).
 
     Evaluated by the ascending series (x/2)^{n+1/2}/Gamma(n+3/2) * sum_k
     (x^2/4)^k / (k! (n+3/2)_k), which is uniformly accurate; the familiar
@@ -143,8 +144,8 @@ def bessel_i_half(n: int, x: float) -> float:
     value above the largest double (I_{1/2}(x) from x ~ 714) raises CapacityError.
     Order bound: n <= 84, the last with (2n+1)!! within FACTORIAL_LIMIT (CapacityError beyond).
     """
-    if x <= 0:
-        raise DomainError("bessel_i_half: x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError(f"bessel_i_half: x = {x}, must be positive and finite")
     if n < 0:
         raise DomainError("bessel_i_half: order index n must be >= 0")
     # Gamma(n+3/2) = (2n+1)!! sqrt(pi) / 2^{n+1}
@@ -317,11 +318,15 @@ class _GammaLadder:
 
     def __init__(self, z: complex | float):
         self.z = complex(z)
+        if not cmath.isfinite(self.z):
+            raise DomainError(f"upper_incomplete_gamma: z = {self.z} is not finite")
         self._emz: complex | None = None
         # (anchor, direction) -> [Gamma(anchor), Gamma(anchor + direction), ...]
         self._chains: dict[tuple[float, float], list[complex]] = {}
 
     def __call__(self, a: float) -> complex:
+        if not math.isfinite(a):
+            raise DomainError(f"upper_incomplete_gamma: a = {a} is not finite")
         two_a = round(2 * a)
         if abs(2 * a - two_a) > 1e-12:
             raise DomainError(f"upper_incomplete_gamma: a = {a} is not integer or half-integer")
@@ -373,8 +378,8 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z}  (upward for a above the anchor,
     downward for a below, including nonpositive integers).  z may be complex
     but must stay off the negative real axis, where the principal branch of
-    z^a has its cut.  Where the walk leaves double precision, CapacityError
-    is raised.
+    z^a has its cut.  A non-finite a or z raises DomainError; where the walk
+    leaves double precision, CapacityError is raised.
     """
     return _GammaLadder(z)(a)
 

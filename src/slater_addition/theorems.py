@@ -7,8 +7,9 @@ The closed form treated throughout is
 expanded for k <= 1 into Macdonald-function series with increasing
 half-integer order (an alternating series when B, C > 0): the base theorem,
 its derivative (no 1/L denominator) and the Meijer-G generalisation, all as
-x2-derivatives of the base term (e^{-z} times one exact polynomial in
-z = x2 sqrt(C) per order and term), the six corollary substitutions that
+x2-derivatives of the base term (e^{-z} times one polynomial in z = x2 sqrt(C)
+per order and term: one upward Bessel-K walk per series for orders 0 and 1,
+exact integer coefficients above), the six corollary substitutions that
 specialise the same identity to spherical and Cartesian Slater-orbital
 geometry, and the classical two-range min/max expansion kept as a baseline.
 
@@ -27,14 +28,13 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError, PoleError, RangeError
 from .specfun import (
     FACTORIAL_LIMIT,
     bessel_i_half,
     bessel_k_half,
-    binomial,
     cos_power_to_legendre,
     factorial,
     k_half_coef,
@@ -84,6 +84,8 @@ class YukawaFormParams:
     x2: float
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.B, self.C, self.k, self.x2))):
+            raise DomainError(f"YukawaFormParams: non-finite input in {self}")
         if self.x2 <= 0:
             raise DomainError("YukawaFormParams: x2 must be positive")
         if self.k < 0:
@@ -100,8 +102,8 @@ class TruncationPolicy:
     max_terms: int = 60
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise DomainError("TruncationPolicy: rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError(f"TruncationPolicy: rel_tol = {self.rel_tol}, must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("TruncationPolicy: need max_terms >= 1")
 
@@ -219,52 +221,71 @@ def _macdonald_coefs(n: int, j: int) -> tuple[float, ...]:
     )
 
 
-def _macdonald_term(n: int, p: YukawaFormParams, j: int) -> complex:
-    """Term n of theorem 1 (j = 0), theorem 5 (j = 1) or theorem 6 (order j), (-d/dx2)^j of
-    theorem 1's term: (-B k^2)^n C^{j/2-n-1/2} e^{-z} P_{n,j}(z) / (n! 4^n) at z = x2 sqrt(C).
-    For j >= 2, RangeError where eps sum|beta_p z^p| exceeds DERIVATIVE_REL_TOL |P_{n,j}(z)|."""
+def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[complex]:
+    """Terms first, first + 1, ... of theorem 1 (j = 0), theorem 5 (j = 1) or theorem 6 (order
+    j), (-d/dx2)^j of theorem 1's term: (-B k^2)^n C^{j/2-n-1/2} e^{-z} w_{n,j}(z) at
+    z = x2 sqrt(C), w_{n,j} = P_{n,j}/(n! 4^n), with sqrt(C) and e^{-z} computed once.
+    For j <= 1, one upward walk gives each term in O(1): w_{n,0} = z^n q_n/(n! 2^n), where
+    q_n = sum_J k_half_coef(n, J) (2z)^{-J} obeys K's recurrence q_{n+1} = q_{n-1} + (2n+1)/z q_n
+    (DLMF 10.29.1, stable upward), and w_{n,1} = z w_{n-1,0}/(2n).  For j >= 2, a Horner pass over
+    the exact _macdonald_coefs(n, j), with RangeError where eps sum|beta_p z^p| exceeds
+    DERIVATIVE_REL_TOL |P_{n,j}(z)|."""
+    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
+        raise DomainError(f"theorem6_term: j must be an integer >= 0, got {j!r}")
     name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
-    if n < 0:
+    if first < 0:
         raise DomainError(f"{name}: n must be >= 0")
     c = complex(p.C)
     if c == 0:
         raise PoleError(f"{name}: C = 0")
     z = p.x2 * cmath.sqrt(c)
     decay = cmath.exp(-z)
-    if decay == 0:
-        return 0j
-    poly, size, r = 0.0, 0.0, abs(z)
-    for a in _macdonald_coefs(n, j):
-        poly, size = poly * z + a, size * r + abs(a)
+    if decay == 0:  # P_{n,j}(z) may overflow, but every term is 0
+        yield from itertools.repeat(0j)
+    B, k, z2, r = p.B, p.k, z * z, abs(z)
     # powers of exact inputs; only where C^{-n-1/2} overflows, (-Bk^2/C)^n (n-fold rounding)
-    for scale in (lambda: (-1.0) ** n * p.B**n * p.k ** (2 * n) * c ** (j / 2 - n - 0.5),
-                  lambda: (-p.B * p.k**2 / p.C) ** n * c ** (j / 2 - 0.5)):
-        try:
-            term = scale() * decay * poly
-        except OverflowError:
-            continue
-        if cmath.isfinite(term):
-            break
-    else:
-        raise CapacityError(f"{name}: term {n} at x2 sqrt(C) = {z} overflows double precision")
-    if j >= 2 and sys.float_info.epsilon * size > DERIVATIVE_REL_TOL * abs(poly):
-        raise RangeError(f"{name}: the order-{j} polynomial cancels to "
-                         f"{abs(poly) / size:.3g} of its size at n = {n}")
-    return term
+    scales = (lambda n: (-1.0) ** n * B**n * k ** (2 * n) * c ** (j / 2 - n - 0.5),
+              lambda n: (-B * k**2 / p.C) ** n * c ** (j / 2 - 0.5))
+    w_prev = w = 1.0  # w_{n-1,0}, w_{n,0}
+    for n in itertools.count():
+        if n >= first:
+            if j == 0:
+                poly = w
+            elif j == 1:
+                poly = z * w_prev / (2 * n) if n else 1.0
+            else:
+                poly, size = 0.0, 0.0
+                for a in _macdonald_coefs(n, j):
+                    poly, size = poly * z + a, size * r + abs(a)
+            for scale in scales:
+                try:
+                    term = scale(n) * decay * poly
+                except OverflowError:
+                    continue
+                if cmath.isfinite(term):
+                    break
+            else:
+                raise CapacityError(f"{name}: term {n} at x2 sqrt(C) = {z} overflows double precision")
+            if j >= 2 and sys.float_info.epsilon * size > DERIVATIVE_REL_TOL * abs(poly):
+                raise RangeError(f"{name}: the order-{j} polynomial cancels to "
+                                 f"{abs(poly) / size:.3g} of its size at n = {n}")
+            yield term
+        if j < 2:  # q_1 = 1 + 1/z gives w_1 = (1 + z)/2
+            w_prev, w = w, ((2 * n + 1) * w + z2 * w_prev / (2 * n)) / (2 * n + 2) if n else (1 + z) / 2
 
 
 def theorem1_term(n: int, p: YukawaFormParams) -> complex:
     """Term n of the base series:
     sqrt(2/pi) (-1)^n B^n k^{2n} / n! 2^{-n} x2^{n+1/2} C^{-n/2-1/4} K_{n+1/2}(x2 sqrt(C)).
     """
-    return _macdonald_term(n, p, 0)
+    return next(_macdonald_terms(p, 0, n))
 
 
 def theorem5_term(n: int, p: YukawaFormParams) -> complex:
     """Term n of the derivative series (for e^{-x2 sqrt(Bk^2+C)}, no denominator):
     sqrt(2/pi) (-1)^n B^n k^{2n} / n! 2^{-n} x2^{n+1/2} C^{1/4-n/2} K_{n-1/2}(x2 sqrt(C)).
     """
-    return _macdonald_term(n, p, 1)
+    return next(_macdonald_terms(p, 1, n))
 
 
 def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
@@ -273,36 +294,32 @@ def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
     (-d/dx2)^j theorem1_term(n, p): e^{-z} times a degree-n polynomial in z = x2 sqrt(C) with
     exact integer coefficients; theorem1_term and theorem5_term (and evals) bit for bit at j = 0
     and 1.  RangeError where eps sum|beta_p z^p| exceeds DERIVATIVE_REL_TOL |P(z)|."""
-    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-        raise DomainError(f"theorem6_term: j must be an integer >= 0, got {j!r}")
-    return _macdonald_term(n, p, j)
+    return next(_macdonald_terms(p, j, n))
 
 
-def _series_eval(term_fn: Callable[[int], complex], p: YukawaFormParams,
+def _series_eval(terms: Iterator[complex], p: YukawaFormParams,
                  policy: TruncationPolicy | None, allow_k_gt_1: bool) -> SeriesEvaluation:
     _check_k(p, allow_k_gt_1)
     # every n >= 1 term carries B^n k^{2n}: at B k^2 = 0 the series is exact at one term
-    return accumulate_series(
-        map(term_fn, range(1) if p.B * p.k**2 == 0 else itertools.count()), policy
-    )
+    return accumulate_series(itertools.islice(terms, 1) if p.B * p.k**2 == 0 else terms, policy)
 
 
 def theorem1_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None,
                   allow_k_gt_1: bool = False) -> SeriesEvaluation:
     """Partial sums of theorem1_term; converges to yukawa_form(p) for |B k^2| < |C|."""
-    return _series_eval(lambda n: theorem1_term(n, p), p, policy, allow_k_gt_1)
+    return _series_eval(_macdonald_terms(p, 0), p, policy, allow_k_gt_1)
 
 
 def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None,
                   allow_k_gt_1: bool = False) -> SeriesEvaluation:
     """Partial sums of theorem5_term; converges to exp(-x2 sqrt(Bk^2+C))."""
-    return _series_eval(lambda n: theorem5_term(n, p), p, policy, allow_k_gt_1)
+    return _series_eval(_macdonald_terms(p, 1), p, policy, allow_k_gt_1)
 
 
 def theorem6_eval(j: int, p: YukawaFormParams, policy: TruncationPolicy | None = None,
                   allow_k_gt_1: bool = False) -> SeriesEvaluation:
     """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}."""
-    return _series_eval(lambda n: theorem6_term(j, n, p), p, policy, allow_k_gt_1)
+    return _series_eval(_macdonald_terms(p, j), p, policy, allow_k_gt_1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +407,29 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
         raise DomainError("corollary1_legendre_eval expects a C1 configuration")
     x1, x2 = cfg.x1, cfg.x2
     p = corollary_to_params(cfg)
-    unit_b = replace(p, B=1.0)
     walk = legendre_walk(cfg.cos_theta)
-    # per series, grown with n: P_m(cos) and L_j = cos^j = sum_m c_{j,m} P_m(cos)
+    # per series, grown with n: P_m(cos), L_j = cos^j = sum_m c_{j,m} P_m(cos), (-2 x2)^j and
+    # x1^m, each power taken once by pow
     legendre: list[float] = []
     cos_powers: list[float] = []
+    x2_powers: list[float] = []
+    x1_powers: list[float] = []
 
-    def term(n: int) -> complex:
+    def inner(n: int) -> float:
         while len(cos_powers) <= n:
+            j = len(cos_powers)
             legendre.append(next(walk))
-            cos_powers.append(sum(c * legendre[m] for m, c in
-                                  cos_power_to_legendre(len(cos_powers)).items()))
-        inner = 0.0
+            cos_powers.append(sum(c * legendre[m] for m, c in cos_power_to_legendre(j).items()))
+            x2_powers.append((-1.0) ** j * 2.0**j * x2**j)
+        while len(x1_powers) <= 2 * n:
+            x1_powers.append(x1 ** len(x1_powers))
+        total = 0.0
         for j in range(n + 1):
-            inner += (-1.0) ** j * 2.0**j * x2**j * binomial(n, j) * x1 ** (2 * n - j) * cos_powers[j]
-        return _macdonald_term(n, unit_b, 0) * inner
+            total += x2_powers[j] * math.comb(n, j) * x1_powers[2 * n - j] * cos_powers[j]
+        return total
 
-    return _series_eval(term, p, policy, allow_k_gt_1)
+    terms = (t * inner(n) for n, t in enumerate(_macdonald_terms(replace(p, B=1.0), 0)))
+    return _series_eval(terms, p, policy, allow_k_gt_1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from slater_addition.specfun import (
     kummer_1f1,
     upper_incomplete_gamma,
 )
-from slater_addition.theorems import TruncationPolicy
+from slater_addition.theorems import TruncationPolicy, YukawaFormParams, accumulate_series, theorem1_term
 
 # the point at which the general-k reference values were computed
 PAIR = SlaterPair(eta1=0.82, eta2=0.66, x2=0.36, k=0.19)
@@ -202,6 +202,18 @@ class TestCheshireSeries:
                     * mp.besselk(n + mp.mpf(1) / 2, x * e1) * mp.hyp1f1(n + 1, 2 * n + 2, mp.mpc(0, -kd))
                 )
                 assert abs(got - want) <= 2e-15 * abs(want), n
+
+    def test_sums_its_per_term_formula(self):
+        # 2 pi n!^2/(2n+1)! theorem1_term(n; B = 1, C = eta1^2, k, x2) 1F1(n+1; 2n+2; -i k.x2)
+        eta1, x2, k = 0.8, 0.7, 0.9
+        ev = cheshire_series(eta1, x2, k)
+        p = YukawaFormParams(1.0, eta1**2, k, x2)
+        terms = [amplitudes.TWO_PI * math.factorial(n) ** 2 / math.factorial(2 * n + 1)
+                 * theorem1_term(n, p) * kummer_1f1(n + 1, 2 * n + 2, -1j * (k * x2))
+                 for n in range(ev.terms_used)]
+        assert ev.converged and ev.terms_used > 10
+        assert list(ev.terms) == terms
+        assert ev.value == accumulate_series(terms).value
 
     def test_k_gate(self):
         with pytest.raises(DomainError):

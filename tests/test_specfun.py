@@ -119,6 +119,22 @@ class TestBesselKHalf:
             assert got == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match="finite"):
+        sf.bessel_i_half(2, bad)
+    with pytest.raises(DomainError, match="finite"):
+        sf.bessel_k_half(2, bad)
+    with pytest.raises(DomainError, match="finite"):
+        sf.bessel_k_half(2, complex(1.0, bad))
+    with pytest.raises(DomainError, match="finite"):
+        sf.upper_incomplete_gamma(2.0, bad)
+    with pytest.raises(DomainError, match="finite"):
+        sf.upper_incomplete_gamma(bad, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        sf.gamma_real_cache(bad)
+
+
 class TestBesselIHalf:
     def test_i_half_closed_form(self):
         assert sf.bessel_i_half(0, 1.0) == pytest.approx(

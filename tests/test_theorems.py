@@ -1,6 +1,7 @@
 """Addition theorems: golden terms, corollary groupings, two-range baseline."""
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -52,6 +53,14 @@ class TestYukawaForm:
     def test_pole(self):
         with pytest.raises(PoleError):
             YukawaFormParams(B=-1.0, C=1.0, k=1.0, x2=0.5)
+
+    @pytest.mark.parametrize("field", ["B", "C", "k", "x2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_non_finite_input_is_a_domain_error(self, field, bad):
+        values = dict(B=0.13, C=0.11, k=0.17, x2=0.23)
+        values[field] = bad if field == "C" else abs(bad)
+        with pytest.raises(DomainError, match="non-finite"):
+            YukawaFormParams(**values)
 
 
 class TestTheorem1:
@@ -301,6 +310,77 @@ class TestTheorem6:
     def test_negative_j_is_a_domain_error(self):
         with pytest.raises(DomainError):
             theorem6_term(-1, 0, GOLDEN_T5)
+        with pytest.raises(DomainError, match="j must be"):
+            th.theorem6_eval(1.5, GOLDEN_T5)
+
+
+def _horner_term(n, p, j):
+    """Term n of theorem 6 of order j from the exact polynomial _macdonald_coefs(n, j) by Horner,
+    with the series' exact-power prefactor; also the polynomial's condition sum|a z^p| / |P(z)|."""
+    c = complex(p.C)
+    z = p.x2 * cmath.sqrt(c)
+    poly = size = 0.0
+    for a in th._macdonald_coefs(n, j):
+        poly, size = poly * z + a, size * abs(z) + abs(a)
+    scale = (-1.0) ** n * p.B**n * p.k ** (2 * n) * c ** (j / 2 - n - 0.5)
+    return scale * cmath.exp(-z) * poly, size / abs(poly)
+
+
+class TestMacdonaldWalk:
+    @pytest.mark.parametrize("C", [0.7, 2.0, -0.4, -1.5, 0.3 + 0.2j, -0.5 + 1.1j])
+    def test_walk_matches_exact_polynomial(self, C):
+        # |z| <= 2.5 here, where the Horner reference itself is conditioned to <= 11
+        for x2 in (0.05, 0.6, 2.0):
+            p = YukawaFormParams(B=0.35, C=C, k=0.8, x2=x2)
+            for j in (0, 1):
+                walk = list(itertools.islice(th._macdonald_terms(p, j), 61))
+                for n, got in enumerate(walk):
+                    want, _ = _horner_term(n, p, j)
+                    assert abs(got - want) <= 1e-14 * abs(want), (x2, j, n)
+
+    @pytest.mark.parametrize("C, x2", [(-1.8926, 39.04), (-1.5446, 5.8), (0.65 + 1.69j, 7.0)])
+    def test_walk_vs_mpmath_at_large_oscillating_argument(self, C, x2):
+        # at z = 53.7i the Horner reference's condition reaches 2.5e12 at n = 60 (3e-5 off there);
+        # the walk does not sum signed powers of z and stays at rounding level
+        mpmath = pytest.importorskip("mpmath")
+        p = YukawaFormParams(B=0.8, C=C, k=0.6, x2=x2)
+        with mpmath.workdps(40):
+            B, k, c, x = (mpmath.mpmathify(v) for v in (p.B, p.k, p.C, p.x2))
+            z = x * mpmath.sqrt(c)
+            for j in (0, 1):
+                walk = list(itertools.islice(th._macdonald_terms(p, j), 61))
+                for n in (0, 1, 5, 20, 40, 60):
+                    # (-B k^2)^n x2^n C^{-n/2} / (n! 2^n) sqrt(2z/pi) K_{n+1/2-j}(z), times C^{-1/2} at j = 0
+                    want = ((-B * k**2) ** n * x**n * c ** (-mpmath.mpf(n) / 2)
+                            / (mpmath.factorial(n) * 2**n) * mpmath.sqrt(2 * z / mpmath.pi)
+                            * mpmath.besselk(n + mpmath.mpf(1) / 2 - j, z) * c ** (-mpmath.mpf(1 - j) / 2))
+                    assert float(abs(walk[n] - want) / abs(want)) <= 3e-14, (j, n)
+
+    def test_single_terms_are_the_walk_values(self):
+        p = YukawaFormParams(B=0.3, C=0.5 - 0.2j, k=0.9, x2=1.3)
+        for j in range(4):
+            walk = list(itertools.islice(th._macdonald_terms(p, j), 25))
+            assert [theorem6_term(j, n, p) for n in range(25)] == walk, j
+        assert [theorem1_term(n, p) for n in range(25)] == list(itertools.islice(th._macdonald_terms(p, 0), 25))
+        assert [theorem5_term(n, p) for n in range(25)] == list(itertools.islice(th._macdonald_terms(p, 1), 25))
+
+    def test_truncation_matches_exact_polynomial_series(self):
+        # the stop rule sees the walk's terms as it saw the exact-polynomial terms: the same
+        # terms_used and converged flag on a seeded C4/C1 box, converged and unconverged
+        rng = random.Random(16)
+        flagged = 0
+        for _ in range(150):
+            x2 = rng.uniform(0.2, 3.0)
+            cfg = CorollaryConfig(rng.choice(["C1", "C4"]), rng.uniform(0.1, 2.0), x1=x2 * rng.uniform(0.05, 0.9),
+                                  x2=x2, cos_theta=rng.uniform(-1, 1))
+            p = corollary_to_params(cfg)
+            j = rng.choice([0, 1])
+            got = (theorem1_eval, theorem5_eval)[j](p)
+            want = th.accumulate_series(_horner_term(n, p, j)[0] for n in itertools.count())
+            assert (got.terms_used, got.converged) == (want.terms_used, want.converged), cfg
+            assert abs(got.value - want.value) <= 1e-13 * abs(want.value), cfg
+            flagged += not got.converged
+        assert 10 <= flagged <= 140
 
 
 class TestCorollaries:
@@ -419,6 +499,15 @@ class TestCorollary1Legendre:
         assert list(ev.terms) == [theorem1_term(n, unit_b) * _legendre_inner_sum(cfg, n)
                                   for n in range(n_terms)]
 
+    def test_value_sums_the_per_term_formula(self):
+        cfg = CorollaryConfig(variant="C1", eta=0.9, x1=0.35, x2=1.3, cos_theta=0.4)
+        ev = corollary1_legendre_eval(cfg)
+        unit_b = replace(corollary_to_params(cfg), B=1.0)
+        want = th.accumulate_series(theorem1_term(n, unit_b) * _legendre_inner_sum(cfg, n)
+                                    for n in itertools.count())
+        assert ev.converged and ev.terms_used == want.terms_used > 10
+        assert ev.value == want.value
+
     def test_cos_zero_reduces_inner_sum(self):
         cfg = CorollaryConfig(variant="C1", eta=0.3, x1=0.2, x2=0.9, cos_theta=0.0)
         legendre = corollary1_legendre_eval(cfg)
@@ -506,5 +595,9 @@ class TestPolicyAndEnv:
     def test_policy_validation(self):
         with pytest.raises(DomainError):
             TruncationPolicy(rel_tol=0.0)
+        # an infinite tolerance stopped every series after two terms, flagged converged
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                TruncationPolicy(rel_tol=bad)
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
