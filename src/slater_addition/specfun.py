@@ -43,6 +43,8 @@ __all__ = [
 FACTORIAL_LIMIT = 170
 # Recurrence depth bound for the incomplete gamma chains.
 GAMMA_RECURRENCE_LIMIT = 400
+# levels past the converged Lentz depth at which _gamma_cf starts its backward evaluation (real z)
+CF_EXTRA_DEPTH = 5
 # kummer_1f1's Taylor cut-off, term budget, and largest accepted max|term|/|sum| (~5 digits lost)
 KUMMER_REL_TOL = 1e-15
 KUMMER_MAX_TERMS = 500
@@ -175,11 +177,11 @@ def bessel_i_half(n: int, x: float) -> float:
 
 def legendre_walk(u: float) -> Iterator[float]:
     """P_0(u), P_1(u), P_2(u), ... on [-1, 1], one step of the three-term recurrence
-    P_{m+1} = ((2m+1) u P_m - m P_{m-1}) / (m+1) per value; |u| > 1 raises DomainError
-    at the first value.  The one Legendre recurrence of the package: a series that needs
-    many degrees at one u walks it once."""
-    if abs(u) > 1.0:
-        raise DomainError(f"legendre_p: |u| = {abs(u)} > 1")
+    P_{m+1} = ((2m+1) u P_m - m P_{m-1}) / (m+1) per value; |u| > 1 or a NaN u raises
+    DomainError at the first value.  The one Legendre recurrence of the package: a series
+    that needs many degrees at one u walks it once."""
+    if not abs(u) <= 1.0:
+        raise DomainError(f"legendre_p: u = {u} is outside [-1, 1]")
     p0, p1 = 1.0, u
     yield p0
     for m in itertools.count(1):
@@ -190,7 +192,7 @@ def legendre_walk(u: float) -> Iterator[float]:
 def legendre_p(n: int, u: float) -> float:
     """Legendre polynomial P_n(u), the n-th value of legendre_walk(u).
 
-    Domain: integer 0 <= n <= 84 and |u| <= 1 (DomainError for n < 0 or |u| > 1).
+    Domain: integer 0 <= n <= 84 and |u| <= 1 (DomainError for n < 0, |u| > 1 or NaN).
     There the absolute error is at most 5e-13.  Measured against 40-digit
     mpmath.legendre: at most 2.2e-15 for |u| <= 0.99, and 2.0e-13 within 1e-7
     of u = +-1 at n = 84, where the rounding of each step adds up in P_n ~ 1.
@@ -266,7 +268,18 @@ def _gamma_series_small(a: float, z: complex) -> complex:
 
 def _gamma_cf(a: float, z: complex, emz: complex) -> complex:
     """Gamma(a, z) ~ e^{-z} z^a / (z+1-a - 1(1-a)/(z+3-a - ...)) by modified Lentz;
-    emz is e^{-z}."""
+    emz is e^{-z}.
+
+    At real z the fraction runs in real arithmetic, and Lentz only finds the
+    depth at which it has converged: the fraction is then evaluated backward
+    from CF_EXTRA_DEPTH levels deeper, which rounds far less than Lentz's
+    running product (E_1 at z in [1, 3]: 7.3e-16 relative at worst, against
+    1.1e-14).  Complex z keeps the forward value: a second pass would double
+    the cost of the anchors s1_general_term_gamma takes on every call.
+    """
+    real = z.imag == 0
+    if real:
+        z, emz = z.real, emz.real
     tiny = 1e-300
     b = z + 1.0 - a
     c = 1.0 / tiny
@@ -285,23 +298,34 @@ def _gamma_cf(a: float, z: complex, emz: complex) -> complex:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return emz * z**a * h
-    raise TruncationError("incomplete gamma continued fraction did not converge")
+            break
+    else:
+        raise TruncationError("incomplete gamma continued fraction did not converge")
+    if not real:
+        return emz * z**a * h
+    depth = i + CF_EXTRA_DEPTH
+    t = z + 1.0 - a + 2.0 * depth
+    for k in range(depth, 0, -1):
+        t = z + 1.0 - a + 2.0 * (k - 1) - k * (k - a) / t
+    return complex(emz * z**a / t)
 
 
 def _gamma_anchor(a0: float, z: complex, emz: complex) -> complex:
     """Gamma(a0, z) at the chain anchors a0 in {0, 1/2, 1}, given emz = e^{-z}.
 
-    The continued fraction converges well only with z away from the branch
-    cut; at steep arguments the (entire) ascending series is used instead,
-    up to the modulus where its e^{|z|} cancellation still leaves ~11
-    digits.  Beyond that wedge the fraction is attempted and a failure
-    surfaces as TruncationError rather than a wrong value.
+    The ascending series serves |z| < 2, and real z only below 1: from there
+    the backward-evaluated fraction is the more accurate (E_1 at z in [1, 2]:
+    9e-16 against the series' 4.5e-15).  The fraction converges well only
+    with z away from the branch cut; at steep arguments the (entire)
+    ascending series is used instead, up to the modulus where its e^{|z|}
+    cancellation still leaves ~11 digits.  Beyond that wedge the fraction is
+    attempted and a failure surfaces as TruncationError rather than a wrong
+    value.
     """
     if a0 == 1.0:
         return emz
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
-    small = abs(z) < 2.0 or (steep and abs(z) <= 9.0)
+    small = abs(z) < (1.0 if z.imag == 0 else 2.0) or (steep and abs(z) <= 9.0)
     if a0 == 0.0:
         return _exp1_small(z) if small else _gamma_cf(0.0, z, emz)
     # a0 == 1/2
@@ -379,7 +403,9 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     downward for a below, including nonpositive integers).  z may be complex
     but must stay off the negative real axis, where the principal branch of
     z^a has its cut.  A non-finite a or z raises DomainError; where the walk
-    leaves double precision, CapacityError is raised.
+    leaves double precision, CapacityError is raised.  E_1(z) = Gamma(0, z)
+    at real z in [1e-3, 700] is within 2e-15 relative of mpmath.e1 (measured
+    worst 9.5e-16 over 85,000 points, from the series just below z = 1).
     """
     return _GammaLadder(z)(a)
 

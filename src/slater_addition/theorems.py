@@ -63,7 +63,7 @@ __all__ = [
 
 # consecutive terms below rel_tol * |sum| that end a series
 TAIL_WINDOW = 2
-# largest eps * sum|beta_p z^p| / |P(z)| a theorem-6 term may return
+# largest eps * sum|term| / |sum| a theorem-6 term's polynomial or a theorem-4 block may return
 DERIVATIVE_REL_TOL = 1e-11
 # two_range_mos_terms' largest n_terms: I_{n+1/2} needs (2n+1)!! within FACTORIAL_LIMIT
 TWO_RANGE_MAX_TERMS = (FACTORIAL_LIMIT - 1) // 2 + 1
@@ -443,7 +443,8 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
         x1^{-1/2} x2^{-1/2} (2n+1) P_n(cos) I_{n+1/2}(eta x_<) K_{n+1/2}(eta x_>).
 
     1 <= n_terms <= TWO_RANGE_MAX_TERMS = 85: order 84 is bessel_i_half's last
-    (CapacityError beyond).  P_0 ... P_{n_terms-1} come from one legendre_walk.
+    (CapacityError beyond).  P_0 ... P_{n_terms-1} come from one legendre_walk, which
+    raises DomainError for cos_theta outside [-1, 1] or NaN.
     """
     if eta <= 0 or x1 <= 0 or x2 <= 0:
         raise DomainError("two_range_mos: eta, x1, x2 must be positive")
@@ -452,8 +453,6 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
     if n_terms > TWO_RANGE_MAX_TERMS:
         raise CapacityError(f"two_range_mos: n_terms = {n_terms} exceeds {TWO_RANGE_MAX_TERMS}, "
                             "past the last order bessel_i_half holds")
-    if abs(cos_theta) > 1:
-        raise DomainError("two_range_mos: |cos_theta| > 1")
     if x1 == x2:
         warnings.warn(
             "two_range_mos at x1 = x2: evaluated on the boundary of the stated "

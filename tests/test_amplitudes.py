@@ -24,7 +24,7 @@ from slater_addition.amplitudes import (
     theorem4_series,
     _theorem3_coefs,
 )
-from slater_addition.errors import DomainError
+from slater_addition.errors import DomainError, RangeError
 from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import (
     gamma_real_cache,
@@ -324,8 +324,13 @@ def _per_term_k_series(n, p, k_count):
 class TestBlockCoefficients:
     @pytest.mark.parametrize("n", [0, 2, 10, 40])
     def test_theorem4_block_is_theorem3_k0_at_equal_exponents(self, n):
-        e, x2 = 0.37, 0.29
-        assert theorem3_block_k_terms(n, SlaterPair(e, e, x2), k_max=1)[0] == theorem4_block(n, e, x2)
+        # the theorem-3 k = 0 term is the float (i, j) sum, which cancels (5e-12 off the
+        # closed form at n = 40, and it is the inaccurate one), so the two are compared
+        # on the scale of the terms that sum adds
+        p = SlaterPair(0.37, 0.37, 0.29)
+        _, magnitude = _per_term_k_series(n, p, 1)[0]
+        got = theorem3_block_k_terms(n, p, k_max=1)[0]
+        assert abs(got - theorem4_block(n, 0.37, 0.29)) <= 1e-12 * magnitude
 
     @pytest.mark.parametrize("n", [2, 10, 40])
     @pytest.mark.parametrize("p", [RECON, SlaterPair(0.52, 0.5, 0.45), SlaterPair(0.3, 0.32, 0.7)])
@@ -377,6 +382,77 @@ class TestTheorem4Series:
             theorem4_block(3, 0.13, 0.17)
 
 
+def _mp_theorem4_block(mp, n, eta2, x2):
+    """Block n as the defining (i, j) sum of incomplete gammas, at the working precision."""
+    m, nu = n // 2, abs(n - 1) // 2
+    e, x = mp.mpf(eta2), mp.mpf(x2)
+    z = e * x
+    gammas = {}
+    total = mp.mpf(0)
+    for i in range(m + 1):
+        for j in range(nu + 1):
+            order = 2 * i - j - m - 2
+            if order not in gammas:
+                gammas[order] = mp.gammainc(order, z)
+            coef = mp.mpf((-1) ** i * math.comb(m, i) * math.factorial(nu + j)) / (
+                math.factorial(j) * math.factorial(nu - j) * 2**j)
+            total += coef * z ** (n - 2 * i) * gammas[order]
+    return 4 * mp.pi * e * x * x * (-1) ** m / (mp.mpf(2) ** m * math.factorial(m)) * total
+
+
+class TestTheorem4ClosedForm:
+    @pytest.mark.parametrize("n", [80, 120])
+    def test_high_blocks_vs_mpmath(self, n):
+        # the float (i, j) sum gave 5.10e-4 at n = 80 (2.2e-5 off) and -1.75e-3 at n = 120
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(70):
+            want = _mp_theorem4_block(mp, n, 0.37, 0.29)
+            assert abs(theorem4_block(n, 0.37, 0.29) - want) <= 1e-14 * abs(want)
+
+    def test_every_block_positive_to_the_60_block_budget(self):
+        ev = theorem4_series(0.37, 0.29, n_max=118, policy=TruncationPolicy(max_terms=60))
+        assert ev.terms_used == 60
+        assert all(t.real > 0 for t in ev.terms)
+        assert [t.real for t in ev.terms] == [theorem4_block(n, 0.37, 0.29) for n in range(0, 119, 2)]
+
+    @pytest.mark.parametrize("n", [0, 2, 6, 14, 40, 76, 120])
+    def test_vs_mpmath_on_its_domain(self, n):
+        # n <= 120, z = x2 eta2 in [0.005, 3]: 1e-14 relative
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(70):
+            for eta2, z in ((0.9, 0.005), (0.2, 0.04), (1.7, 0.3), (0.5, 1.1), (1.3, 2.05), (0.7, 3.0)):
+                x2 = z / eta2
+                want = _mp_theorem4_block(mp, n, eta2, x2)
+                assert abs(theorem4_block(n, eta2, x2) - want) <= 1e-14 * abs(want), (n, z)
+
+    def test_cancellation_is_a_range_error(self):
+        # at z = 30 the closed form's terms cancel to 2e-14 of their size; the float
+        # (i, j) sum returned a value 1.2e-4 off there without an error
+        with pytest.raises(RangeError, match="cancels"):
+            theorem4_block(40, 1.0, 30.0)
+        with pytest.raises(RangeError, match="cancels"):
+            theorem4_series(1.0, 30.0)
+        # z = 3 is far inside the bound
+        assert theorem4_block(40, 1.0, 3.0) > 0
+
+    def test_series_takes_e1_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, z):
+            calls.append(a)
+            return upper_incomplete_gamma(a, z)
+
+        monkeypatch.setattr(amplitudes, "upper_incomplete_gamma", counted)
+        theorem4_series(0.37, 0.29, n_max=60)
+        assert calls == [0.0]
+
+    def test_table_bounds(self):
+        # the 1/(2^m m!) prefactor folded in keeps every coefficient <= 0.5
+        for n in range(0, 121, 2):
+            ell, ems = amplitudes._theorem4_table(n)
+            assert len(ell) == n + 2 and max(map(abs, ell + ems)) <= 0.5
+
+
 class TestCorollary6N0:
     def test_double_ratio_value_and_quadrature(self):
         got = corollary6_n0_closed(1.0, 2.0)
@@ -426,6 +502,20 @@ class TestSlaterPairValidation:
     def test_phase_bound(self):
         with pytest.raises(DomainError):
             SlaterPair(1.0, 1.0, 2.0, 0.25, k_dot_x2=0.6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_a_domain_error(self, bad):
+        for args in ((bad, 0.3, 0.3), (0.3, bad, 0.3), (0.3, 0.3, bad), (0.3, 0.3, 0.3, bad),
+                     (0.3, 0.3, 0.3, 0.2, bad), (0.3, 0.3, 0.3, 0.2, -bad)):
+            with pytest.raises(DomainError):
+                SlaterPair(*args)
+        for f, args in ((s1_equal_eta_closed, (bad, 0.3)), (s1_equal_eta_closed, (0.3, bad)),
+                        (s1_coulomb_closed, (bad, 0.3)), (s1_coulomb_closed, (0.3, bad)),
+                        (corollary6_n0_closed, (0.3, bad)), (corollary6_n0_closed, (bad, 0.5)),
+                        (theorem2_angular, (bad, 0.3, 0.4)), (theorem2_angular, (0.3, 0.4, bad)),
+                        (theorem4_block, (2, bad, 0.3)), (theorem4_series, (0.3, bad))):
+            with pytest.raises(DomainError, match="finite"):
+                f(*args)
 
     def test_bounds_validation(self):
         with pytest.raises(DomainError, match="empty series"):

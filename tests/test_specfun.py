@@ -202,6 +202,8 @@ class TestLegendre:
             sf.legendre_p(-1, 0.5)
         with pytest.raises(DomainError):
             next(sf.legendre_walk(-1.0001))
+        with pytest.raises(DomainError):
+            sf.legendre_p(3, math.nan)
 
     @pytest.mark.parametrize("u", [-1.0, -0.73, 0.0, 0.31, 1.0])
     def test_walk_is_legendre_p_bit_for_bit(self, u):
@@ -291,6 +293,34 @@ class TestUpperIncompleteGamma:
         lhs = sf.upper_incomplete_gamma(a + 1.0, z)
         rhs = a * sf.upper_incomplete_gamma(a, z) + complex(z) ** a * cmath.exp(-complex(z))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    @given(z=st.one_of(st.floats(1e-3, 700.0),
+                       st.floats(-3.0, math.log10(700.0)).map(lambda t: 10.0**t)))
+    @settings(max_examples=300, deadline=None)
+    def test_e1_vs_mpmath(self, z):
+        """E_1(z) = upper_incomplete_gamma(0, z) on real z in [1e-3, 700] is within 2e-15
+        relative of mpmath.e1: measured worst 9.5e-16 over 85,000 points, from the series
+        just below z = 1 (6.6e-15 with the forward-evaluated continued fraction and the
+        series up to z = 2)."""
+        mpmath = pytest.importorskip("mpmath")
+        got = sf.upper_incomplete_gamma(0, z)
+        with mpmath.workdps(30):
+            want = mpmath.e1(z)
+            assert got.imag == 0.0
+            assert float(abs((got.real - want) / want)) <= 2e-15
+
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    def test_real_anchors_vs_mpmath_from_one(self, a):
+        # real z in [1, 3]: the backward-evaluated continued fraction (measured worst
+        # 7.8e-16 over 20,000 points), where the series (up to z = 2) and the forward
+        # Lentz fraction were up to 1.6e-14 off
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(31)
+        with mpmath.workdps(30):
+            for _ in range(300):
+                z = rng.uniform(1.0, 3.0)
+                want = mpmath.gammainc(a, z)
+                assert float(abs((sf.upper_incomplete_gamma(a, z).real - want) / want)) <= 2e-15, z
 
     def test_positive_half_integer_vs_erfc_form(self):
         # Gamma(1/2, z) = sqrt(pi) (1 - erf(sqrt(z))) on the real axis

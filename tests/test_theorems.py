@@ -551,6 +551,11 @@ class TestTwoRangeBaseline:
         ]
         assert two_range_mos_terms(eta, x1, x2, u, n_terms) == want
 
+    @pytest.mark.parametrize("u", [math.nan, 1.5, -math.inf])
+    def test_cos_theta_outside_the_domain(self, u):
+        with pytest.raises(DomainError, match="outside"):
+            two_range_mos_eval(1.0, 0.3, 1.0, u)
+
     def test_underflowed_bessel_i_orders(self):
         # I_{n+1/2}(0.003) is subnormal from n = 72 and 0.0 from n = 76: terms, not errors
         x12 = math.sqrt(0.01**2 - 2 * 0.01 * 2.0 * 0.5 + 2.0**2)
