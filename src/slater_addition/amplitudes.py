@@ -20,7 +20,6 @@ import cmath
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 from .errors import CapacityError, DomainError, RangeError, TruncationError
@@ -284,20 +283,22 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
 
 
 def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = None,
-                    policy: TruncationPolicy | None = None,
-                    allow_k_gt_1: bool = False) -> SeriesEvaluation:
+                    policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Equal-exponent amplitude as a Kummer-function series: theorem 1 with
     B = tau(1 - tau), C = eta1^2 integrated against 2 pi e^{-i (k.x2) tau} over
     tau in [0, 1], term by term (DLMF 13.4.1):
 
         2 pi sum_n n!^2/(2n+1)! theorem1_term(n; B = 1, C = eta1^2, k, x2) 1F1(n+1; 2n+2; -i k.x2).
+
+    B <= 1/4 on [0, 1], so it converges for k < 2 eta1; its terms shrink like (k / 2 eta1)^{2n},
+    and from k / eta1 ~ 1.65-1.7 on the default 60-term budget runs out and it is returned flagged.
     """
     pair = SlaterPair(eta1, eta1, x2, k, k_dot_x2)
     p = YukawaFormParams(1.0, eta1**2, k, x2)
     terms = (TWO_PI * factorial(n) ** 2 / factorial(2 * n + 1) * t
              * kummer_1f1(n + 1, 2 * n + 2, -1j * pair.k_dot_x2)
              for n, t in enumerate(_macdonald_terms(p, 0)))
-    return _series_eval(terms, p, policy, allow_k_gt_1)
+    return _series_eval(terms, p, policy)
 
 
 def theorem2_angular(eta2: float, x1: float, x2: float) -> complex:
@@ -385,27 +386,24 @@ def theorem3_series(p: SlaterPair, n_max: int = 40, k_max: int = 80,
     Terms of the returned evaluation are the per-n blocks for even n <= n_max
     (the odd-n terms vanish by angular parity), each an inner k-series of at
     most k_max terms over incomplete gammas, accumulated k-minor with
-    compensated summation.  The expansion is organised around eta2; the
-    |eta1^2 - eta2^2| < eta2^2 validity heuristic is surfaced as a warning,
-    not a rejection.
+    compensated summation.  The expansion is organised around eta2.  The
+    evaluation is flagged unconverged when the k-series of any block it sums
+    runs to its k_max cap.
     """
     if p.eta1 == p.eta2:
         raise DomainError("theorem3_series: eta1 = eta2; use theorem4_series")
-    ratio = abs(p.eta1**2 - p.eta2**2) / p.eta2**2
-    if ratio >= 1.0:
-        warnings.warn(
-            f"theorem3_series: |eta1^2-eta2^2|/eta2^2 = {ratio:.3g} >= 1; the "
-            "inner geometric-correction series may diverge",
-            stacklevel=2,
-        )
-
     gamma_at = gamma_real_cache(p.x2 * p.eta2)
+    capped = False
 
     def blocks():
+        nonlocal capped
         for n in range(0, n_max + 1, 2):
-            yield math.fsum(theorem3_block_k_terms(n, p, k_max, policy, gamma_at))
+            ks = theorem3_block_k_terms(n, p, k_max, policy, gamma_at)
+            capped |= len(ks) == k_max
+            yield math.fsum(ks)
 
-    return accumulate_series(blocks(), policy)
+    ev = accumulate_series(blocks(), policy)
+    return replace(ev, converged=False) if capped else ev
 
 
 @functools.cache

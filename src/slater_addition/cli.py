@@ -153,7 +153,6 @@ class Target:
 @dataclass
 class Context:
     tol: float
-    allow_k_gt_1: bool
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,7 @@ def _corollary(ctx: Context, variant: str, eta: float, x1: float = 0.0, x2: floa
                cos_theta: float = 0.0, y1: float = 0.0, z1: float = 0.0, z2: float = 0.0,
                k: float = 1.0) -> SeriesEvaluation:
     cfg = CorollaryConfig(variant, eta, x1, x2, cos_theta, y1, z1, z2, k)
-    return theorems.theorem1_eval(theorems.corollary_to_params(cfg), allow_k_gt_1=ctx.allow_k_gt_1)
+    return theorems.theorem1_eval(theorems.corollary_to_params(cfg))
 
 
 def _tabc_stall(ctx: Context, R: float, n_max: int = 20, window: int = 4) -> Outcome:
@@ -294,7 +293,7 @@ def _cos_power(ctx: Context, j: int) -> Outcome:
 TARGETS: dict[str, Target] = {
     "yukawa_form": Target(
         lambda c, B, C, k, x2: theorems.yukawa_form(YukawaFormParams(B, C, k, x2)),
-        lambda c, **p: theorems.theorem1_eval(YukawaFormParams(**p), allow_k_gt_1=c.allow_k_gt_1),
+        lambda c, **p: theorems.theorem1_eval(YukawaFormParams(**p)),
         ("yukawa_form",),
     ),
     "theorem1_term": Target(
@@ -303,20 +302,17 @@ TARGETS: dict[str, Target] = {
         ("theorem1_term",),
     ),
     "theorem1": Target(
-        lambda c, B, C, k, x2: theorems.theorem1_eval(
-            YukawaFormParams(B, C, k, x2), allow_k_gt_1=c.allow_k_gt_1),
+        lambda c, B, C, k, x2: theorems.theorem1_eval(YukawaFormParams(B, C, k, x2)),
         lambda c, **p: theorems.yukawa_form(YukawaFormParams(**p)),
         ("theorem1_eval", "theorem1_term", "yukawa_form"),
     ),
     "theorem5": Target(
-        lambda c, B, C, k, x2: theorems.theorem5_eval(
-            YukawaFormParams(B, C, k, x2), allow_k_gt_1=c.allow_k_gt_1),
+        lambda c, B, C, k, x2: theorems.theorem5_eval(YukawaFormParams(B, C, k, x2)),
         lambda c, **p: theorems._theorem6_closed(1, YukawaFormParams(**p)),
         ("theorem5_eval", "theorem5_term"),
     ),
     "theorem6": Target(
-        lambda c, j, B, C, k, x2: theorems.theorem6_eval(
-            j, YukawaFormParams(B, C, k, x2), allow_k_gt_1=c.allow_k_gt_1),
+        lambda c, j, B, C, k, x2: theorems.theorem6_eval(j, YukawaFormParams(B, C, k, x2)),
         lambda c, j, **p: theorems._theorem6_closed(j, YukawaFormParams(**p)),
         ("theorem6_eval", "theorem6_term"),
     ),
@@ -327,7 +323,7 @@ TARGETS: dict[str, Target] = {
     ),
     "corollary1_legendre": Target(
         lambda c, eta, x1, x2, cos_theta, k=1.0: theorems.corollary1_legendre_eval(
-            CorollaryConfig("C1", eta, x1, x2, cos_theta, k=k), allow_k_gt_1=c.allow_k_gt_1),
+            CorollaryConfig("C1", eta, x1, x2, cos_theta, k=k)),
         lambda c, **p: theorems._slater_direct(CorollaryConfig("C1", **p)),
         ("corollary1_legendre_eval", "cos_power_to_legendre"),
     ),
@@ -381,8 +377,7 @@ TARGETS: dict[str, Target] = {
         ("s1_general_term_gamma", "upper_incomplete_gamma"),
     ),
     "cheshire": Target(
-        lambda c, eta1, x2, k, k_dot_x2=None: amplitudes.cheshire_series(
-            eta1, x2, k, k_dot_x2, allow_k_gt_1=c.allow_k_gt_1),
+        lambda c, eta1, x2, k, k_dot_x2=None: amplitudes.cheshire_series(eta1, x2, k, k_dot_x2),
         lambda c, eta1, x2, k, k_dot_x2: amplitudes.s1_tau_oracle(
             amplitudes.SlaterPair(eta1, eta1, x2, k, k_dot_x2), _oracle_tol(c)),
         ("cheshire_series", "kummer_1f1"),
@@ -531,7 +526,7 @@ def _context(args, scenario: dict) -> Context:
     tol = args.tol if args.tol is not None else float(scenario.get("tol", 1e-6))
     if not 0.0 < tol < math.inf:
         raise UsageError(f"tol must be finite and > 0, got {tol!r}")
-    return Context(tol=tol, allow_k_gt_1=args.allow_k_gt_1)
+    return Context(tol=tol)
 
 
 def cmd_eval(args) -> int:
@@ -664,7 +659,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"))
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--digits", type=int, default=9)
-        sp.add_argument("--allow-k-gt-1", action="store_true")
         sp.add_argument("--out", help="output file (table)")
         sp.set_defaults(func=fn)
     rp = sub.add_parser("reproduce")

@@ -4,7 +4,7 @@ The closed form treated throughout is
 
     yukawa_form:  e^{-x2 sqrt(B k^2 + C)} / sqrt(B k^2 + C),
 
-expanded for k <= 1 into Macdonald-function series with increasing
+expanded for |B k^2| < |C| into Macdonald-function series with increasing
 half-integer order (an alternating series when B, C > 0): the base theorem,
 its derivative (no 1/L denominator) and the Meijer-G generalisation, all as
 x2-derivatives of the base term (e^{-z} times one polynomial in z = x2 sqrt(C)
@@ -16,7 +16,9 @@ geometry, and the classical two-range min/max expansion kept as a baseline.
 The truncation engine shared by every series in the package also lives
 here: Kahan-compensated accumulation that stops once ``TAIL_WINDOW``
 consecutive terms drop below ``rel_tol * |sum|``, or after ``max_terms``
-terms (60 unless a ``TruncationPolicy`` says otherwise).
+terms (60 unless a ``TruncationPolicy`` says otherwise).  The theorems'
+series take any k: outside |B k^2| < |C| their terms do not shrink, so they
+come back with ``converged = False``.
 """
 
 from __future__ import annotations
@@ -171,14 +173,6 @@ def accumulate_series(terms: Iterable[complex],
     )
 
 
-def _check_k(p: YukawaFormParams, allow_k_gt_1: bool) -> None:
-    if p.k > 1.0 and not allow_k_gt_1:
-        raise DomainError(
-            f"k = {p.k} > 1 is outside the stated convergence domain; "
-            "pass allow_k_gt_1=True to evaluate anyway"
-        )
-
-
 # ---------------------------------------------------------------------------
 # the Yukawa-form closed form and the three theorem series
 # ---------------------------------------------------------------------------
@@ -298,28 +292,26 @@ def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
 
 
 def _series_eval(terms: Iterator[complex], p: YukawaFormParams,
-                 policy: TruncationPolicy | None, allow_k_gt_1: bool) -> SeriesEvaluation:
-    _check_k(p, allow_k_gt_1)
+                 policy: TruncationPolicy | None) -> SeriesEvaluation:
     # every n >= 1 term carries B^n k^{2n}: at B k^2 = 0 the series is exact at one term
     return accumulate_series(itertools.islice(terms, 1) if p.B * p.k**2 == 0 else terms, policy)
 
 
-def theorem1_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None,
-                  allow_k_gt_1: bool = False) -> SeriesEvaluation:
+def theorem1_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Partial sums of theorem1_term; converges to yukawa_form(p) for |B k^2| < |C|."""
-    return _series_eval(_macdonald_terms(p, 0), p, policy, allow_k_gt_1)
+    return _series_eval(_macdonald_terms(p, 0), p, policy)
 
 
-def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None,
-                  allow_k_gt_1: bool = False) -> SeriesEvaluation:
-    """Partial sums of theorem5_term; converges to exp(-x2 sqrt(Bk^2+C))."""
-    return _series_eval(_macdonald_terms(p, 1), p, policy, allow_k_gt_1)
+def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None) -> SeriesEvaluation:
+    """Partial sums of theorem5_term; converges to exp(-x2 sqrt(Bk^2+C)) for |B k^2| < |C|."""
+    return _series_eval(_macdonald_terms(p, 1), p, policy)
 
 
-def theorem6_eval(j: int, p: YukawaFormParams, policy: TruncationPolicy | None = None,
-                  allow_k_gt_1: bool = False) -> SeriesEvaluation:
-    """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}."""
-    return _series_eval(_macdonald_terms(p, j), p, policy, allow_k_gt_1)
+def theorem6_eval(j: int, p: YukawaFormParams,
+                  policy: TruncationPolicy | None = None) -> SeriesEvaluation:
+    """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}
+    for |B k^2| < |C|."""
+    return _series_eval(_macdonald_terms(p, j), p, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +387,7 @@ def corollary_to_params(cfg: CorollaryConfig) -> YukawaFormParams:
 
 
 def corollary1_legendre_eval(cfg: CorollaryConfig,
-                             policy: TruncationPolicy | None = None,
-                             allow_k_gt_1: bool = False) -> SeriesEvaluation:
+                             policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Corollary-1 series with its finite Legendre second series written out.
 
     Term n is theorem1_term of the C1 mapping with B^n = (x1^2 - 2 x1 x2 cos)^n
@@ -429,7 +420,7 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
         return total
 
     terms = (t * inner(n) for n, t in enumerate(_macdonald_terms(replace(p, B=1.0), 0)))
-    return _series_eval(terms, p, policy, allow_k_gt_1)
+    return _series_eval(terms, p, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -215,9 +215,13 @@ class TestCheshireSeries:
         assert list(ev.terms) == terms
         assert ev.value == accumulate_series(terms).value
 
-    def test_k_gate(self):
-        with pytest.raises(DomainError):
-            cheshire_series(1.0, 1.0, 1.5)
+    def test_radius_is_k_below_2_eta1(self):
+        # B = tau(1 - tau) <= 1/4 and C = eta1^2: inside the radius for any k < 2 eta1
+        ev = cheshire_series(1.0, 0.5, 1.5)
+        oracle = s1_tau_oracle(SlaterPair(1.0, 1.0, 0.5, 1.5), 1e-12).value
+        assert ev.converged
+        assert abs(ev.value - oracle) <= 1e-10 * abs(oracle)
+        assert not cheshire_series(1.0, 0.5, 2.5).converged
 
     def test_phase_scalar_bounded_by_k_x2(self):
         with pytest.raises(DomainError, match="k_dot_x2"):
@@ -289,9 +293,21 @@ class TestTheorem3Series:
         assert closed == pytest.approx(s1_two_slater_closed(RECON), rel=1e-14)
         assert 0 < closed - ev.value.real < 0.2
 
-    def test_validity_guard_warns(self):
-        with pytest.warns(UserWarning):
-            theorem3_series(SlaterPair(eta1=1.0, eta2=0.5, x2=0.4), n_max=2, k_max=4)
+    def test_past_validity_ratio_flagged(self):
+        # |eta1^2 - eta2^2| / eta2^2 = 3: the k-series of each block runs to k_max
+        assert not theorem3_series(SlaterPair(eta1=1.0, eta2=0.5, x2=0.4), n_max=2, k_max=4).converged
+
+    @pytest.mark.parametrize("pair", [
+        SlaterPair(eta1=0.6165, eta2=0.4665, x2=0.6202),    # ratio 0.75, 5.0e-3 off
+        SlaterPair(eta1=0.5 * math.sqrt(1.9), eta2=0.5, x2=0.3),  # ratio 0.9, 91x off
+    ])
+    def test_flagged_where_a_block_k_series_runs_to_k_max(self, pair):
+        ev = theorem3_series(pair)
+        assert abs(ev.value.real / s1_two_slater_closed(pair) - 1) > 1e-3
+        assert not ev.converged
+
+    def test_converged_when_every_k_series_meets_the_tail_rule(self):
+        assert theorem3_series(RECON).converged
 
     def test_equal_exponents_rejected(self):
         with pytest.raises(DomainError):
@@ -474,7 +490,7 @@ class TestCorollary6N0:
     def test_cli_oracle_in_s_matches_closed_form(self, eta1, ratio):
         # --tol 1e-6 gives oracle tol 2e-8.  The s-form needs 222k-281k
         # evaluations here; an outer integrand with a 1/sqrt(w) edge needs >= 736k.
-        ctx = cli.Context(tol=1e-6, allow_k_gt_1=False)
+        ctx = cli.Context(tol=1e-6)
         res = cli._corollary6_2d_oracle(ctx, eta1, eta1 * ratio)
         assert res.converged
         assert res.evaluations < 350_000

@@ -60,12 +60,14 @@ class TestEval:
         main(["eval", "yukawa_form", "--digits", "3"] + GOLDEN_ARGS)
         assert "value = 2.74\n" in capsys.readouterr().out
 
-    def test_k_gate_rejected_then_flagged(self, capsys):
-        args = ["--param", "B=0.13", "--param", "C=0.11", "--param", "k=1.5",
-                "--param", "x2=0.17"]
-        assert main(["eval", "theorem1"] + args) == 1
-        capsys.readouterr()
-        assert main(["eval", "theorem1", "--allow-k-gt-1"] + args) == 2
+    def test_radius_not_k_decides_exit_code(self, capsys):
+        # k = 1.5 at |B k^2| / |C| = 0.375 converges; at 2.66 it is returned flagged
+        inside = ["--param", "B=0.1", "--param", "C=0.6", "--param", "k=1.5", "--param", "x2=0.7"]
+        assert main(["eval", "theorem1"] + inside) == 0
+        assert "converged = true" in capsys.readouterr().out
+        outside = ["--param", "B=0.13", "--param", "C=0.11", "--param", "k=1.5",
+                   "--param", "x2=0.17"]
+        assert main(["eval", "theorem1"] + outside) == 2
         assert "converged = false" in capsys.readouterr().out
 
     def test_usage_errors(self, capsys):

@@ -107,12 +107,16 @@ class TestTheorem1:
         assert ev.converged
         assert abs(ev.value - yukawa_form(p)) <= 1e-8 * abs(yukawa_form(p))
 
-    def test_k_gate(self):
-        p = YukawaFormParams(B=0.13, C=0.11, k=1.5, x2=0.17)
-        with pytest.raises(DomainError):
-            theorem1_eval(p)
-        ev = theorem1_eval(p, allow_k_gt_1=True)
-        assert not ev.converged  # |B k^2| > |C|: flagged, not silently wrong
+    def test_radius_not_k_decides_convergence(self):
+        # rho = |B k^2| / |C|: k = 1.5 at rho = 0.375 converges, k = 1 at rho = 1.3 and
+        # k = 1.5 at rho = 2.66 are flagged, not silently wrong
+        inside = YukawaFormParams(B=0.1, C=0.6, k=1.5, x2=0.7)
+        ev = theorem1_eval(inside)
+        assert ev.converged
+        assert abs(ev.value - yukawa_form(inside)) <= 1e-10 * abs(yukawa_form(inside))
+        for p in (YukawaFormParams(B=0.78, C=0.6, k=1.0, x2=0.7),
+                  YukawaFormParams(B=0.13, C=0.11, k=1.5, x2=0.17)):
+            assert not theorem1_eval(p).converged
 
     @given(
         b=st.floats(0.01, 1.0), c=st.floats(0.05, 2.0),
@@ -381,6 +385,68 @@ class TestMacdonaldWalk:
             assert abs(got.value - want.value) <= 1e-13 * abs(want.value), cfg
             flagged += not got.converged
         assert 10 <= flagged <= 140
+
+
+# C positive, negative or complex, of modulus 0.05 ... 4
+C_SLOTS = st.one_of(
+    st.floats(0.05, 4.0),
+    st.floats(-4.0, -0.05),
+    st.builds(lambda mag, arg: mag * cmath.exp(1j * arg), st.floats(0.05, 4.0), st.floats(-math.pi, math.pi)),
+)
+
+
+class TestConvergenceRadius:
+    """rho = |B k^2| / |C| < 1 is the domain of theorems 1, 5, 6 and their corollaries, for any k:
+    past it every series is returned flagged (or, at j >= 2, raises RangeError), inside it
+    converges to its closed form."""
+
+    @given(c=C_SLOTS, sign=st.sampled_from([1, -1]), rho=st.floats(1.0, 3.0),
+           k=st.floats(0.01, 3.0), x2=st.floats(0.05, 60.0))
+    @settings(max_examples=80, deadline=None)
+    def test_outside_radius_never_converged(self, c, sign, rho, k, x2):
+        b = sign * rho * abs(c) / k**2
+        assume(b * k**2 + c != 0)
+        p = YukawaFormParams(B=b, C=c, k=k, x2=x2)
+        assert not theorem1_eval(p).converged
+        assert not theorem5_eval(p).converged
+        for j in (2, 3):
+            try:
+                assert not th.theorem6_eval(j, p).converged, j
+            except RangeError:
+                pass
+
+    @given(c=C_SLOTS, sign=st.sampled_from([1, -1]), rho=st.floats(0.0, 0.5),
+           k=st.floats(1.0, 3.0, exclude_min=True), x2=st.floats(0.05, 2.0))
+    @settings(max_examples=80, deadline=None)
+    def test_inside_radius_converges_past_k_1(self, c, sign, rho, k, x2):
+        p = YukawaFormParams(B=sign * rho * abs(c) / k**2, C=c, k=k, x2=x2)
+        for j, ev in enumerate([theorem1_eval(p), theorem5_eval(p),
+                                th.theorem6_eval(2, p), th.theorem6_eval(3, p)]):
+            want = yukawa_form(p) if j == 0 else th._theorem6_closed(j, p)
+            assert ev.converged, j
+            assert abs(ev.value - want) <= 1e-9 * abs(want), j
+
+    @given(x1=st.floats(0.05, 3.0), x2=st.floats(0.05, 3.0), cos_theta=st.floats(-1.0, 1.0),
+           k=st.floats(0.01, 3.0), eta=st.floats(0.05, 60.0))
+    @settings(max_examples=80, deadline=None)
+    def test_corollary1_legendre_outside_radius_never_converged(self, x1, x2, cos_theta, k, eta):
+        cfg = CorollaryConfig("C1", eta, x1, x2, cos_theta, k=k)
+        p = corollary_to_params(cfg)
+        assume(abs(p.B) * k**2 >= abs(p.C))
+        assert not corollary1_legendre_eval(cfg).converged
+
+    @given(x2=st.floats(0.05, 3.0), cos_theta=st.floats(-1.0, -0.5), rho=st.floats(0.01, 0.5),
+           k=st.floats(1.0, 3.0, exclude_min=True), eta=st.floats(0.05, 2.0))
+    @settings(max_examples=80, deadline=None)
+    def test_corollary1_legendre_inside_radius_converges_past_k_1(self, x2, cos_theta, rho, k, eta):
+        # x1 solves B = x1^2 - 2 x1 x2 cos = rho x2^2 / k^2.  At cos <= -1/2 the finite Legendre
+        # sums for B^n keep their digits; nearer cos = 0 they cancel and the series is flagged
+        x1 = x2 * (math.sqrt(cos_theta**2 + rho / k**2) + cos_theta)
+        cfg = CorollaryConfig("C1", eta, x1, x2, cos_theta, k=k)
+        ev = corollary1_legendre_eval(cfg)
+        want = yukawa_form(corollary_to_params(cfg))
+        assert ev.converged
+        assert abs(ev.value - want) <= 1e-9 * abs(want)
 
 
 class TestCorollaries:
