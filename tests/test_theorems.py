@@ -4,10 +4,11 @@ import cmath
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
@@ -395,6 +396,14 @@ C_SLOTS = st.one_of(
 )
 
 
+def _polynomial_near_root(n, j, p):
+    """P_{n,j}(z) at z = x2 sqrt(C) is under 1e-4 of sum |beta_q z^q|: z is near one of its roots."""
+    z = p.x2 * cmath.sqrt(p.C)
+    coefs = th._macdonald_coefs(n, j)
+    size = sum(abs(a) * abs(z) ** q for q, a in enumerate(reversed(coefs)))
+    return abs(sum(a * z**q for q, a in enumerate(reversed(coefs)))) < 1e-4 * size
+
+
 class TestConvergenceRadius:
     """rho = |B k^2| / |C| < 1 is the domain of theorems 1, 5, 6 and their corollaries, for any k:
     past it every series is returned flagged (or, at j >= 2, raises RangeError), inside it
@@ -420,8 +429,16 @@ class TestConvergenceRadius:
     @settings(max_examples=80, deadline=None)
     def test_inside_radius_converges_past_k_1(self, c, sign, rho, k, x2):
         p = YukawaFormParams(B=sign * rho * abs(c) / k**2, C=c, k=k, x2=x2)
-        for j, ev in enumerate([theorem1_eval(p), theorem5_eval(p),
-                                th.theorem6_eval(2, p), th.theorem6_eval(3, p)]):
+        evals = [lambda: theorem1_eval(p), lambda: theorem5_eval(p),
+                 lambda: th.theorem6_eval(2, p), lambda: th.theorem6_eval(3, p)]
+        for j, evaluate in enumerate(evals):
+            try:
+                ev = evaluate()
+            except RangeError as exc:
+                # only at j >= 2, where term n's polynomial sits at a root (P_{1,2}(z) = z - 1 at z = 1)
+                n = int(re.search(r"at n = (\d+)", str(exc)).group(1))
+                assert j >= 2 and _polynomial_near_root(n, j, p), (j, str(exc))
+                continue
             want = yukawa_form(p) if j == 0 else th._theorem6_closed(j, p)
             assert ev.converged, j
             assert abs(ev.value - want) <= 1e-9 * abs(want), j
@@ -431,7 +448,10 @@ class TestConvergenceRadius:
     @settings(max_examples=80, deadline=None)
     def test_corollary1_legendre_outside_radius_never_converged(self, x1, x2, cos_theta, k, eta):
         cfg = CorollaryConfig("C1", eta, x1, x2, cos_theta, k=k)
-        p = corollary_to_params(cfg)
+        try:
+            p = corollary_to_params(cfg)
+        except PoleError:  # B k^2 + C = x12^2 = 0 at k = 1: the two centres coincide
+            reject()
         assume(abs(p.B) * k**2 >= abs(p.C))
         assert not corollary1_legendre_eval(cfg).converged
 
