@@ -13,21 +13,23 @@ inserting the derivative-form addition theorem (the exponential carries no
 C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
 removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
 [0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
-is one walk: each Gamma(a, 4R), Bessel I value and coefficient row is computed
-once per series, not once per (n, J) term.  It decays algebraically after a
-few terms; stall_detector quantifies the plateau the way the convergence study
-reports it.
+is one walk: the Gamma(a, 4R) values are read off one validated walk down the
+incomplete-gamma ladder as the increments need them, each Bessel I value and
+constant row is computed once per series, and each increment's J-terms come
+from one call.  It decays algebraically after a few terms; stall_detector
+quantifies the plateau the way the convergence study reports it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import bessel_i_half, exp_integral_ei, gamma_real_cache, k_half_coef
+from .specfun import _GammaLadder, bessel_i_half, exp_integral_ei, gamma_real_cache, k_half_coef
 from .theorems import SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
@@ -145,24 +147,24 @@ def _j_top(n: int) -> int:
 
 
 @functools.cache
-def _coef_row(nu: int) -> tuple[float, ...]:
-    # float(k_half_coef(nu, J)) for J = 0..nu; one row per Macdonald index, shared by all R
-    return tuple(float(k_half_coef(nu, big_j)) for big_j in range(nu + 1))
+def _row(n: int) -> tuple[tuple[float, float], ...]:
+    # (sqrt(pi) 2^{J+2n-9/2}, float(k_half_coef(max(n-1, 0), J))) for J = 0..max(n-1, 0): the
+    # R-free constants of increment n, shared by all R
+    nt = _j_top(n)
+    return tuple((_SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5), float(k_half_coef(nt, big_j)))
+                 for big_j in range(nt + 1))
 
 
-def _term_factors(n: int, R: float, i_low: float, i_top: float) -> tuple[float, float, float, float, float]:
-    # the J-invariant factors of term n from I_{n+3/2}(R) and I_{n+5/2}(R), each kept as
-    # its own float so that _term multiplies them in the order of the assembled line
-    return R ** (2 * n), i_top, R ** (-n - 0.5), (2 * n + 3) * i_low, R ** (-n - 1.5)
-
-
-def _term(n: int, big_j: int, R: float, g1: float, g2: float, g3: float, coef: float, factors) -> float:
-    r_2n, i_top, r_top, i_low, r_low = factors
-    # the Gamma(n+1) of the assembled line cancels the 1/n! of the source series
-    pref = _SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5) * r_2n * coef
-    combo = 4.0 * g2 + g3
-    bracket = i_top * (combo - 16.0 * R * R * g1) * r_top + i_low * combo * r_low
-    return pref * bracket
+def _terms(n: int, R: float, i_low: float, i_top: float, gammas: list[float],
+           js: slice = slice(None)) -> list[float]:
+    # the (n, J) terms for the J of range(max(n-1, 0) + 1)[js] from I_{n+3/2}(R), I_{n+5/2}(R) and
+    # gammas = [G3, G2, G1, G0, ...] of the first of those J, Gm = Gamma(m - J - n, 4R), so that
+    # each next J reads them one place on; the Gamma(n+1) of the assembled line cancels the 1/n!
+    # of the source series
+    r_2n, r_top, r_low = R ** (2 * n), R ** (-n - 0.5), R ** (-n - 1.5)
+    i_low, r16 = (2 * n + 3) * i_low, 16.0 * R * R
+    return [pow2 * r_2n * coef * (i_top * ((combo := 4.0 * g2 + g3) - r16 * g1) * r_top + i_low * combo * r_low)
+            for (pow2, coef), g3, g2, g1 in zip(_row(n)[js], gammas, gammas[1:], gammas[2:])]
 
 
 def t_abc_term(n: int, big_j: int, R: float, gamma_at=None) -> float:
@@ -181,10 +183,10 @@ def t_abc_term(n: int, big_j: int, R: float, gamma_at=None) -> float:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     if gamma_at is None:
         gamma_at = gamma_real_cache(4.0 * R)
+    i_low, i_top = bessel_i_half(n + 1, R), bessel_i_half(n + 2, R)
     a = -big_j - n
-    factors = _term_factors(n, R, bessel_i_half(n + 1, R), bessel_i_half(n + 2, R))
-    return _term(n, big_j, R, gamma_at(a + 1), gamma_at(a + 2), gamma_at(a + 3),
-                 _coef_row(nt)[big_j], factors)
+    g1, g2, g3 = gamma_at(a + 1), gamma_at(a + 2), gamma_at(a + 3)
+    return _terms(n, R, i_low, i_top, [g3, g2, g1], slice(big_j, big_j + 1))[0]
 
 
 def t_abc_series(R: float, n_max: int = 20,
@@ -192,30 +194,25 @@ def t_abc_series(R: float, n_max: int = 20,
     """Series for T(a,bc): increment n is the finite J-sum of t_abc_term.
 
     One walk serves the whole series, each list grown as n rises: the
-    Gamma(a, 4R) values of the integer orders a = 3, 2, 1, 0, -1, ... (term
-    (n, J) reads three neighbours), I_{k+1/2}(R) for k = 1..n_max+2 (step n
-    reads k = n+1 and n+2), and the coefficient row of Macdonald index
-    max(n-1, 0).  Convergence plateaus (dominated by the J = n-1 term) rather
-    than failing outright; run stall_detector on the result to size the plateau.
+    Gamma(a, 4R) values of the integer orders a = 3, 2, 1, 0, -1, ..., read
+    off one validated walk down the incomplete-gamma ladder only as far as
+    step n needs them (a = 1 - max(n-1, 0) - n), I_{k+1/2}(R) for
+    k = 1..n_max+2 (step n reads k = n+1 and n+2), and one cached row of
+    R-free constants per n; each step's J-terms come from one call.
+    Convergence plateaus (dominated by the J = n-1 term) rather than failing
+    outright; run stall_detector on the result to size the plateau.
     """
     _check_r("t_abc_series", R)
-    gamma_at = gamma_real_cache(4.0 * R)
+    walk = _GammaLadder(4.0 * R).walk(3.0, -1)
 
     def increments():
-        # gammas[k] = Gamma(3 - k, 4R), so term (n, J) reads G1, G2, G3 at k = J+n+2, J+n+1, J+n
-        gammas: list[float] = []
+        gammas: list[float] = []  # gammas[k] = Gamma(3 - k, 4R)
         i_low = bessel_i_half(1, R)
         for n in range(n_max + 1):
             nt = _j_top(n)
-            while len(gammas) < nt + n + 3:
-                gammas.append(gamma_at(3 - len(gammas)))
+            gammas.extend(g.real for g in itertools.islice(walk, nt + n + 3 - len(gammas)))
             i_top = bessel_i_half(n + 2, R)
-            factors = _term_factors(n, R, i_low, i_top)
-            row = _coef_row(nt)
-            yield math.fsum(
-                _term(n, big_j, R, gammas[big_j + n + 2], gammas[big_j + n + 1], gammas[big_j + n],
-                      row[big_j], factors)
-                for big_j in range(nt + 1))
+            yield math.fsum(_terms(n, R, i_low, i_top, gammas[n:]))
             i_low = i_top
 
     return accumulate_series(increments(), policy)

@@ -335,10 +335,11 @@ def _gamma_anchor(a0: float, z: complex, emz: complex) -> complex:
 class _GammaLadder:
     """Gamma(a, z) at one fixed z, each order on one of four chains walked
     from its anchor (integers up from 1, down from 0; half-integers both ways
-    from 1/2).  A chain keeps every value it has walked through, so a series
-    visiting many orders walks each chain once, in any request order.  e^{-z}
-    is evaluated once, at the first order that needs it, and shared by the
-    anchors and every step of the walk."""
+    from 1/2; the two chains of one anchor share its value).  A chain keeps
+    every value it has walked through, so a series visiting many orders walks
+    each chain once, in any request order, and ``walk`` hands out a run of
+    consecutive orders from one validated entry.  e^{-z} is evaluated once, at
+    the first order that needs it, and shared by the anchors and every step."""
 
     def __init__(self, z: complex | float):
         self.z = complex(z)
@@ -346,52 +347,61 @@ class _GammaLadder:
             raise DomainError(f"upper_incomplete_gamma: z = {self.z} is not finite")
         self._emz: complex | None = None
         # (anchor, direction) -> [Gamma(anchor), Gamma(anchor + direction), ...]
-        self._chains: dict[tuple[float, float], list[complex]] = {}
+        self._chains: dict[tuple[float, int], list[complex]] = {}
 
     def __call__(self, a: float) -> complex:
+        return next(self.walk(a))
+
+    def walk(self, a: float, step: int = 1) -> Iterator[complex]:
+        """Gamma(a, z), Gamma(a + step, z), Gamma(a + 2 step, z), ... for step = +1 or -1, a and z
+        validated once.  Each order is read off its chain, walked a step further where needed, only
+        when the walk reaches it, and checked as a single order is: DomainError at z = 0 for a <= 0,
+        CapacityError past GAMMA_RECURRENCE_LIMIT, where the walk overflows, or on an inf or NaN."""
         if not math.isfinite(a):
             raise DomainError(f"upper_incomplete_gamma: a = {a} is not finite")
         two_a = round(2 * a)
         if abs(2 * a - two_a) > 1e-12:
             raise DomainError(f"upper_incomplete_gamma: a = {a} is not integer or half-integer")
-        a = two_a / 2.0
         z = self.z
-        if z == 0:
-            if a > 0:
-                return complex(math.gamma(a))
-            raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
         if z.imag == 0 and z.real < 0:
             raise DomainError("upper_incomplete_gamma: z on the negative real axis")
-
-        anchor = 0.5 if two_a % 2 else (1.0 if a >= 1 else 0.0)
-        steps = int(round(abs(a - anchor)))
-        if steps > GAMMA_RECURRENCE_LIMIT:
-            raise CapacityError(
-                f"upper_incomplete_gamma: recurrence depth {steps} exceeds bound {GAMMA_RECURRENCE_LIMIT}"
-            )
-        direction = 1.0 if a >= anchor else -1.0
-        key = (anchor, direction)
-        chain = self._chains.get(key)
-        try:
-            emz = self._emz
-            if emz is None:
-                emz = self._emz = cmath.exp(-z)
-            if chain is None:
-                chain = self._chains[key] = [_gamma_anchor(anchor, z, emz)]
-            g, b = chain[-1], anchor + direction * (len(chain) - 1)
-            while len(chain) <= steps:
-                if direction > 0:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
-                    g = b * g + z**b * emz
-                else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
-                    g = (g - z ** (b - 1.0) * emz) / (b - 1.0)
-                b += direction
-                chain.append(g)
-        except OverflowError as exc:
-            raise CapacityError(f"upper_incomplete_gamma: the walk to a = {a} overflows") from exc
-        g = chain[steps]
-        if cmath.isinf(g) or cmath.isnan(g):
-            raise CapacityError("upper_incomplete_gamma overflowed double precision")
-        return g
+        if z == 0:  # Gamma(a, 0) = Gamma(a); the walk ends at the first a <= 0
+            for two_a in itertools.count(two_a, 2 * step):
+                if two_a <= 0:
+                    raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
+                yield complex(math.gamma(two_a / 2.0))
+        while True:
+            a = two_a / 2.0
+            anchor = 0.5 if two_a % 2 else (1.0 if a >= 1 else 0.0)
+            direction = 1 if a >= anchor else -1
+            steps, key = int(round(abs(a - anchor))), (anchor, direction)
+            chain = self._chains.get(key)
+            while steps >= 0:  # the orders on this chain, until the walk passes its anchor
+                if steps > GAMMA_RECURRENCE_LIMIT:
+                    raise CapacityError(f"upper_incomplete_gamma: recurrence depth {steps} exceeds "
+                                        f"bound {GAMMA_RECURRENCE_LIMIT}")
+                try:
+                    emz = self._emz
+                    if emz is None:
+                        emz = self._emz = cmath.exp(-z)
+                    if chain is None:  # the anchor walked the other way is the same value
+                        twin = self._chains.get((anchor, -direction))
+                        chain = self._chains[key] = [twin[0] if twin else _gamma_anchor(anchor, z, emz)]
+                    while len(chain) <= steps:
+                        g, b = chain[-1], anchor + direction * (len(chain) - 1)
+                        if direction > 0:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
+                            g = b * g + z**b * emz
+                        else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
+                            g = (g - z ** (b - 1.0) * emz) / (b - 1.0)
+                        chain.append(g)
+                except OverflowError as exc:
+                    raise CapacityError(f"upper_incomplete_gamma: the walk to a = {two_a / 2.0} overflows") from exc
+                g = chain[steps]
+                if not cmath.isfinite(g):
+                    raise CapacityError("upper_incomplete_gamma overflowed double precision")
+                yield g
+                steps += step * direction
+                two_a += 2 * step
 
 
 def upper_incomplete_gamma(a: float, z: complex | float) -> complex:

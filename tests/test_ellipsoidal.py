@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from slater_addition import ellipsoidal
+from slater_addition import ellipsoidal, specfun
 from slater_addition.ellipsoidal import (
     EllipsoidalParams,
     StallReport,
@@ -169,6 +169,49 @@ class TestSeries:
         monkeypatch.setattr(ellipsoidal, "bessel_i_half", counted)
         t_abc_series(0.37, n_max=n_max)
         assert orders == list(range(1, n_max + 3))
+
+    @pytest.mark.parametrize("R", [0.05, 0.7, 7.0])
+    def test_series_enters_the_gamma_ladder_once(self, R, monkeypatch):
+        # every Gamma(a, 4R) of the series comes from one validated walk; one call per order
+        # would enter the ladder 2 n_max + 3 times
+        entries = []
+
+        def counted(name):
+            original = getattr(specfun._GammaLadder, name)
+
+            def entry(self, *args):
+                entries.append((name, args))
+                return original(self, *args)
+            return entry
+
+        for name in ("__call__", "walk"):
+            monkeypatch.setattr(specfun._GammaLadder, name, counted(name))
+        t_abc_series(R, n_max=20)
+        assert len(entries) <= 4, entries
+
+    @pytest.mark.parametrize("R, value, terms_used, converged", [
+        # bits recorded with one ladder call per Gamma order; reading the orders off one walk
+        # must not move them
+        (0.05, "0x1.7c76fc4c40399p-2", 21, True),
+        (0.49, "0x1.c8240c9dac696p-3", 21, True),
+        (0.51, "0x1.b91f5e11efe66p-3", 21, True),
+        (1.2, "0x1.bad9fc80958dep-5", 21, True),
+        (7.0, "0x1.ad75ab48ba11ep-27", 21, True),
+    ])
+    def test_series_values_pinned(self, R, value, terms_used, converged):
+        ev = t_abc_series(R, n_max=20)
+        assert (ev.value.real.hex(), ev.value.imag, ev.terms_used, ev.converged) == (
+            value, 0.0, terms_used, converged)
+
+    @pytest.mark.parametrize("R, n_max, value, terms_used, converged", [
+        # the term budget (60) stops the first, the tail rule the second, both far short of
+        # the Gamma orders -(2 n_max + 1) that an eager walk to n_max would reach
+        (0.11, 300, "0x1.70b680175e56ep-2", 60, False),
+        (0.0003, 59, "0x1.7ffff6d1e1fe0p-2", 4, True),
+    ])
+    def test_series_walks_no_deeper_than_it_sums(self, R, n_max, value, terms_used, converged):
+        ev = t_abc_series(R, n_max=n_max)
+        assert (ev.value.real.hex(), ev.terms_used, ev.converged) == (value, terms_used, converged)
 
 
 class TestStallDetector:

@@ -379,10 +379,41 @@ class TestGammaLadder:
         (-120.0, 0.001, CapacityError),                               # z^b overflows on the walk
     ])
     def test_errors_match_kernel(self, a, z, error):
-        with pytest.raises(error):
+        with pytest.raises(error) as single:
             sf.upper_incomplete_gamma(a, z)
         with pytest.raises(error):
             sf.gamma_real_cache(z)(a)
+        for step in (1, -1):  # a walk's first order raises as the single order does
+            with pytest.raises(error) as walked:
+                next(sf._GammaLadder(z).walk(a, step))
+            assert str(walked.value) == str(single.value)
+
+    @pytest.mark.parametrize("z", LADDER_ZS + (0.0,))
+    @pytest.mark.parametrize("start, step", [(-60.0, 1), (-59.5, 1), (30.0, -1), (29.5, -1), (3.0, -1)])
+    def test_walk_bit_identical_to_kernel(self, z, start, step):
+        # up through the anchors, down through them, and T(a,bc)'s walk from a = 3; at z = 0 the
+        # walk stops with the kernel's DomainError at the first a <= 0
+        walk = sf._GammaLadder(z).walk(start, step)
+        for i in range(91):
+            a = start + i * step
+            try:
+                want = sf.upper_incomplete_gamma(a, z)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    next(walk)
+                return
+            assert next(walk) == want, a
+
+    def test_walk_chain_stays_valid_after_an_overflow(self):
+        # a walk down from -3 overflows near -103; the orders it passed keep their values
+        ladder = sf._GammaLadder(0.001)
+        walked = []
+        with pytest.raises(CapacityError, match="overflow"):
+            for g in ladder.walk(-3.0, -1):
+                walked.append(g)
+        assert len(walked) > 90
+        for i, g in enumerate(walked):
+            assert g == ladder(-3.0 - i) == sf.upper_incomplete_gamma(-3.0 - i, 0.001)
 
     @pytest.mark.parametrize("z", [1.5, 3.0, 0.5 + 1j])
     def test_exp_minus_z_evaluated_once_per_ladder(self, z, monkeypatch):
@@ -394,6 +425,11 @@ class TestGammaLadder:
         gamma_at = sf.gamma_real_cache(z)
         for a in LADDER_ORDERS:
             gamma_at(a)
+        assert calls == [-complex(z)]
+        calls.clear()
+        ladder = sf._GammaLadder(z)
+        for start in (30.0, 29.5):
+            list(itertools.islice(ladder.walk(start, -1), 91))
         assert calls == [-complex(z)]
 
     def test_chain_stays_valid_after_an_overflow(self):

@@ -4,7 +4,6 @@ import cmath
 import itertools
 import math
 import random
-import re
 from dataclasses import replace
 
 import pytest
@@ -281,6 +280,18 @@ class TestTheorem6:
         with pytest.raises(RangeError, match="cancel"):
             theorem6_term(2, 2, YukawaFormParams(B=0.5, C=1.0, k=0.5, x2=golden))
 
+    @pytest.mark.parametrize("p", [
+        YukawaFormParams(B=0.125, C=1.0, k=2.0, x2=1.0),            # P_{1,2}(z) = z - 1 at z = 1
+        YukawaFormParams(B=0.1, C=1.0, k=1.0, x2=(1 + 5**0.5) / 2),  # P_{2,2} at the golden ratio
+    ], ids=["P12-root", "P22-root"])
+    def test_series_sums_through_a_polynomial_root(self, p):
+        # the term at the root is ~0 beside the terms before it, so its rounding costs the sum
+        # nothing: the series guard measures it against the largest term, not against itself
+        ev = th.theorem6_eval(2, p)
+        want = th._theorem6_closed(2, p)
+        assert ev.converged
+        assert abs(ev.value - want) <= 1e-9 * abs(want)
+
     @pytest.mark.parametrize("C", [0.7, -0.4, 0.3 + 0.2j], ids=["positive", "negative", "complex"])
     def test_j0_j1_match_the_bessel_k_form(self, C):
         # sqrt(2/pi) (-1)^n B^n k^{2n} / n! 2^{-n} x2^{n+1/2} C^{j/2-n/2-1/4} K_{n+1/2-j}(x2 sqrt(C)),
@@ -396,14 +407,6 @@ C_SLOTS = st.one_of(
 )
 
 
-def _polynomial_near_root(n, j, p):
-    """P_{n,j}(z) at z = x2 sqrt(C) is under 1e-4 of sum |beta_q z^q|: z is near one of its roots."""
-    z = p.x2 * cmath.sqrt(p.C)
-    coefs = th._macdonald_coefs(n, j)
-    size = sum(abs(a) * abs(z) ** q for q, a in enumerate(reversed(coefs)))
-    return abs(sum(a * z**q for q, a in enumerate(reversed(coefs)))) < 1e-4 * size
-
-
 class TestConvergenceRadius:
     """rho = |B k^2| / |C| < 1 is the domain of theorems 1, 5, 6 and their corollaries, for any k:
     past it every series is returned flagged (or, at j >= 2, raises RangeError), inside it
@@ -432,13 +435,7 @@ class TestConvergenceRadius:
         evals = [lambda: theorem1_eval(p), lambda: theorem5_eval(p),
                  lambda: th.theorem6_eval(2, p), lambda: th.theorem6_eval(3, p)]
         for j, evaluate in enumerate(evals):
-            try:
-                ev = evaluate()
-            except RangeError as exc:
-                # only at j >= 2, where term n's polynomial sits at a root (P_{1,2}(z) = z - 1 at z = 1)
-                n = int(re.search(r"at n = (\d+)", str(exc)).group(1))
-                assert j >= 2 and _polynomial_near_root(n, j, p), (j, str(exc))
-                continue
+            ev = evaluate()
             want = yukawa_form(p) if j == 0 else th._theorem6_closed(j, p)
             assert ev.converged, j
             assert abs(ev.value - want) <= 1e-9 * abs(want), j
