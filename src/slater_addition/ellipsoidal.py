@@ -203,7 +203,7 @@ def t_abc_series(R: float, n_max: int = 20,
     outright; run stall_detector on the result to size the plateau.
     """
     _check_r("t_abc_series", R)
-    walk = _GammaLadder(4.0 * R).walk(3.0, -1)
+    walk = _GammaLadder(4.0 * R).walk(3.0)
 
     def increments():
         gammas: list[float] = []  # gammas[k] = Gamma(3 - k, 4R)

@@ -352,11 +352,11 @@ class _GammaLadder:
     def __call__(self, a: float) -> complex:
         return next(self.walk(a))
 
-    def walk(self, a: float, step: int = 1) -> Iterator[complex]:
-        """Gamma(a, z), Gamma(a + step, z), Gamma(a + 2 step, z), ... for step = +1 or -1, a and z
-        validated once.  Each order is read off its chain, walked a step further where needed, only
-        when the walk reaches it, and checked as a single order is: DomainError at z = 0 for a <= 0,
-        CapacityError past GAMMA_RECURRENCE_LIMIT, where the walk overflows, or on an inf or NaN."""
+    def walk(self, a: float) -> Iterator[complex]:
+        """Gamma(a, z), Gamma(a - 1, z), Gamma(a - 2, z), ..., a and z validated once.  Each order
+        is read off its chain, walked a step further where needed, only when the walk reaches it,
+        and checked as a single order is: DomainError at z = 0 for a <= 0, CapacityError past
+        GAMMA_RECURRENCE_LIMIT, where the walk overflows, or on an inf or NaN."""
         if not math.isfinite(a):
             raise DomainError(f"upper_incomplete_gamma: a = {a} is not finite")
         two_a = round(2 * a)
@@ -366,7 +366,7 @@ class _GammaLadder:
         if z.imag == 0 and z.real < 0:
             raise DomainError("upper_incomplete_gamma: z on the negative real axis")
         if z == 0:  # Gamma(a, 0) = Gamma(a); the walk ends at the first a <= 0
-            for two_a in itertools.count(two_a, 2 * step):
+            for two_a in itertools.count(two_a, -2):
                 if two_a <= 0:
                     raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
                 yield complex(math.gamma(two_a / 2.0))
@@ -400,8 +400,8 @@ class _GammaLadder:
                 if not cmath.isfinite(g):
                     raise CapacityError("upper_incomplete_gamma overflowed double precision")
                 yield g
-                steps += step * direction
-                two_a += 2 * step
+                steps -= direction
+                two_a -= 2
 
 
 def upper_incomplete_gamma(a: float, z: complex | float) -> complex:

@@ -222,8 +222,8 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
     For j <= 1, one upward walk gives each term in O(1): w_{n,0} = z^n q_n/(n! 2^n), where
     q_n = sum_J k_half_coef(n, J) (2z)^{-J} obeys K's recurrence q_{n+1} = q_{n-1} + (2n+1)/z q_n
     (DLMF 10.29.1, stable upward), and w_{n,1} = z w_{n-1,0}/(2n).  For j >= 2, a Horner pass over
-    the exact _macdonald_coefs(n, j), with RangeError where the term's rounding, eps sum|beta_p z^p|
-    times its scale, exceeds DERIVATIVE_REL_TOL times the largest |term| yet (not the term itself)."""
+    the exact _macdonald_coefs(n, j), with RangeError where the terms' rounding so far, the sum of
+    eps sum|beta_p z^p| times each term's scale, exceeds DERIVATIVE_REL_TOL times |their sum|."""
     if isinstance(j, bool) or not isinstance(j, int) or j < 0:
         raise DomainError(f"theorem6_term: j must be an integer >= 0, got {j!r}")
     name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
@@ -240,7 +240,7 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
     # powers of exact inputs; only where C^{-n-1/2} overflows, (-Bk^2/C)^n (n-fold rounding)
     scales = (lambda n: (-1.0) ** n * B**n * k ** (2 * n) * c ** (j / 2 - n - 0.5),
               lambda n: (-B * k**2 / p.C) ** n * c ** (j / 2 - 0.5))
-    w_prev, w, peak = 1.0, 1.0, 0.0  # w_{n-1,0}, w_{n,0}, the largest |term| yet
+    w_prev, w, total, err = 1.0, 1.0, 0j, 0.0  # w_{n-1,0}, w_{n,0}, the sum so far, its rounding
     for n in itertools.count():
         if n >= first:
             if j == 0:
@@ -262,11 +262,10 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
             else:
                 raise CapacityError(f"{name}: term {n} at x2 sqrt(C) = {z} overflows double precision")
             if j >= 2:
-                if abs(term) > peak:
-                    peak = abs(term)
-                if sys.float_info.epsilon * size * abs(unit) > DERIVATIVE_REL_TOL * peak:
-                    raise RangeError(f"{name}: the order-{j} polynomial cancels to "
-                                     f"{abs(poly) / size:.3g} of its size at n = {n}")
+                total, err = total + term, err + sys.float_info.epsilon * size * abs(unit)
+                if err > DERIVATIVE_REL_TOL * abs(total):
+                    raise RangeError(f"{name}: the order-{j} terms cancel: their sum is "
+                                     f"{abs(total) / err:.3g} times their rounding at n = {n}")
             yield term
         if j < 2:  # q_1 = 1 + 1/z gives w_1 = (1 + z)/2
             w_prev, w = w, ((2 * n + 1) * w + z2 * w_prev / (2 * n)) / (2 * n + 2) if n else (1 + z) / 2
@@ -314,7 +313,7 @@ def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None) -
 def theorem6_eval(j: int, p: YukawaFormParams,
                   policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}
-    for |B k^2| < |C|."""
+    for |B k^2| < |C|.  RangeError where the terms' rounding outgrows DERIVATIVE_REL_TOL |sum|."""
     return _series_eval(_macdonald_terms(p, j), p, policy)
 
 

@@ -383,19 +383,18 @@ class TestGammaLadder:
             sf.upper_incomplete_gamma(a, z)
         with pytest.raises(error):
             sf.gamma_real_cache(z)(a)
-        for step in (1, -1):  # a walk's first order raises as the single order does
-            with pytest.raises(error) as walked:
-                next(sf._GammaLadder(z).walk(a, step))
-            assert str(walked.value) == str(single.value)
+        with pytest.raises(error) as walked:  # a walk's first order raises as the single order does
+            next(sf._GammaLadder(z).walk(a))
+        assert str(walked.value) == str(single.value)
 
     @pytest.mark.parametrize("z", LADDER_ZS + (0.0,))
-    @pytest.mark.parametrize("start, step", [(-60.0, 1), (-59.5, 1), (30.0, -1), (29.5, -1), (3.0, -1)])
-    def test_walk_bit_identical_to_kernel(self, z, start, step):
-        # up through the anchors, down through them, and T(a,bc)'s walk from a = 3; at z = 0 the
-        # walk stops with the kernel's DomainError at the first a <= 0
-        walk = sf._GammaLadder(z).walk(start, step)
+    @pytest.mark.parametrize("start", [30.0, 29.5, 3.0])
+    def test_walk_bit_identical_to_kernel(self, z, start):
+        # down through the anchors, and T(a,bc)'s walk from a = 3; at z = 0 the walk stops with
+        # the kernel's DomainError at the first a <= 0
+        walk = sf._GammaLadder(z).walk(start)
         for i in range(91):
-            a = start + i * step
+            a = start - i
             try:
                 want = sf.upper_incomplete_gamma(a, z)
             except DomainError:
@@ -409,7 +408,7 @@ class TestGammaLadder:
         ladder = sf._GammaLadder(0.001)
         walked = []
         with pytest.raises(CapacityError, match="overflow"):
-            for g in ladder.walk(-3.0, -1):
+            for g in ladder.walk(-3.0):
                 walked.append(g)
         assert len(walked) > 90
         for i, g in enumerate(walked):
@@ -429,7 +428,7 @@ class TestGammaLadder:
         calls.clear()
         ladder = sf._GammaLadder(z)
         for start in (30.0, 29.5):
-            list(itertools.islice(ladder.walk(start, -1), 91))
+            list(itertools.islice(ladder.walk(start), 91))
         assert calls == [-complex(z)]
 
     def test_chain_stays_valid_after_an_overflow(self):

@@ -286,11 +286,32 @@ class TestTheorem6:
     ], ids=["P12-root", "P22-root"])
     def test_series_sums_through_a_polynomial_root(self, p):
         # the term at the root is ~0 beside the terms before it, so its rounding costs the sum
-        # nothing: the series guard measures it against the largest term, not against itself
+        # nothing: the series guard measures the terms' rounding against their sum
         ev = th.theorem6_eval(2, p)
         want = th._theorem6_closed(2, p)
         assert ev.converged
         assert abs(ev.value - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("sign", [-1, 1], ids=["negative-C", "positive-C"])
+    def test_large_x2_values_keep_their_digits_or_raise(self, sign):
+        # at x2 in [10, 60] the terms outgrow their sum by up to ~1e5, so a guard on each term
+        # alone, or on the largest term, lets values 1e-10 to 2e-8 off through as converged
+        rng = random.Random(3)
+        kept = 0
+        for _ in range(100):
+            C, k = sign * rng.uniform(0.05, 4.0), rng.uniform(0.05, 1.0)
+            p = YukawaFormParams(B=rng.choice((-1, 1)) * rng.uniform(0.01, 0.5) * abs(C) / k**2,
+                                 C=C, k=k, x2=rng.uniform(10, 60))
+            for j in (2, 3):
+                try:
+                    ev = th.theorem6_eval(j, p)
+                except RangeError:
+                    continue
+                if ev.converged:
+                    want = th._theorem6_closed(j, p)
+                    assert abs(ev.value - want) <= 1e-10 * abs(want), (j, p)
+                    kept += 1
+        assert kept >= 120
 
     @pytest.mark.parametrize("C", [0.7, -0.4, 0.3 + 0.2j], ids=["positive", "negative", "complex"])
     def test_j0_j1_match_the_bessel_k_form(self, C):
