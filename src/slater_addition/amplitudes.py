@@ -9,7 +9,7 @@ the general-k overlap of two Slater orbitals with one shifted centre and a
 plane wave.  This module provides its exact closed forms at k = 0, the
 adaptive-quadrature oracle for general k, the Macdonald-series terms in the
 variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) together with their erf and
-incomplete-gamma closed forms, the Kummer-series specialisation at
+incomplete-gamma closed forms, the spherical-Bessel series specialisation at
 eta1 = eta2, one angular integral with a split real/imaginary branch, and
 the double-series reconstructions of the k = 0 closed forms.
 """
@@ -32,7 +32,7 @@ from .specfun import (
     factorial,
     gamma_real_cache,
     k_half_coef,
-    kummer_1f1,
+    spherical_bessel_walk,
     upper_incomplete_gamma,
 )
 from .theorems import (
@@ -284,20 +284,23 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
 
 def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = None,
                     policy: TruncationPolicy | None = None) -> SeriesEvaluation:
-    """Equal-exponent amplitude as a Kummer-function series: theorem 1 with
+    """Equal-exponent amplitude as a spherical-Bessel series: theorem 1 with
     B = tau(1 - tau), C = eta1^2 integrated against 2 pi e^{-i (k.x2) tau} over
-    tau in [0, 1], term by term (DLMF 13.4.1):
+    tau in [0, 1], term by term (DLMF 13.4.1), gives 1F1(n+1; 2n+2; -2iy) = e^{-iy} g_n(y)
+    with y = k.x2/2 and g_n = (2n+1)!! j_n(y)/y^n (DLMF 13.6(iii), 10.47), so
 
-        2 pi sum_n n!^2/(2n+1)! theorem1_term(n; B = 1, C = eta1^2, k, x2) 1F1(n+1; 2n+2; -i k.x2).
+        2 pi e^{-iy} sum_n n!^2/(2n+1)! g_n(y) theorem1_term(n; B = 1, C = eta1^2, k, x2),
 
+    with e^{-iy} taken once and every g_n from one spherical_bessel_walk(y) (|k.x2| <= 2000).
     B <= 1/4 on [0, 1], so it converges for k < 2 eta1; its terms shrink like (k / 2 eta1)^{2n},
     and from k / eta1 ~ 1.65-1.7 on the default 60-term budget runs out and it is returned flagged.
     """
     pair = SlaterPair(eta1, eta1, x2, k, k_dot_x2)
     p = YukawaFormParams(1.0, eta1**2, k, x2)
-    terms = (TWO_PI * factorial(n) ** 2 / factorial(2 * n + 1) * t
-             * kummer_1f1(n + 1, 2 * n + 2, -1j * pair.k_dot_x2)
-             for n, t in enumerate(_macdonald_terms(p, 0)))
+    y = pair.k_dot_x2 / 2.0
+    phase = TWO_PI * cmath.exp(-1j * y)
+    terms = (phase * (factorial(n) ** 2 / factorial(2 * n + 1)) * g * t
+             for n, (g, t) in enumerate(zip(spherical_bessel_walk(y), _macdonald_terms(p, 0))))
     return _series_eval(terms, p, policy)
 
 

