@@ -331,7 +331,7 @@ TARGETS: dict[str, Target] = {
         lambda c, eta, x1, x2, cos_theta, n_terms=60: theorems.two_range_mos_eval(
             eta, x1, x2, cos_theta, n_terms),
         lambda c, n_terms, **p: theorems._slater_direct(CorollaryConfig("C4", **p)),
-        ("two_range_mos_eval", "two_range_mos_terms", "bessel_i_half"),
+        ("two_range_mos_eval", "two_range_mos_terms", "bessel_i_walk"),
     ),
     "s1_coulomb": Target(
         lambda c, eta1, x2: amplitudes.s1_coulomb_closed(eta1, x2),

@@ -13,11 +13,11 @@ inserting the derivative-form addition theorem (the exponential carries no
 C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
 removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
 [0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
-is one walk: the Gamma(a, 4R) values are read off one validated walk down the
-incomplete-gamma ladder as the increments need them, each Bessel I value and
-constant row is computed once per series, and each increment's J-terms come
-from one call.  It decays algebraically after a few terms; stall_detector
-quantifies the plateau the way the convergence study reports it.
+reads its Gamma(a, 4R) values off one walk down the incomplete-gamma ladder and
+its I_{k+1/2}(R) off one downward Bessel-I sweep, each only as far as the
+increments need, and forms each increment as two dot products over one cached
+row of R-free constants.  It decays algebraically after a few terms;
+stall_detector quantifies the plateau the way the convergence study reports it.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import _GammaLadder, bessel_i_half, exp_integral_ei, gamma_real_cache, k_half_coef
+from .specfun import _GammaLadder, bessel_i_half, bessel_i_walk, exp_integral_ei, k_half_coef
 from .theorems import SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
@@ -44,11 +45,16 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+# the series' smallest R: below it Gamma(-2, 4R) ~ 1/(32 R^2), read by increment 2, leaves
+# double precision, and T(a,bc) = 3/8 - O(R^2) is 3/8 to double precision anyway
+SERIES_MIN_R = 1e-150
 
 
-def _check_r(name: str, R: float) -> None:
+def _check_r(name: str, R: float, low: float = 0.0) -> None:
     if not (math.isfinite(R) and R > 0):
         raise DomainError(f"{name}: R must be positive and finite, got {R!r}")
+    if R < low:
+        raise DomainError(f"{name}: R = {R!r} is below the series' domain R >= {low:g}")
 
 
 @dataclass(frozen=True)
@@ -146,73 +152,89 @@ def _j_top(n: int) -> int:
     return 0 if n == 0 else n - 1
 
 
+def _check_index(name: str, arg: str, value: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"{name}: {arg} must be an integer >= 0, got {value!r}")
+
+
 @functools.cache
-def _row(n: int) -> tuple[tuple[float, float], ...]:
-    # (sqrt(pi) 2^{J+2n-9/2}, float(k_half_coef(max(n-1, 0), J))) for J = 0..max(n-1, 0): the
-    # R-free constants of increment n, shared by all R
+def _row(n: int) -> tuple[float, ...]:
+    # a_{n,J} = sqrt(pi) 2^{J+2n-9/2} c(max(n-1, 0), J) for J = 0..max(n-1, 0): the R-free
+    # constants of increment n, shared by all R (the Gamma(n+1) of the assembled line cancels
+    # the 1/n! of the source series)
     nt = _j_top(n)
-    return tuple((_SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5), float(k_half_coef(nt, big_j)))
+    return tuple(_SQRT_PI * 2.0 ** (big_j + 2 * n - 4.5) * float(k_half_coef(nt, big_j))
                  for big_j in range(nt + 1))
 
 
-def _terms(n: int, R: float, i_low: float, i_top: float, gammas: list[float],
-           js: slice = slice(None)) -> list[float]:
-    # the (n, J) terms for the J of range(max(n-1, 0) + 1)[js] from I_{n+3/2}(R), I_{n+5/2}(R) and
-    # gammas = [G3, G2, G1, G0, ...] of the first of those J, Gm = Gamma(m - J - n, 4R), so that
-    # each next J reads them one place on; the Gamma(n+1) of the assembled line cancels the 1/n!
-    # of the source series
-    r_2n, r_top, r_low = R ** (2 * n), R ** (-n - 0.5), R ** (-n - 1.5)
-    i_low, r16 = (2 * n + 3) * i_low, 16.0 * R * R
-    return [pow2 * r_2n * coef * (i_top * ((combo := 4.0 * g2 + g3) - r16 * g1) * r_top + i_low * combo * r_low)
-            for (pow2, coef), g3, g2, g1 in zip(_row(n)[js], gammas, gammas[1:], gammas[2:])]
+def _scales(n: int, R: float, i_low: float, i_top: float) -> tuple[float, float]:
+    # R^{2n} (X + Y) and 16 R^{2n+2} X, with X = I_{n+5/2}(R) R^{-n-1/2} = i_top R^{-n-1/2} and
+    # Y = (2n+3) I_{n+3/2}(R) R^{-n-3/2} = (2n+3) i_low R^{-n-3/2}
+    r = R ** (n - 1.5)
+    return r * (R * i_top + (2 * n + 3) * i_low), 16.0 * R**3 * r * i_top
 
 
-def t_abc_term(n: int, big_j: int, R: float, gamma_at=None) -> float:
+def t_abc_term(n: int, big_j: int, R: float) -> float:
     """The (n, J) contribution after both angular moments are expressed in
     modified Bessel I and the lam integral in incomplete gammas:
 
         sqrt(pi) 2^{J+2n-9/2} R^{2n} c(max(n-1, 0), J)
-            [I_{n+2}(R) (4 G2 + G3 - 16 R^2 G1) R^{-n-1/2}
-             + (2n+3) I_{n+1}(R) (4 G2 + G3) R^{-n-3/2}],
+            [I_{n+5/2}(R) (4 G2 + G3 - 16 R^2 G1) R^{-n-1/2}
+             + (2n+3) I_{n+3/2}(R) (4 G2 + G3) R^{-n-3/2}],
 
     with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).
+    Integers n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R = 1e-150
+    (DomainError otherwise).
     """
-    _check_r("t_abc_term", R)
+    _check_r("t_abc_term", R, SERIES_MIN_R)
+    _check_index("t_abc_term", "n", n)
+    _check_index("t_abc_term", "J", big_j)
     nt = _j_top(n)
-    if not 0 <= big_j <= nt:
+    if big_j > nt:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
-    if gamma_at is None:
-        gamma_at = gamma_real_cache(4.0 * R)
-    i_low, i_top = bessel_i_half(n + 1, R), bessel_i_half(n + 2, R)
-    a = -big_j - n
-    g1, g2, g3 = gamma_at(a + 1), gamma_at(a + 2), gamma_at(a + 3)
-    return _terms(n, R, i_low, i_top, [g3, g2, g1], slice(big_j, big_j + 1))[0]
+    k = n + big_j  # the walk from Gamma(3, 4R) reads Gamma(3 - k, 4R) at index k
+    g3, g2, g1 = itertools.islice(_GammaLadder(4.0 * R).walk(3.0 - k), 3)
+    p, q = _scales(n, R, bessel_i_half(n + 1, R), bessel_i_half(n + 2, R))
+    return _row(n)[big_j] * (p * (4.0 * g2 + g3) - q * g1)
 
 
 def t_abc_series(R: float, n_max: int = 20,
                  policy: TruncationPolicy | None = None) -> SeriesEvaluation:
-    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term.
+    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term, taken as
 
-    One walk serves the whole series, each list grown as n rises: the
-    Gamma(a, 4R) values of the integer orders a = 3, 2, 1, 0, -1, ..., read
-    off one validated walk down the incomplete-gamma ladder only as far as
-    step n needs them (a = 1 - max(n-1, 0) - n), I_{k+1/2}(R) for
-    k = 1..n_max+2 (step n reads k = n+1 and n+2), and one cached row of
-    R-free constants per n; each step's J-terms come from one call.
-    Convergence plateaus (dominated by the J = n-1 term) rather than failing
-    outright; run stall_detector on the result to size the plateau.
+        R^{2n} (X + Y) sum_J a_{n,J} C_{n+J} - 16 R^{2n+2} X sum_J a_{n,J} G_{n+J+2},
+
+    two dot products over one cached row a_{n,J} of R-free constants, with
+    G_k = Gamma(3 - k, 4R), C_k = 4 G_{k+1} + G_k, and X, Y the I_{n+5/2} and
+    I_{n+3/2} parts of t_abc_term.  The G_k come from one walk down the
+    incomplete-gamma ladder and the I_{k+1/2}(R) from one bessel_i_walk, each
+    read only as far as the increments need.  Increments agree with the
+    J-sums of t_abc_term to rounding, and with 40-digit mpmath to 2.5e-15
+    relative for R in [0.001, 2.5] (1e-14 at R = 7).  Integer n_max >= 0 and
+    R >= SERIES_MIN_R = 1e-150 (DomainError otherwise).  Convergence
+    plateaus (dominated by the J = n-1 term) rather than failing outright;
+    run stall_detector on the result to size the plateau.
     """
-    _check_r("t_abc_series", R)
+    _check_r("t_abc_series", R, SERIES_MIN_R)
+    _check_index("t_abc_series", "n_max", n_max)
     walk = _GammaLadder(4.0 * R).walk(3.0)
+    i_walk = bessel_i_walk(R)
 
     def increments():
-        gammas: list[float] = []  # gammas[k] = Gamma(3 - k, 4R)
-        i_low = bessel_i_half(1, R)
+        gammas: list[float] = []  # G_k
+        combos: list[float] = []  # C_k
+        next(i_walk)  # I_{1/2}
+        i_low = next(i_walk)
         for n in range(n_max + 1):
-            nt = _j_top(n)
-            gammas.extend(g.real for g in itertools.islice(walk, nt + n + 3 - len(gammas)))
-            i_top = bessel_i_half(n + 2, R)
-            yield math.fsum(_terms(n, R, i_low, i_top, gammas[n:]))
+            row = _row(n)
+            for g in itertools.islice(walk, n + len(row) + 2 - len(gammas)):
+                if gammas:
+                    combos.append(4.0 * g + gammas[-1])
+                gammas.append(g)
+            i_top = next(i_walk)
+            p, q = _scales(n, R, i_low, i_top)
+            yield p * math.fsum(map(operator.mul, row, combos[n:])) - q * math.fsum(
+                map(operator.mul, row, gammas[n + 2:]))
             i_low = i_top
 
     return accumulate_series(increments(), policy)

@@ -1,7 +1,8 @@
 """Special-function kernel over complex arguments.
 
 Self-contained double-precision routines for the half-integer Bessel
-functions, a walk over the spherical Bessel functions j_n(y) / y^n,
+functions (with one downward sweep over the orders of I), a walk over the
+spherical Bessel functions j_n(y) / y^n,
 Legendre/Hermite polynomials, the upper incomplete gamma
 function at integer and half-integer first argument, the complex error
 function, the Kummer confluent hypergeometric series, the exponential
@@ -29,6 +30,7 @@ __all__ = [
     "double_factorial",
     "bessel_k_half",
     "bessel_i_half",
+    "bessel_i_walk",
     "spherical_bessel_walk",
     "legendre_walk",
     "legendre_p",
@@ -43,10 +45,19 @@ __all__ = [
 
 # Largest n with n! representable in double precision (170! ~ 7.3e306).
 FACTORIAL_LIMIT = 170
+# bessel_i_half's last order: (2n+1)!! within FACTORIAL_LIMIT
+BESSEL_I_MAX_ORDER = (FACTORIAL_LIMIT - 1) // 2
+# top order of bessel_i_walk's first block; each later top doubles
+BESSEL_I_FIRST_TOP = 16
 # Largest |y| spherical_bessel_walk takes: its first block sweeps ~|y| orders.
 SPHERICAL_BESSEL_ARG_LIMIT = 1000.0
 # Recurrence depth bound for the incomplete gamma chains.
 GAMMA_RECURRENCE_LIMIT = 400
+# fewest orders an incomplete-gamma chain grows by ahead of a walk that ran past its end
+GAMMA_BLOCK = 16
+# real z from which Gamma(a, z) at a < 0 comes from the continued fraction at a: the
+# downward walk loses ~z/|a| per step there (2.8e-14 at z = 7, 2.7e-5 at z = 28)
+GAMMA_CF_REAL_Z = 5.0
 # levels past the converged Lentz depth at which _gamma_cf starts its backward evaluation (real z)
 CF_EXTRA_DEPTH = 5
 # kummer_1f1's Taylor cut-off, term budget, and largest accepted max|term|/|sum| (~5 digits lost)
@@ -58,6 +69,7 @@ KUMMER_CANCELLATION_LIMIT = 1e5
 MEIJER_CUT = 42.0
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _LOG_DBL_MIN = math.log(sys.float_info.min)
+_DBL_MIN = sys.float_info.min
 
 _SQRT_PI = math.sqrt(math.pi)
 _FACT: list[int] = [1, 1]
@@ -173,6 +185,34 @@ def bessel_i_half(n: int, x: float) -> float:
         k += 1
         if k > 500:
             raise TruncationError("bessel_i_half series did not converge")
+
+
+def bessel_i_walk(x: float) -> Iterator[float]:
+    """I_{1/2}(x), I_{3/2}(x), I_{5/2}(x), ...: bessel_i_half(n, x) for n = 0, 1, 2, ... from one
+    downward sweep I_{n-1/2} = I_{n+3/2} + (2n+1)/x I_{n+1/2} (DLMF 10.29.1; downward is I's
+    stable direction).  The sweep runs in blocks of orders lo ... top, top = 16, 32, 64 and then
+    BESSEL_I_MAX_ORDER - 1 = 83, each seeded by bessel_i_half at top and top + 1, so no order
+    far past the last one taken is evaluated.  Where a seed is not a normal double, or a block
+    overflows, that block comes from bessel_i_half order by order, as does order 84.  Errors
+    are bessel_i_half's, raised by the first block that has them: DomainError for x not
+    positive and finite, CapacityError past order 84 and where I_{n+1/2}(x) overflows (x ~ 714).
+    Measured against 40-digit mpmath.besseli for orders <= 84 and x in [1e-3, 50], the
+    relative error is at most 1.8e-15 wherever I_{n+1/2}(x) is a normal double."""
+    lo, top = 0, BESSEL_I_FIRST_TOP
+    while lo < BESSEL_I_MAX_ORDER:
+        top = min(top, BESSEL_I_MAX_ORDER - 1)
+        i, i_up = bessel_i_half(top, x), bessel_i_half(top + 1, x)
+        block = [i]  # I_{top+1/2}, ..., I_{lo+1/2}
+        if i_up >= _DBL_MIN:
+            for n in range(top, lo, -1):
+                i_up, i = i, i_up + (2 * n + 1) / x * i
+                block.append(i)
+        if len(block) == top - lo + 1 and i < math.inf:  # the lowest order is the largest
+            yield from reversed(block)
+        else:
+            yield from map(bessel_i_half, range(lo, top + 1), itertools.repeat(x))
+        lo, top = top + 1, 2 * top
+    yield from map(bessel_i_half, itertools.count(lo), itertools.repeat(x))
 
 
 def spherical_bessel_walk(y: float) -> Iterator[float]:
@@ -382,10 +422,13 @@ class _GammaLadder:
     """Gamma(a, z) at one fixed z, each order on one of four chains walked
     from its anchor (integers up from 1, down from 0; half-integers both ways
     from 1/2; the two chains of one anchor share its value).  A chain keeps
-    every value it has walked through, so a series visiting many orders walks
-    each chain once, in any request order, and ``walk`` hands out a run of
-    consecutive orders from one validated entry.  e^{-z} is evaluated once, at
-    the first order that needs it, and shared by the anchors and every step."""
+    every value it has walked through and grows in blocks, so a series visiting
+    many orders walks each chain once, in any request order, and ``walk`` hands
+    out a run of consecutive orders from one validated entry.  At real z the
+    chains run in float arithmetic, and from z >= GAMMA_CF_REAL_Z the orders
+    a < 0 come from the continued fraction at a (DLMF 8.9), not from the
+    downward step.  e^{-z} is evaluated once, at the first order that needs
+    it, and shared by the anchors and every step."""
 
     def __init__(self, z: complex | float):
         self.z = complex(z)
@@ -393,16 +436,67 @@ class _GammaLadder:
             raise DomainError(f"upper_incomplete_gamma: z = {self.z} is not finite")
         self._emz: complex | None = None
         # (anchor, direction) -> [Gamma(anchor), Gamma(anchor + direction), ...]
-        self._chains: dict[tuple[float, int], list[complex]] = {}
+        self._chains: dict[tuple[float, int], list] = {}
 
-    def __call__(self, a: float) -> complex:
+    def __call__(self, a: float) -> complex | float:
         return next(self.walk(a))
 
-    def walk(self, a: float) -> Iterator[complex]:
-        """Gamma(a, z), Gamma(a - 1, z), Gamma(a - 2, z), ..., a and z validated once.  Each order
-        is read off its chain, walked a step further where needed, only when the walk reaches it,
-        and checked as a single order is: DomainError at z = 0 for a <= 0, CapacityError past
-        GAMMA_RECURRENCE_LIMIT, where the walk overflows, or on an inf or NaN."""
+    def _grow(self, anchor: float, direction: int, need: int, a: float, ahead: bool) -> list:
+        """The chain of (anchor, direction) through index need <= GAMMA_RECURRENCE_LIMIT, grown
+        in one block checked once: past the first entry that overflows or is not finite the
+        block is dropped, and CapacityError is raised only if that leaves index need out (a is
+        the order asked).  The block ends at index need or, for a walk that has run past the
+        chain's end, further ahead: at twice the chain's length and GAMMA_BLOCK entries on."""
+        key = (anchor, direction)
+        chain = self._chains.get(key)
+        if chain is not None and len(chain) > need:
+            return chain
+        z, real = self.z, self.z.imag == 0
+        try:
+            emz = self._emz
+            if emz is None:
+                emz = self._emz = cmath.exp(-z)
+            if chain is None:  # the anchor walked the other way is the same value
+                twin = self._chains.get((anchor, -direction))
+                g = twin[0] if twin else _gamma_anchor(anchor, z, emz)
+                chain = self._chains[key] = [g.real if real else g]
+            start = len(chain)
+            if start > need:
+                return chain
+            if real:
+                z, emz = z.real, emz.real
+            g, b = chain[-1], anchor + direction * (start - 1)
+            stop = max(need + 1, 2 * start, start + GAMMA_BLOCK) if ahead else need + 1
+            count = range(min(stop, GAMMA_RECURRENCE_LIMIT + 1) - start)
+            if direction > 0:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
+                for _ in count:
+                    g = b * g + z**b * emz
+                    b += 1.0
+                    chain.append(g)
+            elif real and z >= GAMMA_CF_REAL_Z:
+                for _ in count:
+                    b -= 1.0
+                    chain.append(_gamma_cf(b, z, emz).real)
+            else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
+                for _ in count:
+                    b -= 1.0
+                    g = (g - z**b * emz) / b
+                    chain.append(g)
+        except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
+            if chain is None or len(chain) <= need:
+                raise CapacityError(f"upper_incomplete_gamma: the walk to a = {a} overflows") from exc
+        finite = math.isfinite if real else cmath.isfinite
+        if not all(map(finite, chain[start:])):
+            del chain[next(i for i in range(start, len(chain)) if not finite(chain[i])):]
+            if len(chain) <= need:
+                raise CapacityError("upper_incomplete_gamma overflowed double precision")
+        return chain
+
+    def walk(self, a: float) -> Iterator[complex | float]:
+        """Gamma(a, z), Gamma(a - 1, z), Gamma(a - 2, z), ..., a and z validated once, as floats
+        at real z > 0.  Each order is read off its chain, grown where needed only when the walk
+        reaches it, and checked as a single order is: DomainError at z = 0 for a <= 0,
+        CapacityError past GAMMA_RECURRENCE_LIMIT, where the walk overflows, or on an inf or NaN."""
         if not math.isfinite(a):
             raise DomainError(f"upper_incomplete_gamma: a = {a} is not finite")
         two_a = round(2 * a)
@@ -422,36 +516,25 @@ class _GammaLadder:
                 yield complex(g)
         while True:
             a = two_a / 2.0
-            anchor = 0.5 if two_a % 2 else (1.0 if a >= 1 else 0.0)
-            direction = 1 if a >= anchor else -1
-            steps, key = int(round(abs(a - anchor))), (anchor, direction)
-            chain = self._chains.get(key)
-            while steps >= 0:  # the orders on this chain, until the walk passes its anchor
+            if two_a % 2:
+                anchor, direction = 0.5, (1 if a > 0 else -1)
+            else:
+                anchor, direction = (1.0, 1) if a >= 1 else (0.0, -1)
+            steps, ahead = int(round(abs(a - anchor))), False
+            while True:  # the orders on this chain, until the walk passes its anchor
                 if steps > GAMMA_RECURRENCE_LIMIT:
                     raise CapacityError(f"upper_incomplete_gamma: recurrence depth {steps} exceeds "
                                         f"bound {GAMMA_RECURRENCE_LIMIT}")
-                try:
-                    emz = self._emz
-                    if emz is None:
-                        emz = self._emz = cmath.exp(-z)
-                    if chain is None:  # the anchor walked the other way is the same value
-                        twin = self._chains.get((anchor, -direction))
-                        chain = self._chains[key] = [twin[0] if twin else _gamma_anchor(anchor, z, emz)]
-                    while len(chain) <= steps:
-                        g, b = chain[-1], anchor + direction * (len(chain) - 1)
-                        if direction > 0:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
-                            g = b * g + z**b * emz
-                        else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
-                            g = (g - z ** (b - 1.0) * emz) / (b - 1.0)
-                        chain.append(g)
-                except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
-                    raise CapacityError(f"upper_incomplete_gamma: the walk to a = {two_a / 2.0} overflows") from exc
-                g = chain[steps]
-                if not cmath.isfinite(g):
-                    raise CapacityError("upper_incomplete_gamma overflowed double precision")
-                yield g
-                steps -= direction
-                two_a -= 2
+                chain = self._grow(anchor, direction, steps, two_a / 2.0, ahead)
+                yield chain[steps]
+                if direction > 0:  # down to the anchor
+                    yield from map(chain.__getitem__, range(steps - 1, -1, -1))
+                    two_a -= 2 * (steps + 1)
+                    break
+                stop = len(chain)  # away from the anchor, as far as the chain reaches
+                yield from map(chain.__getitem__, range(steps + 1, stop))
+                two_a -= 2 * (stop - steps)
+                steps, ahead = stop, True
 
 
 def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
@@ -466,8 +549,12 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     leaves double precision, CapacityError is raised.  E_1(z) = Gamma(0, z)
     at real z in [1e-3, 700] is within 2e-15 relative of mpmath.e1 (measured
     worst 9.5e-16 over 85,000 points, from the series just below z = 1).
+    At real z >= GAMMA_CF_REAL_Z = 5, a < 0 is evaluated by the continued
+    fraction at a, since the downward step loses ~z/|a| per order there: over
+    a in [-60, -0.5] and z in [5, 100] it is within 3.4e-16 of 80-digit mpmath
+    (measured worst 3.3e-16) wherever the value is a normal double.
     """
-    return _GammaLadder(z)(a)
+    return complex(_GammaLadder(z)(a))
 
 
 def gamma_real_cache(z: complex | float) -> Callable[[float], float]:

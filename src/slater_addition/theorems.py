@@ -34,8 +34,8 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError, PoleError, RangeError
 from .specfun import (
-    FACTORIAL_LIMIT,
-    bessel_i_half,
+    BESSEL_I_MAX_ORDER,
+    bessel_i_walk,
     bessel_k_half,
     cos_power_to_legendre,
     factorial,
@@ -67,8 +67,9 @@ __all__ = [
 TAIL_WINDOW = 2
 # largest eps * sum|term| / |sum| a theorem-6 term's polynomial or a theorem-4 block may return
 DERIVATIVE_REL_TOL = 1e-11
-# two_range_mos_terms' largest n_terms: I_{n+1/2} needs (2n+1)!! within FACTORIAL_LIMIT
-TWO_RANGE_MAX_TERMS = (FACTORIAL_LIMIT - 1) // 2 + 1
+# two_range_mos_terms' largest n_terms: orders 0..84, bessel_i_walk's last (its seeds take
+# (2n+1)!! within FACTORIAL_LIMIT)
+TWO_RANGE_MAX_TERMS = BESSEL_I_MAX_ORDER + 1
 
 
 @dataclass(frozen=True)
@@ -136,32 +137,29 @@ def accumulate_series(terms: Iterable[complex],
     to TruncationPolicy().
     """
     policy = policy or TruncationPolicy()
+    rel_tol = policy.rel_tol
     out_terms: list[complex] = []
     partials: list[complex] = []
     s = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     small_run = 0
-    converged = False
-    it = iter(terms)
-    for _ in range(policy.max_terms):
-        try:
-            t = complex(next(it))
-        except StopIteration:
-            converged = True
-            break
+    for t in itertools.islice(terms, policy.max_terms):
+        t = complex(t)
         y = t - comp
         new_s = s + y
         comp = (new_s - s) - y
         s = new_s
         out_terms.append(t)
         partials.append(s)
-        if abs(t) <= policy.rel_tol * abs(s):
+        if abs(t) <= rel_tol * abs(s):
             small_run += 1
             if small_run >= TAIL_WINDOW:
                 converged = True
                 break
         else:
             small_run = 0
+    else:  # a generator that stops inside the budget is finite
+        converged = len(out_terms) < policy.max_terms
     if not out_terms:
         raise DomainError("accumulate_series: empty series")
     return SeriesEvaluation(
@@ -436,9 +434,10 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
 
         x1^{-1/2} x2^{-1/2} (2n+1) P_n(cos) I_{n+1/2}(eta x_<) K_{n+1/2}(eta x_>).
 
-    1 <= n_terms <= TWO_RANGE_MAX_TERMS = 85: order 84 is bessel_i_half's last
+    1 <= n_terms <= TWO_RANGE_MAX_TERMS = 85: order 84 is bessel_i_walk's last
     (CapacityError beyond).  P_0 ... P_{n_terms-1} come from one legendre_walk, which
-    raises DomainError for cos_theta outside [-1, 1] or NaN.
+    raises DomainError for cos_theta outside [-1, 1] or NaN, and the I_{n+1/2} from one
+    bessel_i_walk.
     """
     if eta <= 0 or x1 <= 0 or x2 <= 0:
         raise DomainError("two_range_mos: eta, x1, x2 must be positive")
@@ -446,7 +445,7 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
         raise DomainError("two_range_mos: n_terms must be >= 1")
     if n_terms > TWO_RANGE_MAX_TERMS:
         raise CapacityError(f"two_range_mos: n_terms = {n_terms} exceeds {TWO_RANGE_MAX_TERMS}, "
-                            "past the last order bessel_i_half holds")
+                            "past the last order bessel_i_walk holds")
     if x1 == x2:
         warnings.warn(
             "two_range_mos at x1 = x2: evaluated on the boundary of the stated "
@@ -459,9 +458,9 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
         pref
         * (2 * n + 1)
         * legendre
-        * bessel_i_half(n, eta * lo)
+        * i_half
         * bessel_k_half(n, eta * hi).real
-        for n, legendre in zip(range(n_terms), legendre_walk(cos_theta))
+        for n, legendre, i_half in zip(range(n_terms), legendre_walk(cos_theta), bessel_i_walk(eta * lo))
     ]
 
 

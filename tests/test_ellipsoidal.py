@@ -17,8 +17,22 @@ from slater_addition.ellipsoidal import (
     _t_abc_oracle_integrand,
 )
 from slater_addition.errors import DomainError
-from slater_addition.specfun import bessel_i_half, gamma_real_cache
+from slater_addition.specfun import bessel_i_half, k_half_coef
 from slater_addition.theorems import SeriesEvaluation
+
+
+def _mp_increment(mpmath, n, R):
+    """Increment n of the T(a,bc) series as the J-sum of t_abc_term's formula, in mpmath."""
+    R = mpmath.mpf(R)
+    i_top, i_low = mpmath.besseli(n + 2.5, R), mpmath.besseli(n + 1.5, R)
+    total = 0
+    for big_j in range(max(n, 1)):
+        g1, g2, g3 = (mpmath.gammainc(m - big_j - n, 4 * R) for m in (1, 2, 3))
+        total += (mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** (big_j + 2 * n - 4.5) * R ** (2 * n)
+                  * k_half_coef(max(n - 1, 0), big_j)
+                  * (i_top * (4 * g2 + g3 - 16 * R**2 * g1) * R ** (-n - 0.5)
+                     + (2 * n + 3) * i_low * (4 * g2 + g3) * R ** (-n - 1.5)))
+    return total
 
 
 def _fake_eval(terms):
@@ -134,41 +148,71 @@ class TestSeries:
             rest = sum(abs(t_abc_term(n, j, R)) for j in range(n - 1))
             assert top > rest
 
-    def test_term_default_gamma_is_the_shared_cache(self):
-        R = 0.11
-        gamma_at = gamma_real_cache(4.0 * R)
-        for n in range(6):
-            for big_j in range(max(n, 1)):
-                assert t_abc_term(n, big_j, R) == t_abc_term(n, big_j, R, gamma_at)
-
     def test_j_bound_enforced(self):
         with pytest.raises(DomainError):
             t_abc_term(0, 1, 0.11)
         with pytest.raises(DomainError):
             t_abc_term(3, 3, 0.11)
 
-    def test_series_increments_are_fsums_of_public_terms(self):
-        # the series hoists the J-invariant factors; the public term must not drift from it
-        for R in (0.003, 0.05, 0.11, 0.37, 0.8, 1.1, 2.5, 7.0):
-            gamma_at = gamma_real_cache(4.0 * R)
-            ev = t_abc_series(R, n_max=20)
+    @pytest.mark.parametrize("route", [
+        lambda: t_abc_term(2.0, 1, 0.11), lambda: t_abc_term(2, 1.0, 0.11),
+        lambda: t_abc_term(True, 0, 0.11), lambda: t_abc_term(1, False, 0.11),
+        lambda: t_abc_term(-1, 0, 0.11), lambda: t_abc_series(0.11, n_max=True),
+        lambda: t_abc_series(0.11, n_max=-1), lambda: t_abc_series(0.11, n_max=2.0),
+    ])
+    def test_indices_must_be_integers(self, route):
+        # floats, bools and negative values are not indices
+        with pytest.raises(DomainError, match=r"t_abc_(term|series): (n|J|n_max) must be an integer"):
+            route()
+
+    @pytest.mark.parametrize("route", [t_abc_series, lambda R: t_abc_term(0, 0, R)])
+    @pytest.mark.parametrize("R", [1e-300, 1e-200, 9e-151])
+    def test_below_the_series_floor(self, route, R):
+        # Gamma(-2, 4R) leaves double precision below R ~ 1e-155, R^{-3/2} below ~1e-205
+        with pytest.raises(DomainError, match="R >= 1e-150"):
+            route(R)
+
+    @pytest.mark.parametrize("R", [1e-150, 1e-50, 1e-10])
+    def test_tiny_separation_is_three_eighths(self, R):
+        # T(a,bc) = 3/8 - O(R^2)
+        ev = t_abc_series(R)
+        assert ev.converged and ev.value.real == pytest.approx(0.375, rel=1e-15)
+
+    @pytest.mark.parametrize("R", [0.001, 0.003, 0.05, 0.11, 0.49, 0.51, 1.1, 2.5, 7.0])
+    def test_series_increments_are_j_sums_of_public_terms(self, R):
+        # the series takes each increment as two dot products; the public term, one J at a time
+        ev = t_abc_series(R, n_max=20)
+        for n, got in enumerate(ev.terms):
+            want = math.fsum(t_abc_term(n, big_j, R) for big_j in range(max(n, 1)))
+            assert got.imag == 0.0 and abs(got.real - want) <= 2e-15 * abs(want), (R, n)
+
+    @pytest.mark.parametrize("R, tol", [
+        (0.001, 2.5e-15), (0.003, 2.5e-15), (0.05, 2.5e-15), (0.11, 2.5e-15), (0.49, 2.5e-15),
+        (0.51, 2.5e-15), (1.1, 2.5e-15), (2.5, 2.5e-15),
+        (7.0, 1e-14),  # 4R = 28: Gamma(a < 0, 4R) from the continued fraction at a
+    ])
+    def test_series_increments_vs_mpmath(self, R, tol):
+        mpmath = pytest.importorskip("mpmath")
+        ev = t_abc_series(R, n_max=20)
+        with mpmath.workdps(40):
             for n, got in enumerate(ev.terms):
-                want = math.fsum(t_abc_term(n, big_j, R, gamma_at) for big_j in range(max(n, 1)))
-                assert got == want, (R, n)
+                want = _mp_increment(mpmath, n, R)
+                assert float(abs((got.real - want) / want)) <= tol, (R, n)
 
-
-    @pytest.mark.parametrize("n_max", [0, 1, 5, 20])
-    def test_series_walks_each_bessel_i_once(self, n_max, monkeypatch):
-        # I_{k+1/2}(R) for k = 1..n_max+2: step n's I_{n+2} is step n+1's I_{n+1}
+    @pytest.mark.parametrize("n_max, seeds", [(0, [16, 17]), (1, [16, 17]), (14, [16, 17]),
+                                              (20, [16, 17, 32, 33])])
+    def test_series_calls_bessel_i_only_for_seeds(self, n_max, seeds, monkeypatch):
+        # I_{k+1/2}(R), k = 1..n_max+2, come from one downward sweep seeded at the block tops
         orders = []
 
         def counted(k, x):
             orders.append(k)
             return bessel_i_half(k, x)
 
+        monkeypatch.setattr(specfun, "bessel_i_half", counted)
         monkeypatch.setattr(ellipsoidal, "bessel_i_half", counted)
-        t_abc_series(0.37, n_max=n_max)
-        assert orders == list(range(1, n_max + 3))
+        assert t_abc_series(0.37, n_max=n_max).terms_used == n_max + 1
+        assert orders == seeds
 
     @pytest.mark.parametrize("R", [0.05, 0.7, 7.0])
     def test_series_enters_the_gamma_ladder_once(self, R, monkeypatch):
@@ -190,13 +234,12 @@ class TestSeries:
         assert len(entries) <= 4, entries
 
     @pytest.mark.parametrize("R, value, terms_used, converged", [
-        # bits recorded with one ladder call per Gamma order; reading the orders off one walk
-        # must not move them
-        (0.05, "0x1.7c76fc4c40399p-2", 21, True),
-        (0.49, "0x1.c8240c9dac696p-3", 21, True),
-        (0.51, "0x1.b91f5e11efe66p-3", 21, True),
-        (1.2, "0x1.bad9fc80958dep-5", 21, True),
-        (7.0, "0x1.ad75ab48ba11ep-27", 21, True),
+        # bits of the dot-product increments over the float Gamma walk and the I sweep
+        (0.05, "0x1.7c76fc4c4039dp-2", 21, True),
+        (0.49, "0x1.c8240c9dac69ap-3", 21, True),
+        (0.51, "0x1.b91f5e11efe64p-3", 21, True),
+        (1.2, "0x1.bad9fc80958dfp-5", 21, True),
+        (7.0, "0x1.ad75ab48b65c0p-27", 21, True),
     ])
     def test_series_values_pinned(self, R, value, terms_used, converged):
         ev = t_abc_series(R, n_max=20)
@@ -206,8 +249,8 @@ class TestSeries:
     @pytest.mark.parametrize("R, n_max, value, terms_used, converged", [
         # the term budget (60) stops the first, the tail rule the second, both far short of
         # the Gamma orders -(2 n_max + 1) that an eager walk to n_max would reach
-        (0.11, 300, "0x1.70b680175e56ep-2", 60, False),
-        (0.0003, 59, "0x1.7ffff6d1e1fe0p-2", 4, True),
+        (0.11, 300, "0x1.70b680175e570p-2", 60, False),
+        (0.0003, 59, "0x1.7ffff6d1e1fdfp-2", 4, True),
     ])
     def test_series_walks_no_deeper_than_it_sums(self, R, n_max, value, terms_used, converged):
         ev = t_abc_series(R, n_max=n_max)

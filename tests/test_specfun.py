@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +174,60 @@ class TestBesselIHalf:
         for n, x in ((0, 800.0), (0, 1e10), (5, 1e200)):
             with pytest.raises(CapacityError, match="overflows"):
                 sf.bessel_i_half(n, x)
+
+
+# x in [1e-3, 50]: tiny, around the T(a,bc) and two-range arguments, and past the orders
+BESSEL_I_XS = (1e-3, 0.003, 0.01, 0.05, 0.11, 0.37, 0.7, 1.0, 1.2, 2.5, 7.0, 13.0, 20.0, 33.0, 50.0)
+
+
+class TestBesselIWalk:
+    def test_vs_mpmath(self):
+        # orders 0..84 across the block edges at 16, 32, 64 and 83, where I is a normal double
+        # (measured worst 1.8e-15)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in BESSEL_I_XS:
+                for n, got in enumerate(itertools.islice(sf.bessel_i_walk(x), 85)):
+                    want = mpmath.besseli(n + mpmath.mpf(1) / 2, x)
+                    if want >= sys.float_info.min:
+                        assert float(abs((got - want) / want)) <= 2e-15, (x, n)
+
+    @pytest.mark.parametrize("x, count, orders", [
+        (0.37, 17, [16, 17]), (0.37, 18, [16, 17, 32, 33]),
+        (50.0, 85, [16, 17, 32, 33, 64, 65, 83, 84, 84]),  # order 84 is the kernel's own
+    ])
+    def test_bessel_i_half_only_at_the_seeds(self, x, count, orders, monkeypatch):
+        called = []
+        kernel = sf.bessel_i_half
+        monkeypatch.setattr(sf, "bessel_i_half", lambda n, x: called.append(n) or kernel(n, x))
+        got = list(itertools.islice(sf.bessel_i_walk(x), count))
+        assert called == orders
+        tops = [n for n in orders[0::2] if n < count]  # each block's top is its seed
+        assert [got[n] for n in tops] == [kernel(n, x) for n in tops]
+
+    @pytest.mark.parametrize("x", [1e-150, 1e-10, 0.003])
+    def test_order_by_order_where_a_seed_underflows(self, x):
+        # a block whose seed I_{top+3/2}(x) is not a normal double comes from bessel_i_half:
+        # all of them at 1e-150, from order 33 at 1e-10, orders 65..83 at 0.003
+        walked = list(itertools.islice(sf.bessel_i_walk(x), 85))
+        fallback = 0
+        for n, got in enumerate(walked):
+            top = next((top for top in (16, 32, 64, 83) if n <= top), 83)
+            if sf.bessel_i_half(top + 1, x) < sys.float_info.min:
+                fallback += 1
+                assert got == sf.bessel_i_half(n, x), n
+        assert fallback >= 19
+        assert walked[0] == pytest.approx(math.sqrt(2.0 / (math.pi * x)) * math.sinh(x), rel=1e-15)
+
+    def test_errors(self):
+        for x in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                next(sf.bessel_i_walk(x))
+        with pytest.raises(CapacityError, match="overflows"):  # I_{1/2}(800) ~ 1e346
+            next(sf.bessel_i_walk(800.0))
+        with pytest.raises(CapacityError):  # past order 84, as bessel_i_half
+            list(itertools.islice(sf.bessel_i_walk(1.0), 86))
+        assert len(list(itertools.islice(sf.bessel_i_walk(1.0), 85))) == 85
 
 
 # y in [-20, 20]: zeros of sin y (g_1 scales the sweep there) and of j_1, j_5 (where g_0 does),
@@ -496,6 +551,29 @@ class TestGammaLadder:
                 for a in orders:
                     want = mpmath.gammainc(a, z)
                     assert float(abs((gamma_at(a) - want) / want)) <= 5e-14, (a, z)
+
+
+    @pytest.mark.parametrize("start", [3.0, 2.5])
+    def test_vs_mpmath_at_large_real_z(self, start):
+        # from z = GAMMA_CF_REAL_Z = 5 the orders a < 0 come from the continued fraction at a,
+        # where the downward walk loses ~z/|a| per step (2.7e-5 over a = 3 ... -41 at z = 28)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for z in (5.0, 10.0, 16.0, 28.0):
+                walk = sf._GammaLadder(z).walk(start)
+                for i in range(45):
+                    want = mpmath.gammainc(start - i, z)
+                    assert float(abs((next(walk) - want) / want)) <= 1e-14, (start - i, z)
+            want = mpmath.gammainc(-15, 40)
+            assert float(abs((sf.upper_incomplete_gamma(-15.0, 40.0).real - want) / want)) <= 1e-14
+
+    def test_walk_below_the_threshold(self, monkeypatch):
+        # the T(a,bc) arguments z = 4R <= 4.8 take only their E_1 anchor from the fraction
+        calls = []
+        cf = sf._gamma_cf
+        monkeypatch.setattr(sf, "_gamma_cf", lambda a, z, emz: calls.append(a) or cf(a, z, emz))
+        list(itertools.islice(sf._GammaLadder(4.8).walk(3.0), 60))
+        assert sf.GAMMA_CF_REAL_Z > 4.8 and calls == [0.0]
 
 
 class TestErfComplex:

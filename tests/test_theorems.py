@@ -12,7 +12,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
 from slater_addition.errors import CapacityError, DomainError, PoleError, RangeError
-from slater_addition.specfun import bessel_i_half, bessel_k_half, cos_power_to_legendre, legendre_p
+from slater_addition.specfun import bessel_i_walk, bessel_k_half, cos_power_to_legendre, legendre_p
 from slater_addition.theorems import (
     CorollaryConfig,
     TruncationPolicy,
@@ -644,13 +644,14 @@ class TestTwoRangeBaseline:
 
     @pytest.mark.parametrize("n_terms", [1, 2, 31])
     @pytest.mark.parametrize("u", [-1.0, 0.0, 1.0, -0.4261, 0.8817])
-    def test_terms_bit_for_bit_per_term_legendre(self, u, n_terms):
+    def test_terms_bit_for_bit_per_term_legendre_and_sweep(self, u, n_terms):
         rng = random.Random(f"{u}/{n_terms}")
         eta, x1, x2 = rng.uniform(0.1, 2.0), rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5)
         lo, hi = min(x1, x2), max(x1, x2)
+        i_half = list(itertools.islice(bessel_i_walk(eta * lo), n_terms))
         want = [
             1.0 / math.sqrt(x1 * x2) * (2 * n + 1) * legendre_p(n, u)
-            * bessel_i_half(n, eta * lo) * bessel_k_half(n, eta * hi).real
+            * i_half[n] * bessel_k_half(n, eta * hi).real
             for n in range(n_terms)
         ]
         assert two_range_mos_terms(eta, x1, x2, u, n_terms) == want
