@@ -335,8 +335,7 @@ def chk_cancellation_metric() -> tuple[bool, str]:
     tr_terms = theorems.two_range_mos_terms(eta, x1, x2, ct, 60)
     tr_metric = max(abs(t) for t in tr_terms) / abs(math.fsum(tr_terms))
     cfg = theorems.CorollaryConfig(variant="C4", eta=eta, x1=x1, x2=x2, cos_theta=ct)
-    ev = theorems.theorem1_eval(theorems.corollary_to_params(cfg))
-    c4_metric = max(abs(t) for t in ev.terms) / abs(ev.value)
+    c4_metric = theorems.theorem1_eval(theorems.corollary_to_params(cfg)).cancellation
     return tr_metric > c4_metric, (
         f"two-range max|term|/|sum| = {tr_metric:.3f} > one-range {c4_metric:.3f}"
     )

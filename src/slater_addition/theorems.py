@@ -16,9 +16,11 @@ geometry, and the classical two-range min/max expansion kept as a baseline.
 The truncation engine shared by every series in the package also lives
 here: Kahan-compensated accumulation that stops once ``TAIL_WINDOW``
 consecutive terms drop below ``rel_tol * |sum|``, or after ``max_terms``
-terms (60 unless a ``TruncationPolicy`` says otherwise).  The theorems'
-series take any k: outside |B k^2| < |C| their terms do not shrink, so they
-come back with ``converged = False``.
+terms (60 unless a ``TruncationPolicy`` says otherwise).  It sums in floats
+while the terms are real, derives partial sums on demand and reports the
+cancellation max|term| / |value|.  At a real C > 0 the theorem series run in
+floats.  The theorems' series take any k: outside |B k^2| < |C| their terms
+do not shrink, so they come back with ``converged = False``.
 """
 
 from __future__ import annotations
@@ -111,19 +113,44 @@ class TruncationPolicy:
             raise DomainError("TruncationPolicy: need max_terms >= 1")
 
 
+DEFAULT_POLICY = TruncationPolicy()
+
+
 @dataclass(frozen=True)
 class SeriesEvaluation:
-    """Ordered term list, partial sums, converged value, truncation diagnostics."""
+    """Ordered terms, value and truncation diagnostics of one series.
+
+    ``terms`` are stored as complex.  ``value`` is accumulate_series' Kahan
+    sum; its imaginary part is 0.0 where every term was real.
+    ``cancellation`` is max|term| / |value| (inf where the value is 0): one
+    rounding (eps) of the largest term moves the value by eps times it,
+    relative to |value|, which ``converged`` does not look at.
+    ``partial_sums`` replays the same Kahan loop over ``terms`` on demand.
+    """
 
     terms: tuple[complex, ...]
-    partial_sums: tuple[complex, ...]
     value: complex
     converged: bool
     terms_used: int
+    cancellation: float
 
     @property
     def real(self) -> float:
         return self.value.real
+
+    @property
+    def partial_sums(self) -> tuple[complex, ...]:
+        """The Kahan partial sums of ``terms``, bit for bit those of accumulate_series; the last
+        is ``value``."""
+        out: list[complex] = []
+        s = comp = 0.0
+        for t in self.terms:
+            y = t - comp
+            new_s = s + y
+            comp = (new_s - s) - y
+            s = new_s
+            out.append(s)
+        return tuple(out)
 
 
 def accumulate_series(terms: Iterable[complex],
@@ -134,24 +161,26 @@ def accumulate_series(terms: Iterable[complex],
     |term| <= rel_tol * |sum|, or until max_terms terms have been
     taken (flagged as not converged).  A generator that simply stops early
     declares its own (exact, degenerate) convergence.  ``policy`` defaults
-    to TruncationPolicy().
+    to DEFAULT_POLICY.  The sum stays in float arithmetic while the terms are
+    real, and the first complex term promotes it; either way the real parts are
+    those of a complex loop bit for bit.  The largest |term| is kept for
+    ``cancellation``.
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or DEFAULT_POLICY
     rel_tol = policy.rel_tol
     out_terms: list[complex] = []
-    partials: list[complex] = []
-    s = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
+    s = comp = peak = 0.0
     small_run = 0
     for t in itertools.islice(terms, policy.max_terms):
-        t = complex(t)
         y = t - comp
         new_s = s + y
         comp = (new_s - s) - y
         s = new_s
-        out_terms.append(t)
-        partials.append(s)
-        if abs(t) <= rel_tol * abs(s):
+        out_terms.append(complex(t))
+        size = abs(t)
+        if size > peak:
+            peak = size
+        if size <= rel_tol * abs(s):
             small_run += 1
             if small_run >= TAIL_WINDOW:
                 converged = True
@@ -164,10 +193,10 @@ def accumulate_series(terms: Iterable[complex],
         raise DomainError("accumulate_series: empty series")
     return SeriesEvaluation(
         terms=tuple(out_terms),
-        partial_sums=tuple(partials),
-        value=partials[-1],
+        value=complex(s),
         converged=converged,
         terms_used=len(out_terms),
+        cancellation=peak / abs(s) if s else math.inf,
     )
 
 
@@ -221,24 +250,29 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
     q_n = sum_J k_half_coef(n, J) (2z)^{-J} obeys K's recurrence q_{n+1} = q_{n-1} + (2n+1)/z q_n
     (DLMF 10.29.1, stable upward), and w_{n,1} = z w_{n-1,0}/(2n).  For j >= 2, a Horner pass over
     the exact _macdonald_coefs(n, j), with RangeError where the terms' rounding so far, the sum of
-    eps sum|beta_p z^p| times each term's scale, exceeds DERIVATIVE_REL_TOL times |their sum|."""
+    eps sum|beta_p z^p| times each term's scale, exceeds DERIVATIVE_REL_TOL times |their sum|.
+
+    A real C > 0 (a float or an int, not a bool) runs the walk in floats and yields floats; any
+    other C runs it in complex arithmetic.  The two agree bit for bit at even j; at odd j,
+    C^{j/2-n-1/2} is an integer power, which libm's pow and the complex power round differently."""
     if isinstance(j, bool) or not isinstance(j, int) or j < 0:
         raise DomainError(f"theorem6_term: j must be an integer >= 0, got {j!r}")
     name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
     if first < 0:
         raise DomainError(f"{name}: n must be >= 0")
-    c = complex(p.C)
+    real = isinstance(p.C, (int, float)) and not isinstance(p.C, bool) and p.C > 0
+    if real:
+        c, sqrt, exp, isfinite = float(p.C), math.sqrt, math.exp, math.isfinite
+    else:
+        c, sqrt, exp, isfinite = complex(p.C), cmath.sqrt, cmath.exp, cmath.isfinite
     if c == 0:
         raise PoleError(f"{name}: C = 0")
-    z = p.x2 * cmath.sqrt(c)
-    decay = cmath.exp(-z)
+    z = p.x2 * sqrt(c)
+    decay = exp(-z)
     if decay == 0:  # P_{n,j}(z) may overflow, but every term is 0
-        yield from itertools.repeat(0j)
+        yield from itertools.repeat(0.0 if real else 0j)
     B, k, z2, r = p.B, p.k, z * z, abs(z)
-    # powers of exact inputs; only where C^{-n-1/2} overflows, (-Bk^2/C)^n (n-fold rounding)
-    scales = (lambda n: (-1.0) ** n * B**n * k ** (2 * n) * c ** (j / 2 - n - 0.5),
-              lambda n: (-B * k**2 / p.C) ** n * c ** (j / 2 - 0.5))
-    w_prev, w, total, err = 1.0, 1.0, 0j, 0.0  # w_{n-1,0}, w_{n,0}, the sum so far, its rounding
+    w_prev, w, total, err = 1.0, 1.0, 0.0, 0.0  # w_{n-1,0}, w_{n,0}, the sum so far, its rounding
     for n in itertools.count():
         if n >= first:
             if j == 0:
@@ -249,16 +283,21 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
                 poly, size = 0.0, 0.0
                 for a in _macdonald_coefs(n, j):
                     poly, size = poly * z + a, size * r + abs(a)
-            for scale in scales:
+            # powers of exact inputs; only where C^{-n-1/2} overflows, (-Bk^2/C)^n (n-fold rounding)
+            try:
+                unit = (-1.0) ** n * B**n * k ** (2 * n) * c ** (j / 2 - n - 0.5) * decay
+                term = unit * poly
+            except OverflowError:
+                term = math.nan
+            if not isfinite(term):
                 try:
-                    unit = scale(n) * decay
+                    unit = (-B * k**2 / p.C) ** n * c ** (j / 2 - 0.5) * decay
                     term = unit * poly
                 except OverflowError:
-                    continue
-                if cmath.isfinite(term):
-                    break
-            else:
-                raise CapacityError(f"{name}: term {n} at x2 sqrt(C) = {z} overflows double precision")
+                    pass
+                if not isfinite(term):
+                    raise CapacityError(f"{name}: term {n} at x2 sqrt(C) = {complex(z)} "
+                                        "overflows double precision")
             if j >= 2:
                 total, err = total + term, err + sys.float_info.epsilon * size * abs(unit)
                 if err > DERIVATIVE_REL_TOL * abs(total):

@@ -36,17 +36,15 @@ def _mp_increment(mpmath, n, R):
 
 
 def _fake_eval(terms):
-    partials = []
     s = 0.0
     for t in terms:
         s += t
-        partials.append(complex(s))
     return SeriesEvaluation(
         terms=tuple(complex(t) for t in terms),
-        partial_sums=tuple(partials),
-        value=partials[-1],
+        value=complex(s),
         converged=False,
         terms_used=len(terms),
+        cancellation=max(map(abs, terms)) / abs(s),
     )
 
 
@@ -245,6 +243,21 @@ class TestSeries:
         ev = t_abc_series(R, n_max=20)
         assert (ev.value.real.hex(), ev.value.imag, ev.terms_used, ev.converged) == (
             value, 0.0, terms_used, converged)
+
+    @pytest.mark.parametrize("R", [0.05, 0.49, 0.51, 1.2, 7.0])
+    def test_partial_sums_replay_the_complex_kahan_loop(self, R):
+        # the partial sums a complex Kahan loop over the terms stored, bit for bit, at the
+        # pinned points; the float loop's value is the last of them
+        ev = t_abc_series(R, n_max=20)
+        want, s, comp = [], 0j, 0j
+        for t in ev.terms:
+            y = complex(t) - comp
+            new_s = s + y
+            comp = (new_s - s) - y
+            s = new_s
+            want.append(s)
+        assert [(v.real.hex(), v.imag) for v in ev.partial_sums] == [(v.real.hex(), v.imag) for v in want]
+        assert ev.value == want[-1]
 
     @pytest.mark.parametrize("R, n_max, value, terms_used, converged", [
         # the term budget (60) stops the first, the tail rule the second, both far short of

@@ -152,6 +152,17 @@ class TestTheorem5:
         assert ev.terms_used == 1
         assert ev.value.real == pytest.approx(math.exp(-0.17 * math.sqrt(0.11)), rel=1e-15)
 
+    def test_cancellation_reported_at_large_x2_positive_c(self):
+        # flagged converged after 58 terms, yet ~1e-8 off the closed form: the terms outgrow
+        # their sum by ~2e7, which the tail-window rule does not see; cancellation does
+        p = YukawaFormParams(B=3.82410352422214, C=4.656851695693855, k=0.4528972375207281,
+                             x2=51.907655532232695)
+        ev = theorem5_eval(p)
+        assert ev.converged and ev.terms_used == 58
+        assert ev.cancellation > 1e6
+        want = th._theorem6_closed(1, p)
+        assert 1e-10 < abs(ev.value - want) / abs(want) <= 1e-14 * ev.cancellation
+
     def test_derivative_link_via_finite_differences(self):
         # -d/dx2 of the theorem-1 sum reproduces the theorem-5 sum
         h = 1e-5
@@ -363,6 +374,13 @@ def _horner_term(n, p, j):
     return scale * cmath.exp(-z) * poly, size / abs(poly)
 
 
+def _eval_or_error(j, p):
+    try:
+        return th.theorem6_eval(j, p)
+    except (CapacityError, RangeError) as exc:
+        return exc
+
+
 class TestMacdonaldWalk:
     @pytest.mark.parametrize("C", [0.7, 2.0, -0.4, -1.5, 0.3 + 0.2j, -0.5 + 1.1j])
     def test_walk_matches_exact_polynomial(self, C):
@@ -375,7 +393,7 @@ class TestMacdonaldWalk:
                     want, _ = _horner_term(n, p, j)
                     assert abs(got - want) <= 1e-14 * abs(want), (x2, j, n)
 
-    @pytest.mark.parametrize("C, x2", [(-1.8926, 39.04), (-1.5446, 5.8), (0.65 + 1.69j, 7.0)])
+    @pytest.mark.parametrize("C, x2", [(-1.8926, 39.04), (-1.5446, 5.8), (0.65 + 1.69j, 7.0), (2.0, 7.0)])
     def test_walk_vs_mpmath_at_large_oscillating_argument(self, C, x2):
         # at z = 53.7i the Horner reference's condition reaches 2.5e12 at n = 60 (3e-5 off there);
         # the walk does not sum signed powers of z and stays at rounding level
@@ -392,6 +410,47 @@ class TestMacdonaldWalk:
                             / (mpmath.factorial(n) * 2**n) * mpmath.sqrt(2 * z / mpmath.pi)
                             * mpmath.besselk(n + mpmath.mpf(1) / 2 - j, z) * c ** (-mpmath.mpf(1 - j) / 2))
                     assert float(abs(walk[n] - want) / abs(want)) <= 3e-14, (j, n)
+
+    def test_real_c_walk_matches_complex_c(self):
+        # a real C > 0 runs the walk in floats; C = complex(C) runs the same walk in complex
+        # arithmetic.  Even j agrees bit for bit, exceptions included.  At odd j, C^{j/2-n-1/2}
+        # is an integer power: libm's pow against CPython's repeated-multiplication complex
+        # power, within 64 ulp a term (under 40 in seeded sweeps)
+        rng = random.Random(22)
+        odd_moved = 0
+        for _ in range(200):
+            C = rng.choice((rng.uniform(0.05, 5.0), rng.randint(1, 5)))
+            k = rng.uniform(0.05, 1.0)
+            B = rng.choice((-1, 1)) * rng.uniform(0.0, 1.2) * C / k**2
+            x2 = rng.choice((rng.uniform(0.01, 3.0), rng.uniform(3.0, 60.0)))
+            p = YukawaFormParams(B=B, C=C, k=k, x2=x2)
+            for j in range(5):
+                got, want = (_eval_or_error(j, q) for q in (p, replace(p, C=complex(C))))
+                if isinstance(want, Exception):
+                    assert type(got) is type(want), (j, p)
+                    assert j % 2 or str(got) == str(want), (j, p)
+                    continue
+                assert (got.terms_used, got.converged) == (want.terms_used, want.converged), (j, p)
+                assert all(t.imag == 0 for t in got.terms) and got.value.imag == 0
+                if j % 2 == 0:
+                    assert [t.real.hex() for t in got.terms] == [t.real.hex() for t in want.terms]
+                    assert got.value.real.hex() == want.value.real.hex(), (j, p)
+                    continue
+                bound = 0.0
+                for a, b in zip(got.terms, want.terms):
+                    ulp = math.ulp(max(abs(a), abs(b)))
+                    assert abs(a - b) <= 64 * ulp, (j, p)
+                    bound += 64 * ulp
+                assert abs(got.value - want.value) <= bound + 4 * math.ulp(abs(want.value)), (j, p)
+                odd_moved += got.terms != want.terms
+        assert odd_moved >= 100
+
+    def test_real_c_walk_yields_floats(self):
+        for C in (0.7, 2):
+            for j in range(4):
+                assert type(next(th._macdonald_terms(replace(GOLDEN, C=C), j))) is float
+        for C in (-0.7, 0.7 + 0j, True):
+            assert type(next(th._macdonald_terms(replace(GOLDEN, C=C), 0))) is complex
 
     def test_single_terms_are_the_walk_values(self):
         p = YukawaFormParams(B=0.3, C=0.5 - 0.2j, k=0.9, x2=1.3)
@@ -699,6 +758,28 @@ class TestTwoRangeBaseline:
         ev = theorem1_eval(corollary_to_params(cfg))
         metric_one = max(abs(t) for t in ev.terms) / abs(ev.value)
         assert metric_two > metric_one
+
+
+class TestAccumulateSeries:
+    def test_real_terms_sum_like_complex_terms(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            terms = [rng.uniform(-1, 1) * 10.0 ** rng.uniform(-12, 3) for _ in range(rng.randint(1, 80))]
+            got = th.accumulate_series(iter(terms))
+            want = th.accumulate_series(complex(t) for t in terms)
+            assert got == want
+            assert got.cancellation == max(map(abs, got.terms)) / abs(got.value)
+
+    def test_complex_term_promotes_the_sum(self):
+        terms = [0.75, -0.125, 0.1 + 0.3j, 1e-3, -2e-4j, 1e-7]
+        got = th.accumulate_series(iter(terms))
+        assert got == th.accumulate_series(complex(t) for t in terms)
+        assert got.value.imag != 0 and got.partial_sums[1].imag == 0
+        assert got.partial_sums[-1] == got.value
+
+    def test_zero_sum_has_infinite_cancellation(self):
+        ev = th.accumulate_series(iter([1.0, -1.0]))
+        assert ev.value == 0 and ev.cancellation == math.inf
 
 
 class TestPolicyAndEnv:
