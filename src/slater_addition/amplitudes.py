@@ -445,28 +445,48 @@ def _theorem4_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(c / den for c in e_part), (e1_part[n] / den, e1_part[n + 2] / den)
 
 
+@functools.cache
+def _theorem4_abs_sum(n: int) -> float:
+    """sum_p |L_p| of block n, inflated by (n + 4) eps: times max(1, z)^{n+1} (libm pow, within
+    1 ulp) it is at least the rounded Horner sweep of sum_p |L_p| z^{p+2} (2n + 2 roundings)."""
+    return math.fsum(map(abs, _theorem4_table(n)[0])) * (1.0 + (n + 4) * sys.float_info.epsilon)
+
+
 def _theorem4_bracket(n: int, z: float, emz: float, e1: float) -> float:
     """block n / (4 pi eta2 x2^2) at z = x2 eta2 from the closed form, given
-    emz = e^{-z} and e1 = E_1(z), in O(n); RangeError where the terms cancel."""
+    emz = e^{-z} and e1 = E_1(z), in O(n); RangeError where the terms cancel.
+    The guard first tries the per-order bound _theorem4_abs_sum(n) max(1, z)^{n+1} on the
+    sizes of the e^{-z} terms, and sweeps those sizes one by one only where that fails."""
     if n % 2 != 0 or n < 0:
         raise DomainError("theorem3/theorem4 blocks exist for even n >= 0 only")
     ell, (m_lo, m_hi) = _theorem4_table(n)
-    poly = size = 0.0
+    poly = 0.0
     for c in reversed(ell):
-        poly, size = poly * z + c, size * z + abs(c)
+        poly = poly * z + c
     try:
         e1_zn = e1 * z**n
     except OverflowError:
         e1_zn = math.inf
-    # z^2 times the bracket (both tables start at p = -2), and the sum of its terms' sizes
+    # z^2 times the bracket (both tables start at p = -2), and the sizes of its E_1 terms
     value = emz * poly + e1_zn * (m_lo + m_hi * z * z)
-    size = emz * size + e1_zn * (abs(m_lo) + abs(m_hi) * z * z)
+    e1_size = e1_zn * (abs(m_lo) + abs(m_hi) * z * z)
     bracket = value / z / z
     if not math.isfinite(bracket):
         raise CapacityError(f"theorem4_block: block {n} at x2 eta2 = {z} leaves double precision")
-    if not sys.float_info.epsilon * size <= DERIVATIVE_REL_TOL * abs(value):
-        raise RangeError(f"theorem4_block: the closed form of block {n} cancels to "
-                         f"{abs(value) / size:.3g} of its size at x2 eta2 = {z}")
+    limit = DERIVATIVE_REL_TOL * abs(value)
+    try:
+        reach = max(1.0, z) ** (n + 1)
+    except OverflowError:
+        reach = math.inf
+    # rounding is monotone, so where the bound passes, the swept sum of sizes passes too
+    if not sys.float_info.epsilon * (emz * (_theorem4_abs_sum(n) * reach) + e1_size) <= limit:
+        size = 0.0
+        for c in reversed(ell):
+            size = size * z + abs(c)
+        size = emz * size + e1_size
+        if not sys.float_info.epsilon * size <= limit:
+            raise RangeError(f"theorem4_block: the closed form of block {n} cancels to "
+                             f"{abs(value) / size:.3g} of its size at x2 eta2 = {z}")
     return bracket
 
 

@@ -14,9 +14,9 @@ C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
 removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
 [0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
 reads its Gamma(a, 4R) values off one walk down the incomplete-gamma ladder and
-its I_{k+1/2}(R) off one downward Bessel-I sweep, each only as far as the
-increments need, and forms each increment as two dot products over one cached
-row of R-free constants.  It decays algebraically after a few terms;
+its I_{k+1/2}(R) off one downward Bessel-I sweep, each once and only as far as
+the last increment it can sum, and forms each increment as two dot products
+over one cached row of R-free constants.  It decays algebraically after a few terms;
 stall_detector quantifies the plateau the way the convergence study reports it.
 """
 
@@ -27,11 +27,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
+from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, SlaterAdditionError
 from .quadrature import QuadratureResult, integrate_2d
 from .specfun import _GammaLadder, bessel_i_half, bessel_i_walk, exp_integral_ei, k_half_coef
-from .theorems import SeriesEvaluation, TruncationPolicy, accumulate_series
+from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
     "EllipsoidalParams",
@@ -208,7 +209,10 @@ def t_abc_series(R: float, n_max: int = 20,
     G_k = Gamma(3 - k, 4R), C_k = 4 G_{k+1} + G_k, and X, Y the I_{n+5/2} and
     I_{n+3/2} parts of t_abc_term.  The G_k come from one walk down the
     incomplete-gamma ladder and the I_{k+1/2}(R) from one bessel_i_walk, each
-    read only as far as the increments need.  Increments agree with the
+    read once, before the first increment, up to the last increment the sum
+    can draw (n_max, or policy.max_terms - 1 if smaller); where a walk stops
+    short, its error is raised by the first increment that needs a missing
+    value.  Increments agree with the
     J-sums of t_abc_term to rounding, and with 40-digit mpmath to 2.5e-15
     relative for R in [0.001, 2.5] (1e-14 at R = 7).  Integer n_max >= 0 and
     R >= SERIES_MIN_R = 1e-150 (DomainError otherwise).  Convergence
@@ -217,27 +221,36 @@ def t_abc_series(R: float, n_max: int = 20,
     """
     _check_r("t_abc_series", R, SERIES_MIN_R)
     _check_index("t_abc_series", "n_max", n_max)
-    walk = _GammaLadder(4.0 * R).walk(3.0)
-    i_walk = bessel_i_walk(R)
+    policy = policy or DEFAULT_POLICY
+    top = min(n_max, policy.max_terms - 1)  # the last increment the sum can draw
+    gammas, gamma_error = _take(_GammaLadder(4.0 * R).walk(3.0), top + _j_top(top) + 3)  # G_k
+    i_half, i_error = _take(bessel_i_walk(R), top + 3)  # I_{k+1/2}(R)
+    combos = [4.0 * g1 + g0 for g0, g1 in zip(gammas, gammas[1:])]  # C_k
 
     def increments():
-        gammas: list[float] = []  # G_k
-        combos: list[float] = []  # C_k
-        next(i_walk)  # I_{1/2}
-        i_low = next(i_walk)
         for n in range(n_max + 1):
             row = _row(n)
-            for g in itertools.islice(walk, n + len(row) + 2 - len(gammas)):
-                if gammas:
-                    combos.append(4.0 * g + gammas[-1])
-                gammas.append(g)
-            i_top = next(i_walk)
-            p, q = _scales(n, R, i_low, i_top)
+            if n + len(row) + 2 > len(gammas):
+                raise gamma_error
+            if n + 3 > len(i_half):
+                raise i_error
+            p, q = _scales(n, R, i_half[n + 1], i_half[n + 2])
             yield p * math.fsum(map(operator.mul, row, combos[n:])) - q * math.fsum(
                 map(operator.mul, row, gammas[n + 2:]))
-            i_low = i_top
 
     return accumulate_series(increments(), policy)
+
+
+def _take(values: Iterator[float], count: int) -> tuple[list[float], SlaterAdditionError | None]:
+    """The first count values, or those before the error that stopped the iterator, and that
+    error: an increment that needs a value past them raises it, where a lazy read would have."""
+    taken: list[float] = []
+    try:
+        for value in itertools.islice(values, count):
+            taken.append(value)
+    except SlaterAdditionError as exc:  # re-raised by the increment that needs the value
+        return taken, exc
+    return taken, None
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,19 @@ SPHERICAL_BESSEL_ARG_LIMIT = 1000.0
 GAMMA_RECURRENCE_LIMIT = 400
 # fewest orders an incomplete-gamma chain grows by ahead of a walk that ran past its end
 GAMMA_BLOCK = 16
-# real z from which Gamma(a, z) at a < 0 comes from the continued fraction at a: the
+# real z from which Gamma(a, z) at integer a < 0 comes from the continued fraction at a: the
 # downward walk loses ~z/|a| per step there (2.8e-14 at z = 7, 2.7e-5 at z = 28)
 GAMMA_CF_REAL_Z = 5.0
-# levels past the converged Lentz depth at which _gamma_cf starts its backward evaluation (real z)
-CF_EXTRA_DEPTH = 5
+# real z from which Gamma(a, z) at half-integer a < 0 comes from the continued fraction at a:
+# the walk down from Gamma(1/2, z) is up to 9.6e-16 off from z = 1.2 and 2.2e-14 at 4.8, the
+# fraction within 4.3e-16 on [1, 5] (a in [-60, -0.5], against 40-digit mpmath)
+GAMMA_CF_HALF_Z = 1.0
+# _gamma_cf at real z >= 1 starts its backward evaluation at depth
+# ceil(CF_DEPTH_SCALE / z) + CF_DEPTH_MIN, ~1.3 (ln(1/eps)/4)^2 / z + 10: the fraction's tail
+# there is below 7.3e-18 relative for every order it serves (a in {0, 1/2}, half-integers in
+# [-399.5, -0.5], integers in [-400, -1] from GAMMA_CF_REAL_Z; z in [1, 10^4], 34-digit mpmath)
+CF_DEPTH_SCALE = 105.0
+CF_DEPTH_MIN = 10
 # kummer_1f1's Taylor cut-off, term budget, and largest accepted max|term|/|sum| (~5 digits lost)
 KUMMER_REL_TOL = 1e-15
 KUMMER_MAX_TERMS = 500
@@ -326,10 +334,12 @@ def cos_power_to_legendre(j: int) -> dict[int, float]:
 # upper incomplete gamma, integer and half-integer first argument
 # ---------------------------------------------------------------------------
 
-def _exp1_small(z: complex) -> complex:
-    """E_1(z) = Gamma(0, z) by the ascending series, |z| small, z off (-inf, 0]."""
-    total = -0.5772156649015328606 - cmath.log(z)
-    term = 1.0 + 0.0j
+def _exp1_small(z: complex | float) -> complex | float:
+    """E_1(z) = Gamma(0, z) by the ascending series, |z| small, z off (-inf, 0]; a float z runs
+    it in float arithmetic."""
+    real = isinstance(z, float)
+    total = -0.5772156649015328606 - (math.log(z) if real else cmath.log(z))
+    term = 1.0 if real else 1.0 + 0.0j
     for k in range(1, 200):
         term *= -z / k
         total -= term / k
@@ -338,10 +348,12 @@ def _exp1_small(z: complex) -> complex:
     raise TruncationError("E1 small-z series did not converge")
 
 
-def _gamma_series_small(a: float, z: complex) -> complex:
-    """Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k)), a not a nonpositive integer."""
-    s = 1.0 / a + 0.0j
-    term = 1.0 + 0.0j
+def _gamma_series_small(a: float, z: complex | float) -> complex | float:
+    """Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k)), a not a nonpositive integer;
+    a float z runs it in float arithmetic."""
+    real = isinstance(z, float)
+    s = 1.0 / a if real else 1.0 / a + 0.0j
+    term = 1.0 if real else 1.0 + 0.0j
     for k in range(1, 300):
         term *= -z / k
         s += term / (a + k)
@@ -352,20 +364,49 @@ def _gamma_series_small(a: float, z: complex) -> complex:
     return math.gamma(a) - z**a * s
 
 
-def _gamma_cf(a: float, z: complex, emz: complex) -> complex:
-    """Gamma(a, z) ~ e^{-z} z^a / (z+1-a - 1(1-a)/(z+3-a - ...)) by modified Lentz;
+def _cf_depth(z: float) -> int:
+    """The level, ceil(CF_DEPTH_SCALE / z) + CF_DEPTH_MIN, from which the fraction at real
+    z >= 1 is evaluated backward."""
+    return math.ceil(CF_DEPTH_SCALE / z) + CF_DEPTH_MIN
+
+
+def _cf_levels(a: float, depth: int) -> tuple[tuple[float, float], ...]:
+    """(2 (k - 1), k (k - a)) for k = depth, depth - 1, ..., 1: the levels of the fraction at a."""
+    return tuple((2.0 * (k - 1), k * (k - a)) for k in range(depth, 0, -1))
+
+
+# the anchors' levels down from the deepest start, at z = 1, shared by every real z >= 1
+_CF_ANCHOR_LEVELS = {a: _cf_levels(a, _cf_depth(1.0)) for a in (0.0, 0.5)}
+
+
+def _cf_backward(a: float, z: float, depth: int) -> float:
+    """The denominator z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...)) of _gamma_cf at real z,
+    evaluated backward in float arithmetic from level depth."""
+    levels = _CF_ANCHOR_LEVELS.get(a)
+    levels = levels[-depth:] if levels and depth <= len(levels) else _cf_levels(a, depth)
+    base = z + 1.0 - a
+    t = base + 2.0 * depth
+    for two_k, num in levels:
+        t = base + two_k - num / t
+    return t
+
+
+def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | float:
+    """Gamma(a, z) = e^{-z} z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))) (DLMF 8.9.2),
     emz is e^{-z}.
 
-    At real z the fraction runs in real arithmetic, and Lentz only finds the
-    depth at which it has converged: the fraction is then evaluated backward
-    from CF_EXTRA_DEPTH levels deeper, which rounds far less than Lentz's
-    running product (E_1 at z in [1, 3]: 7.3e-16 relative at worst, against
-    1.1e-14).  Complex z keeps the forward value: a second pass would double
-    the cost of the anchors s1_general_term_gamma takes on every call.
+    At real z (a float, or a complex with zero imaginary part) the fraction is evaluated once,
+    backward in float arithmetic from the a-priori level _cf_depth(z), and the value is a
+    float.  That depth is validated for z >= 1 (see CF_DEPTH_SCALE): the fraction from it is
+    within 1 ulp of the fraction from 50 levels deeper, and the backward pass rounds far less
+    than a forward running product (E_1 over z in [1, 10]: 3.8e-16 relative at worst; modified
+    Lentz was 1.1e-14 off on [1, 3]).  Complex z runs modified Lentz forward and stops where a
+    level changes the value by less than 1e-16 relative: the depth a complex argument needs
+    is not known in advance.
     """
-    real = z.imag == 0
-    if real:
+    if z.imag == 0:
         z, emz = z.real, emz.real
+        return emz * z**a / _cf_backward(a, z, _cf_depth(z))
     tiny = 1e-300
     b = z + 1.0 - a
     c = 1.0 / tiny
@@ -384,20 +425,13 @@ def _gamma_cf(a: float, z: complex, emz: complex) -> complex:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise TruncationError("incomplete gamma continued fraction did not converge")
-    if not real:
-        return emz * z**a * h
-    depth = i + CF_EXTRA_DEPTH
-    t = z + 1.0 - a + 2.0 * depth
-    for k in range(depth, 0, -1):
-        t = z + 1.0 - a + 2.0 * (k - 1) - k * (k - a) / t
-    return complex(emz * z**a / t)
+            return emz * z**a * h
+    raise TruncationError("incomplete gamma continued fraction did not converge")
 
 
-def _gamma_anchor(a0: float, z: complex, emz: complex) -> complex:
-    """Gamma(a0, z) at the chain anchors a0 in {0, 1/2, 1}, given emz = e^{-z}.
+def _gamma_anchor(a0: float, z: complex | float, emz: complex | float) -> complex | float:
+    """Gamma(a0, z) at the chain anchors a0 in {0, 1/2, 1}, given emz = e^{-z}; a float z (and
+    emz) gives a float, evaluated in float arithmetic throughout.
 
     The ascending series serves |z| < 2, and real z only below 1: from there
     the backward-evaluated fraction is the more accurate (E_1 at z in [1, 2]:
@@ -425,9 +459,10 @@ class _GammaLadder:
     every value it has walked through and grows in blocks, so a series visiting
     many orders walks each chain once, in any request order, and ``walk`` hands
     out a run of consecutive orders from one validated entry.  At real z the
-    chains run in float arithmetic, and from z >= GAMMA_CF_REAL_Z the orders
-    a < 0 come from the continued fraction at a (DLMF 8.9), not from the
-    downward step.  e^{-z} is evaluated once, at the first order that needs
+    chains and their anchors run in float arithmetic, and the orders a < 0 come
+    from the continued fraction at a (DLMF 8.9), not from the downward step,
+    from z >= GAMMA_CF_REAL_Z at integer a and from z >= GAMMA_CF_HALF_Z at
+    half-integer a.  e^{-z} is evaluated once, at the first order that needs
     it, and shared by the anchors and every step."""
 
     def __init__(self, z: complex | float):
@@ -456,15 +491,14 @@ class _GammaLadder:
             emz = self._emz
             if emz is None:
                 emz = self._emz = cmath.exp(-z)
+            if real:
+                z, emz = z.real, emz.real
             if chain is None:  # the anchor walked the other way is the same value
                 twin = self._chains.get((anchor, -direction))
-                g = twin[0] if twin else _gamma_anchor(anchor, z, emz)
-                chain = self._chains[key] = [g.real if real else g]
+                chain = self._chains[key] = [twin[0] if twin else _gamma_anchor(anchor, z, emz)]
             start = len(chain)
             if start > need:
                 return chain
-            if real:
-                z, emz = z.real, emz.real
             g, b = chain[-1], anchor + direction * (start - 1)
             stop = max(need + 1, 2 * start, start + GAMMA_BLOCK) if ahead else need + 1
             count = range(min(stop, GAMMA_RECURRENCE_LIMIT + 1) - start)
@@ -473,10 +507,10 @@ class _GammaLadder:
                     g = b * g + z**b * emz
                     b += 1.0
                     chain.append(g)
-            elif real and z >= GAMMA_CF_REAL_Z:
+            elif real and z >= (GAMMA_CF_REAL_Z if anchor == 0.0 else GAMMA_CF_HALF_Z):
                 for _ in count:
                     b -= 1.0
-                    chain.append(_gamma_cf(b, z, emz).real)
+                    chain.append(_gamma_cf(b, z, emz))
             else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
                 for _ in count:
                     b -= 1.0
@@ -548,11 +582,17 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     z^a has its cut.  A non-finite a or z raises DomainError; where the walk
     leaves double precision, CapacityError is raised.  E_1(z) = Gamma(0, z)
     at real z in [1e-3, 700] is within 2e-15 relative of mpmath.e1 (measured
-    worst 9.5e-16 over 85,000 points, from the series just below z = 1).
-    At real z >= GAMMA_CF_REAL_Z = 5, a < 0 is evaluated by the continued
-    fraction at a, since the downward step loses ~z/|a| per order there: over
-    a in [-60, -0.5] and z in [5, 100] it is within 3.4e-16 of 80-digit mpmath
-    (measured worst 3.3e-16) wherever the value is a normal double.
+    worst 8.6e-16 over 30,000 log-spaced points, from the series just below
+    z = 1).  At real z the anchors E_1 and Gamma(1/2, z) come from the ascending series
+    below z = 1 and from one backward pass of the continued fraction above,
+    both in float arithmetic (within 4.0e-16 of 40-digit mpmath over 8,002
+    points in z in [1, 10]).  The orders a < 0 are evaluated by the continued
+    fraction at a, since the downward step loses ~z/|a| per order, at real
+    z >= GAMMA_CF_REAL_Z = 5 for integer a and z >= GAMMA_CF_HALF_Z = 1 for
+    half-integer a: over a in [-60, -0.5] and z in [5, 100] it is within
+    3.4e-16 of 80-digit mpmath (measured worst 3.3e-16) wherever the value is
+    a normal double, and within 4.3e-16 of 40-digit mpmath for half-integer
+    a in [-60, -0.5] and z in [1, 5].
     """
     return complex(_GammaLadder(z)(a))
 

@@ -287,7 +287,7 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
             try:
                 unit = (-1.0) ** n * B**n * k ** (2 * n) * c ** (j / 2 - n - 0.5) * decay
                 term = unit * poly
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):  # C^m under- or overflows in the power
                 term = math.nan
             if not isfinite(term):
                 try:

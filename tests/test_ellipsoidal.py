@@ -16,9 +16,9 @@ from slater_addition.ellipsoidal import (
     t_abc_term,
     _t_abc_oracle_integrand,
 )
-from slater_addition.errors import DomainError
+from slater_addition.errors import CapacityError, DomainError
 from slater_addition.specfun import bessel_i_half, k_half_coef
-from slater_addition.theorems import SeriesEvaluation
+from slater_addition.theorems import SeriesEvaluation, TruncationPolicy
 
 
 def _mp_increment(mpmath, n, R):
@@ -268,6 +268,17 @@ class TestSeries:
     def test_series_walks_no_deeper_than_it_sums(self, R, n_max, value, terms_used, converged):
         ev = t_abc_series(R, n_max=n_max)
         assert (ev.value.real.hex(), ev.terms_used, ev.converged) == (value, terms_used, converged)
+
+
+    @pytest.mark.parametrize("R, message", [
+        (0.0003, "the walk to a = -106.0 overflows"),
+        (1000.0, "bessel_i_half: order 16"),
+    ])
+    def test_short_walk_raises_at_the_increment_that_needs_it(self, R, message):
+        # both walks are read before the first increment; the error of one that stops short is
+        # raised by the increment that needs its missing value, as a lazy read raised it
+        with pytest.raises(CapacityError, match=message):
+            t_abc_series(R, n_max=59, policy=TruncationPolicy(rel_tol=1e-300, max_terms=60))
 
 
 class TestStallDetector:

@@ -418,6 +418,50 @@ class TestUpperIncompleteGamma:
                 want = mpmath.gammainc(a, z)
                 assert float(abs((sf.upper_incomplete_gamma(a, z).real - want) / want)) <= 2e-15, z
 
+    # every (a, z) the real fraction serves: the anchors from z = 1, half-integers a < 0 from
+    # GAMMA_CF_HALF_Z, integers a < 0 from GAMMA_CF_REAL_Z
+    CF_ZS = [1.0 + i / 100 for i in range(400)] + [5.0 * 2000.0 ** (i / 120) for i in range(121)]
+    CF_HALVES = [-0.5 - i for i in range(30)] + [-50.5, -100.5, -250.5, -399.5]
+    CF_INTS = [-1.0 - i for i in range(30)] + [-50.0, -100.0, -250.0, -400.0]
+
+    def test_real_fraction_depth_has_converged(self):
+        # the fraction from the a-priori depth is within 1 ulp of the fraction from 50 levels
+        # deeper, at every routed order (the value's own rounding may then add one more ulp)
+        assert sf.GAMMA_CF_HALF_Z == 1.0
+        count = 0
+        for z in self.CF_ZS:
+            depth = sf._cf_depth(z)
+            for a in [0.0, 0.5] + self.CF_HALVES + (self.CF_INTS if z >= sf.GAMMA_CF_REAL_Z else []):
+                want = sf._cf_backward(a, z, depth + 50)
+                assert abs(sf._cf_backward(a, z, depth) - want) <= math.ulp(want), (a, z)
+                count += 1
+        assert count > 20_000
+
+    @pytest.mark.parametrize("a, z, want", [
+        # complex z keeps the forward modified-Lentz fraction, bit for bit
+        (0.0, 3 + 4j, ("0x1.c4f5effe16de0p-11", "0x1.1fe80ed1654f5p-7")),
+        (0.5, 2.5 - 1j, ("0x1.256fcb104be74p-6", "0x1.47e5e2ee1b988p-5")),
+        (0.0, 10 + 0.5j, ("0x1.dc4c4722bcabdp-19", "-0x1.216dfcb6ad753p-19")),
+        (0.5, 0.8 + 6j, ("0x1.55b9e656e8deap-3", "-0x1.030364efa5660p-4")),
+        (-3.0, 6 - 2j, ("-0x1.0a31a3446d3a6p-20", "-0x1.24ad30bec3754p-25")),
+        (-2.5, 1.5 + 3.5j, ("0x1.dbe9fb92ed788p-11", "-0x1.fb68a991299f5p-11")),
+    ])
+    def test_complex_fraction_pinned(self, a, z, want):
+        got = sf._gamma_cf(a, z, cmath.exp(-z))
+        assert (got.real.hex(), got.imag.hex()) == want
+
+    def test_real_fraction_and_series_run_in_floats(self):
+        for a, z in ((0.0, 0.5), (0.5, 0.5), (0.0, 2.0), (0.5, 2.0), (-7.5, 3.0)):
+            g = sf._GammaLadder(z)(a)
+            assert type(g) is float, (a, z)
+
+    def test_half_integer_below_five_vs_mpmath(self):
+        # the walk down from Gamma(1/2, 4.8) was 2.2e-14 off at a = -4.5; the fraction at a is not
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            want = mpmath.gammainc(-4.5, 4.8)
+            assert float(abs((sf.upper_incomplete_gamma(-4.5, 4.8).real - want) / want)) <= 1e-15
+
     def test_positive_half_integer_vs_erfc_form(self):
         # Gamma(1/2, z) = sqrt(pi) (1 - erf(sqrt(z))) on the real axis
         for z in (0.2, 1.0, 4.0):

@@ -445,6 +445,15 @@ class TestMacdonaldWalk:
                 odd_moved += got.terms != want.terms
         assert odd_moved >= 100
 
+    @pytest.mark.parametrize("C", [-1e-300, 1e-300j])
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_odd_j_at_tiny_c_raises_capacity_error(self, j, C):
+        # the complex power C^{j/2-n-1/2} at an integer exponent divides by an underflowed C^m;
+        # the term goes to the (-Bk^2/C)^n fallback and overflows there, as at even j
+        p = YukawaFormParams(B=0.1, C=C, k=1.0, x2=1.0)
+        with pytest.raises(CapacityError, match="overflows"):
+            th.theorem6_eval(j, p)
+
     def test_real_c_walk_yields_floats(self):
         for C in (0.7, 2):
             for j in range(4):
