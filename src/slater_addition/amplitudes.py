@@ -21,17 +21,18 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .errors import CapacityError, DomainError, RangeError, TruncationError
 from .quadrature import QuadratureResult, integrate_finite
 from .specfun import (
-    _GammaLadder,
     bessel_k_half,
     binomial,
     binomial_general,
     factorial,
-    gamma_real_cache,
+    gamma_walk,
     k_half_coef,
+    read_walk,
     spherical_bessel_walk,
     upper_incomplete_gamma,
 )
@@ -247,12 +248,16 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
     # K_{n+1/2}(s x2)'s sqrt(pi/(2 s x2)); its s^{-1/2} cancels the s^{1/2} of s1_series_n_term
     pref = _series_prefactor(n, p) * math.sqrt(math.pi / (2.0 * x2))
 
-    gamma_t1, gamma_t2 = _GammaLadder(a * t1 * t1), _GammaLadder(a * t2 * t2)
+    # Gamma((q+1)/2, a t^2) at each segment end t, integer and half-integer orders off one walk each
+    ends = [(gamma_walk(1.5 * n + 0.5, w), gamma_walk(1.5 * n, w)) for w in (a * t1 * t1, a * t2 * t2)]
+    gausses: list[complex] = []  # gauss(3n - i) at index i
 
     def gauss(q: int) -> complex:
         # int_{t1}^{t2} t^q e^{-a t^2} dt along the shifted segment
-        alpha = (q + 1) / 2.0
-        return 0.5 * a ** (-alpha) * (gamma_t1(alpha) - gamma_t2(alpha))
+        while len(gausses) <= 3 * n - q:
+            g1, g2 = (next(walks[len(gausses) % 2]) for walks in ends)
+            gausses.append(0.5 * a ** ((len(gausses) - 3 * n - 1) / 2.0) * (g1 - g2))
+        return gausses[3 * n - q]
 
     def s_power_channel(q: int) -> complex:
         # int_{eta2}^{eta1} s^q e^{-s x2} e^{-i s^2 (k.x2)/d} ds / phase
@@ -355,20 +360,38 @@ def _theorem3_coefs(n: int, lead: float, eta2: float, x2: float) -> list[tuple[f
     return [(api * qj, 2 * i - j - m - 2) for i, api in enumerate(ap) for j, qj in enumerate(q)]
 
 
+def _theorem3_gammas(p: SlaterPair, n: int, k_max: int) -> Callable[[int], float]:
+    """order -> Re Gamma(order, x2 eta2) off one gamma_walk, over the orders m - 2 down to
+    -nu - m - 2 max(k_max, 1) that the first max(k_max, 1) k-terms of blocks 0 ... n read (see
+    _theorem3_coefs); an order the walk did not reach raises the error that stopped it."""
+    m, nu = n // 2, abs(n - 1) // 2
+    values, error = read_walk(gamma_walk(m - 2, p.x2 * p.eta2), 2 * m + nu + 2 * max(k_max, 1) - 1)
+
+    table = {m - 2 - i: g.real for i, g in enumerate(values)}
+
+    def gamma_at(order: int) -> float:
+        try:
+            return table[order]
+        except KeyError:  # an order the walk did not reach
+            raise error from None
+
+    return gamma_at
+
+
 def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
                            policy: TruncationPolicy | None = None,
                            gamma_at=None) -> list[float]:
     """The k-series of block n (each entry already summed over the finite i, j
     sums), truncated by the policy tail rule against the block's running sum.
     k_max caps the number of k terms, also above ``policy.max_terms``.
-    ``gamma_at`` is an a -> Re Gamma(a, x2 eta2) ladder a series shares between blocks.
+    ``gamma_at`` is the _theorem3_gammas lookup a series shares between blocks.
     The (i, j) sum of a high block cancels, so its k-terms carry few correct
     digits: at n = 40 max|term|/|sum| grows from ~5e4 (k = 0) to ~7e9 (k = 5),
     and the k-terms are off by up to ~5e-6 relative to a 60-digit evaluation."""
     coefs = _theorem3_coefs(n, p.eta1, p.eta2, p.x2)
     if k_max < 1:
         raise DomainError("theorem3_block_k_terms: need k_max >= 1")
-    gamma_at = gamma_at or gamma_real_cache(p.x2 * p.eta2)
+    gamma_at = gamma_at or _theorem3_gammas(p, n, k_max)
     ratio = p.x2 * p.x2 * (p.eta1**2 - p.eta2**2)
 
     def k_terms():
@@ -395,7 +418,7 @@ def theorem3_series(p: SlaterPair, n_max: int = 40, k_max: int = 80,
     """
     if p.eta1 == p.eta2:
         raise DomainError("theorem3_series: eta1 = eta2; use theorem4_series")
-    gamma_at = gamma_real_cache(p.x2 * p.eta2)
+    gamma_at = _theorem3_gammas(p, max(n_max, 0), k_max)  # spans every block's orders
     capped = False
 
     def blocks():

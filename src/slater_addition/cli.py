@@ -447,7 +447,7 @@ TARGETS: dict[str, Target] = {
     "upper_incomplete_gamma": Target(
         lambda c, a, z: specfun.upper_incomplete_gamma(a, z),
         _gamma_ray_oracle,
-        ("upper_incomplete_gamma",),
+        ("upper_incomplete_gamma", "gamma_walk"),
     ),
     "erf_complex": Target(
         lambda c, z: specfun.erf_complex(z),

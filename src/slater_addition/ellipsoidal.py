@@ -13,8 +13,8 @@ inserting the derivative-form addition theorem (the exponential carries no
 C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
 removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
 [0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
-reads its Gamma(a, 4R) values off one walk down the incomplete-gamma ladder and
-its I_{k+1/2}(R) off one downward Bessel-I sweep, each once and only as far as
+reads its Gamma(a, 4R) values off one gamma_walk down the incomplete-gamma orders
+and its I_{k+1/2}(R) off one downward Bessel-I sweep, each once and only as far as
 the last increment it can sum, and forms each increment as two dot products
 over one cached row of R-free constants.  It decays algebraically after a few terms;
 stall_detector quantifies the plateau the way the convergence study reports it.
@@ -27,11 +27,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterator
 
-from .errors import DomainError, SlaterAdditionError
+from .errors import DomainError, RangeError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import _GammaLadder, bessel_i_half, bessel_i_walk, exp_integral_ei, k_half_coef
+from .specfun import bessel_i_half, bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef, read_walk
 from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
@@ -132,19 +131,24 @@ def t_abc_exact(R: float) -> float:
     form in 40-digit mpmath, over 600 log-spaced R, the relative error is at
     most 4.8e-14 on [0.011, 0.05] and 4.2e-15 on [0.05, 20]; it grows to
     8.5e-13 at R = 0.001 as the 116/(9R) terms cancel, so its domain is
-    R >= 0.001: below it DomainError is raised.
+    0.001 <= R <= 232: DomainError below, RangeError above, where e^{3R} overflows.
     """
     _check_r("t_abc_exact", R)
     if R < 1e-3:
         raise DomainError(f"t_abc_exact: R = {R!r} is below its domain R >= 0.001")
     ei8 = exp_integral_ei(-8.0 * R)
     ei2 = exp_integral_ei(-2.0 * R)
-    t1 = math.exp(3.0 * R) * (-16.0 * R**2 + 44.0 * R + 116.0 / (9.0 * R) - 116.0 / 3.0) * ei8
+    try:
+        t1 = math.exp(3.0 * R) * (-16.0 * R**2 + 44.0 * R + 116.0 / (9.0 * R) - 116.0 / 3.0) * ei8
+    except OverflowError:  # e^{3R} itself, from R ~ 236.6
+        t1 = math.inf
     t2 = -math.exp(-3.0 * R) * (16.0 * R**2 + 44.0 * R + 116.0 / (9.0 * R) + 116.0 / 3.0) * (
         ei2 + 2.0 * math.log(2.0)
     )
     t3 = math.exp(-3.0 * R) * (624.0 * R**2 + 2256.0 * R + 131.0 / (3.0 * R) + 1670.0) / 16.0
     t4 = -math.exp(-5.0 * R) * (160.0 * R + 131.0 / (3.0 * R) + 34.0) / 16.0
+    if not all(map(math.isfinite, (t1, t2, t3, t4))):
+        raise RangeError(f"t_abc_exact: R = {R!r} is above its domain R <= 232, where a term overflows")
     return (t1 + t2 + t3 + t4) / 81.0
 
 
@@ -194,7 +198,7 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
     if big_j > nt:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     k = n + big_j  # the walk from Gamma(3, 4R) reads Gamma(3 - k, 4R) at index k
-    g3, g2, g1 = itertools.islice(_GammaLadder(4.0 * R).walk(3.0 - k), 3)
+    g3, g2, g1 = itertools.islice(gamma_walk(3.0 - k, 4.0 * R), 3)
     p, q = _scales(n, R, bessel_i_half(n + 1, R), bessel_i_half(n + 2, R))
     return _row(n)[big_j] * (p * (4.0 * g2 + g3) - q * g1)
 
@@ -207,8 +211,8 @@ def t_abc_series(R: float, n_max: int = 20,
 
     two dot products over one cached row a_{n,J} of R-free constants, with
     G_k = Gamma(3 - k, 4R), C_k = 4 G_{k+1} + G_k, and X, Y the I_{n+5/2} and
-    I_{n+3/2} parts of t_abc_term.  The G_k come from one walk down the
-    incomplete-gamma ladder and the I_{k+1/2}(R) from one bessel_i_walk, each
+    I_{n+3/2} parts of t_abc_term.  The G_k come from one gamma_walk(3, 4R)
+    and the I_{k+1/2}(R) from one bessel_i_walk, each
     read once, before the first increment, up to the last increment the sum
     can draw (n_max, or policy.max_terms - 1 if smaller); where a walk stops
     short, its error is raised by the first increment that needs a missing
@@ -223,8 +227,8 @@ def t_abc_series(R: float, n_max: int = 20,
     _check_index("t_abc_series", "n_max", n_max)
     policy = policy or DEFAULT_POLICY
     top = min(n_max, policy.max_terms - 1)  # the last increment the sum can draw
-    gammas, gamma_error = _take(_GammaLadder(4.0 * R).walk(3.0), top + _j_top(top) + 3)  # G_k
-    i_half, i_error = _take(bessel_i_walk(R), top + 3)  # I_{k+1/2}(R)
+    gammas, gamma_error = read_walk(gamma_walk(3.0, 4.0 * R), top + _j_top(top) + 3)  # G_k
+    i_half, i_error = read_walk(bessel_i_walk(R), top + 3)  # I_{k+1/2}(R)
     combos = [4.0 * g1 + g0 for g0, g1 in zip(gammas, gammas[1:])]  # C_k
 
     def increments():
@@ -239,18 +243,6 @@ def t_abc_series(R: float, n_max: int = 20,
                 map(operator.mul, row, gammas[n + 2:]))
 
     return accumulate_series(increments(), policy)
-
-
-def _take(values: Iterator[float], count: int) -> tuple[list[float], SlaterAdditionError | None]:
-    """The first count values, or those before the error that stopped the iterator, and that
-    error: an increment that needs a value past them raises it, where a lazy read would have."""
-    taken: list[float] = []
-    try:
-        for value in itertools.islice(values, count):
-            taken.append(value)
-    except SlaterAdditionError as exc:  # re-raised by the increment that needs the value
-        return taken, exc
-    return taken, None
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Self-contained double-precision routines for the half-integer Bessel
 functions (with one downward sweep over the orders of I), a walk over the
-spherical Bessel functions j_n(y) / y^n,
-Legendre/Hermite polynomials, the upper incomplete gamma
-function at integer and half-integer first argument, the complex error
+spherical Bessel functions j_n(y) / y^n, Legendre/Hermite polynomials, the
+upper incomplete gamma function at integer and half-integer first argument
+(one stateless walk down its orders, gamma_walk), the complex error
 function, the Kummer confluent hypergeometric series, the exponential
 integral, and the one Meijer-G special case that is defined operationally
 through an inverse-Gaussian-transform quadrature.
@@ -17,13 +17,12 @@ immutable once written, so concurrent use is safe.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import sys
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .errors import CapacityError, DomainError, RangeError, TruncationError
+from .errors import CapacityError, DomainError, RangeError, SlaterAdditionError, TruncationError
 
 __all__ = [
     "factorial",
@@ -35,6 +34,7 @@ __all__ = [
     "legendre_walk",
     "legendre_p",
     "cos_power_to_legendre",
+    "gamma_walk",
     "upper_incomplete_gamma",
     "erf_complex",
     "kummer_1f1",
@@ -51,10 +51,8 @@ BESSEL_I_MAX_ORDER = (FACTORIAL_LIMIT - 1) // 2
 BESSEL_I_FIRST_TOP = 16
 # Largest |y| spherical_bessel_walk takes: its first block sweeps ~|y| orders.
 SPHERICAL_BESSEL_ARG_LIMIT = 1000.0
-# Recurrence depth bound for the incomplete gamma chains.
+# Largest number of recurrence steps an incomplete-gamma walk takes from its anchor.
 GAMMA_RECURRENCE_LIMIT = 400
-# fewest orders an incomplete-gamma chain grows by ahead of a walk that ran past its end
-GAMMA_BLOCK = 16
 # real z from which Gamma(a, z) at integer a < 0 comes from the continued fraction at a: the
 # downward walk loses ~z/|a| per step there (2.8e-14 at z = 7, 2.7e-5 at z = 28)
 GAMMA_CF_REAL_Z = 5.0
@@ -127,6 +125,17 @@ def binomial_general(p: int, k: int) -> float:
     for i in range(k):
         num *= p - i
     return num / factorial(k)
+
+
+def read_walk(values: Iterator, count: int) -> tuple[list, SlaterAdditionError | None]:
+    """The first count values of a walk, or those before the error that stopped it, and that
+    error, for the caller that needs a value past them to raise where a lazy read would have."""
+    taken: list = []
+    try:
+        taken.extend(itertools.islice(values, count))
+    except SlaterAdditionError as exc:
+        return taken, exc
+    return taken, None
 
 
 # ---------------------------------------------------------------------------
@@ -429,179 +438,115 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
     raise TruncationError("incomplete gamma continued fraction did not converge")
 
 
-def _gamma_anchor(a0: float, z: complex | float, emz: complex | float) -> complex | float:
-    """Gamma(a0, z) at the chain anchors a0 in {0, 1/2, 1}, given emz = e^{-z}; a float z (and
-    emz) gives a float, evaluated in float arithmetic throughout.
-
-    The ascending series serves |z| < 2, and real z only below 1: from there
-    the backward-evaluated fraction is the more accurate (E_1 at z in [1, 2]:
-    9e-16 against the series' 4.5e-15).  The fraction converges well only
-    with z away from the branch cut; at steep arguments the (entire)
-    ascending series is used instead, up to the modulus where its e^{|z|}
-    cancellation still leaves ~11 digits.  Beyond that wedge the fraction is
-    attempted and a failure surfaces as TruncationError rather than a wrong
-    value.
+def _gamma_chain(b: float, up: bool, z: complex | float, emz: complex | float,
+                 g: complex | float | None = None) -> Iterator[complex | float]:
+    """Gamma(b, z) at an anchor b (g, or else E_1(z) at b = 0 and Gamma(1/2, z) at b = 1/2), then
+    b + 1, b + 2, ... if up, else b - 1, b - 2, ..., unchecked, with emz = e^{-z}; a float z and
+    emz give floats.  The anchors come from the ascending series at |z| < 2, and at real z only
+    below 1: from there the backward-evaluated fraction is the more accurate (E_1 at z in
+    [1, 2]: 9e-16 against the series' 4.5e-15).  The fraction converges well only away from the
+    branch cut; at steep arguments the (entire) series is used instead, up to the modulus where
+    its e^{|z|} cancellation still leaves ~11 digits, and beyond it a failed fraction raises
+    TruncationError.  Below the anchor at real z >= GAMMA_CF_REAL_Z (integer b) or
+    GAMMA_CF_HALF_Z (half-integer b) each order is the fraction at it, not the downward step.
     """
-    if a0 == 1.0:
-        return emz
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
-    small = abs(z) < (1.0 if z.imag == 0 else 2.0) or (steep and abs(z) <= 9.0)
-    if a0 == 0.0:
-        return _exp1_small(z) if small else _gamma_cf(0.0, z, emz)
-    # a0 == 1/2
-    return _gamma_series_small(0.5, z) if small else _gamma_cf(0.5, z, emz)
-
-
-class _GammaLadder:
-    """Gamma(a, z) at one fixed z, each order on one of four chains walked
-    from its anchor (integers up from 1, down from 0; half-integers both ways
-    from 1/2; the two chains of one anchor share its value).  A chain keeps
-    every value it has walked through and grows in blocks, so a series visiting
-    many orders walks each chain once, in any request order, and ``walk`` hands
-    out a run of consecutive orders from one validated entry.  At real z the
-    chains and their anchors run in float arithmetic, and the orders a < 0 come
-    from the continued fraction at a (DLMF 8.9), not from the downward step,
-    from z >= GAMMA_CF_REAL_Z at integer a and from z >= GAMMA_CF_HALF_Z at
-    half-integer a.  e^{-z} is evaluated once, at the first order that needs
-    it, and shared by the anchors and every step."""
-
-    def __init__(self, z: complex | float):
-        self.z = complex(z)
-        if not cmath.isfinite(self.z):
-            raise DomainError(f"upper_incomplete_gamma: z = {self.z} is not finite")
-        self._emz: complex | None = None
-        # (anchor, direction) -> [Gamma(anchor), Gamma(anchor + direction), ...]
-        self._chains: dict[tuple[float, int], list] = {}
-
-    def __call__(self, a: float) -> complex | float:
-        return next(self.walk(a))
-
-    def _grow(self, anchor: float, direction: int, need: int, a: float, ahead: bool) -> list:
-        """The chain of (anchor, direction) through index need <= GAMMA_RECURRENCE_LIMIT, grown
-        in one block checked once: past the first entry that overflows or is not finite the
-        block is dropped, and CapacityError is raised only if that leaves index need out (a is
-        the order asked).  The block ends at index need or, for a walk that has run past the
-        chain's end, further ahead: at twice the chain's length and GAMMA_BLOCK entries on."""
-        key = (anchor, direction)
-        chain = self._chains.get(key)
-        if chain is not None and len(chain) > need:
-            return chain
-        z, real = self.z, self.z.imag == 0
-        try:
-            emz = self._emz
-            if emz is None:
-                emz = self._emz = cmath.exp(-z)
-            if real:
-                z, emz = z.real, emz.real
-            if chain is None:  # the anchor walked the other way is the same value
-                twin = self._chains.get((anchor, -direction))
-                chain = self._chains[key] = [twin[0] if twin else _gamma_anchor(anchor, z, emz)]
-            start = len(chain)
-            if start > need:
-                return chain
-            g, b = chain[-1], anchor + direction * (start - 1)
-            stop = max(need + 1, 2 * start, start + GAMMA_BLOCK) if ahead else need + 1
-            count = range(min(stop, GAMMA_RECURRENCE_LIMIT + 1) - start)
-            if direction > 0:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
-                for _ in count:
-                    g = b * g + z**b * emz
-                    b += 1.0
-                    chain.append(g)
-            elif real and z >= (GAMMA_CF_REAL_Z if anchor == 0.0 else GAMMA_CF_HALF_Z):
-                for _ in count:
-                    b -= 1.0
-                    chain.append(_gamma_cf(b, z, emz))
-            else:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
-                for _ in count:
-                    b -= 1.0
-                    g = (g - z**b * emz) / b
-                    chain.append(g)
-        except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
-            if chain is None or len(chain) <= need:
-                raise CapacityError(f"upper_incomplete_gamma: the walk to a = {a} overflows") from exc
-        finite = math.isfinite if real else cmath.isfinite
-        if not all(map(finite, chain[start:])):
-            del chain[next(i for i in range(start, len(chain)) if not finite(chain[i])):]
-            if len(chain) <= need:
-                raise CapacityError("upper_incomplete_gamma overflowed double precision")
-        return chain
-
-    def walk(self, a: float) -> Iterator[complex | float]:
-        """Gamma(a, z), Gamma(a - 1, z), Gamma(a - 2, z), ..., a and z validated once, as floats
-        at real z > 0.  Each order is read off its chain, grown where needed only when the walk
-        reaches it, and checked as a single order is: DomainError at z = 0 for a <= 0,
-        CapacityError past GAMMA_RECURRENCE_LIMIT, where the walk overflows, or on an inf or NaN."""
-        if not math.isfinite(a):
-            raise DomainError(f"upper_incomplete_gamma: a = {a} is not finite")
-        two_a = round(2 * a)
-        if abs(2 * a - two_a) > 1e-12:
-            raise DomainError(f"upper_incomplete_gamma: a = {a} is not integer or half-integer")
-        z = self.z
-        if z.imag == 0 and z.real < 0:
-            raise DomainError("upper_incomplete_gamma: z on the negative real axis")
-        if z == 0:  # Gamma(a, 0) = Gamma(a); the walk ends at the first a <= 0
-            for two_a in itertools.count(two_a, -2):
-                if two_a <= 0:
-                    raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
-                try:
-                    g = math.gamma(two_a / 2.0)
-                except OverflowError as exc:
-                    raise CapacityError(f"upper_incomplete_gamma: Gamma({two_a / 2.0}) overflows") from exc
-                yield complex(g)
+    if g is None and (abs(z) < (1.0 if z.imag == 0 else 2.0) or (steep and abs(z) <= 9.0)):
+        g = _exp1_small(z) if b == 0.0 else _gamma_series_small(0.5, z)
+    elif g is None:
+        g = _gamma_cf(b, z, emz)
+    yield g
+    if up:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
         while True:
-            a = two_a / 2.0
-            if two_a % 2:
-                anchor, direction = 0.5, (1 if a > 0 else -1)
-            else:
-                anchor, direction = (1.0, 1) if a >= 1 else (0.0, -1)
-            steps, ahead = int(round(abs(a - anchor))), False
-            while True:  # the orders on this chain, until the walk passes its anchor
-                if steps > GAMMA_RECURRENCE_LIMIT:
-                    raise CapacityError(f"upper_incomplete_gamma: recurrence depth {steps} exceeds "
-                                        f"bound {GAMMA_RECURRENCE_LIMIT}")
-                chain = self._grow(anchor, direction, steps, two_a / 2.0, ahead)
-                yield chain[steps]
-                if direction > 0:  # down to the anchor
-                    yield from map(chain.__getitem__, range(steps - 1, -1, -1))
-                    two_a -= 2 * (steps + 1)
-                    break
-                stop = len(chain)  # away from the anchor, as far as the chain reaches
-                yield from map(chain.__getitem__, range(steps + 1, stop))
-                two_a -= 2 * (stop - steps)
-                steps, ahead = stop, True
+            g = b * g + z**b * emz
+            b += 1.0
+            yield g
+    if isinstance(z, float) and z >= (GAMMA_CF_REAL_Z if b == 0.0 else GAMMA_CF_HALF_Z):
+        while True:
+            b -= 1.0
+            yield _gamma_cf(b, z, emz)
+    while True:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
+        b -= 1.0
+        g = (g - z**b * emz) / b
+        yield g
+
+
+def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
+    """Gamma(a, z), Gamma(a - 1, z), ... for integer or half-integer a, with a and z validated and
+    e^{-z} taken once per walk, floats at real z; nothing is kept between walks.  The orders
+    above Gamma(1, z) or Gamma(1/2, z) are walked up from it and handed out top-down, those at
+    and below Gamma(0, z) or Gamma(1/2, z) walked down from it.  Each order raises where the walk
+    reaches it, as upper_incomplete_gamma(order, z) does."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"upper_incomplete_gamma: z = {z} is not finite")
+    if not math.isfinite(a):
+        raise DomainError(f"upper_incomplete_gamma: a = {a} is not finite")
+    two_a = round(2 * a)
+    if abs(2 * a - two_a) > 1e-12:
+        raise DomainError(f"upper_incomplete_gamma: a = {a} is not integer or half-integer")
+    if z.imag == 0 and z.real < 0:
+        raise DomainError("upper_incomplete_gamma: z on the negative real axis")
+    if z == 0:  # Gamma(a, 0) = Gamma(a); the walk ends at the first a <= 0
+        for two_a in itertools.count(two_a, -2):
+            if two_a <= 0:
+                raise DomainError("upper_incomplete_gamma diverges at z = 0 for a <= 0")
+            try:
+                g = math.gamma(two_a / 2.0)
+            except OverflowError as exc:
+                raise CapacityError(f"upper_incomplete_gamma: Gamma({two_a / 2.0}) overflows") from exc
+            yield complex(g)
+    half = two_a % 2  # the half-integer orders walk both ways from Gamma(1/2)
+    up = two_a > half
+    depth = (two_a - 2 + half) // 2 if up else (half - two_a) // 2  # steps from the anchor to a
+
+    def take(values: Iterator, count: int) -> list:
+        # the next count values, the last of them the order two_a / 2, depth steps from its anchor
+        if depth > GAMMA_RECURRENCE_LIMIT:
+            raise CapacityError(f"upper_incomplete_gamma: recurrence depth {depth} exceeds "
+                                f"bound {GAMMA_RECURRENCE_LIMIT}")
+        try:
+            run = list(itertools.islice(values, count))
+        except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
+            raise CapacityError(f"upper_incomplete_gamma: the walk to a = {two_a / 2.0} "
+                                "overflows") from exc
+        if not all(map(cmath.isfinite, run)):
+            raise CapacityError("upper_incomplete_gamma overflowed double precision")
+        return run
+
+    emz = take(map(cmath.exp, [-z]), 1)[0]  # under the first order's depth and overflow checks
+    if z.imag == 0:
+        z, emz = z.real, emz.real
+    if up:  # up from Gamma(1) or Gamma(1/2) to a, handed out top-down
+        run = take(_gamma_chain(1.0 - half / 2.0, True, z, emz, None if half else emz), depth + 1)
+        yield from reversed(run)
+        two_a, depth = -half, half
+    chain = _gamma_chain(half / 2.0, False, z, emz, run[0] if up and half else None)
+    count = depth + 1  # from the anchor down to the next order, then one order at a time
+    while True:
+        yield take(chain, count)[-1]
+        two_a, depth, count = two_a - 2, depth + 1, 1
 
 
 def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
-    """Upper incomplete gamma Gamma(a, z) for integer or half-integer a.
-
-    Anchored at Gamma(1, z) = e^{-z}, Gamma(0, z) = E_1(z) and Gamma(1/2, z),
-    then moved to the requested a with the recurrence
-    Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z}  (upward for a above the anchor,
-    downward for a below, including nonpositive integers).  z may be complex
-    but must stay off the negative real axis, where the principal branch of
-    z^a has its cut.  A non-finite a or z raises DomainError; where the walk
-    leaves double precision, CapacityError is raised.  E_1(z) = Gamma(0, z)
-    at real z in [1e-3, 700] is within 2e-15 relative of mpmath.e1 (measured
-    worst 8.6e-16 over 30,000 log-spaced points, from the series just below
-    z = 1).  At real z the anchors E_1 and Gamma(1/2, z) come from the ascending series
-    below z = 1 and from one backward pass of the continued fraction above,
-    both in float arithmetic (within 4.0e-16 of 40-digit mpmath over 8,002
-    points in z in [1, 10]).  The orders a < 0 are evaluated by the continued
-    fraction at a, since the downward step loses ~z/|a| per order, at real
-    z >= GAMMA_CF_REAL_Z = 5 for integer a and z >= GAMMA_CF_HALF_Z = 1 for
-    half-integer a: over a in [-60, -0.5] and z in [5, 100] it is within
-    3.4e-16 of 80-digit mpmath (measured worst 3.3e-16) wherever the value is
-    a normal double, and within 4.3e-16 of 40-digit mpmath for half-integer
-    a in [-60, -0.5] and z in [1, 5].
+    """Upper incomplete gamma Gamma(a, z) for integer or half-integer a: the first value of
+    gamma_walk(a, z), which moves from Gamma(1, z) = e^{-z}, Gamma(0, z) = E_1(z) or
+    Gamma(1/2, z) to a by Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z}.  z may be complex but
+    must stay off the negative real axis, where the principal branch of z^a has its cut.  A
+    non-finite a or z raises DomainError; where the walk leaves double precision,
+    CapacityError is raised.  E_1(z) = Gamma(0, z) at real z in [1e-3, 700] is within 2e-15
+    relative of mpmath.e1 (measured worst 8.6e-16 over 30,000 log-spaced points, from the
+    series just below z = 1).  At real z the anchors E_1 and Gamma(1/2, z) come from the
+    ascending series below z = 1 and from one backward pass of the continued fraction above,
+    both in float arithmetic (within 4.0e-16 of 40-digit mpmath over 8,002 points in z in
+    [1, 10]).  The orders a < 0 are evaluated by the continued fraction at a, since the
+    downward step loses ~z/|a| per order, at real z >= GAMMA_CF_REAL_Z = 5 for integer a and
+    z >= GAMMA_CF_HALF_Z = 1 for half-integer a: over a in [-60, -0.5] and z in [5, 100] it is
+    within 3.4e-16 of 80-digit mpmath (measured worst 3.3e-16) wherever the value is a normal
+    double, and within 4.3e-16 of 40-digit mpmath for half-integer a in [-60, -0.5] and z in
+    [1, 5].
     """
-    return complex(_GammaLadder(z)(a))
-
-
-def gamma_real_cache(z: complex | float) -> Callable[[float], float]:
-    """Memoised a -> Re Gamma(a, z) at one fixed z, for series that revisit orders:
-    one shared walk, each value bit-identical to upper_incomplete_gamma(a, z).real."""
-    ladder = _GammaLadder(z)
-    return functools.cache(lambda a: ladder(a).real)
+    return complex(next(gamma_walk(a, z)))
 
 
 # ---------------------------------------------------------------------------

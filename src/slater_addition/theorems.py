@@ -164,7 +164,7 @@ def accumulate_series(terms: Iterable[complex],
     to DEFAULT_POLICY.  The sum stays in float arithmetic while the terms are
     real, and the first complex term promotes it; either way the real parts are
     those of a complex loop bit for bit.  The largest |term| is kept for
-    ``cancellation``.
+    ``cancellation``.  A sum that is not finite is flagged as not converged.
     """
     policy = policy or DEFAULT_POLICY
     rel_tol = policy.rel_tol
@@ -194,7 +194,7 @@ def accumulate_series(terms: Iterable[complex],
     return SeriesEvaluation(
         terms=tuple(out_terms),
         value=complex(s),
-        converged=converged,
+        converged=converged and cmath.isfinite(s),
         terms_used=len(out_terms),
         cancellation=peak / abs(s) if s else math.inf,
     )

@@ -1,6 +1,7 @@
 """Amplitude integrals: closed forms, series terms, double-series reconstructions."""
 
 import cmath
+import functools
 import itertools
 import math
 import tracemalloc
@@ -29,7 +30,6 @@ from slater_addition.amplitudes import (
 from slater_addition.errors import DomainError, RangeError
 from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import (
-    gamma_real_cache,
     spherical_bessel_walk,
     upper_incomplete_gamma,
 )
@@ -145,7 +145,7 @@ class TestSeriesTerms:
         SlaterPair(eta1=0.65, eta2=1.0438, x2=0.6761, k=0.2833),  # CapacityError at n = 1
     ])
     def test_shared_ladders_match_one_walk_per_gamma(self, n, pair, monkeypatch):
-        # the two segment-end ladders against a fresh upper_incomplete_gamma walk per
+        # the segment-end walks against a fresh upper_incomplete_gamma walk per
         # Gamma value: bit-identical values, NaNs and exceptions
         def outcome():
             try:
@@ -155,7 +155,8 @@ class TestSeriesTerms:
             return v.real.hex(), v.imag.hex()
 
         shared = outcome()
-        monkeypatch.setattr(amplitudes, "_GammaLadder", lambda z: lambda a: upper_incomplete_gamma(a, z))
+        monkeypatch.setattr(amplitudes, "gamma_walk", lambda a, z: (
+            upper_incomplete_gamma(a - i, z) for i in itertools.count()))
         assert outcome() == shared
 
     def test_degenerate_interval_rejected(self):
@@ -349,7 +350,7 @@ def _per_term_k_series(n, p, k_count):
     """(k-term, sum of |term|) of block n with every (k, i, j) term built from
     scratch, the way the blocks were summed before their coefficients were
     hoisted out of k."""
-    gamma_at = gamma_real_cache(p.x2 * p.eta2)
+    gamma_at = functools.cache(lambda a: upper_incomplete_gamma(a, p.x2 * p.eta2).real)
     fact = math.factorial
 
     def term(k, i, j):

@@ -16,7 +16,8 @@ from slater_addition.ellipsoidal import (
     t_abc_term,
     _t_abc_oracle_integrand,
 )
-from slater_addition.errors import CapacityError, DomainError
+from slater_addition.cli import EXIT_ERROR, EXIT_FLAGGED, main
+from slater_addition.errors import CapacityError, DomainError, RangeError
 from slater_addition.specfun import bessel_i_half, k_half_coef
 from slater_addition.theorems import SeriesEvaluation, TruncationPolicy
 
@@ -98,6 +99,19 @@ class TestOracleAndExact:
         # the 1/R terms cancel: 5.9e-12 off at R = 1e-4
         with pytest.raises(DomainError, match="R >= 0.001"):
             t_abc_exact(1e-4)
+
+    @pytest.mark.parametrize("R", [236.0, 237.0, 300.0, 1e5])
+    def test_exact_above_its_domain_raises(self, R, capsys):
+        # e^{3R} times its polynomial overflows: to inf times Ei(-8R) = 0 (NaN) at R = 236,
+        # and e^{3R} itself from R ~ 236.6, which raised a bare OverflowError
+        with pytest.raises(RangeError, match="R <= 232"):
+            t_abc_exact(R)
+        assert main(["eval", "t_abc_exact", "--param", f"R={R!r}"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_exact_finite_at_the_top_of_its_domain(self):
+        assert 0.0 < t_abc_exact(232.0) < 1e-297
 
     def test_reference_values(self):
         assert t_abc_exact(0.11) == pytest.approx(0.360071, abs=1e-6)
@@ -212,24 +226,28 @@ class TestSeries:
         assert t_abc_series(0.37, n_max=n_max).terms_used == n_max + 1
         assert orders == seeds
 
+    @pytest.mark.parametrize("n_max", [2, 20])
+    def test_nan_series_is_flagged(self, n_max, capsys):
+        # at R = 700 Gamma(3 - k, 4R) underflows to 0 while R^{2n} I_{n+5/2}(R) overflows: the
+        # increments are NaN, and a NaN sum is not converged
+        ev = t_abc_series(700.0, n_max=n_max)
+        assert math.isnan(ev.value.real) and not ev.converged
+        assert main(["eval", "t_abc_series", "--param", "R=700", "--param", f"n_max={n_max}"]) == EXIT_FLAGGED
+        assert "converged = false" in capsys.readouterr().out
+
     @pytest.mark.parametrize("R", [0.05, 0.7, 7.0])
     def test_series_enters_the_gamma_ladder_once(self, R, monkeypatch):
-        # every Gamma(a, 4R) of the series comes from one validated walk; one call per order
-        # would enter the ladder 2 n_max + 3 times
-        entries = []
+        # every Gamma(a, 4R) of the series comes from one validated walk; one walk per order
+        # would start 2 n_max + 3 of them
+        walks = []
 
-        def counted(name):
-            original = getattr(specfun._GammaLadder, name)
+        def counted(a, z):
+            walks.append((a, z))
+            return specfun.gamma_walk(a, z)
 
-            def entry(self, *args):
-                entries.append((name, args))
-                return original(self, *args)
-            return entry
-
-        for name in ("__call__", "walk"):
-            monkeypatch.setattr(specfun._GammaLadder, name, counted(name))
+        monkeypatch.setattr(ellipsoidal, "gamma_walk", counted)
         t_abc_series(R, n_max=20)
-        assert len(entries) <= 4, entries
+        assert walks == [(3.0, 4.0 * R)]
 
     @pytest.mark.parametrize("R, value, terms_used, converged", [
         # bits of the dot-product increments over the float Gamma walk and the I sweep

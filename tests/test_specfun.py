@@ -1,6 +1,7 @@
 """Special-function kernel: frozen values, independent oracles, properties."""
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from slater_addition import specfun as sf
 from slater_addition.cli import EXIT_ERROR, main
-from slater_addition.errors import CapacityError, DomainError, RangeError
+from slater_addition.errors import CapacityError, DomainError, RangeError, SlaterAdditionError
 from slater_addition.quadrature import integrate_finite, integrate_semi_infinite
 
 SQRT_PI = math.sqrt(math.pi)
@@ -133,7 +134,7 @@ def test_non_finite_argument_is_a_domain_error(bad):
     with pytest.raises(DomainError, match="finite"):
         sf.upper_incomplete_gamma(bad, 1.0)
     with pytest.raises(DomainError, match="finite"):
-        sf.gamma_real_cache(bad)
+        next(sf.gamma_walk(2.0, bad))
 
 
 class TestBesselIHalf:
@@ -452,7 +453,7 @@ class TestUpperIncompleteGamma:
 
     def test_real_fraction_and_series_run_in_floats(self):
         for a, z in ((0.0, 0.5), (0.5, 0.5), (0.0, 2.0), (0.5, 2.0), (-7.5, 3.0)):
-            g = sf._GammaLadder(z)(a)
+            g = next(sf.gamma_walk(a, z))
             assert type(g) is float, (a, z)
 
     def test_half_integer_below_five_vs_mpmath(self):
@@ -494,22 +495,32 @@ LADDER_ZS = (0.01, 0.25, 1.9, 2.1, 4.8, 0.5 + 1j)
 LADDER_ORDERS = [two_a / 2.0 for two_a in range(-120, 61)]  # integers and half-integers in [-60, 30]
 
 
-class TestGammaLadder:
-    @pytest.mark.parametrize("z", LADDER_ZS)
-    def test_bit_identical_to_kernel(self, z):
-        gamma_at = sf.gamma_real_cache(z)
-        for a in LADDER_ORDERS:
-            assert gamma_at(a) == sf.upper_incomplete_gamma(a, z).real, a
+# the digest of the walks below, recorded from the chain-cached ladder the walk replaced: the
+# hex of every value and the text of every error, bit for bit
+WALK_DIGEST = "c6decf827a6a16d67b5ab8d9f1a8be3444a334ed3cdc9e7bd5f494414974b14c"
+
+
+class TestGammaWalk:
+    def test_walks_match_the_recorded_digest(self):
+        lines = []
+        for z in LADDER_ZS + (5.0, 28.0, 40.0):
+            for start in (30.0, 29.5, 3.0, -3.0, -120.0):
+                try:
+                    for g in itertools.islice(sf.gamma_walk(start, z), 91):
+                        lines.append(f"{type(g).__name__} {g.real.hex()} {g.imag.hex()}")
+                except SlaterAdditionError as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+        assert len(lines) == 4040
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WALK_DIGEST
 
     @pytest.mark.parametrize("z", LADDER_ZS)
-    def test_independent_of_request_order(self, z):
-        shuffled = list(LADDER_ORDERS)
-        random.Random(7).shuffle(shuffled)
-        results = []
-        for orders in (LADDER_ORDERS, LADDER_ORDERS[::-1], shuffled):
-            gamma_at = sf.gamma_real_cache(z)
-            results.append({a: gamma_at(a) for a in orders})
-        assert results[0] == results[1] == results[2]
+    def test_bit_identical_to_kernel(self, z):
+        # every order of LADDER_ORDERS off two walks, the integers from 30 and the
+        # half-integers from 29.5
+        for start in (30.0, 29.5):
+            orders = [a for a in LADDER_ORDERS[::-1] if (a - start) % 1 == 0]
+            for a, g in zip(orders, sf.gamma_walk(start, z)):
+                assert complex(g) == sf.upper_incomplete_gamma(a, z), a
 
     @pytest.mark.parametrize("a, z, error", [
         (-1.0, 0.0, DomainError), (0.0, 0.0, DomainError),            # z = 0, a <= 0
@@ -523,10 +534,8 @@ class TestGammaLadder:
     def test_errors_match_kernel(self, a, z, error):
         with pytest.raises(error) as single:
             sf.upper_incomplete_gamma(a, z)
-        with pytest.raises(error):
-            sf.gamma_real_cache(z)(a)
         with pytest.raises(error) as walked:  # a walk's first order raises as the single order does
-            next(sf._GammaLadder(z).walk(a))
+            next(sf.gamma_walk(a, z))
         assert str(walked.value) == str(single.value)
 
     @pytest.mark.parametrize("z", LADDER_ZS + (0.0,))
@@ -534,7 +543,7 @@ class TestGammaLadder:
     def test_walk_bit_identical_to_kernel(self, z, start):
         # down through the anchors, and T(a,bc)'s walk from a = 3; at z = 0 the walk stops with
         # the kernel's DomainError at the first a <= 0
-        walk = sf._GammaLadder(z).walk(start)
+        walk = sf.gamma_walk(start, z)
         for i in range(91):
             a = start - i
             try:
@@ -546,40 +555,35 @@ class TestGammaLadder:
             assert next(walk) == want, a
 
     def test_walk_chain_stays_valid_after_an_overflow(self):
-        # a walk down from -3 overflows near -103; the orders it passed keep their values
-        ladder = sf._GammaLadder(0.001)
+        # a walk down from -3 overflows near -103, naming the order it was about to hand out;
+        # the orders it passed are the kernel's
         walked = []
         with pytest.raises(CapacityError, match="overflow"):
-            for g in ladder.walk(-3.0):
+            for g in sf.gamma_walk(-3.0, 0.001):
                 walked.append(g)
         assert len(walked) > 90
         for i, g in enumerate(walked):
-            assert g == ladder(-3.0 - i) == sf.upper_incomplete_gamma(-3.0 - i, 0.001)
+            assert g == sf.upper_incomplete_gamma(-3.0 - i, 0.001)
 
     @pytest.mark.parametrize("z", [1.5, 3.0, 0.5 + 1j])
     def test_exp_minus_z_evaluated_once_per_ladder(self, z, monkeypatch):
         # the anchors (series at |z| < 2, continued fraction above) and every
-        # step of the four chains share one e^{-z}
+        # step of a walk share one e^{-z}, also where it passes from Gamma(1) to E_1
         calls = []
         exp = cmath.exp
         monkeypatch.setattr(cmath, "exp", lambda w: calls.append(w) or exp(w))
-        gamma_at = sf.gamma_real_cache(z)
-        for a in LADDER_ORDERS:
-            gamma_at(a)
-        assert calls == [-complex(z)]
-        calls.clear()
-        ladder = sf._GammaLadder(z)
-        for start in (30.0, 29.5):
-            list(itertools.islice(ladder.walk(start), 91))
-        assert calls == [-complex(z)]
+        for start in (30.0, 29.5, -2.0):
+            list(itertools.islice(sf.gamma_walk(start, z), 91))
+            assert calls == [-complex(z)], start
+            calls.clear()
 
     def test_chain_stays_valid_after_an_overflow(self):
-        # the walk to -120 overflows near -103; the orders it passed keep their values
-        gamma_at = sf.gamma_real_cache(0.001)
+        # the walk to -120 overflows near -103; a walk keeps no state, so the orders above it
+        # still evaluate
         with pytest.raises(CapacityError):
-            gamma_at(-120.0)
+            next(sf.gamma_walk(-120.0, 0.001))
         for a in (-50.0, -100.0, -3.0):
-            assert gamma_at(a) == sf.upper_incomplete_gamma(a, 0.001).real
+            assert next(sf.gamma_walk(a, 0.001)) == sf.upper_incomplete_gamma(a, 0.001).real
 
     @pytest.mark.parametrize("zs, orders", [
         # theorem 3/4 blocks: z = x2 eta2 in (0, 0.25], a in [-120, 18]
@@ -591,11 +595,9 @@ class TestGammaLadder:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             for z in zs:
-                gamma_at = sf.gamma_real_cache(z)
-                for a in orders:
+                for a, g in zip(orders[::-1], sf.gamma_walk(orders[-1], z)):
                     want = mpmath.gammainc(a, z)
-                    assert float(abs((gamma_at(a) - want) / want)) <= 5e-14, (a, z)
-
+                    assert float(abs((g - want) / want)) <= 5e-14, (a, z)
 
     @pytest.mark.parametrize("start", [3.0, 2.5])
     def test_vs_mpmath_at_large_real_z(self, start):
@@ -604,7 +606,7 @@ class TestGammaLadder:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             for z in (5.0, 10.0, 16.0, 28.0):
-                walk = sf._GammaLadder(z).walk(start)
+                walk = sf.gamma_walk(start, z)
                 for i in range(45):
                     want = mpmath.gammainc(start - i, z)
                     assert float(abs((next(walk) - want) / want)) <= 1e-14, (start - i, z)
@@ -616,7 +618,7 @@ class TestGammaLadder:
         calls = []
         cf = sf._gamma_cf
         monkeypatch.setattr(sf, "_gamma_cf", lambda a, z, emz: calls.append(a) or cf(a, z, emz))
-        list(itertools.islice(sf._GammaLadder(4.8).walk(3.0), 60))
+        list(itertools.islice(sf.gamma_walk(3.0, 4.8), 60))
         assert sf.GAMMA_CF_REAL_Z > 4.8 and calls == [0.0]
 
 

@@ -786,6 +786,16 @@ class TestAccumulateSeries:
         assert got.value.imag != 0 and got.partial_sums[1].imag == 0
         assert got.partial_sums[-1] == got.value
 
+    @pytest.mark.parametrize("terms", [
+        [1.0, math.nan],                           # a finite generator stops on a NaN
+        [1.0, math.inf, 0.0, 0.0, 0.0],
+        [1e308, 1e308, 0.0, 0.0, 0.0],             # the sum itself overflows
+        [0.5j, complex(0.25, math.nan), 0.0, 0.0, 0.0],
+    ])
+    def test_non_finite_sum_is_not_converged(self, terms):
+        ev = th.accumulate_series(iter(terms))
+        assert not cmath.isfinite(ev.value) and not ev.converged
+
     def test_zero_sum_has_infinite_cancellation(self):
         ev = th.accumulate_series(iter([1.0, -1.0]))
         assert ev.value == 0 and ev.cancellation == math.inf
