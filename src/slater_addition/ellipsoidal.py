@@ -48,6 +48,8 @@ _SQRT_PI = math.sqrt(math.pi)
 # the series' smallest R: below it Gamma(-2, 4R) ~ 1/(32 R^2), read by increment 2, leaves
 # double precision, and T(a,bc) = 3/8 - O(R^2) is 3/8 to double precision anyway
 SERIES_MIN_R = 1e-150
+# t_abc_exact's largest R: T(a,bc) falls below the smallest normal double at R ~ 239.27
+EXACT_MAX_R = 239.26
 
 
 def _check_r(name: str, R: float, low: float = 0.0) -> None:
@@ -130,25 +132,30 @@ def t_abc_exact(R: float) -> float:
     The second group carries a single overall minus sign.  Against the same
     form in 40-digit mpmath, over 600 log-spaced R, the relative error is at
     most 4.8e-14 on [0.011, 0.05] and 4.2e-15 on [0.05, 20]; it grows to
-    8.5e-13 at R = 0.001 as the 116/(9R) terms cancel, so its domain is
-    0.001 <= R <= 232: DomainError below, RangeError above, where e^{3R} overflows.
+    8.5e-13 at R = 0.001 as the 116/(9R) terms cancel.  Above R = 20 it follows
+    the rounding of 3R in e^{-3R}: at most 5.8e-14 on [20, 236.13] (6,000
+    points), and 1.2e-12 on (236.13, 239.26] (3,000 points), where e^{-3R} is
+    a subnormal double with fewer bits.  From R ~ 93, where Ei(-8R) underflows
+    to 0, the first group (~e^{-5R}) is taken as 0.  At R = 239.27 T(a,bc)
+    leaves the normal doubles, so the domain is 0.001 <= R <= EXACT_MAX_R =
+    239.26: DomainError below, RangeError above.
     """
     _check_r("t_abc_exact", R)
     if R < 1e-3:
         raise DomainError(f"t_abc_exact: R = {R!r} is below its domain R >= 0.001")
+    if R > EXACT_MAX_R:
+        raise RangeError(f"t_abc_exact: R = {R!r} is above its domain R <= {EXACT_MAX_R}, "
+                         "where T(a,bc) leaves the normal doubles")
     ei8 = exp_integral_ei(-8.0 * R)
     ei2 = exp_integral_ei(-2.0 * R)
-    try:
-        t1 = math.exp(3.0 * R) * (-16.0 * R**2 + 44.0 * R + 116.0 / (9.0 * R) - 116.0 / 3.0) * ei8
-    except OverflowError:  # e^{3R} itself, from R ~ 236.6
-        t1 = math.inf
+    # where Ei(-8R) is 0, e^{3R} times its polynomial would overflow and turn the 0 into nan
+    t1 = 0.0 if ei8 == 0.0 else math.exp(3.0 * R) * (
+        -16.0 * R**2 + 44.0 * R + 116.0 / (9.0 * R) - 116.0 / 3.0) * ei8
     t2 = -math.exp(-3.0 * R) * (16.0 * R**2 + 44.0 * R + 116.0 / (9.0 * R) + 116.0 / 3.0) * (
         ei2 + 2.0 * math.log(2.0)
     )
     t3 = math.exp(-3.0 * R) * (624.0 * R**2 + 2256.0 * R + 131.0 / (3.0 * R) + 1670.0) / 16.0
     t4 = -math.exp(-5.0 * R) * (160.0 * R + 131.0 / (3.0 * R) + 34.0) / 16.0
-    if not all(map(math.isfinite, (t1, t2, t3, t4))):
-        raise RangeError(f"t_abc_exact: R = {R!r} is above its domain R <= 232, where a term overflows")
     return (t1 + t2 + t3 + t4) / 81.0
 
 
@@ -172,11 +179,11 @@ def _row(n: int) -> tuple[float, ...]:
                  for big_j in range(nt + 1))
 
 
-def _scales(n: int, R: float, i_low: float, i_top: float) -> tuple[float, float]:
-    # R^{2n} (X + Y) and 16 R^{2n+2} X, with X = I_{n+5/2}(R) R^{-n-1/2} = i_top R^{-n-1/2} and
-    # Y = (2n+3) I_{n+3/2}(R) R^{-n-3/2} = (2n+3) i_low R^{-n-3/2}
+def _scales(n: int, R: float, r16: float, i_low: float, i_top: float) -> tuple[float, float]:
+    # R^{2n} (X + Y) and 16 R^{2n+2} X, with r16 = 16 R^3, X = I_{n+5/2}(R) R^{-n-1/2} =
+    # i_top R^{-n-1/2} and Y = (2n+3) I_{n+3/2}(R) R^{-n-3/2} = (2n+3) i_low R^{-n-3/2}
     r = R ** (n - 1.5)
-    return r * (R * i_top + (2 * n + 3) * i_low), 16.0 * R**3 * r * i_top
+    return r * (R * i_top + (2 * n + 3) * i_low), r16 * r * i_top
 
 
 def t_abc_term(n: int, big_j: int, R: float) -> float:
@@ -199,7 +206,7 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     k = n + big_j  # the walk from Gamma(3, 4R) reads Gamma(3 - k, 4R) at index k
     g3, g2, g1 = itertools.islice(gamma_walk(3.0 - k, 4.0 * R), 3)
-    p, q = _scales(n, R, bessel_i_half(n + 1, R), bessel_i_half(n + 2, R))
+    p, q = _scales(n, R, 16.0 * R**3, bessel_i_half(n + 1, R), bessel_i_half(n + 2, R))
     return _row(n)[big_j] * (p * (4.0 * g2 + g3) - q * g1)
 
 
@@ -230,6 +237,7 @@ def t_abc_series(R: float, n_max: int = 20,
     gammas, gamma_error = read_walk(gamma_walk(3.0, 4.0 * R), top + _j_top(top) + 3)  # G_k
     i_half, i_error = read_walk(bessel_i_walk(R), top + 3)  # I_{k+1/2}(R)
     combos = [4.0 * g1 + g0 for g0, g1 in zip(gammas, gammas[1:])]  # C_k
+    r16 = 16.0 * R**3
 
     def increments():
         for n in range(n_max + 1):
@@ -238,7 +246,7 @@ def t_abc_series(R: float, n_max: int = 20,
                 raise gamma_error
             if n + 3 > len(i_half):
                 raise i_error
-            p, q = _scales(n, R, i_half[n + 1], i_half[n + 2])
+            p, q = _scales(n, R, r16, i_half[n + 1], i_half[n + 2])
             yield p * math.fsum(map(operator.mul, row, combos[n:])) - q * math.fsum(
                 map(operator.mul, row, gammas[n + 2:]))
 

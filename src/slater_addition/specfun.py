@@ -434,41 +434,62 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return emz * z**a * h
+            scale = emz * z**a  # overflows before h ~ 1/z brings it back, e.g. at z = -709 + 1j
+            return scale * h if cmath.isfinite(scale) else emz * (z**a * h)
     raise TruncationError("incomplete gamma continued fraction did not converge")
 
 
-def _gamma_chain(b: float, up: bool, z: complex | float, emz: complex | float,
-                 g: complex | float | None = None) -> Iterator[complex | float]:
-    """Gamma(b, z) at an anchor b (g, or else E_1(z) at b = 0 and Gamma(1/2, z) at b = 1/2), then
-    b + 1, b + 2, ... if up, else b - 1, b - 2, ..., unchecked, with emz = e^{-z}; a float z and
-    emz give floats.  The anchors come from the ascending series at |z| < 2, and at real z only
-    below 1: from there the backward-evaluated fraction is the more accurate (E_1 at z in
-    [1, 2]: 9e-16 against the series' 4.5e-15).  The fraction converges well only away from the
-    branch cut; at steep arguments the (entire) series is used instead, up to the modulus where
-    its e^{|z|} cancellation still leaves ~11 digits, and beyond it a failed fraction raises
-    TruncationError.  Below the anchor at real z >= GAMMA_CF_REAL_Z (integer b) or
-    GAMMA_CF_HALF_Z (half-integer b) each order is the fraction at it, not the downward step.
-    """
+def _gamma_anchor(b: float, z: complex | float, emz: complex | float) -> complex | float:
+    """Gamma(b, z) at an anchor b: E_1(z) at b = 0, Gamma(1/2, z) at b = 1/2, with emz = e^{-z};
+    a float z and emz give a float.  The anchors come from the ascending series at |z| < 2,
+    and at real z only below 1: from there the backward-evaluated fraction is the more
+    accurate (E_1 at z in [1, 2]: 9e-16 against the series' 4.5e-15).  The fraction converges
+    well only away from the branch cut; at steep arguments the (entire) series is used
+    instead, up to the modulus where its e^{|z|} cancellation still leaves ~11 digits, and
+    beyond it a failed fraction raises TruncationError."""
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
-    if g is None and (abs(z) < (1.0 if z.imag == 0 else 2.0) or (steep and abs(z) <= 9.0)):
-        g = _exp1_small(z) if b == 0.0 else _gamma_series_small(0.5, z)
-    elif g is None:
-        g = _gamma_cf(b, z, emz)
+    if abs(z) < (1.0 if z.imag == 0 else 2.0) or (steep and abs(z) <= 9.0):
+        return _exp1_small(z) if b == 0.0 else _gamma_series_small(0.5, z)
+    return _gamma_cf(b, z, emz)
+
+
+def _gamma_up(b: float, z: complex | float, emz: complex | float,
+              g: complex | float | None) -> Iterator[complex | float]:
+    """Gamma(b, z) (g, or else the anchor Gamma(1/2, z)), Gamma(b + 1, z), ..., unchecked, by
+    Gamma(b + 1) = b Gamma(b) + z^b e^{-z} with emz = e^{-z}."""
+    if g is None:
+        g = _gamma_anchor(b, z, emz)
     yield g
-    if up:  # Gamma(b+1) = b Gamma(b) + z^b e^{-z}
-        while True:
-            g = b * g + z**b * emz
-            b += 1.0
-            yield g
-    if isinstance(z, float) and z >= (GAMMA_CF_REAL_Z if b == 0.0 else GAMMA_CF_HALF_Z):
-        while True:
-            b -= 1.0
-            yield _gamma_cf(b, z, emz)
-    while True:  # Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1)
-        b -= 1.0
-        g = (g - z**b * emz) / b
+    while True:
+        g = b * g + z**b * emz
+        b += 1.0
         yield g
+
+
+def _checked(values: Iterator, count: int, depth: int, order: float) -> list:
+    # the next count values of a walk, the last of them Gamma(order), depth steps from its anchor,
+    # under the walk's three checks
+    if depth > GAMMA_RECURRENCE_LIMIT:
+        raise _past_limit(depth)
+    try:
+        run = list(itertools.islice(values, count))
+    except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
+        raise _overflow(order) from exc
+    if not all(map(cmath.isfinite, run)):
+        raise CapacityError(_NOT_FINITE)
+    return run
+
+
+def _past_limit(depth: int) -> CapacityError:
+    return CapacityError(f"upper_incomplete_gamma: recurrence depth {depth} exceeds "
+                         f"bound {GAMMA_RECURRENCE_LIMIT}")
+
+
+def _overflow(order: float) -> CapacityError:
+    return CapacityError(f"upper_incomplete_gamma: the walk to a = {order} overflows")
+
+
+_NOT_FINITE = "upper_incomplete_gamma overflowed double precision"
 
 
 def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
@@ -476,7 +497,17 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
     e^{-z} taken once per walk, floats at real z; nothing is kept between walks.  The orders
     above Gamma(1, z) or Gamma(1/2, z) are walked up from it and handed out top-down, those at
     and below Gamma(0, z) or Gamma(1/2, z) walked down from it.  Each order raises where the walk
-    reaches it, as upper_incomplete_gamma(order, z) does."""
+    reaches it, as upper_incomplete_gamma(order, z) does.
+
+    Below the anchor each order costs one step of the generator's own loop: one recurrence
+    step (a power z^b, a multiply, a subtract and a divide; the continued fraction at b where
+    it takes over) and three checks, a depth past GAMMA_RECURRENCE_LIMIT, an OverflowError or
+    ZeroDivisionError from the step (CapacityError naming the order about to be handed out)
+    and a value that is not finite.  That is ~0.1 us per order at real z (218 orders from
+    a = 18 at z = 0.1 in 23 us, CPython 3.11 on a 2-vCPU x86-64 VM).  T(a,bc)'s walk,
+    Gamma(3, z) down to Gamma(-40, z) at real z in [0.2, 4.8], is within 1.5e-14 relative of
+    40-digit mpmath (measured worst 1.01e-14 over 36,000 walks, at a = -4 and -5 near
+    z = 4.5 to 4.8, where the walk down from E_1 loses ~z/|a| per step)."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"upper_incomplete_gamma: z = {z} is not finite")
@@ -499,33 +530,46 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
     half = two_a % 2  # the half-integer orders walk both ways from Gamma(1/2)
     up = two_a > half
     depth = (two_a - 2 + half) // 2 if up else (half - two_a) // 2  # steps from the anchor to a
-
-    def take(values: Iterator, count: int) -> list:
-        # the next count values, the last of them the order two_a / 2, depth steps from its anchor
-        if depth > GAMMA_RECURRENCE_LIMIT:
-            raise CapacityError(f"upper_incomplete_gamma: recurrence depth {depth} exceeds "
-                                f"bound {GAMMA_RECURRENCE_LIMIT}")
-        try:
-            run = list(itertools.islice(values, count))
-        except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
-            raise CapacityError(f"upper_incomplete_gamma: the walk to a = {two_a / 2.0} "
-                                "overflows") from exc
-        if not all(map(cmath.isfinite, run)):
-            raise CapacityError("upper_incomplete_gamma overflowed double precision")
-        return run
-
-    emz = take(map(cmath.exp, [-z]), 1)[0]  # under the first order's depth and overflow checks
+    emz = _checked(map(cmath.exp, [-z]), 1, depth, two_a / 2.0)[0]  # under the first order's checks
     if z.imag == 0:
         z, emz = z.real, emz.real
+    b = half / 2.0  # the anchor at and below which the walk goes down: Gamma(0) or Gamma(1/2)
+    g = None
     if up:  # up from Gamma(1) or Gamma(1/2) to a, handed out top-down
-        run = take(_gamma_chain(1.0 - half / 2.0, True, z, emz, None if half else emz), depth + 1)
+        run = _checked(_gamma_up(1.0 - b, z, emz, None if half else emz), depth + 1, depth,
+                       two_a / 2.0)
         yield from reversed(run)
+        g = run[0] if half else None
         two_a, depth = -half, half
-    chain = _gamma_chain(half / 2.0, False, z, emz, run[0] if up and half else None)
-    count = depth + 1  # from the anchor down to the next order, then one order at a time
-    while True:
-        yield take(chain, count)[-1]
-        two_a, depth, count = two_a - 2, depth + 1, 1
+    # down by Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1), or at real z >= GAMMA_CF_REAL_Z
+    # (integer b) or GAMMA_CF_HALF_Z (half-integer b) by the fraction at each order
+    cf = isinstance(z, float) and z >= (GAMMA_CF_HALF_Z if half else GAMMA_CF_REAL_Z)
+    isfinite = math.isfinite if isinstance(z, float) else cmath.isfinite
+    # from the anchor to the first order, two_a / 2, depth steps below it: an overflow on the
+    # way names that order, and a non-finite value raises once it is reached
+    try:
+        if g is None:
+            g = _gamma_anchor(b, z, emz)
+        finite = isfinite(g)
+        for _ in range(depth):
+            b -= 1.0
+            g = _gamma_cf(b, z, emz) if cf else (g - z**b * emz) / b
+            finite = finite and isfinite(g)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _overflow(two_a / 2.0) from exc
+    if not finite:
+        raise CapacityError(_NOT_FINITE)
+    yield g
+    for _ in range(depth, GAMMA_RECURRENCE_LIMIT):  # then one checked step per order
+        b -= 1.0
+        try:
+            g = _gamma_cf(b, z, emz) if cf else (g - z**b * emz) / b
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _overflow(b) from exc
+        if not isfinite(g):
+            raise CapacityError(_NOT_FINITE)
+        yield g
+    raise _past_limit(GAMMA_RECURRENCE_LIMIT + 1)
 
 
 def upper_incomplete_gamma(a: float, z: complex | float) -> complex:

@@ -1,11 +1,13 @@
 """Ellipsoidal-coordinate case study: oracle, exact form, series, stall."""
 
 import math
+import sys
 
 import pytest
 
 from slater_addition import ellipsoidal, specfun
 from slater_addition.ellipsoidal import (
+    EXACT_MAX_R,
     EllipsoidalParams,
     StallReport,
     stall_detector,
@@ -100,18 +102,35 @@ class TestOracleAndExact:
         with pytest.raises(DomainError, match="R >= 0.001"):
             t_abc_exact(1e-4)
 
-    @pytest.mark.parametrize("R", [236.0, 237.0, 300.0, 1e5])
+    @pytest.mark.parametrize("R", [239.27, 240.0, 300.0, 1e5, 1e200])
     def test_exact_above_its_domain_raises(self, R, capsys):
-        # e^{3R} times its polynomial overflows: to inf times Ei(-8R) = 0 (NaN) at R = 236,
-        # and e^{3R} itself from R ~ 236.6, which raised a bare OverflowError
-        with pytest.raises(RangeError, match="R <= 232"):
+        # T(a,bc) leaves the normal doubles at R ~ 239.27; at 1e200 R^2 overflows
+        with pytest.raises(RangeError, match="R <= 239.26"):
             t_abc_exact(R)
         assert main(["eval", "t_abc_exact", "--param", f"R={R!r}"]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_exact_finite_at_the_top_of_its_domain(self):
-        assert 0.0 < t_abc_exact(232.0) < 1e-297
+        assert sys.float_info.min <= t_abc_exact(EXACT_MAX_R) < 1e-307
+
+    @pytest.mark.parametrize("R, bound", [(236.0, 5.8e-14), (239.0, 1.2e-12)])
+    def test_exact_past_the_first_groups_overflow_vs_mpmath(self, R, bound):
+        # e^{3R} times the first group's polynomial overflowed from R ~ 232 while Ei(-8R) was
+        # already 0; past R = 236.13 e^{-3R} is subnormal and carries fewer bits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            r = mpmath.mpf(R)
+            c, c3, d = mpmath.mpf(116) / (9 * r), mpmath.mpf(116) / 3, mpmath.mpf(131) / (3 * r)
+            groups = (
+                mpmath.exp(3 * r) * (-16 * r**2 + 44 * r + c - c3) * mpmath.ei(-8 * r),
+                -mpmath.exp(-3 * r) * (16 * r**2 + 44 * r + c + c3)
+                * (mpmath.ei(-2 * r) + 2 * mpmath.log(2)),
+                mpmath.exp(-3 * r) * (624 * r**2 + 2256 * r + d + 1670) / 16,
+                -mpmath.exp(-5 * r) * (160 * r + d + 34) / 16,
+            )
+            want = mpmath.fsum(groups) / 81
+            assert float(abs((t_abc_exact(R) - want) / want)) <= bound
 
     def test_reference_values(self):
         assert t_abc_exact(0.11) == pytest.approx(0.360071, abs=1e-6)

@@ -451,6 +451,15 @@ class TestUpperIncompleteGamma:
         got = sf._gamma_cf(a, z, cmath.exp(-z))
         assert (got.real.hex(), got.imag.hex()) == want
 
+    def test_complex_fraction_past_its_prefactor_overflow(self):
+        # e^{-z} z^a overflows at z = -709 + 1j before the fraction h ~ 1/z brings it back
+        mpmath = pytest.importorskip("mpmath")
+        z = -709 + 1j
+        got = sf.upper_incomplete_gamma(0.5, z)
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(0.5, mpmath.mpc(z.real, z.imag))
+            assert float(abs((got - want) / want)) <= 1e-14
+
     def test_real_fraction_and_series_run_in_floats(self):
         for a, z in ((0.0, 0.5), (0.5, 0.5), (0.0, 2.0), (0.5, 2.0), (-7.5, 3.0)):
             g = next(sf.gamma_walk(a, z))
@@ -598,6 +607,20 @@ class TestGammaWalk:
                 for a, g in zip(orders[::-1], sf.gamma_walk(orders[-1], z)):
                     want = mpmath.gammainc(a, z)
                     assert float(abs((g - want) / want)) <= 5e-14, (a, z)
+
+    @given(z=st.floats(0.2, 4.8))
+    @settings(max_examples=60, deadline=None)
+    def test_t_abc_walk_vs_mpmath(self, z):
+        """T(a,bc)'s walk, Gamma(3, z) down to Gamma(-40, z) at real z = 4R in [0.2, 4.8], is
+        within 1.5e-14 relative of 40-digit mpmath.gammainc: measured worst 1.01e-14 over
+        36,000 walks, at a = -4 and -5 near z = 4.5 to 4.8, where the walk down from E_1 loses
+        ~z/|a| per step."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for i, g in enumerate(itertools.islice(sf.gamma_walk(3.0, z), 44)):
+                want = mpmath.gammainc(3 - i, z)
+                assert type(g) is float
+                assert float(abs((g - want) / want)) <= 1.5e-14, (3 - i, z)
 
     @pytest.mark.parametrize("start", [3.0, 2.5])
     def test_vs_mpmath_at_large_real_z(self, start):
