@@ -14,7 +14,7 @@ C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
 removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
 [0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
 reads its Gamma(a, 4R) values off one gamma_walk down the incomplete-gamma orders
-and its I_{k+1/2}(R) off one downward Bessel-I sweep, each once and only as far as
+and its I_{k+1/2}(R) off one Miller Bessel-I walk, each once and only as far as
 the last increment it can sum, and forms each increment as two dot products
 over one cached row of R-free constants.  It decays algebraically after a few terms;
 stall_detector quantifies the plateau the way the convergence study reports it.
@@ -195,8 +195,8 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
              + (2n+3) I_{n+3/2}(R) (4 G2 + G3) R^{-n-3/2}],
 
     with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).
-    Integers n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R = 1e-150
-    (DomainError otherwise).
+    Integers n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R = 1e-150 (DomainError
+    otherwise); n <= 82, since bessel_i_half holds orders up to 84 (CapacityError beyond).
     """
     _check_r("t_abc_term", R, SERIES_MIN_R)
     _check_index("t_abc_term", "n", n)
@@ -217,18 +217,17 @@ def t_abc_series(R: float, n_max: int = 20,
         R^{2n} (X + Y) sum_J a_{n,J} C_{n+J} - 16 R^{2n+2} X sum_J a_{n,J} G_{n+J+2},
 
     two dot products over one cached row a_{n,J} of R-free constants, with
-    G_k = Gamma(3 - k, 4R), C_k = 4 G_{k+1} + G_k, and X, Y the I_{n+5/2} and
-    I_{n+3/2} parts of t_abc_term.  The G_k come from one gamma_walk(3, 4R)
-    and the I_{k+1/2}(R) from one bessel_i_walk, each
-    read once, before the first increment, up to the last increment the sum
-    can draw (n_max, or policy.max_terms - 1 if smaller); where a walk stops
-    short, its error is raised by the first increment that needs a missing
-    value.  Increments agree with the
-    J-sums of t_abc_term to rounding, and with 40-digit mpmath to 2.5e-15
-    relative for R in [0.001, 2.5] (1e-14 at R = 7).  Integer n_max >= 0 and
-    R >= SERIES_MIN_R = 1e-150 (DomainError otherwise).  Convergence
-    plateaus (dominated by the J = n-1 term) rather than failing outright;
-    run stall_detector on the result to size the plateau.
+    G_k = Gamma(3 - k, 4R), C_k = 4 G_{k+1} + G_k, and X, Y the I_{n+5/2} and I_{n+3/2} parts
+    of t_abc_term.  The G_k come from one gamma_walk(3, 4R) and the I_{k+1/2}(R) from one
+    bessel_i_walk, each read once, before the first increment, up to the last increment the
+    sum can draw (n_max, or policy.max_terms - 1 if smaller); where a walk stops short, its
+    error is raised by the first increment that needs a missing value.  Increments agree with
+    the J-sums of t_abc_term to rounding, and with 40-digit mpmath to 2.5e-15 relative for R
+    in [0.001, 2.5] (1e-14 at R = 7).  Integer n_max >= 0 and R >= SERIES_MIN_R = 1e-150
+    (DomainError otherwise).  Increment 87 raises CapacityError: its row needs k_half_coef's
+    171!, past FACTORIAL_LIMIT (the I walk holds orders up to 1021).  Convergence plateaus
+    (dominated by the J = n-1 term) rather than failing outright; run stall_detector on the
+    result to size the plateau.
     """
     _check_r("t_abc_series", R, SERIES_MIN_R)
     _check_index("t_abc_series", "n_max", n_max)

@@ -1,7 +1,7 @@
 """Special-function kernel over complex arguments.
 
 Self-contained double-precision routines for the half-integer Bessel
-functions (with one downward sweep over the orders of I), a walk over the
+functions, one Miller walk over the orders of both I_{n+1/2}(x) and the
 spherical Bessel functions j_n(y) / y^n, Legendre/Hermite polynomials, the
 upper incomplete gamma function at integer and half-integer first argument
 (one stateless walk down its orders, gamma_walk), the complex error
@@ -45,10 +45,8 @@ __all__ = [
 
 # Largest n with n! representable in double precision (170! ~ 7.3e306).
 FACTORIAL_LIMIT = 170
-# bessel_i_half's last order: (2n+1)!! within FACTORIAL_LIMIT
-BESSEL_I_MAX_ORDER = (FACTORIAL_LIMIT - 1) // 2
-# top order of bessel_i_walk's first block; each later top doubles
-BESSEL_I_FIRST_TOP = 16
+# bessel_i_walk's orders 0 ... 1021: x^n's mantissa m^n, m in [1/2, 1), stays a normal double
+BESSEL_I_WALK_ORDERS = 1022
 # Largest |y| spherical_bessel_walk takes: its first block sweeps ~|y| orders.
 SPHERICAL_BESSEL_ARG_LIMIT = 1000.0
 # Largest number of recurrence steps an incomplete-gamma walk takes from its anchor.
@@ -60,6 +58,8 @@ GAMMA_CF_REAL_Z = 5.0
 # the walk down from Gamma(1/2, z) is up to 9.6e-16 off from z = 1.2 and 2.2e-14 at 4.8, the
 # fraction within 4.3e-16 on [1, 5] (a in [-60, -0.5], against 40-digit mpmath)
 GAMMA_CF_HALF_Z = 1.0
+# real z from which the anchor Gamma(1/2, z) is the fraction (5.4e-16; the series 3.3e-15)
+GAMMA_HALF_ANCHOR_CF_Z = 0.3
 # _gamma_cf at real z >= 1 starts its backward evaluation at depth
 # ceil(CF_DEPTH_SCALE / z) + CF_DEPTH_MIN, ~1.3 (ln(1/eps)/4)^2 / z + 10: the fraction's tail
 # there is below 7.3e-18 relative for every order it serves (a in {0, 1/2}, half-integers in
@@ -75,11 +75,14 @@ KUMMER_CANCELLATION_LIMIT = 1e5
 MEIJER_CUT = 42.0
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _LOG_DBL_MIN = math.log(sys.float_info.min)
-_DBL_MIN = sys.float_info.min
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2_PI = math.sqrt(2.0 / math.pi)
 _FACT: list[int] = [1, 1]
 _DFACT: list[int] = [1, 1]
+# (M, t) with (2n+1)!! = M 2^t, M in [1, 2] rounded once, for bessel_i_walk's orders
+_ODD_DFACT = tuple((d / (1 << d.bit_length() - 1), d.bit_length() - 1) for d in
+                   itertools.accumulate(range(1, 2 * BESSEL_I_WALK_ORDERS, 2), int.__mul__))
 
 
 def factorial(n: int) -> int:
@@ -147,10 +150,11 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
 
         K_{n+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_{J=0}^{n} (J+n)!/(J!(n-J)!) (2z)^{-J}
 
-    Negative n is routed through K_{-nu} = K_nu (order -(n+1/2) = (-n-1)+1/2),
-    so e.g. n = -1 evaluates K_{-1/2} = K_{1/2}.  All complex powers take the
-    principal branch.  z = 0 or a non-finite z raises DomainError; a result that leaves
-    double precision raises CapacityError.
+    Negative n is routed through K_{-nu} = K_nu (order -(n+1/2) = (-n-1)+1/2), so e.g. n = -1
+    evaluates K_{-1/2} = K_{1/2}.  All complex powers take the principal branch.  DomainError
+    for z = 0 or non-finite; CapacityError past n = 85 or where K leaves double precision.
+    Within 1e-14 of 40-digit mpmath at real z in [1e-2, 700] (worst 6.6e-15), 1e-12 at
+    |arg z| <= pi/4 (worst 2.2e-13; the sum cancels up to 3.7e3-fold, more off that sector).
     """
     if n < 0:
         n = -n - 1
@@ -191,60 +195,73 @@ def bessel_i_half(n: int, x: float) -> float:
         term = math.inf
     total = term
     q = x * x / 4.0
-    k = 1
-    while True:
+    for k in range(1, 501):
         term *= q / (k * (n + 0.5 + k))
         total += term
         if term <= 1e-17 * total:  # <=: an underflowed series stops at total = 0
             if math.isinf(total):
                 raise CapacityError(f"bessel_i_half: order {n}+1/2 at x = {x} overflows double precision")
             return total
-        k += 1
-        if k > 500:
-            raise TruncationError("bessel_i_half series did not converge")
+    raise TruncationError("bessel_i_half series did not converge")
+
+
+def _miller_blocks(y: float, y2: float, top: int, anchor_n: int,
+                   anchor: float) -> Iterator[Iterator[float]]:
+    """0F1(; n+3/2; -y2/4) times one constant, in blocks of orders lo ... top (lo + 1 ... top
+    after the first), by Miller's algorithm (Gautschi, SIAM Rev. 9 (1967)): g_{n-1} = g_n -
+    y2 g_{n+1} / ((2n+1)(2n+3)) down from (0, 1) past top, scaled to anchor at order anchor_n;
+    each block anchors the next, whose top doubles.  y2 = +-y^2: spherical or modified family."""
+    lo = 0
+    while True:
+        # past top, a start's error decays like r^2 per order, r = |y| / (top + sqrt(top^2 - y2))
+        r = abs(y) / (top + math.sqrt(top * top - y2))
+        g_up, g, block = 0.0, 1.0, []  # the g from the start down to g_lo
+        for d in range(2 * (top + math.ceil(-10.0 / math.log10(r))) + 1, 2 * lo + 1, -2):  # d = 2n+1
+            g_up, g = g, g - y2 * g_up / (d * (d + 2))
+            block.append(g)
+        block = block[:lo - top - 2:-1]  # g_lo, ..., g_top
+        scale = anchor / block[anchor_n - lo]
+        yield map(scale.__mul__, block[lo > 0:])  # scaled as read
+        anchor_n, anchor = top, scale * block[-1]
+        lo, top = top, 2 * top
 
 
 def bessel_i_walk(x: float) -> Iterator[float]:
-    """I_{1/2}(x), I_{3/2}(x), I_{5/2}(x), ...: bessel_i_half(n, x) for n = 0, 1, 2, ... from one
-    downward sweep I_{n-1/2} = I_{n+3/2} + (2n+1)/x I_{n+1/2} (DLMF 10.29.1; downward is I's
-    stable direction).  The sweep runs in blocks of orders lo ... top, top = 16, 32, 64 and then
-    BESSEL_I_MAX_ORDER - 1 = 83, each seeded by bessel_i_half at top and top + 1, so no order
-    far past the last one taken is evaluated.  Where a seed is not a normal double, or a block
-    overflows, that block comes from bessel_i_half order by order, as does order 84.  Errors
-    are bessel_i_half's, raised by the first block that has them: DomainError for x not
-    positive and finite, CapacityError past order 84 and where I_{n+1/2}(x) overflows (x ~ 714).
-    Measured against 40-digit mpmath.besseli for orders <= 84 and x in [1e-3, 50], the
-    relative error is at most 1.8e-15 wherever I_{n+1/2}(x) is a normal double."""
-    lo, top = 0, BESSEL_I_FIRST_TOP
-    while lo < BESSEL_I_MAX_ORDER:
-        top = min(top, BESSEL_I_MAX_ORDER - 1)
-        i, i_up = bessel_i_half(top, x), bessel_i_half(top + 1, x)
-        block = [i]  # I_{top+1/2}, ..., I_{lo+1/2}
-        if i_up >= _DBL_MIN:
-            for n in range(top, lo, -1):
-                i_up, i = i, i_up + (2 * n + 1) / x * i
-                block.append(i)
-        if len(block) == top - lo + 1 and i < math.inf:  # the lowest order is the largest
-            yield from reversed(block)
-        else:
-            yield from map(bessel_i_half, range(lo, top + 1), itertools.repeat(x))
-        lo, top = top + 1, 2 * top
-    yield from map(bessel_i_half, itertools.count(lo), itertools.repeat(x))
+    """I_{n+1/2}(x), n < BESSEL_I_WALK_ORDERS = 1022: spherical_bessel_walk's Miller walk with
+    y^2 flipped, over f_n = 0F1(; n+3/2; x^2/4) = Gamma(n+3/2) (2/x)^{n+1/2} I_{n+1/2}(x) (DLMF
+    10.39.9) anchored to I_{1/2}(x) = sqrt(2/(pi x)) sinh x, times x^n / (2n+1)!! = (m^n / M)
+    2^{en - t} for x = m 2^e, m in [1/2, 1), (2n+1)!! = M 2^t: m^n stays normal to order 1021.
+    Below the normal doubles the product is rounded once, to a subnormal or 0.0.  DomainError
+    for x not positive and finite; CapacityError at the first value where I_{1/2}(x) overflows
+    (x ~ 714), and past order 1021.  Within 3.1e-15 of 40-digit mpmath where I is a normal
+    double at orders <= 150, x in [1e-3, 50] (worst 2.99e-15 over 375 x; 2.57e-15 at orders
+    <= 84, the seeded walk it replaced 2.43e-15), 2e-14 at orders <= 1021, x <= 713 (1.50e-14)."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"bessel_i_walk: x = {x}, must be positive and finite")
+    try:
+        i_half = _SQRT_2_PI * (math.sinh(x) / math.sqrt(x))
+    except OverflowError:  # sinh x overflows from x ~ 710.5, I_{1/2}(x) only from x ~ 714
+        half = math.exp(min(0.5 * x, _LOG_DBL_MAX))  # e^{x/2}, capped where I is inf anyway
+        i_half = half * (0.5 * _SQRT_2_PI / math.sqrt(x) * half)
+    if i_half == math.inf:
+        raise CapacityError(f"bessel_i_walk: I_{{1/2}}({x}) overflows double precision")
+    m, e = math.frexp(x)
+    # a first block through order 22 + ceil(x): T(a,bc)'s series reads orders 0 ... 22
+    values = itertools.chain.from_iterable(_miller_blocks(x, -x * x, 22 + math.ceil(x), 0, i_half))
+    for n, (mant, t), w in zip(itertools.count(), _ODD_DFACT, values):
+        yield math.ldexp(w * (m ** n / mant), e * n - t)
+    raise CapacityError(f"bessel_i_walk: order {BESSEL_I_WALK_ORDERS}+1/2 is past the walk's last")
 
 
 def spherical_bessel_walk(y: float) -> Iterator[float]:
     """g_0(y), g_1(y), g_2(y), ... with g_n(y) = (2n+1)!! j_n(y) / y^n = 0F1(; n+3/2; -y^2/4)
-    (DLMF 10.53.1): even in y, g_n(0) = 1 and |g_n| <= 1.  Miller's algorithm: each block of
-    orders lo ... top is swept down by g_{n-1} = g_n - y^2 g_{n+1} / ((2n+1)(2n+3)) (DLMF 10.51.1)
-    from (0, 1) at an order past top where a start's error has decayed by 1e-20, then scaled
-    to one exact value: g_0 = sin y / y, or g_1 = 3 (sin y - y cos y) / y^3 near the zeros
-    of sin y (DLMF 3.6(iv)), for the first block (top = 20 + ceil|y|); the last value of the
-    block before for each later one, whose top doubles.  O(n + |y|) work and memory for n
-    values.  Domain: finite real |y| <= SPHERICAL_BESSEL_ARG_LIMIT = 1000 (DomainError for a
-    non-finite y, CapacityError past the limit).  Measured against 40-digit mpmath at n < 300
-    and sample y, the error is within 2.2e-15 of |g_n| up to |y| = 150 and within 4e-14 up to
-    |y| = 1000 (worst 3.6e-14); where n < |y|, near the zeros of j_n, it is measured against
-    the envelope (2n+1)!! |h_n(y)| / |y|^n of the spherical Hankel function instead."""
+    (DLMF 10.53.1; even in y, g_n(0) = 1, |g_n| <= 1): _miller_blocks at y2 = y^2 (DLMF
+    10.51.1), first top 20 + ceil|y|, anchored to g_0 = sin y / y, or to g_1 = 3 (sin y -
+    y cos y) / y^3 near the zeros of sin y (DLMF 3.6(iv)).  O(n + |y|) work and memory for n
+    values, no order bound.  Domain: finite |y| <= SPHERICAL_BESSEL_ARG_LIMIT = 1000
+    (DomainError, CapacityError past it).  Against 40-digit mpmath at n < 300: within 2.2e-15
+    of |g_n| up to |y| = 150, 4e-14 up to 1000 (worst 3.6e-14); at n < |y|, near the zeros
+    of j_n, of the envelope (2n+1)!! |h_n(y)| / |y|^n of the spherical Hankel function."""
     if not math.isfinite(y):
         raise DomainError(f"spherical_bessel_walk: y = {y} is not finite")
     if abs(y) > SPHERICAL_BESSEL_ARG_LIMIT:
@@ -256,22 +273,8 @@ def spherical_bessel_walk(y: float) -> Iterator[float]:
         anchor_n, anchor = 0, s / y
     else:
         anchor_n, anchor = 1, 3.0 * (s - y * math.cos(y)) / (y2 * y)
-    lo, top = 0, 20 + math.ceil(abs(y))
-    while True:
-        # past top, a start's error decays like r^2 per order, r = |y| / (top + sqrt(top^2 - y^2))
-        r = abs(y) / (top + math.sqrt(top * top - y2))
-        g_up, g = 0.0, 1.0
-        for d in range(2 * (top + math.ceil(-10.0 / math.log10(r))) + 1, 2 * top + 3, -2):  # d = 2n+1
-            g_up, g = g, g - y2 * g_up / (d * (d + 2))
-        block = []  # g_top, ..., g_lo
-        for d in range(2 * top + 3, 2 * lo + 1, -2):
-            g_up, g = g, g - y2 * g_up / (d * (d + 2))
-            block.append(g)
-        block.reverse()
-        scale = anchor / block[anchor_n - lo]
-        yield from (scale * v for v in block[lo > 0:])  # a later block's lo was yielded before
-        anchor_n, anchor = top, scale * block[-1]
-        lo, top = top, 2 * top
+    yield from itertools.chain.from_iterable(
+        _miller_blocks(y, y2, 20 + math.ceil(abs(y)), anchor_n, anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +387,8 @@ def _cf_levels(a: float, depth: int) -> tuple[tuple[float, float], ...]:
     return tuple((2.0 * (k - 1), k * (k - a)) for k in range(depth, 0, -1))
 
 
-# the anchors' levels down from the deepest start, at z = 1, shared by every real z >= 1
-_CF_ANCHOR_LEVELS = {a: _cf_levels(a, _cf_depth(1.0)) for a in (0.0, 0.5)}
+# the anchors' levels down from the deepest start, shared by every real z the fraction serves
+_CF_ANCHOR_LEVELS = {a: _cf_levels(a, _cf_depth(GAMMA_HALF_ANCHOR_CF_Z)) for a in (0.0, 0.5)}
 
 
 def _cf_backward(a: float, z: float, depth: int) -> float:
@@ -405,13 +408,13 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
     emz is e^{-z}.
 
     At real z (a float, or a complex with zero imaginary part) the fraction is evaluated once,
-    backward in float arithmetic from the a-priori level _cf_depth(z), and the value is a
-    float.  That depth is validated for z >= 1 (see CF_DEPTH_SCALE): the fraction from it is
-    within 1 ulp of the fraction from 50 levels deeper, and the backward pass rounds far less
-    than a forward running product (E_1 over z in [1, 10]: 3.8e-16 relative at worst; modified
-    Lentz was 1.1e-14 off on [1, 3]).  Complex z runs modified Lentz forward and stops where a
-    level changes the value by less than 1e-16 relative: the depth a complex argument needs
-    is not known in advance.
+    backward in float arithmetic from the a-priori level _cf_depth(z), and the value is a float.
+    That depth is validated for z >= 1 (a = 1/2: z >= 0.3; see CF_DEPTH_SCALE): the fraction
+    from it is within 1 ulp of the fraction from 50 levels deeper, and the backward pass rounds
+    far less than a forward running product (E_1 over z in [1, 10]: 3.8e-16 relative at worst;
+    modified Lentz was 1.1e-14 off on [1, 3]).  Complex z runs modified Lentz forward and stops
+    where a level changes the value by less than 1e-16 relative: the depth a complex argument
+    needs is not known in advance.
     """
     if z.imag == 0:
         z, emz = z.real, emz.real
@@ -442,13 +445,13 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
 def _gamma_anchor(b: float, z: complex | float, emz: complex | float) -> complex | float:
     """Gamma(b, z) at an anchor b: E_1(z) at b = 0, Gamma(1/2, z) at b = 1/2, with emz = e^{-z};
     a float z and emz give a float.  The anchors come from the ascending series at |z| < 2,
-    and at real z only below 1: from there the backward-evaluated fraction is the more
-    accurate (E_1 at z in [1, 2]: 9e-16 against the series' 4.5e-15).  The fraction converges
-    well only away from the branch cut; at steep arguments the (entire) series is used
-    instead, up to the modulus where its e^{|z|} cancellation still leaves ~11 digits, and
-    beyond it a failed fraction raises TruncationError."""
+    and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)): from there the backward fraction
+    is the more accurate (9e-16 against 4.5e-15 on [1, 2]; 5.4e-16 against 3.3e-15 on
+    [0.3, 1)).  The fraction converges well only away from the branch cut; at steep arguments
+    the (entire) series is used instead, up to the modulus where its e^{|z|} cancellation
+    still leaves ~11 digits, and beyond it a failed fraction raises TruncationError."""
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
-    if abs(z) < (1.0 if z.imag == 0 else 2.0) or (steep and abs(z) <= 9.0):
+    if abs(z) < (2.0 if z.imag else GAMMA_HALF_ANCHOR_CF_Z if b else 1.0) or (steep and abs(z) <= 9.0):
         return _exp1_small(z) if b == 0.0 else _gamma_series_small(0.5, z)
     return _gamma_cf(b, z, emz)
 
@@ -581,14 +584,14 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
     CapacityError is raised.  E_1(z) = Gamma(0, z) at real z in [1e-3, 700] is within 2e-15
     relative of mpmath.e1 (measured worst 8.6e-16 over 30,000 log-spaced points, from the
     series just below z = 1).  At real z the anchors E_1 and Gamma(1/2, z) come from the
-    ascending series below z = 1 and from one backward pass of the continued fraction above,
-    both in float arithmetic (within 4.0e-16 of 40-digit mpmath over 8,002 points in z in
-    [1, 10]).  The orders a < 0 are evaluated by the continued fraction at a, since the
-    downward step loses ~z/|a| per order, at real z >= GAMMA_CF_REAL_Z = 5 for integer a and
-    z >= GAMMA_CF_HALF_Z = 1 for half-integer a: over a in [-60, -0.5] and z in [5, 100] it is
-    within 3.4e-16 of 80-digit mpmath (measured worst 3.3e-16) wherever the value is a normal
-    double, and within 4.3e-16 of 40-digit mpmath for half-integer a in [-60, -0.5] and z in
-    [1, 5].
+    ascending series below z = 1 (Gamma(1/2, z): 0.3) and from one backward pass of the
+    continued fraction above, both in float arithmetic (within 4.0e-16 of 40-digit mpmath over
+    8,002 points in z in [1, 10]; 5.4e-16 on [0.3, 1)).  The orders a < 0 are evaluated by the
+    continued fraction at a, since the downward step loses ~z/|a| per order, at real z >=
+    GAMMA_CF_REAL_Z = 5 for integer a and z >= GAMMA_CF_HALF_Z = 1 for half-integer a: over a
+    in [-60, -0.5] and z in [5, 100] it is within 3.4e-16 of 80-digit mpmath (measured worst
+    3.3e-16) wherever the value is a normal double, and within 4.3e-16 of 40-digit mpmath for
+    half-integer a in [-60, -0.5] and z in [1, 5].
     """
     return complex(next(gamma_walk(a, z)))
 
@@ -600,13 +603,13 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
 def erf_complex(z: complex | float) -> complex:
     """Error function of a complex argument; odd in z.
 
-    Real arguments delegate to math.erf.  After the odd reduction to
-    Re z >= 0, arguments with Re z <= 2 go through the entire Taylor series
-    (whose e^{2 Re(z)^2} cancellation then costs at most ~3 digits, at any
-    height short of overflow) and the rest through
-    erf(z) = 1 - Gamma(1/2, z^2)/sqrt(pi), whose continued fraction holds
-    full precision once Re z >= 2.  Where e^{-z^2} itself overflows double
-    precision, RangeError is raised.
+    Real arguments delegate to math.erf.  After the odd reduction to Re z >= 0, arguments with
+    Re z <= 2 go through the entire Taylor series (whose e^{2 Re(z)^2} cancellation then costs
+    at most ~3.5 digits, at any height short of overflow) and the rest through
+    erf(z) = 1 - Gamma(1/2, z^2)/sqrt(pi), whose continued fraction holds full precision once
+    Re z >= 2.  Where e^{-z^2} itself overflows double precision, RangeError is raised.  For
+    |Re z|, |Im z| <= 25 it is within 1e-12 of 40-digit mpmath relative to
+    max(|erf z|, |erfc z|), ~1 at the zeros of erf (worst 4.8e-13).
     """
     z = complex(z)
     if z.imag == 0.0:

@@ -230,10 +230,9 @@ class TestSeries:
                 want = _mp_increment(mpmath, n, R)
                 assert float(abs((got.real - want) / want)) <= tol, (R, n)
 
-    @pytest.mark.parametrize("n_max, seeds", [(0, [16, 17]), (1, [16, 17]), (14, [16, 17]),
-                                              (20, [16, 17, 32, 33])])
-    def test_series_calls_bessel_i_only_for_seeds(self, n_max, seeds, monkeypatch):
-        # I_{k+1/2}(R), k = 1..n_max+2, come from one downward sweep seeded at the block tops
+    @pytest.mark.parametrize("n_max", [0, 1, 14, 20])
+    def test_series_calls_no_bessel_i_half(self, n_max, monkeypatch):
+        # I_{k+1/2}(R), k = 1..n_max+2, come from one Miller walk, none from the ascending series
         orders = []
 
         def counted(k, x):
@@ -243,7 +242,14 @@ class TestSeries:
         monkeypatch.setattr(specfun, "bessel_i_half", counted)
         monkeypatch.setattr(ellipsoidal, "bessel_i_half", counted)
         assert t_abc_series(0.37, n_max=n_max).terms_used == n_max + 1
-        assert orders == seeds
+        assert orders == []
+
+    def test_series_order_bound_is_its_rows(self):
+        # increment 86's row takes k_half_coef's 170!; the I walk no longer stops the series at 82
+        policy = TruncationPolicy(rel_tol=1e-300, max_terms=200)
+        assert t_abc_series(0.5, n_max=86, policy=policy).terms_used == 87
+        with pytest.raises(CapacityError, match="factorial"):
+            t_abc_series(0.5, n_max=87, policy=policy)
 
     @pytest.mark.parametrize("n_max", [2, 20])
     def test_nan_series_is_flagged(self, n_max, capsys):
@@ -269,11 +275,11 @@ class TestSeries:
         assert walks == [(3.0, 4.0 * R)]
 
     @pytest.mark.parametrize("R, value, terms_used, converged", [
-        # bits of the dot-product increments over the float Gamma walk and the I sweep
-        (0.05, "0x1.7c76fc4c4039dp-2", 21, True),
+        # bits of the dot-product increments over the float Gamma walk and the Miller I walk
+        (0.05, "0x1.7c76fc4c40398p-2", 21, True),
         (0.49, "0x1.c8240c9dac69ap-3", 21, True),
-        (0.51, "0x1.b91f5e11efe64p-3", 21, True),
-        (1.2, "0x1.bad9fc80958dfp-5", 21, True),
+        (0.51, "0x1.b91f5e11efe66p-3", 21, True),
+        (1.2, "0x1.bad9fc80958dep-5", 21, True),
         (7.0, "0x1.ad75ab48b65c0p-27", 21, True),
     ])
     def test_series_values_pinned(self, R, value, terms_used, converged):
@@ -300,7 +306,7 @@ class TestSeries:
         # the term budget (60) stops the first, the tail rule the second, both far short of
         # the Gamma orders -(2 n_max + 1) that an eager walk to n_max would reach
         (0.11, 300, "0x1.70b680175e570p-2", 60, False),
-        (0.0003, 59, "0x1.7ffff6d1e1fdfp-2", 4, True),
+        (0.0003, 59, "0x1.7ffff6d1e1fe0p-2", 4, True),
     ])
     def test_series_walks_no_deeper_than_it_sums(self, R, n_max, value, terms_used, converged):
         ev = t_abc_series(R, n_max=n_max)
@@ -309,7 +315,7 @@ class TestSeries:
 
     @pytest.mark.parametrize("R, message", [
         (0.0003, "the walk to a = -106.0 overflows"),
-        (1000.0, "bessel_i_half: order 16"),
+        (1000.0, "bessel_i_walk: I_.* overflows"),
     ])
     def test_short_walk_raises_at_the_increment_that_needs_it(self, R, message):
         # both walks are read before the first increment; the error of one that stops short is

@@ -8,7 +8,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slater_addition import specfun as sf
 from slater_addition.cli import EXIT_ERROR, main
@@ -97,6 +97,32 @@ class TestBesselKHalf:
     def test_symmetry_by_construction(self, n, re, im):
         z = complex(re, im)
         assert sf.bessel_k_half(n, z) == sf.bessel_k_half(-n - 1, z)
+
+    @staticmethod
+    def _check_vs_mpmath(mpmath, n, z, tol):
+        # 40-digit mpmath.besselk; where K leaves double precision the kernel raises instead
+        with mpmath.workdps(40):
+            want = mpmath.besselk(abs(n + 0.5), mpmath.mpc(z.real, z.imag))
+            if abs(want) >= sys.float_info.max:
+                with pytest.raises(CapacityError):
+                    sf.bessel_k_half(n, z)
+                return
+            assume(abs(want) >= sys.float_info.min)
+            assert float(abs((sf.bessel_k_half(n, z) - want) / want)) <= tol, (n, z)
+
+    @given(n=st.integers(-86, 85), x=st.floats(-2.0, math.log10(700.0)).map(lambda t: 10.0**t))
+    @settings(max_examples=200, deadline=None)
+    def test_real_z_vs_mpmath(self, n, x):
+        # every order at real z in [1e-2, 700]: all terms positive (measured worst 6.6e-15)
+        self._check_vs_mpmath(pytest.importorskip("mpmath"), n, complex(x), 1e-14)
+
+    @given(n=st.integers(-86, 85), r=st.floats(-2.0, math.log10(700.0)).map(lambda t: 10.0**t),
+           theta=st.floats(-math.pi / 4, math.pi / 4))
+    @settings(max_examples=200, deadline=None)
+    def test_sector_vs_mpmath(self, n, r, theta):
+        # |arg z| <= pi/4: the finite sum cancels by up to 3.7e3 (n = 85, |z| ~ 67 on the
+        # edge; measured worst 2.2e-13)
+        self._check_vs_mpmath(pytest.importorskip("mpmath"), n, cmath.rect(r, theta), 1e-12)
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -193,42 +219,61 @@ class TestBesselIWalk:
                     if want >= sys.float_info.min:
                         assert float(abs((got - want) / want)) <= 2e-15, (x, n)
 
-    @pytest.mark.parametrize("x, count, orders", [
-        (0.37, 17, [16, 17]), (0.37, 18, [16, 17, 32, 33]),
-        (50.0, 85, [16, 17, 32, 33, 64, 65, 83, 84, 84]),  # order 84 is the kernel's own
-    ])
-    def test_bessel_i_half_only_at_the_seeds(self, x, count, orders, monkeypatch):
+    def test_to_order_150_vs_mpmath(self):
+        # past order 84, where (2n+1)!! leaves the factorial cache: the walk forms x^n / (2n+1)!!
+        # from the mantissas (measured worst 2.27e-15 at these x, 2.99e-15 over 375 x in [1e-3, 50])
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in BESSEL_I_XS:
+                walked = list(itertools.islice(sf.bessel_i_walk(x), 151))
+                for n in range(85, 151):
+                    want = mpmath.besseli(n + mpmath.mpf(1) / 2, x)
+                    if want >= sys.float_info.min:
+                        assert float(abs((walked[n] - want) / want)) <= 3.1e-15, (x, n)
+
+    @pytest.mark.parametrize("x", [0.37, 50.0])
+    def test_calls_no_bessel_i_half(self, x, monkeypatch):
+        # one Miller walk: no order is seeded from the ascending series
         called = []
         kernel = sf.bessel_i_half
         monkeypatch.setattr(sf, "bessel_i_half", lambda n, x: called.append(n) or kernel(n, x))
-        got = list(itertools.islice(sf.bessel_i_walk(x), count))
-        assert called == orders
-        tops = [n for n in orders[0::2] if n < count]  # each block's top is its seed
-        assert [got[n] for n in tops] == [kernel(n, x) for n in tops]
+        assert len(list(itertools.islice(sf.bessel_i_walk(x), 151))) == 151
+        assert called == []
 
-    @pytest.mark.parametrize("x", [1e-150, 1e-10, 0.003])
-    def test_order_by_order_where_a_seed_underflows(self, x):
-        # a block whose seed I_{top+3/2}(x) is not a normal double comes from bessel_i_half:
-        # all of them at 1e-150, from order 33 at 1e-10, orders 65..83 at 0.003
-        walked = list(itertools.islice(sf.bessel_i_walk(x), 85))
-        fallback = 0
-        for n, got in enumerate(walked):
-            top = next((top for top in (16, 32, 64, 83) if n <= top), 83)
-            if sf.bessel_i_half(top + 1, x) < sys.float_info.min:
-                fallback += 1
-                assert got == sf.bessel_i_half(n, x), n
-        assert fallback >= 19
+    @pytest.mark.parametrize("x, subnormal", [(1e-150, []), (1e-10, [27]), (0.003, [72, 73, 74, 75])])
+    def test_underflowed_orders_are_the_rounded_product(self, x, subnormal):
+        # below the normal doubles an order is its product rounded once: subnormal, then 0.0
+        mpmath = pytest.importorskip("mpmath")
+        walked = list(itertools.islice(sf.bessel_i_walk(x), 151))
         assert walked[0] == pytest.approx(math.sqrt(2.0 / (math.pi * x)) * math.sinh(x), rel=1e-15)
+        tiny = [n for n, v in enumerate(walked) if v < sys.float_info.min]
+        assert [n for n in tiny if walked[n] > 0.0] == subnormal
+        assert tiny == list(range(tiny[0], 151)) and walked[-1] == 0.0
+        with mpmath.workdps(40):
+            for n in tiny:
+                want = mpmath.besseli(n + mpmath.mpf(1) / 2, x)
+                assert float(abs(walked[n] - want)) <= 2e-15 * want + 5e-324, n
 
     def test_errors(self):
         for x in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 next(sf.bessel_i_walk(x))
-        with pytest.raises(CapacityError, match="overflows"):  # I_{1/2}(800) ~ 1e346
-            next(sf.bessel_i_walk(800.0))
-        with pytest.raises(CapacityError):  # past order 84, as bessel_i_half
-            list(itertools.islice(sf.bessel_i_walk(1.0), 86))
-        assert len(list(itertools.islice(sf.bessel_i_walk(1.0), 85))) == 85
+        for x in (714.1, 800.0, 1e10, 1e300):  # I_{1/2}(800) ~ 1e346
+            with pytest.raises(CapacityError, match="overflows"):
+                next(sf.bessel_i_walk(x))
+        # m^n, x = m 2^e, stays a normal double through order 1021
+        assert len(list(itertools.islice(sf.bessel_i_walk(1.0), sf.BESSEL_I_WALK_ORDERS))) == 1022
+        with pytest.raises(CapacityError, match="order 1022"):
+            list(itertools.islice(sf.bessel_i_walk(1.0), sf.BESSEL_I_WALK_ORDERS + 1))
+
+    @pytest.mark.parametrize("x", [710.0, 712.0, 713.9])
+    def test_past_sinh_overflow(self, x):
+        # sinh x overflows from x ~ 710.5, I_{1/2}(x) only from ~714
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n, got in enumerate(itertools.islice(sf.bessel_i_walk(x), 3)):
+                want = mpmath.besseli(n + mpmath.mpf(1) / 2, x)
+                assert float(abs((got - want) / want)) <= 2e-15, n
 
 
 # y in [-20, 20]: zeros of sin y (g_1 scales the sweep there) and of j_1, j_5 (where g_0 does),
@@ -437,6 +482,36 @@ class TestUpperIncompleteGamma:
                 assert abs(sf._cf_backward(a, z, depth) - want) <= math.ulp(want), (a, z)
                 count += 1
         assert count > 20_000
+
+    def test_half_anchor_fraction_depth_below_one_vs_mpmath(self):
+        # Gamma(1/2, z) on [GAMMA_HALF_ANCHOR_CF_Z, 1): the fraction cut at the a-priori depth,
+        # evaluated in 40 digits, is within 3.8e-18 of mpmath.gammainc (its truncation); in
+        # floats it is within 1 ulp of the fraction from 50 levels deeper, and the value within
+        # 5.4e-16 (measured worst over 4,000 points)
+        mpmath = pytest.importorskip("mpmath")
+        assert sf.GAMMA_HALF_ANCHOR_CF_Z == 0.3
+        with mpmath.workdps(40):
+            for i in range(71):
+                z = 0.3 + i / 100 if i < 70 else math.nextafter(1.0, 0.0)
+                depth, x, half = sf._cf_depth(z), mpmath.mpf(z), mpmath.mpf(0.5)
+                want = mpmath.gammainc(half, x)
+                t = x + half + 2 * depth
+                for k in range(depth, 0, -1):
+                    t = x + half + 2 * (k - 1) - k * (k - half) / t
+                assert abs(mpmath.exp(-x) * mpmath.sqrt(x) / t / want - 1) <= 1e-17, z
+                deep = sf._cf_backward(0.5, z, depth + 50)
+                assert abs(sf._cf_backward(0.5, z, depth) - deep) <= math.ulp(deep), z
+                got = sf.upper_incomplete_gamma(0.5, z)
+                assert got.imag == 0.0 and float(abs((got.real - want) / want)) <= 6e-16, z
+
+    @pytest.mark.parametrize("z", [0.840274, 0.841266])
+    def test_half_anchor_near_0_841(self, z):
+        # the ascending series cancelled against sqrt(pi) here: 2.9e-15 off, the worst two of
+        # 2,001 points on [0.840, 0.842] (its error is spiky: 3.4e-16 at 0.841 itself)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(0.5, z)
+            assert float(abs((sf.upper_incomplete_gamma(0.5, z).real - want) / want)) <= 1e-15
 
     @pytest.mark.parametrize("a, z, want", [
         # complex z keeps the forward modified-Lentz fraction, bit for bit
@@ -671,6 +746,20 @@ class TestErfComplex:
     def test_odd(self, re, im):
         z = complex(re, im)
         assert sf.erf_complex(-z) == -sf.erf_complex(z)
+
+    @given(re=st.floats(-25.0, 25.0), im=st.floats(-25.0, 25.0))
+    @settings(max_examples=200, deadline=None)
+    def test_vs_mpmath(self, re, im):
+        # |Re z|, |Im z| <= 25, relative to max(|erf z|, |erfc z|), which stays ~1 through the
+        # zeros of erf; measured worst 4.8e-13 just below Re z = 2, where the Taylor series'
+        # e^{2 Re(z)^2} cancellation is largest
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(re, im)
+        got = sf.erf_complex(z)
+        with mpmath.workdps(40):
+            w = mpmath.mpc(re, im)
+            want = mpmath.erf(w)
+            assert float(abs(got - want) / max(abs(want), abs(mpmath.erfc(w)))) <= 1e-12, z
 
     def test_overflow_region(self):
         with pytest.raises(RangeError):

@@ -735,15 +735,16 @@ class TestTwoRangeBaseline:
         got = two_range_mos_eval(0.3, 0.01, 2.0, 0.5, n_terms=84)
         assert got == pytest.approx(math.exp(-0.3 * x12) / x12, rel=1e-15)
 
-    def test_order_bound_names_n_terms(self):
-        assert math.isfinite(two_range_mos_eval(0.3, 0.5, 2.0, 0.5, n_terms=th.TWO_RANGE_MAX_TERMS))
-        with pytest.raises(CapacityError, match="n_terms = 86"):
-            two_range_mos_terms(0.3, 0.5, 2.0, 0.5, th.TWO_RANGE_MAX_TERMS + 1)
+    def test_order_bound_is_bessel_k_halfs(self):
+        # order 85 is bessel_k_half's last (2n within FACTORIAL_LIMIT); the I walk goes on
+        assert math.isfinite(two_range_mos_eval(0.3, 0.5, 2.0, 0.5, n_terms=86))
+        with pytest.raises(CapacityError, match="bessel_k_half: order 86"):
+            two_range_mos_terms(0.3, 0.5, 2.0, 0.5, 87)
 
     def test_overflowed_bessel_i_raises(self):
         # I_{n+1/2}(800) leaves double precision while K_{n+1/2}(801) underflows to 0:
         # their product would be NaN
-        with pytest.raises(CapacityError, match="bessel_i_half"):
+        with pytest.raises(CapacityError, match="bessel_i_walk"):
             two_range_mos_eval(1.0, 800.0, 801.0, 0.5, n_terms=5)
 
     @pytest.mark.parametrize("n_terms", [0, -3])
