@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DomainError, RangeError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import bessel_i_half, bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef, read_walk
+from .specfun import bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef, read_walk
 from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
@@ -196,7 +196,7 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
 
     with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).
     Integers n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R = 1e-150 (DomainError
-    otherwise); n <= 82, since bessel_i_half holds orders up to 84 (CapacityError beyond).
+    otherwise); n <= 86, as for t_abc_series' rows (CapacityError beyond); I from bessel_i_walk.
     """
     _check_r("t_abc_term", R, SERIES_MIN_R)
     _check_index("t_abc_term", "n", n)
@@ -206,7 +206,7 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     k = n + big_j  # the walk from Gamma(3, 4R) reads Gamma(3 - k, 4R) at index k
     g3, g2, g1 = itertools.islice(gamma_walk(3.0 - k, 4.0 * R), 3)
-    p, q = _scales(n, R, 16.0 * R**3, bessel_i_half(n + 1, R), bessel_i_half(n + 2, R))
+    p, q = _scales(n, R, 16.0 * R**3, *itertools.islice(bessel_i_walk(R), n + 1, n + 3))
     return _row(n)[big_j] * (p * (4.0 * g2 + g3) - q * g1)
 
 

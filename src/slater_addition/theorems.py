@@ -8,8 +8,8 @@ expanded for |B k^2| < |C| into Macdonald-function series with increasing
 half-integer order (an alternating series when B, C > 0): the base theorem,
 its derivative (no 1/L denominator) and the Meijer-G generalisation, all as
 x2-derivatives of the base term (e^{-z} times one polynomial in z = x2 sqrt(C)
-per order and term: one upward Bessel-K walk per series for orders 0 and 1,
-exact integer coefficients above), the six corollary substitutions that
+per order and term, all from one upward Bessel-K walk per series and a
+two-term recurrence across orders), the six corollary substitutions that
 specialise the same identity to spherical and Cartesian Slater-orbital
 geometry, and the classical two-range min/max expansion kept as a baseline.
 
@@ -26,7 +26,6 @@ do not shrink, so they come back with ``converged = False``.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import sys
@@ -39,8 +38,6 @@ from .specfun import (
     bessel_i_walk,
     bessel_k_half,
     cos_power_to_legendre,
-    factorial,
-    k_half_coef,
     legendre_walk,
 )
 
@@ -224,29 +221,16 @@ def _slater_direct(cfg: CorollaryConfig) -> float:
     return math.exp(-cfg.eta * r) / r
 
 
-@functools.cache
-def _macdonald_coefs(n: int, j: int) -> tuple[float, ...]:
-    """P_{n,j} / (n! 4^n), highest power first.  x^{n+1/2} K_{n+1/2}(xs) is sqrt(pi/2s) e^{-xs}
-    (2s)^{-n} sum_p c(n, n-p) (2xs)^p with c = k_half_coef (DLMF 10.49.12), and (-d/dx)^j
-    [e^{-xs} Q] = e^{-xs} (s - d/dx)^j Q, so the alternating derivative sum cancels exactly in
-    the integers beta_p = sum_i (-1)^i binom(j, i) c(n, n-p-i) 2^{p+i} (p+i)!/p!."""
-    scale = factorial(n) * 4**n
-    return tuple(
-        sum((-1) ** i * math.comb(j, i) * k_half_coef(n, n - p - i) * 2 ** (p + i)
-            * math.perm(p + i, i) for i in range(min(j, n - p) + 1)) / scale
-        for p in range(n, -1, -1)
-    )
-
-
 def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[complex]:
     """Terms first, first + 1, ... of theorem 1 (j = 0), theorem 5 (j = 1) or theorem 6 (order
     j), (-d/dx2)^j of theorem 1's term: (-B k^2)^n C^{j/2-n-1/2} e^{-z} w_{n,j}(z) at
-    z = x2 sqrt(C), w_{n,j} = P_{n,j}/(n! 4^n), with sqrt(C) and e^{-z} computed once.
-    For j <= 1, one upward walk gives each term in O(1): w_{n,0} = z^n q_n/(n! 2^n), where
-    q_n = sum_J k_half_coef(n, J) (2z)^{-J} obeys K's recurrence q_{n+1} = q_{n-1} + (2n+1)/z q_n
-    (DLMF 10.29.1, stable upward), and w_{n,1} = z w_{n-1,0}/(2n).  For j >= 2, a Horner pass over
-    the exact _macdonald_coefs(n, j), with RangeError where the terms' rounding so far, the sum of
-    eps sum|beta_p z^p| times each term's scale, exceeds DERIVATIVE_REL_TOL times |their sum|.
+    z = x2 sqrt(C), w_{n,j} = P_{n,j}/(n! 4^n), with sqrt(C) and e^{-z} computed once.  One upward
+    walk gives w_{n,0} = z^n q_n/(n! 2^n): q_n = sum_J k_half_coef(n, J) (2z)^{-J} obeys K's
+    recurrence q_{n+1} = q_{n-1} + (2n+1)/z q_n (DLMF 10.29.1, stable upward; q_1 = 1 + 1/z).
+    Leibniz's rule on -d/dx [x^nu K_nu(xs)] = s x^nu K_{nu-1}(xs) (DLMF 10.29(ii)) gives the rest,
+    w_{n,i} = (z w_{n-1,i-1} - (i-1) w_{n-1,i-2})/(2n), w_{0,i} = 1: O(j) a term.  For j >= 2,
+    RangeError where the terms' rounding so far, eps times each term's scale times the same
+    recurrence run on |z| and absolute values, exceeds DERIVATIVE_REL_TOL times |their sum|.
 
     A real C > 0 (a float or an int, not a bool) runs the walk in floats and yields floats; any
     other C runs it in complex arithmetic.  The two agree bit for bit at even j; at odd j,
@@ -269,6 +253,8 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
         yield from itertools.repeat(0.0 if real else 0j)
     B, k, z2, r = p.B, p.k, z * z, abs(z)
     w_prev, w, total, err = 1.0, 1.0, 0.0, 0.0  # w_{n-1,0}, w_{n,0}, the sum so far, its rounding
+    if j >= 2:  # w_{n,i} for i <= j, and the same walk on |z|; theorems 1 and 5 need neither
+        row, size = [1.0] * (j + 1), [1.0] * (j + 1)
     for n in itertools.count():
         if n >= first:
             if j == 0:
@@ -276,9 +262,7 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
             elif j == 1:
                 poly = z * w_prev / (2 * n) if n else 1.0
             else:
-                poly, size = 0.0, 0.0
-                for a in _macdonald_coefs(n, j):
-                    poly, size = poly * z + a, size * r + abs(a)
+                poly = row[j]
             # powers of exact inputs; only where C^{-n-1/2} overflows, (-Bk^2/C)^n (n-fold rounding)
             try:
                 unit = (-1.0) ** n * B**n * k ** (2 * n) * c ** (j / 2 - n - 0.5) * decay
@@ -295,13 +279,19 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
                     raise CapacityError(f"{name}: term {n} at x2 sqrt(C) = {complex(z)} "
                                         "overflows double precision")
             if j >= 2:
-                total, err = total + term, err + sys.float_info.epsilon * size * abs(unit)
+                total, err = total + term, err + sys.float_info.epsilon * size[j] * abs(unit)
                 if err > DERIVATIVE_REL_TOL * abs(total):
                     raise RangeError(f"{name}: the order-{j} terms cancel: their sum is "
                                      f"{abs(total) / err:.3g} times their rounding at n = {n}")
             yield term
-        if j < 2:  # q_1 = 1 + 1/z gives w_1 = (1 + z)/2
-            w_prev, w = w, ((2 * n + 1) * w + z2 * w_prev / (2 * n)) / (2 * n + 2) if n else (1 + z) / 2
+        w_prev, w = w, ((2 * n + 1) * w + z2 * w_prev / (2 * n)) / (2 * n + 2) if n else (1 + z) / 2
+        if j >= 2:  # row n + 1 in place, i = j down; s_0 by K's recurrence, ((2n+1) s_0 + |z| s_1)/m
+            m = 2 * n + 2
+            for i in range(j, 1, -1):
+                row[i] = (z * row[i - 1] - (i - 1) * row[i - 2]) / m
+                size[i] = (r * size[i - 1] + (i - 1) * size[i - 2]) / m
+            row[0], row[1] = w, z * w_prev / m
+            size[0], size[1] = ((m - 1) * size[0] + r * size[1]) / m, r * size[0] / m
 
 
 def theorem1_term(n: int, p: YukawaFormParams) -> complex:
@@ -321,9 +311,10 @@ def theorem5_term(n: int, p: YukawaFormParams) -> complex:
 def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
     """Term n of the order-j series for (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}, which the paper
     writes (1/sqrt(pi)) (-1)^n B^n k^{2n}/n! C^{j/2-n-1/2} G(j, n-(j+1)/2, 4/(C x2^2)), as
-    (-d/dx2)^j theorem1_term(n, p): e^{-z} times a degree-n polynomial in z = x2 sqrt(C) with
-    exact integer coefficients; theorem1_term and theorem5_term (and evals) bit for bit at j = 0
-    and 1.  RangeError where eps sum|beta_p z^p| exceeds DERIVATIVE_REL_TOL |P(z)|."""
+    (-d/dx2)^j theorem1_term(n, p): e^{-z} times a degree-n polynomial in z = x2 sqrt(C), from
+    theorem 1's K walk and w_{n,i} = (z w_{n-1,i-1} - (i-1) w_{n-1,i-2})/(2n) in O(j) a term, with
+    no order cap; theorem1_term and theorem5_term (and evals) bit for bit at j = 0 and 1.
+    RangeError where eps times the same recurrence on |z| exceeds DERIVATIVE_REL_TOL |P(z)|."""
     return next(_macdonald_terms(p, j, n))
 
 
@@ -345,8 +336,9 @@ def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None) -
 
 def theorem6_eval(j: int, p: YukawaFormParams,
                   policy: TruncationPolicy | None = None) -> SeriesEvaluation:
-    """Partial sums of theorem6_term; converges to (Bk^2+C)^{(j-1)/2} e^{-x2 sqrt(Bk^2+C)}
-    for |B k^2| < |C|.  RangeError where the terms' rounding outgrows DERIVATIVE_REL_TOL |sum|."""
+    """Partial sums of theorem6_term, all from one walk; converges to (Bk^2+C)^{(j-1)/2}
+    e^{-x2 sqrt(Bk^2+C)} for |B k^2| < |C|.  RangeError where the terms' rounding, bounded by the
+    walk's recurrence on |z|, outgrows DERIVATIVE_REL_TOL |sum|."""
     return _series_eval(_macdonald_terms(p, j), p, policy)
 
 

@@ -209,10 +209,15 @@ class TestSeries:
         ev = t_abc_series(R)
         assert ev.converged and ev.value.real == pytest.approx(0.375, rel=1e-15)
 
-    @pytest.mark.parametrize("R", [0.001, 0.003, 0.05, 0.11, 0.49, 0.51, 1.1, 2.5, 7.0])
-    def test_series_increments_are_j_sums_of_public_terms(self, R):
+    @pytest.mark.parametrize("R, n_max, policy", [
+        *(pytest.param(R, 20, None, id=str(R)) for R in (0.001, 0.003, 0.05, 0.11, 0.49, 0.51, 1.1, 2.5, 7.0)),
+        # every increment the rows hold
+        pytest.param(2.5, 86, TruncationPolicy(rel_tol=1e-300, max_terms=90), id="2.5-n_max86"),
+    ])
+    def test_series_increments_are_j_sums_of_public_terms(self, R, n_max, policy):
         # the series takes each increment as two dot products; the public term, one J at a time
-        ev = t_abc_series(R, n_max=20)
+        ev = t_abc_series(R, n_max=n_max, policy=policy)
+        assert policy is None or ev.terms_used == n_max + 1
         for n, got in enumerate(ev.terms):
             want = math.fsum(t_abc_term(n, big_j, R) for big_j in range(max(n, 1)))
             assert got.imag == 0.0 and abs(got.real - want) <= 2e-15 * abs(want), (R, n)
@@ -240,7 +245,7 @@ class TestSeries:
             return bessel_i_half(k, x)
 
         monkeypatch.setattr(specfun, "bessel_i_half", counted)
-        monkeypatch.setattr(ellipsoidal, "bessel_i_half", counted)
+        assert not hasattr(ellipsoidal, "bessel_i_half")
         assert t_abc_series(0.37, n_max=n_max).terms_used == n_max + 1
         assert orders == []
 

@@ -124,6 +124,16 @@ class TestBesselKHalf:
         # edge; measured worst 2.2e-13)
         self._check_vs_mpmath(pytest.importorskip("mpmath"), n, cmath.rect(r, theta), 1e-12)
 
+    @pytest.mark.parametrize("n, z", [(80, 1.518 - 60.11j), (83, 0.209 - 49.05j)])
+    def test_cancelling_sum_raises(self, n, z, capsys):
+        # the finite sum cancels ~1e15-fold here; its value was 3.6e-2 and 2.4e-3 off mpmath
+        with pytest.raises(RangeError, match="cancels"):
+            sf.bessel_k_half(n, z)
+        z_arg = f"{z.real!r}{z.imag:+}i"
+        args = ["eval", "bessel_k_half", "--param", f"n={n}", "--param", f"z={z_arg}"]
+        assert main(args) == EXIT_ERROR
+        assert "cancels" in capsys.readouterr().err
+
     def test_errors(self):
         with pytest.raises(DomainError):
             sf.bessel_k_half(0, 0.0)

@@ -1,6 +1,7 @@
 """Addition theorems: golden terms, corollary groupings, two-range baseline."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -12,7 +13,9 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
 from slater_addition.errors import CapacityError, DomainError, PoleError, RangeError
-from slater_addition.specfun import bessel_i_walk, bessel_k_half, cos_power_to_legendre, legendre_p
+from slater_addition.specfun import (
+    bessel_i_walk, bessel_k_half, cos_power_to_legendre, k_half_coef, legendre_p,
+)
 from slater_addition.theorems import (
     CorollaryConfig,
     TruncationPolicy,
@@ -178,13 +181,29 @@ class TestTheorem5:
 
 
 def _mpmath_theorem6_term(mpmath, j, n, p):
-    """(-d/dx2)^j of theorem 1's term n, differentiated by mpmath at the working precision."""
-    B, C, k = mpmath.mpf(p.B), mpmath.mpf(p.C), mpmath.mpf(p.k)
+    """(-d/dx2)^j of theorem 1's term n, differentiated by mpmath at the working precision; C may
+    be negative or complex (principal branch)."""
+    B, C, k = (mpmath.mpmathify(v) for v in (p.B, p.C, p.k))
     half = mpmath.mpf(1) / 2
     lead = (mpmath.sqrt(2 / mpmath.pi) * (-B * k**2 / 2) ** n / mpmath.factorial(n)
             * C ** (-(n + half) / 2))
     term = lambda x: lead * x ** (n + half) * mpmath.besselk(n + half, x * mpmath.sqrt(C))
     return (-1) ** j * mpmath.diff(term, mpmath.mpf(p.x2), j)
+
+
+@functools.cache
+def _exact_coefs(n, j):
+    """P_{n,j} / (n! 4^n), highest power first: the exact reference for theorem 6's walk.
+    x^{n+1/2} K_{n+1/2}(xs) is sqrt(pi/2s) e^{-xs} (2s)^{-n} sum_p c(n, n-p) (2xs)^p with
+    c = k_half_coef (DLMF 10.49.12), and (-d/dx)^j [e^{-xs} Q] = e^{-xs} (s - d/dx)^j Q, so the
+    alternating derivative sum cancels exactly in the integers
+    beta_p = sum_i (-1)^i binom(j, i) c(n, n-p-i) 2^{p+i} (p+i)!/p!."""
+    scale = math.factorial(n) * 4**n
+    return tuple(
+        sum((-1) ** i * math.comb(j, i) * k_half_coef(n, n - p - i) * 2 ** (p + i)
+            * math.perm(p + i, i) for i in range(min(j, n - p) + 1)) / scale
+        for p in range(n, -1, -1)
+    )
 
 
 def _mpmath_theorem6_g_form(mpmath, j, n, p):
@@ -244,7 +263,7 @@ class TestTheorem6:
                         got = theorem6_term(j, n, p).real
                     except RangeError:
                         continue
-                    coefs = th._macdonald_coefs(n, j)
+                    coefs = _exact_coefs(n, j)
                     condition = (math.fsum(abs(a) * z**q for q, a in enumerate(reversed(coefs)))
                                  / abs(math.fsum(a * z**q for q, a in enumerate(reversed(coefs)))))
                     want = _mpmath_theorem6_term(mpmath, j, n, p)
@@ -284,9 +303,18 @@ class TestTheorem6:
             want = _mpmath_theorem6_term(mpmath, 8, 0, p)
             assert float(abs((theorem6_term(8, 0, p).real - want) / want)) <= 1e-15
 
+    @pytest.mark.parametrize("j, n", [(2, 86), (3, 100), (5, 120)])
+    def test_terms_past_order_85_vs_mpmath(self, j, n):
+        # the walk has no order cap; the exact polynomial of these terms needs factorials past 170!
+        mpmath = pytest.importorskip("mpmath")
+        p = YukawaFormParams(B=0.6, C=0.8, k=0.9, x2=1.5)
+        with mpmath.workdps(40):
+            want = _mpmath_theorem6_term(mpmath, j, n, p)
+            assert float(abs((theorem6_term(j, n, p) - want) / want)) <= 1e-14
+
     def test_cancelling_polynomial_raises(self):
         # P_{2,2}(z) = 4 (z^2 - z - 1) vanishes at the golden ratio
-        assert th._macdonald_coefs(2, 2) == (4 / 32, -4 / 32, -4 / 32)
+        assert _exact_coefs(2, 2) == (4 / 32, -4 / 32, -4 / 32)
         golden = (1 + math.sqrt(5)) / 2
         with pytest.raises(RangeError, match="cancel"):
             theorem6_term(2, 2, YukawaFormParams(B=0.5, C=1.0, k=0.5, x2=golden))
@@ -363,12 +391,12 @@ class TestTheorem6:
 
 
 def _horner_term(n, p, j):
-    """Term n of theorem 6 of order j from the exact polynomial _macdonald_coefs(n, j) by Horner,
+    """Term n of theorem 6 of order j from the exact polynomial _exact_coefs(n, j) by Horner,
     with the series' exact-power prefactor; also the polynomial's condition sum|a z^p| / |P(z)|."""
     c = complex(p.C)
     z = p.x2 * cmath.sqrt(c)
     poly = size = 0.0
-    for a in th._macdonald_coefs(n, j):
+    for a in _exact_coefs(n, j):
         poly, size = poly * z + a, size * abs(z) + abs(a)
     scale = (-1.0) ** n * p.B**n * p.k ** (2 * n) * c ** (j / 2 - n - 0.5)
     return scale * cmath.exp(-z) * poly, size / abs(poly)
@@ -395,8 +423,9 @@ class TestMacdonaldWalk:
 
     @pytest.mark.parametrize("C, x2", [(-1.8926, 39.04), (-1.5446, 5.8), (0.65 + 1.69j, 7.0), (2.0, 7.0)])
     def test_walk_vs_mpmath_at_large_oscillating_argument(self, C, x2):
-        # at z = 53.7i the Horner reference's condition reaches 2.5e12 at n = 60 (3e-5 off there);
-        # the walk does not sum signed powers of z and stays at rounding level
+        # at z = 53.7i the Horner reference's condition reaches 2.5e12 at n = 60 (3e-5 off there at
+        # j = 0, 1.9e-5 at j = 2); the walk does not sum signed powers of z and stays at rounding
+        # level, at j >= 2 against mpmath's j-th x2-derivative of theorem 1's term
         mpmath = pytest.importorskip("mpmath")
         p = YukawaFormParams(B=0.8, C=C, k=0.6, x2=x2)
         with mpmath.workdps(40):
@@ -409,6 +438,11 @@ class TestMacdonaldWalk:
                     want = ((-B * k**2) ** n * x**n * c ** (-mpmath.mpf(n) / 2)
                             / (mpmath.factorial(n) * 2**n) * mpmath.sqrt(2 * z / mpmath.pi)
                             * mpmath.besselk(n + mpmath.mpf(1) / 2 - j, z) * c ** (-mpmath.mpf(1 - j) / 2))
+                    assert float(abs(walk[n] - want) / abs(want)) <= 3e-14, (j, n)
+            for j in (2, 3, 5):
+                walk = list(itertools.islice(th._macdonald_terms(p, j), 61))
+                for n in (0, 1, 5, 20, 40, 60):
+                    want = _mpmath_theorem6_term(mpmath, j, n, p)
                     assert float(abs(walk[n] - want) / abs(want)) <= 3e-14, (j, n)
 
     def test_real_c_walk_matches_complex_c(self):
