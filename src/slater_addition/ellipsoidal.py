@@ -13,11 +13,12 @@ inserting the derivative-form addition theorem (the exponential carries no
 C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
 removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
 [0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
-reads its Gamma(a, 4R) values off one gamma_walk down the incomplete-gamma orders
-and its I_{k+1/2}(R) off one Miller Bessel-I walk, each once and only as far as
-the last increment it can sum, and forms each increment as two dot products
-over one cached row of R-free constants.  It decays algebraically after a few terms;
-stall_detector quantifies the plateau the way the convergence study reports it.
+takes each increment in O(1): its J-sums over Gamma(a, 4R) are integrals H_m(s) of
+K_{m+1/2}, carried by three recurrences on one upward K walk at z = R, anchored where
+they are stable by one sum over a short gamma_walk(3, 4R); its I_{k+1/2}(R) come off
+one Miller Bessel-I walk, read once and only as far as the last increment it can sum.
+It decays algebraically after a few terms; stall_detector quantifies the plateau the
+way the convergence study reports it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
+import sys
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, RangeError
+from .errors import CapacityError, DomainError, RangeError
 from .quadrature import QuadratureResult, integrate_2d
 from .specfun import bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef, read_walk
 from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, accumulate_series
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_SERIES_SCALE = _SQRT_PI * 2.0**1.5  # sqrt(pi) 2^{3/2}, the H form's prefactor
 # the series' smallest R: below it Gamma(-2, 4R) ~ 1/(32 R^2), read by increment 2, leaves
 # double precision, and T(a,bc) = 3/8 - O(R^2) is 3/8 to double precision anyway
 SERIES_MIN_R = 1e-150
@@ -164,9 +166,9 @@ def _j_top(n: int) -> int:
     return 0 if n == 0 else n - 1
 
 
-def _check_index(name: str, arg: str, value: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DomainError(f"{name}: {arg} must be an integer >= 0, got {value!r}")
+def _check_index(name: str, arg: str, value: int, low: int = 0) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise DomainError(f"{name}: {arg} must be an integer >= {low}, got {value!r}")
 
 
 @functools.cache
@@ -196,7 +198,8 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
 
     with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).
     Integers n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R = 1e-150 (DomainError
-    otherwise); n <= 86, as for t_abc_series' rows (CapacityError beyond); I from bessel_i_walk.
+    otherwise); n <= 86, where k_half_coef's factorials stop (CapacityError beyond; t_abc_series
+    has no such bound); I from bessel_i_walk.
     """
     _check_r("t_abc_term", R, SERIES_MIN_R)
     _check_index("t_abc_term", "n", n)
@@ -210,44 +213,142 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
     return _row(n)[big_j] * (p * (4.0 * g2 + g3) - q * g1)
 
 
+def _k_walk(R: float, top: int) -> list[float]:
+    # beta_m = R^m e^{-4R} q_m(R), m = 0..top, where K_{m+1/2}(z) = sqrt(pi/(2z)) e^{-z} q_m(z):
+    # K's stable upward recurrence (DLMF 10.29.1) scaled by R^{m+1/2} e^{-3R} sqrt(2/pi),
+    # beta_{m+1} = (2m+1) beta_m + R^2 beta_{m-1}.  Each beta is positive and larger than the
+    # one before, so the list stops before the first that is not finite (m ~ 150 at R << 1,
+    # where beta_m ~ (2m-1)!!)
+    e4 = math.exp(-4.0 * R)
+    beta = [e4, (1.0 + R) * e4][:top + 1]
+    r2 = R * R
+    for m in range(1, top):
+        b = (2 * m + 1) * beta[m] + r2 * beta[m - 1]
+        if not math.isfinite(b):
+            break
+        beta.append(b)
+    return beta
+
+
+def _eta_walk(R: float, anchor: int, gammas: list[float], beta: list[float]) -> list[float]:
+    # eta_m = R^{2m} H_m(0), m = 0..len(beta)-1, with H_m(s) = int_R^inf z^{s-m-1} e^{-4z}
+    # q_m(z) dz.  Integrating by parts with u_m = z^{-m-1} e^{-z} q_m(z), whose derivative is
+    # u_m' = -z u_{m+1} = -(u_{m-1} + (2m+1) u_m) / z (DLMF 10.29.4 on z^{-nu} K_nu and
+    # z^{nu} K_nu), gives, with b_m = R^{-m-1} e^{-4R} q_m(R) = beta_m / R^{2m+1},
+    #     H_{m+1}(1) = b_m - 3 H_m(0),
+    #     H_{m+1}(2) = R b_m + H_m(0) - 3 H_m(1),
+    #     (2m+2) H_{m+1}(0) = 8 H_m(0) + R b_{m+1} - 3 b_m,  H_0(0) = E_1(4R) = Gamma(0, 4R),
+    # so (2m+2) eta_{m+1} = 8 R^2 eta_m + beta_{m+1} - 3 R beta_m.  Its homogeneous solution
+    # (4R^2)^m / m! grows against eta_m below m ~ 1.3 R (DLMF 3.6): the walk is anchored at
+    # m = anchor ~ 1.3 R, eta_a = (4R^2)^a sum_J c(a, J) 2^J Gamma(-a-J, 4R), a sum of positive
+    # terms over G_{3+a+J}, and runs up above it and down below it, each way where it is stable
+    a, fact = anchor, math.factorial
+    try:  # c(a, J) 2^J exact, as k_half_coef without its factorial cap
+        scale = (4.0 * R) ** a * R**a
+        eta_a = math.fsum(float(fact(a + big_j) // (fact(big_j) * fact(a - big_j)) << big_j)
+                          * (gammas[3 + a + big_j] * scale) for big_j in range(a + 1))
+    except OverflowError as exc:
+        raise CapacityError(f"t_abc_series: the anchor of the eta walk at m = {a} overflows "
+                            "double precision") from exc
+    eta = [0.0] * len(beta)
+    eta[a] = eta_a
+    r2_8 = 8.0 * R * R
+    for m in range(a - 1, -1, -1):
+        eta[m] = math.fsum(((2 * m + 2) * eta[m + 1], -beta[m + 1], 3.0 * R * beta[m])) / r2_8
+    for m in range(a, len(beta) - 1):
+        eta[m + 1] = math.fsum((r2_8 * eta[m], beta[m + 1], -3.0 * R * beta[m])) / (2 * m + 2)
+    return eta
+
+
+def _lost(n: int, R: float, mant: float, expo: int, weight: float) -> float:
+    # a bound on increment n where I_{n+3/2}(R) >= I_{n+5/2}(R) are below the smallest normal
+    # double: the increment with both replaced by it, weight = (R + 2n + 3) |S_m| + R^2 |eta_m|,
+    # scaled by R^{-n} before the small factors so that nothing underflows on the way
+    try:
+        scaled_min = math.ldexp(sys.float_info.min * mant**-n, -expo * n)
+        return _SERIES_SCALE * R**1.5 * (scaled_min * weight)
+    except OverflowError:
+        return math.inf
+
+
 def t_abc_series(R: float, n_max: int = 20,
                  policy: TruncationPolicy | None = None) -> SeriesEvaluation:
-    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term, taken as
+    """Series for T(a,bc): increment n is the finite J-sum of t_abc_term, taken in O(1) as
 
-        R^{2n} (X + Y) sum_J a_{n,J} C_{n+J} - 16 R^{2n+2} X sum_J a_{n,J} G_{n+J+2},
+        sqrt(pi) 2^{3/2} R^{3/2-n} [(R I_{n+5/2} + (2n+3) I_{n+3/2}) S_m - R^2 I_{n+5/2} eta_m]
 
-    two dot products over one cached row a_{n,J} of R-free constants, with
-    G_k = Gamma(3 - k, 4R), C_k = 4 G_{k+1} + G_k, and X, Y the I_{n+5/2} and I_{n+3/2} parts
-    of t_abc_term.  The G_k come from one gamma_walk(3, 4R) and the I_{k+1/2}(R) from one
-    bessel_i_walk, each read once, before the first increment, up to the last increment the
-    sum can draw (n_max, or policy.max_terms - 1 if smaller); where a walk stops short, its
-    error is raised by the first increment that needs a missing value.  Increments agree with
-    the J-sums of t_abc_term to rounding, and with 40-digit mpmath to 2.5e-15 relative for R
-    in [0.001, 2.5] (1e-14 at R = 7).  Integer n_max >= 0 and R >= SERIES_MIN_R = 1e-150
-    (DomainError otherwise).  Increment 87 raises CapacityError: its row needs k_half_coef's
-    171!, past FACTORIAL_LIMIT (the I walk holds orders up to 1021).  Convergence plateaus
-    (dominated by the J = n-1 term) rather than failing outright; run stall_detector on the
-    result to size the plateau.
+    for n >= 1, m = n - 1, with S_m = R^{2m-1} (H_m(1) + H_m(2)) and eta_m = R^{2m} H_m(0),
+    H_m(s) = int_R^inf z^{s-m-1} e^{-4z} q_m(z) dz, and K_{m+1/2}(z) = sqrt(pi/(2z)) e^{-z} q_m(z).
+    Over the J-sum, sum_J c(m,J) 2^J Gamma(s-m-J, 4R) = 4^{s-m} H_m(s).  The H come from three
+    recurrences driven by one upward K walk at z = R (see _eta_walk), each three-term update
+    one math.fsum; increment 0 is closed in Gamma(3, 4R), Gamma(2, 4R) and Gamma(1, 4R).
+    Reads: the I_{k+1/2}(R), k = 0..top+2, from one bessel_i_walk, and 2a + 4 orders of one
+    gamma_walk(3, 4R) for the anchor a = 0 at R <= 1 and a = ceil(1.3 R) above, capped at
+    m = top - 1, where top is the last increment the sum can draw (n_max, or policy.max_terms
+    - 1 if smaller).  Both walks are read before the first increment; where one stops short,
+    its error is raised by the first increment that needs a missing value.  A series costs
+    O(top): ~44 us at n_max = 20, 0.69x the per-increment dot products it replaced.
+
+    Increments agree with the J-sums of t_abc_term to 2e-15 (n <= 86, where t_abc_term
+    holds), and with 40-digit mpmath to 1.5e-15 relative for R in [0.001, 2.5] and 2.9e-15
+    to R = 20 (n <= 20; increments 87 to 100 within 1.4e-15 at R = 0.5 and 2.5).  Integer
+    n_max >= 0 and R >= SERIES_MIN_R = 1e-150 (DomainError otherwise).  No increment bound
+    short of the walks: CapacityError where the K walk's beta_m ~ (2m-1)!! overflows (m ~ 150
+    at R << 1), where I_{1/2}(R) does (R ~ 714), where the anchor overflows or its Gamma walk
+    passes GAMMA_RECURRENCE_LIMIT (n_max > 100 at R > 60), and at the first increment whose
+    I_{n+3/2}(R) is below the normal doubles unless a bound on it is below half an ulp of
+    increment 0 (n ~ 58 at R = 0.0003, 133 at R = 0.5).  Past R ~ 177.1, where e^{-4R} is
+    not a normal double, no increment has digits: each is NaN and the sum is flagged, never a
+    silent 0.  Convergence plateaus (dominated by the J = n-1 term) rather than failing
+    outright; run stall_detector on the result to size the plateau.
     """
     _check_r("t_abc_series", R, SERIES_MIN_R)
     _check_index("t_abc_series", "n_max", n_max)
     policy = policy or DEFAULT_POLICY
     top = min(n_max, policy.max_terms - 1)  # the last increment the sum can draw
-    gammas, gamma_error = read_walk(gamma_walk(3.0, 4.0 * R), top + _j_top(top) + 3)  # G_k
+    anchor = 0 if R <= 1.0 else min(math.ceil(1.3 * R), max(top - 1, 0))
+    gammas, gamma_error = read_walk(gamma_walk(3.0, 4.0 * R), 2 * anchor + 4)  # G_k
     i_half, i_error = read_walk(bessel_i_walk(R), top + 3)  # I_{k+1/2}(R)
-    combos = [4.0 * g1 + g0 for g0, g1 in zip(gammas, gammas[1:])]  # C_k
-    r16 = 16.0 * R**3
 
     def increments():
-        for n in range(n_max + 1):
-            row = _row(n)
-            if n + len(row) + 2 > len(gammas):
-                raise gamma_error
-            if n + 3 > len(i_half):
-                raise i_error
-            p, q = _scales(n, R, r16, i_half[n + 1], i_half[n + 2])
-            yield p * math.fsum(map(operator.mul, row, combos[n:])) - q * math.fsum(
-                map(operator.mul, row, gammas[n + 2:]))
+        if math.exp(-4.0 * R) < sys.float_info.min:  # e^{-4R} is not a normal double
+            for n in range(n_max + 1):
+                if n + 3 > len(i_half):
+                    raise i_error
+                yield math.nan
+            return
+        if len(i_half) < 3:
+            raise i_error
+        g0, g1, g2 = gammas[:3]
+        p, q = _scales(0, R, 16.0 * R**3, i_half[1], i_half[2])
+        a00 = _row(0)[0]
+        first = p * (a00 * (4.0 * g1 + g0)) - q * (a00 * g2)
+        yield first
+        if not top:
+            return
+        if len(gammas) < 2 * anchor + 4:
+            raise gamma_error
+        beta = _k_walk(R, top - 1)
+        k_error = CapacityError(
+            f"t_abc_series: the K walk overflows double precision at m = {len(beta)}")
+        if anchor >= len(beta):
+            raise k_error
+        eta = _eta_walk(R, anchor, gammas, beta)
+        theta, zeta = g2 / (4.0 * R), g1 / (16.0 * R * R)  # R^{2m-1} H_m(1), R^{2m-2} H_m(2)
+        r15, r2, r3 = R**1.5, R * R, 3.0 * R
+        mant, expo = math.frexp(R)  # R^{-n} = mant^{-n} 2^{-expo n}, applied by ldexp
+        normal, negligible = sys.float_info.min, 0.5 * sys.float_info.epsilon * abs(first)
+        for n, b, e, i_low, i_top in zip(itertools.count(1), beta, eta, i_half[2:], i_half[3:]):
+            if i_low < normal and _lost(n, R, mant, expo, (R + 2 * n + 3) * abs(
+                    theta + R * zeta) + r2 * abs(e)) > negligible:
+                raise CapacityError(f"t_abc_series: increment {n} needs I_{{{n + 1}+1/2}}({R}), "
+                                    "which is below the normal doubles")
+            bracket = (R * i_top + (2 * n + 3) * i_low) * (theta + R * zeta) - r2 * i_top * e
+            yield _SERIES_SCALE * math.ldexp(r15 * bracket * mant**-n, -expo * n)
+            # the H_{m+1}(1) and H_{m+1}(2) relations times R^{2m+1} and R^{2m}
+            theta, zeta = b - r3 * e, math.fsum((b, e, -r3 * theta))
+        if min(len(beta), len(i_half) - 3) < top:  # a walk stopped short of the top increment
+            raise i_error if len(i_half) - 3 <= len(beta) else k_error
 
     return accumulate_series(increments(), policy)
 
@@ -266,10 +367,10 @@ def stall_detector(evaluation: SeriesEvaluation, window: int = 4) -> StallReport
 
     Scans for the first index i >= window with |t_i| > |t_{i-window}| / 2 and
     reports |t_i| as the plateau magnitude.  A geometric tail with ratio
-    below 2^{-1/window} never trips the detector.
+    below 2^{-1/window} never trips the detector.  ``window`` is an integer >= 1,
+    checked as the series' indices are (DomainError otherwise).
     """
-    if window < 1:
-        raise DomainError("stall_detector: window must be >= 1")
+    _check_index("stall_detector", "window", window, 1)
     mags = [abs(t) for t in evaluation.terms]
     if len(mags) <= window:
         raise DomainError("stall_detector: evaluation has fewer terms than the window")

@@ -1,9 +1,11 @@
 """Ellipsoidal-coordinate case study: oracle, exact form, series, stall."""
 
+import functools
 import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slater_addition import ellipsoidal, specfun
 from slater_addition.ellipsoidal import (
@@ -20,19 +22,27 @@ from slater_addition.ellipsoidal import (
 )
 from slater_addition.cli import EXIT_ERROR, EXIT_FLAGGED, main
 from slater_addition.errors import CapacityError, DomainError, RangeError
-from slater_addition.specfun import bessel_i_half, k_half_coef
+from slater_addition.specfun import bessel_i_half
 from slater_addition.theorems import SeriesEvaluation, TruncationPolicy
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_gamma(mpmath, a, R, dps):
+    with mpmath.workdps(dps):
+        return mpmath.gammainc(a, 4 * mpmath.mpf(R))
+
+
 def _mp_increment(mpmath, n, R):
-    """Increment n of the T(a,bc) series as the J-sum of t_abc_term's formula, in mpmath."""
-    R = mpmath.mpf(R)
+    """Increment n of the T(a,bc) series as the J-sum of t_abc_term's formula, in mpmath, with
+    the K coefficient c(m, J) = (m+J)!/(J! (m-J)!) as an exact integer (k_half_coef stops at
+    170!)."""
+    dps, m, R = mpmath.mp.dps, max(n - 1, 0), mpmath.mpf(R)
     i_top, i_low = mpmath.besseli(n + 2.5, R), mpmath.besseli(n + 1.5, R)
     total = 0
-    for big_j in range(max(n, 1)):
-        g1, g2, g3 = (mpmath.gammainc(m - big_j - n, 4 * R) for m in (1, 2, 3))
+    for big_j in range(m + 1):
+        g1, g2, g3 = (_mp_gamma(mpmath, k - big_j - n, float(R), dps) for k in (1, 2, 3))
         total += (mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** (big_j + 2 * n - 4.5) * R ** (2 * n)
-                  * k_half_coef(max(n - 1, 0), big_j)
+                  * (math.factorial(m + big_j) // (math.factorial(big_j) * math.factorial(m - big_j)))
                   * (i_top * (4 * g2 + g3 - 16 * R**2 * g1) * R ** (-n - 0.5)
                      + (2 * n + 3) * i_low * (4 * g2 + g3) * R ** (-n - 1.5)))
     return total
@@ -211,11 +221,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("R, n_max, policy", [
         *(pytest.param(R, 20, None, id=str(R)) for R in (0.001, 0.003, 0.05, 0.11, 0.49, 0.51, 1.1, 2.5, 7.0)),
-        # every increment the rows hold
+        # every increment t_abc_term holds
         pytest.param(2.5, 86, TruncationPolicy(rel_tol=1e-300, max_terms=90), id="2.5-n_max86"),
     ])
     def test_series_increments_are_j_sums_of_public_terms(self, R, n_max, policy):
-        # the series takes each increment as two dot products; the public term, one J at a time
+        # the series takes each increment from the H recurrences; the public term, one J at a time
         ev = t_abc_series(R, n_max=n_max, policy=policy)
         assert policy is None or ev.terms_used == n_max + 1
         for n, got in enumerate(ev.terms):
@@ -249,12 +259,68 @@ class TestSeries:
         assert t_abc_series(0.37, n_max=n_max).terms_used == n_max + 1
         assert orders == []
 
-    def test_series_order_bound_is_its_rows(self):
-        # increment 86's row takes k_half_coef's 170!; the I walk no longer stops the series at 82
-        policy = TruncationPolicy(rel_tol=1e-300, max_terms=200)
-        assert t_abc_series(0.5, n_max=86, policy=policy).terms_used == 87
-        with pytest.raises(CapacityError, match="factorial"):
-            t_abc_series(0.5, n_max=87, policy=policy)
+    @pytest.mark.parametrize("R", [0.5, 2.5])
+    def test_series_increments_past_86_vs_mpmath(self, R):
+        # no row of k_half_coef's factorials bounds the series: increments 87..100 come from the
+        # same K walk and H recurrences as the first ones
+        mpmath = pytest.importorskip("mpmath")
+        ev = t_abc_series(R, n_max=100, policy=TruncationPolicy(rel_tol=1e-300, max_terms=101))
+        assert ev.terms_used == 101
+        with mpmath.workdps(40):
+            for n in range(87, 101):
+                want = _mp_increment(mpmath, n, R)
+                assert float(abs((ev.terms[n].real - want) / want)) <= 2.5e-15, (R, n)
+
+    @pytest.mark.parametrize("R", [
+        *(0.001 * 20000 ** (i / 39) for i in range(40)),  # 40 log-spaced R in [0.001, 20]
+        1.0 - 1e-9, 1.0 + 1e-9,  # the anchor leaves m = 0
+        # each side of every step of the anchor m = ceil(1.3 R) up to R = 12
+        *(k / 1.3 * (1.0 + side) for k in range(1, 16) for side in (-1e-9, 1e-9)),
+    ])
+    def test_series_anchor_rule_vs_mpmath(self, R):
+        mpmath = pytest.importorskip("mpmath")
+        tol = 2.5e-15 if R <= 2.5 else 1e-14
+        ev = t_abc_series(R, n_max=20)
+        with mpmath.workdps(40):
+            for n, got in enumerate(ev.terms):
+                want = _mp_increment(mpmath, n, R)
+                assert float(abs((got.real - want) / want)) <= tol, (R, n)
+
+    @pytest.mark.parametrize("R, n_max, orders", [
+        (0.7, 20, 4),  # anchored at m = 0: Gamma(3, 4R) .. Gamma(0, 4R)
+        (1.2, 20, 8),  # m = ceil(1.56) = 2
+        (7.0, 20, 24),  # m = ceil(9.1) = 10
+        (20.0, 20, 42),  # m = 26 capped at the top increment's m = 19
+        (20.0, 1, 4),
+    ])
+    def test_series_gamma_orders_follow_the_anchor(self, R, n_max, orders, monkeypatch):
+        # 2 m + 4 orders of the walk for the anchor m, not the 2 n_max + 2 that dot products read
+        read = []
+
+        def counted(a, z):
+            for g in specfun.gamma_walk(a, z):
+                read.append(g)
+                yield g
+
+        monkeypatch.setattr(ellipsoidal, "gamma_walk", counted)
+        t_abc_series(R, n_max=n_max)
+        assert len(read) == orders
+
+    @given(R=st.floats(-150.0, 4.0).map(lambda t: max(10.0**t, 1e-150)), n_max=st.integers(0, 100),
+           rel_tol=st.sampled_from([1e-10, 1e-300]))
+    @settings(max_examples=300, deadline=None)
+    def test_series_never_leaks_a_bare_error(self, R, n_max, rel_tol):
+        # over the whole R range and up to 101 terms, a value or the library's own errors; where
+        # T(a,bc) has left the doubles the value is never a converged 0
+        try:
+            ev = t_abc_series(R, n_max=n_max, policy=TruncationPolicy(rel_tol, max_terms=101))
+        except (DomainError, CapacityError, RangeError):
+            return
+        assert ev.value.imag == 0.0
+        if R > EXACT_MAX_R:  # T(a,bc) is below the normal doubles
+            assert not ev.converged
+        if ev.converged:
+            assert math.isfinite(ev.value.real) and ev.value.real > 0.0
 
     @pytest.mark.parametrize("n_max", [2, 20])
     def test_nan_series_is_flagged(self, n_max, capsys):
@@ -280,12 +346,13 @@ class TestSeries:
         assert walks == [(3.0, 4.0 * R)]
 
     @pytest.mark.parametrize("R, value, terms_used, converged", [
-        # bits of the dot-product increments over the float Gamma walk and the Miller I walk
+        # bits of the increments from the K walk and H recurrences, the float Gamma walk's
+        # anchor and the Miller I walk
         (0.05, "0x1.7c76fc4c40398p-2", 21, True),
-        (0.49, "0x1.c8240c9dac69ap-3", 21, True),
-        (0.51, "0x1.b91f5e11efe66p-3", 21, True),
+        (0.49, "0x1.c8240c9dac699p-3", 21, True),
+        (0.51, "0x1.b91f5e11efe65p-3", 21, True),
         (1.2, "0x1.bad9fc80958dep-5", 21, True),
-        (7.0, "0x1.ad75ab48b65c0p-27", 21, True),
+        (7.0, "0x1.ad75ab48b65c1p-27", 21, True),
     ])
     def test_series_values_pinned(self, R, value, terms_used, converged):
         ev = t_abc_series(R, n_max=20)
@@ -319,7 +386,8 @@ class TestSeries:
 
 
     @pytest.mark.parametrize("R, message", [
-        (0.0003, "the walk to a = -106.0 overflows"),
+        # I_{59+1/2}(0.0003) is below the normal doubles while increment 58 is not negligible
+        (0.0003, r"increment 58 needs I_\{59\+1/2\}\(0.0003\), which is below the normal doubles"),
         (1000.0, "bessel_i_walk: I_.* overflows"),
     ])
     def test_short_walk_raises_at_the_increment_that_needs_it(self, R, message):
@@ -337,6 +405,12 @@ class TestStallDetector:
     def test_constant_tail_stalls_at_tail_value(self):
         rep = stall_detector(_fake_eval([1.0] + [0.5] * 10), window=4)
         assert rep.stalled and rep.magnitude == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("window", [True, False, 2.5, 3.0, math.nan, -1, "4"])
+    def test_window_must_be_a_positive_integer(self, window):
+        # as the series' own indices: bools and floats are not windows
+        with pytest.raises(DomainError, match="stall_detector: window must be an integer >= 1"):
+            stall_detector(_fake_eval([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03]), window=window)
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
