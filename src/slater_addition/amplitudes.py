@@ -9,8 +9,8 @@ the general-k overlap of two Slater orbitals with one shifted centre and a
 plane wave.  This module provides its exact closed forms at k = 0, the
 adaptive-quadrature oracle for general k, the Macdonald-series terms in the
 variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) together with their erf and
-incomplete-gamma closed forms, the spherical-Bessel series specialisation at
-eta1 = eta2, one angular integral with a split real/imaginary branch, and
+incomplete-gamma closed forms, theorem 1 about the vertex of L^2 at eta1 = eta2
+(cheshire_series), one angular integral with a split real/imaginary branch, and
 the double-series reconstructions of the k = 0 closed forms.
 """
 
@@ -29,11 +29,11 @@ from .specfun import (
     bessel_k_half,
     binomial,
     binomial_general,
+    cosine_moment_walk,
     factorial,
     gamma_walk,
     k_half_coef,
     read_walk,
-    spherical_bessel_walk,
     upper_incomplete_gamma,
 )
 from .theorems import (
@@ -41,6 +41,7 @@ from .theorems import (
     SeriesEvaluation,
     TruncationPolicy,
     YukawaFormParams,
+    _check_index,
     _macdonald_terms,
     _series_eval,
     accumulate_series,
@@ -289,23 +290,25 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
 
 def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = None,
                     policy: TruncationPolicy | None = None) -> SeriesEvaluation:
-    """Equal-exponent amplitude as a spherical-Bessel series: theorem 1 with
-    B = tau(1 - tau), C = eta1^2 integrated against 2 pi e^{-i (k.x2) tau} over
-    tau in [0, 1], term by term (DLMF 13.4.1), gives 1F1(n+1; 2n+2; -2iy) = e^{-iy} g_n(y)
-    with y = k.x2/2 and g_n = (2n+1)!! j_n(y)/y^n (DLMF 13.6(iii), 10.47), so
+    """Equal-exponent amplitude as theorem 1 about the vertex of L^2 = eta1^2 + k^2 tau(1 - tau):
+    with u = 2 tau - 1, L^2 = C - k^2 u^2 / 4, C = eta1^2 + k^2 / 4, and y = k.x2/2, the tau
+    integral 2 pi int_0^1 e^{-i (k.x2) tau} e^{-x2 L}/L dtau is 2 pi e^{-iy} int_0^1 cos(yu)
+    e^{-x2 L}/L du, which theorem 1 with B = -u^2/4 expands term by term into
 
-        2 pi e^{-iy} sum_n n!^2/(2n+1)! g_n(y) theorem1_term(n; B = 1, C = eta1^2, k, x2),
+        2 pi e^{-iy} sum_n mu_n(y) theorem1_term(n; B = -1/4, C, k, x2),
 
-    with e^{-iy} taken once and every g_n from one spherical_bessel_walk(y) (|k.x2| <= 2000).
-    B <= 1/4 on [0, 1], so it converges for k < 2 eta1; its terms shrink like (k / 2 eta1)^{2n},
-    and from k / eta1 ~ 1.65-1.7 on the default 60-term budget runs out and it is returned flagged.
+    mu_n(y) = int_0^1 u^{2n} cos(yu) du, with e^{-iy} taken once and every mu_n from one
+    cosine_moment_walk(y).  |B k^2| <= k^2/4 < C on the whole interval, so it converges for any
+    k, its terms shrinking like (k^2 / (4 eta1^2 + k^2))^n; on the default 60-term budget it
+    converges up to k / eta1 ~ 3.5 at x2 eta1 <= 1, less as x2 eta1 grows (~2 at 20), and past
+    that is returned flagged.
     """
     pair = SlaterPair(eta1, eta1, x2, k, k_dot_x2)
-    p = YukawaFormParams(1.0, eta1**2, k, x2)
+    # B = -1/4 rather than B = -1 and 4^{-n} outside: B k^2 + C = eta1^2 never reaches the pole
+    p = YukawaFormParams(-0.25, eta1**2 + k * k / 4.0, k, x2)
     y = pair.k_dot_x2 / 2.0
     phase = TWO_PI * cmath.exp(-1j * y)
-    terms = (phase * (factorial(n) ** 2 / factorial(2 * n + 1)) * g * t
-             for n, (g, t) in enumerate(zip(spherical_bessel_walk(y), _macdonald_terms(p, 0))))
+    terms = (phase * mu * t for mu, t in zip(cosine_moment_walk(y), _macdonald_terms(p, 0)))
     return _series_eval(terms, p, policy)
 
 
@@ -362,10 +365,10 @@ def _theorem3_coefs(n: int, lead: float, eta2: float, x2: float) -> list[tuple[f
 
 def _theorem3_gammas(p: SlaterPair, n: int, k_max: int) -> Callable[[int], float]:
     """order -> Re Gamma(order, x2 eta2) off one gamma_walk, over the orders m - 2 down to
-    -nu - m - 2 max(k_max, 1) that the first max(k_max, 1) k-terms of blocks 0 ... n read (see
+    -nu - m - 2 k_max that the first k_max >= 1 k-terms of blocks 0 ... n read (see
     _theorem3_coefs); an order the walk did not reach raises the error that stopped it."""
     m, nu = n // 2, abs(n - 1) // 2
-    values, error = read_walk(gamma_walk(m - 2, p.x2 * p.eta2), 2 * m + nu + 2 * max(k_max, 1) - 1)
+    values, error = read_walk(gamma_walk(m - 2, p.x2 * p.eta2), 2 * m + nu + 2 * k_max - 1)
 
     table = {m - 2 - i: g.real for i, g in enumerate(values)}
 
@@ -389,8 +392,7 @@ def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
     digits: at n = 40 max|term|/|sum| grows from ~5e4 (k = 0) to ~7e9 (k = 5),
     and the k-terms are off by up to ~5e-6 relative to a 60-digit evaluation."""
     coefs = _theorem3_coefs(n, p.eta1, p.eta2, p.x2)
-    if k_max < 1:
-        raise DomainError("theorem3_block_k_terms: need k_max >= 1")
+    _check_index("theorem3_block_k_terms", "k_max", k_max, 1)
     gamma_at = gamma_at or _theorem3_gammas(p, n, k_max)
     ratio = p.x2 * p.x2 * (p.eta1**2 - p.eta2**2)
 
@@ -414,11 +416,13 @@ def theorem3_series(p: SlaterPair, n_max: int = 40, k_max: int = 80,
     most k_max terms over incomplete gammas, accumulated k-minor with
     compensated summation.  The expansion is organised around eta2.  The
     evaluation is flagged unconverged when the k-series of any block it sums
-    runs to its k_max cap.
+    runs to its k_max cap.  Integers n_max >= 0 and k_max >= 1 (DomainError otherwise).
     """
     if p.eta1 == p.eta2:
         raise DomainError("theorem3_series: eta1 = eta2; use theorem4_series")
-    gamma_at = _theorem3_gammas(p, max(n_max, 0), k_max)  # spans every block's orders
+    _check_index("theorem3_series", "n_max", n_max)
+    _check_index("theorem3_series", "k_max", k_max, 1)
+    gamma_at = _theorem3_gammas(p, n_max, k_max)  # spans every block's orders
     capped = False
 
     def blocks():
@@ -547,8 +551,9 @@ def theorem4_series(eta2: float, x2: float, n_max: int = 40,
     series and each block evaluated in O(n) (same domain and RangeError guard).
 
     No inner geometric-correction series is needed, and all blocks are positive
-    at real parameters.
+    at real parameters.  Integer n_max >= 0 (DomainError otherwise).
     """
+    _check_index("theorem4_series", "n_max", n_max)
     scale, z, emz, e1 = _theorem4_point(eta2, x2)
     blocks = (scale * _theorem4_bracket(n, z, emz, e1) for n in range(0, n_max + 1, 2))
     return accumulate_series(blocks, policy)

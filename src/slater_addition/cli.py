@@ -380,7 +380,7 @@ TARGETS: dict[str, Target] = {
         lambda c, eta1, x2, k, k_dot_x2=None: amplitudes.cheshire_series(eta1, x2, k, k_dot_x2),
         lambda c, eta1, x2, k, k_dot_x2: amplitudes.s1_tau_oracle(
             amplitudes.SlaterPair(eta1, eta1, x2, k, k_dot_x2), _oracle_tol(c)),
-        ("cheshire_series", "spherical_bessel_walk"),
+        ("cheshire_series", "cosine_moment_walk"),
     ),
     "theorem2_angular": Target(
         lambda c, eta2, x1, x2: amplitudes.theorem2_angular(eta2, x1, x2),

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from .errors import CapacityError, DomainError, RangeError
 from .quadrature import QuadratureResult, integrate_2d
 from .specfun import bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef, read_walk
-from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, accumulate_series
+from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, _check_index, accumulate_series
 
 __all__ = [
     "EllipsoidalParams",
@@ -164,11 +164,6 @@ def t_abc_exact(R: float) -> float:
 def _j_top(n: int) -> int:
     # floor(|n - 1/2| - 1/2): 0 at n = 0, n - 1 for n >= 1
     return 0 if n == 0 else n - 1
-
-
-def _check_index(name: str, arg: str, value: int, low: int = 0) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise DomainError(f"{name}: {arg} must be an integer >= {low}, got {value!r}")
 
 
 @functools.cache

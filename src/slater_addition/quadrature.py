@@ -22,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 __all__ = [
     "QuadratureResult",
@@ -125,8 +125,10 @@ def integrate_finite(f, a: float, b: float, tol: float = 1e-10,
     f may return float or complex; endpoint values are never requested, so
     integrable endpoint singularities are admissible.  A NaN or infinity from
     the integrand flags the result as non-converged instead of poisoning a
-    "converged" answer.
+    "converged" answer.  DomainError unless tol is positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError(f"integrate_finite: tol = {tol}, must be positive and finite")
     if not a < b:
         raise QuadratureError(f"integrate_finite: empty interval [{a}, {b}]")
     ik, err = _gk15(f, a, b)

@@ -1,8 +1,9 @@
 """Special-function kernel over complex arguments.
 
 Self-contained double-precision routines for the half-integer Bessel
-functions, one Miller walk over the orders of both I_{n+1/2}(x) and the
-spherical Bessel functions j_n(y) / y^n, Legendre/Hermite polynomials, the
+functions, one Miller walk over the orders of I_{n+1/2}(x) (bessel_i_half is
+its n-th value), the cosine moments int_0^1 u^{2n} cos(yu) du by one
+recurrence run up and then down, Legendre/Hermite polynomials, the
 upper incomplete gamma function at integer and half-integer first argument
 (one stateless walk down its orders, gamma_walk), the complex error
 function, the Kummer confluent hypergeometric series, the exponential
@@ -30,7 +31,7 @@ __all__ = [
     "bessel_k_half",
     "bessel_i_half",
     "bessel_i_walk",
-    "spherical_bessel_walk",
+    "cosine_moment_walk",
     "legendre_walk",
     "legendre_p",
     "cos_power_to_legendre",
@@ -47,8 +48,6 @@ __all__ = [
 FACTORIAL_LIMIT = 170
 # bessel_i_walk's orders 0 ... 1021: x^n's mantissa m^n, m in [1/2, 1), stays a normal double
 BESSEL_I_WALK_ORDERS = 1022
-# Largest |y| spherical_bessel_walk takes: its first block sweeps ~|y| orders.
-SPHERICAL_BESSEL_ARG_LIMIT = 1000.0
 # Largest number of recurrence steps an incomplete-gamma walk takes from its anchor.
 GAMMA_RECURRENCE_LIMIT = 400
 # real z from which Gamma(a, z) at integer a < 0 comes from the continued fraction at a: the
@@ -179,108 +178,84 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
     return k
 
 
-def bessel_i_half(n: int, x: float) -> float:
-    """Modified Bessel function I_{n+1/2}(x) for finite x > 0 (DomainError otherwise).
-
-    Evaluated by the ascending series (x/2)^{n+1/2}/Gamma(n+3/2) * sum_k
-    (x^2/4)^k / (k! (n+3/2)_k), which is uniformly accurate; the familiar
-    sinh/cosh closed forms cancel catastrophically once x << n.  A value below
-    the smallest double comes back as its underflowed double, down to 0.0; a
-    value above the largest double (I_{1/2}(x) from x ~ 714) raises CapacityError.
-    Order bound: n <= 84, the last with (2n+1)!! within FACTORIAL_LIMIT (CapacityError beyond).
-    """
-    if not 0 < x < math.inf:
-        raise DomainError(f"bessel_i_half: x = {x}, must be positive and finite")
-    if n < 0:
-        raise DomainError("bessel_i_half: order index n must be >= 0")
-    # Gamma(n+3/2) = (2n+1)!! sqrt(pi) / 2^{n+1}
-    g = double_factorial(2 * n + 1) * _SQRT_PI / 2.0 ** (n + 1)
-    try:
-        term = (x / 2.0) ** (n + 0.5) / g
-    except OverflowError:  # the leading power alone leaves double precision
-        term = math.inf
-    total = term
-    q = x * x / 4.0
-    for k in range(1, 501):
-        term *= q / (k * (n + 0.5 + k))
-        total += term
-        if term <= 1e-17 * total:  # <=: an underflowed series stops at total = 0
-            if math.isinf(total):
-                raise CapacityError(f"bessel_i_half: order {n}+1/2 at x = {x} overflows double precision")
-            return total
-    raise TruncationError("bessel_i_half series did not converge")
-
-
-def _miller_blocks(y: float, y2: float, top: int, anchor_n: int,
-                   anchor: float) -> Iterator[Iterator[float]]:
-    """0F1(; n+3/2; -y2/4) times one constant, in blocks of orders lo ... top (lo + 1 ... top
-    after the first), by Miller's algorithm (Gautschi, SIAM Rev. 9 (1967)): g_{n-1} = g_n -
-    y2 g_{n+1} / ((2n+1)(2n+3)) down from (0, 1) past top, scaled to anchor at order anchor_n;
-    each block anchors the next, whose top doubles.  y2 = +-y^2: spherical or modified family."""
-    lo = 0
-    while True:
-        # past top, a start's error decays like r^2 per order, r = |y| / (top + sqrt(top^2 - y2))
-        r = abs(y) / (top + math.sqrt(top * top - y2))
-        g_up, g, block = 0.0, 1.0, []  # the g from the start down to g_lo
-        for d in range(2 * (top + math.ceil(-10.0 / math.log10(r))) + 1, 2 * lo + 1, -2):  # d = 2n+1
-            g_up, g = g, g - y2 * g_up / (d * (d + 2))
-            block.append(g)
-        block = block[:lo - top - 2:-1]  # g_lo, ..., g_top
-        scale = anchor / block[anchor_n - lo]
-        yield map(scale.__mul__, block[lo > 0:])  # scaled as read
-        anchor_n, anchor = top, scale * block[-1]
-        lo, top = top, 2 * top
-
-
 def bessel_i_walk(x: float) -> Iterator[float]:
-    """I_{n+1/2}(x), n < BESSEL_I_WALK_ORDERS = 1022: spherical_bessel_walk's Miller walk with
-    y^2 flipped, over f_n = 0F1(; n+3/2; x^2/4) = Gamma(n+3/2) (2/x)^{n+1/2} I_{n+1/2}(x) (DLMF
-    10.39.9) anchored to I_{1/2}(x) = sqrt(2/(pi x)) sinh x, times x^n / (2n+1)!! = (m^n / M)
-    2^{en - t} for x = m 2^e, m in [1/2, 1), (2n+1)!! = M 2^t: m^n stays normal to order 1021.
-    Below the normal doubles the product is rounded once, to a subnormal or 0.0.  DomainError
-    for x not positive and finite; CapacityError at the first value where I_{1/2}(x) overflows
-    (x ~ 714), and past order 1021.  Within 3.1e-15 of 40-digit mpmath where I is a normal
-    double at orders <= 150, x in [1e-3, 50] (worst 2.99e-15 over 375 x; 2.57e-15 at orders
-    <= 84, the seeded walk it replaced 2.43e-15), 2e-14 at orders <= 1021, x <= 713 (1.50e-14)."""
+    """I_{n+1/2}(x), n < BESSEL_I_WALK_ORDERS = 1022, by Miller's algorithm (Gautschi, SIAM
+    Rev. 9 (1967)) over f_n = 0F1(; n+3/2; x^2/4) = Gamma(n+3/2) (2/x)^{n+1/2} I_{n+1/2}(x)
+    (DLMF 10.39.9): f_{n-1} = f_n + x^2 f_{n+1} / ((2n+1)(2n+3)) down from (0, 1) past a top
+    order, in blocks of orders lo ... top (lo + 1 ... top after the first), each scaled to the
+    last value of the one before and the first to I_{1/2}(x) = sqrt(2/(pi x)) sinh x; each top
+    doubles the last.  f_n times x^n / (2n+1)!! = (m^n / M) 2^{en - t} for x = m 2^e, m in
+    [1/2, 1), (2n+1)!! = M 2^t: m^n stays normal to order 1021.  Below the normal doubles the
+    product is rounded once, to a subnormal or 0.0.  DomainError for x not positive and finite;
+    CapacityError at the first value where I_{1/2}(x) overflows (x ~ 714), and past order 1021.
+    Within 3.1e-15 of 40-digit mpmath where I is a normal double at orders <= 150, x in
+    [1e-3, 50] (worst 2.99e-15 over 375 x), 2e-14 at orders <= 1021, x <= 713 (1.50e-14)."""
     if not 0 < x < math.inf:
         raise DomainError(f"bessel_i_walk: x = {x}, must be positive and finite")
     try:
-        i_half = _SQRT_2_PI * (math.sinh(x) / math.sqrt(x))
+        anchor = _SQRT_2_PI * (math.sinh(x) / math.sqrt(x))
     except OverflowError:  # sinh x overflows from x ~ 710.5, I_{1/2}(x) only from x ~ 714
         half = math.exp(min(0.5 * x, _LOG_DBL_MAX))  # e^{x/2}, capped where I is inf anyway
-        i_half = half * (0.5 * _SQRT_2_PI / math.sqrt(x) * half)
-    if i_half == math.inf:
+        anchor = half * (0.5 * _SQRT_2_PI / math.sqrt(x) * half)
+    if anchor == math.inf:
         raise CapacityError(f"bessel_i_walk: I_{{1/2}}({x}) overflows double precision")
     m, e = math.frexp(x)
-    # a first block through order 22 + ceil(x): T(a,bc)'s series reads orders 0 ... 22
-    values = itertools.chain.from_iterable(_miller_blocks(x, -x * x, 22 + math.ceil(x), 0, i_half))
-    for n, (mant, t), w in zip(itertools.count(), _ODD_DFACT, values):
-        yield math.ldexp(w * (m ** n / mant), e * n - t)
-    raise CapacityError(f"bessel_i_walk: order {BESSEL_I_WALK_ORDERS}+1/2 is past the walk's last")
+    x2, orders = x * x, enumerate(_ODD_DFACT)
+    lo, top = 0, 22 + math.ceil(x)  # a first block through order 22 + ceil(x): T(a,bc) reads 0 ... 22
+    while True:
+        # past top, a start's error decays like r^2 per order, r = x / (top + sqrt(top^2 + x^2))
+        r = x / (top + math.sqrt(top * top + x2))
+        f_up, f, block = 0.0, 1.0, []  # the f from the start down to f_lo
+        for d in range(2 * (top + math.ceil(-10.0 / math.log10(r))) + 1, 2 * lo + 1, -2):  # d = 2n+1
+            f_up, f = f, f + x2 * f_up / (d * (d + 2))
+            block.append(f)
+        block = block[:lo - top - 2:-1]  # f_lo, ..., f_top
+        scale = anchor / block[0]
+        for w, (n, (mant, t)) in zip(map(scale.__mul__, block[lo > 0:]), orders):
+            yield math.ldexp(w * (m ** n / mant), e * n - t)
+        if n == BESSEL_I_WALK_ORDERS - 1:
+            raise CapacityError(f"bessel_i_walk: order {BESSEL_I_WALK_ORDERS}+1/2 is past the walk's last")
+        anchor, lo, top = scale * block[-1], top, 2 * top
 
 
-def spherical_bessel_walk(y: float) -> Iterator[float]:
-    """g_0(y), g_1(y), g_2(y), ... with g_n(y) = (2n+1)!! j_n(y) / y^n = 0F1(; n+3/2; -y^2/4)
-    (DLMF 10.53.1; even in y, g_n(0) = 1, |g_n| <= 1): _miller_blocks at y2 = y^2 (DLMF
-    10.51.1), first top 20 + ceil|y|, anchored to g_0 = sin y / y, or to g_1 = 3 (sin y -
-    y cos y) / y^3 near the zeros of sin y (DLMF 3.6(iv)).  O(n + |y|) work and memory for n
-    values, no order bound.  Domain: finite |y| <= SPHERICAL_BESSEL_ARG_LIMIT = 1000
-    (DomainError, CapacityError past it).  Against 40-digit mpmath at n < 300: within 2.2e-15
-    of |g_n| up to |y| = 150, 4e-14 up to 1000 (worst 3.6e-14); at n < |y|, near the zeros
-    of j_n, of the envelope (2n+1)!! |h_n(y)| / |y|^n of the spherical Hankel function."""
+def bessel_i_half(n: int, x: float) -> float:
+    """Modified Bessel function I_{n+1/2}(x), the n-th value of bessel_i_walk(x), with its
+    domain, accuracy and errors: 0 <= n <= 1021 and finite x > 0 (DomainError for n < 0)."""
+    if n < 0:
+        raise DomainError("bessel_i_half: order index n must be >= 0")
+    return next(itertools.islice(bessel_i_walk(x), n, None))
+
+
+def cosine_moment_walk(y: float) -> Iterator[float]:
+    """mu_0(y), mu_1(y), ... with mu_n(y) = int_0^1 u^{2n} cos(yu) du, even in y, |mu_n| <=
+    1/(2n+1), mu_n(0) = 1/(2n+1).  By parts, y^2 mu_n = y sin y + 2n cos y - 2n(2n-1) mu_{n-1},
+    which multiplies an error by 2n(2n-1)/y^2: upward from mu_0 = sin y / y while that is <= 1,
+    then downward in blocks lo ... top, each started at mu = 0 where the product of
+    y^2/(2m(2m-1)) over the orders past top falls below 1e-17, each top doubling the last.  No
+    order bound; O(n + |y|) work for n values.  DomainError for y not finite.  Within 1e-15 of
+    the envelope 1/(2n+1) of 30-digit mpmath at n <= 60, |y| <= 1000 (worst 2.5e-16)."""
     if not math.isfinite(y):
-        raise DomainError(f"spherical_bessel_walk: y = {y} is not finite")
-    if abs(y) > SPHERICAL_BESSEL_ARG_LIMIT:
-        raise CapacityError(f"spherical_bessel_walk: |y| = {abs(y)} exceeds {SPHERICAL_BESSEL_ARG_LIMIT}")
-    if y == 0:
-        yield from itertools.repeat(1.0)
-    y2, s = y * y, math.sin(y)
-    if abs(y) < 2 or abs(s) >= 0.5:
-        anchor_n, anchor = 0, s / y
-    else:
-        anchor_n, anchor = 1, 3.0 * (s - y * math.cos(y)) / (y2 * y)
-    yield from itertools.chain.from_iterable(
-        _miller_blocks(y, y2, 20 + math.ceil(abs(y)), anchor_n, anchor))
+        raise DomainError(f"cosine_moment_walk: y = {y} is not finite")
+    sin, c, y2 = math.sin(y), math.cos(y), y * y
+    s, mu = y * sin, sin / y if y else 1.0
+    yield mu
+    lo = 1
+    while 2 * lo * (2 * lo - 1) <= y2:
+        mu = (s + 2 * lo * c - 2 * lo * (2 * lo - 1) * mu) / y2
+        yield mu
+        lo += 1
+    top = 2 * lo + 16
+    while True:
+        start, decay = top, 1.0
+        while decay >= 1e-17:
+            start += 1
+            decay *= y2 / (2 * start * (2 * start - 1))
+        mu, block = 0.0, []  # mu_{start-1} down to mu_lo
+        for m in range(start, lo, -1):
+            mu = (s + 2 * m * c - y2 * mu) / (2 * m * (2 * m - 1))
+            block.append(mu)
+        yield from block[:lo - top - 2:-1]
+        lo, top = top + 1, 2 * top
 
 
 # ---------------------------------------------------------------------------

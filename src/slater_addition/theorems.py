@@ -92,6 +92,12 @@ class YukawaFormParams:
             raise PoleError("YukawaFormParams: B k^2 + C = 0")
 
 
+def _check_index(name: str, arg: str, value: int, low: int = 0) -> None:
+    """DomainError unless value, an index or a term budget, is an int >= low (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise DomainError(f"{name}: {arg} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Tolerances and term limits governing infinite-series cutoff."""
@@ -102,8 +108,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0 < self.rel_tol < math.inf:
             raise DomainError(f"TruncationPolicy: rel_tol = {self.rel_tol}, must be positive and finite")
-        if self.max_terms < 1:
-            raise DomainError("TruncationPolicy: need max_terms >= 1")
+        _check_index("TruncationPolicy", "max_terms", self.max_terms, 1)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -235,8 +240,7 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
     A real C > 0 (a float or an int, not a bool) runs the walk in floats and yields floats; any
     other C runs it in complex arithmetic.  The two agree bit for bit at even j; at odd j,
     C^{j/2-n-1/2} is an integer power, which libm's pow and the complex power round differently."""
-    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-        raise DomainError(f"theorem6_term: j must be an integer >= 0, got {j!r}")
+    _check_index("theorem6_term", "j", j)
     name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
     if first < 0:
         raise DomainError(f"{name}: n must be >= 0")

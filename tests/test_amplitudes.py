@@ -4,6 +4,7 @@ import cmath
 import functools
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -30,7 +31,7 @@ from slater_addition.amplitudes import (
 from slater_addition.errors import DomainError, RangeError
 from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import (
-    spherical_bessel_walk,
+    cosine_moment_walk,
     upper_incomplete_gamma,
 )
 from slater_addition.theorems import TruncationPolicy, YukawaFormParams, accumulate_series, theorem1_term
@@ -167,6 +168,21 @@ class TestSeriesTerms:
                 fn()
 
 
+def _tau_mpmath(eta1: float, x2: float, k: float, dps: int, pieces: int) -> complex:
+    """2 pi int_0^1 e^{-i k x2 tau} e^{-x2 L}/L dtau, L^2 = eta1^2 + k^2 tau(1 - tau), by mpmath
+    quadrature at dps digits over pieces - 1 equal panels."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        e1, x, kk = (mp.mpf(v) for v in (eta1, x2, k))
+
+        def integrand(tau):
+            ell = mp.sqrt(e1**2 + kk**2 * tau * (1 - tau))
+            return mp.exp(mp.mpc(-x * ell, -kk * x * tau)) / ell
+
+        return complex(2 * mp.pi * mp.quad(integrand, mp.linspace(0, 1, pieces)))
+
+
 class TestCheshireSeries:
     def test_k_zero_single_term_is_closed_form(self):
         ev = cheshire_series(0.82, 0.036, 0.0)
@@ -187,34 +203,36 @@ class TestCheshireSeries:
         "eta1, x2, k, kdot",
         [(0.82, 0.036, 0.019, 0.019 * 0.036), (1.0, 1.0, 0.5, 0.3), (0.82, 0.36, 0.19, 0.19 * 0.36)],
     )
-    def test_terms_match_gamma_formula(self, eta1, x2, k, kdot):
-        # 2 pi (-1)^n 2^{-3n-1/2} k^{2n} x2^{n+1/2} eta1^{-n-1/2} / Gamma(n+3/2)
-        #     K_{n+1/2}(x2 eta1) 1F1(n+1; 2n+2; -i k.x2), written out term by term
+    def test_terms_match_vertex_formula(self, eta1, x2, k, kdot):
+        # 2 pi e^{-iy} mu_n(y) sqrt(2/pi) (k^2/4)^n / n! 2^{-n} x2^{n+1/2} C^{-n/2-1/4}
+        #     K_{n+1/2}(x2 sqrt(C)), C = eta1^2 + k^2/4 as the series rounds it, y = k.x2/2,
+        # mu_n(y) = 1F2(n+1/2; 1/2, n+3/2; -y^2/4) / (2n+1), written out term by term
         # in 50-digit mpmath: a float re-evaluation through bessel_k_half at
-        # x2 eta1 ~ 0.03 carries ~2e-15 error of its own.
+        # x2 sqrt(C) ~ 0.03 carries ~2e-15 error of its own.
         mp = pytest.importorskip("mpmath")
         every = TruncationPolicy(rel_tol=1e-300, max_terms=31)
         ev = cheshire_series(eta1, x2, k, kdot, every)
         assert ev.terms_used == 31
         with mp.workdps(50):
             e1, x, kk, kd = (mp.mpf(v) for v in (eta1, x2, k, kdot))
+            c, y, half = mp.mpf(eta1**2 + k * k / 4), kd / 2, mp.mpf(1) / 2
             for n, got in enumerate(ev.terms):
+                mu = mp.hyp1f2(n + half, half, n + 3 * half, -y * y / 4) / (2 * n + 1)
                 want = (
-                    2 * mp.pi * (-1) ** n * mp.mpf(2) ** (-3 * n - mp.mpf(1) / 2) * kk ** (2 * n)
-                    * x ** (n + mp.mpf(1) / 2) * e1 ** (-n - mp.mpf(1) / 2) / mp.gamma(n + mp.mpf(3) / 2)
-                    * mp.besselk(n + mp.mpf(1) / 2, x * e1) * mp.hyp1f1(n + 1, 2 * n + 2, mp.mpc(0, -kd))
+                    2 * mp.pi * mp.expj(-y) * mu * mp.sqrt(2 / mp.pi) * (kk**2 / 4) ** n
+                    / mp.factorial(n) / 2**n * x ** (n + half) * c ** (-mp.mpf(n) / 2 - half / 2)
+                    * mp.besselk(n + half, x * mp.sqrt(c))
                 )
                 assert abs(got - want) <= 2e-15 * abs(want), n
 
     def test_sums_its_per_term_formula(self):
-        # 2 pi e^{-iy} n!^2/(2n+1)! g_n(y) theorem1_term(n; B = 1, C = eta1^2, k, x2), y = k.x2/2
+        # 2 pi e^{-iy} mu_n(y) theorem1_term(n; B = -1/4, C = eta1^2 + k^2/4, k, x2), y = k.x2/2
         eta1, x2, k = 0.8, 0.7, 0.9
         ev = cheshire_series(eta1, x2, k)
-        p = YukawaFormParams(1.0, eta1**2, k, x2)
+        p = YukawaFormParams(-0.25, eta1**2 + k * k / 4, k, x2)
         y = k * x2 / 2
-        g = list(itertools.islice(spherical_bessel_walk(y), ev.terms_used))
-        terms = [amplitudes.TWO_PI * cmath.exp(-1j * y) * (math.factorial(n) ** 2 / math.factorial(2 * n + 1))
-                 * g[n] * theorem1_term(n, p)
+        mu = list(itertools.islice(cosine_moment_walk(y), ev.terms_used))
+        terms = [amplitudes.TWO_PI * cmath.exp(-1j * y) * mu[n] * theorem1_term(n, p)
                  for n in range(ev.terms_used)]
         assert ev.converged and ev.terms_used > 10
         assert list(ev.terms) == terms
@@ -247,13 +265,46 @@ class TestCheshireSeries:
             tracemalloc.stop()
         assert ev.converged and peak < 100_000
 
-    def test_radius_is_k_below_2_eta1(self):
-        # B = tau(1 - tau) <= 1/4 and C = eta1^2: inside the radius for any k < 2 eta1
-        ev = cheshire_series(1.0, 0.5, 1.5)
-        oracle = s1_tau_oracle(SlaterPair(1.0, 1.0, 0.5, 1.5), 1e-12).value
+    def test_no_radius_in_k(self):
+        # |B k^2| <= k^2/4 < C = eta1^2 + k^2/4 for every k: past k = 2 eta1 too
+        for k in (1.5, 2.5):
+            ev = cheshire_series(1.0, 0.5, k)
+            oracle = s1_tau_oracle(SlaterPair(1.0, 1.0, 0.5, k), 1e-12).value
+            assert ev.converged
+            assert abs(ev.value - oracle) <= 1e-10 * abs(oracle), k
+        # at k = 5 eta1 the terms shrink like (25/29)^n: past the default 60 terms, not past 200
+        assert not cheshire_series(1.0, 0.5, 5.0).converged
+        ev = cheshire_series(1.0, 0.5, 5.0, policy=TruncationPolicy(max_terms=200))
+        oracle = s1_tau_oracle(SlaterPair(1.0, 1.0, 0.5, 5.0), 1e-12).value
+        assert ev.converged and abs(ev.value - oracle) <= 1e-9 * abs(oracle)
+
+    @pytest.mark.parametrize("eta1, x2, k", [(0.3332, 0.8282, 0.6364), (0.3521, 0.6133, 0.7506),
+                                             (0.3479, 0.7074, 0.8142)])
+    def test_past_k_2_eta1_vs_mpmath(self, eta1, x2, k):
+        # k / eta1 = 1.9, 2.1, 2.3, where the series about tau = 0 ran out of its 60 terms
+        pytest.importorskip("mpmath")
+        ev = cheshire_series(eta1, x2, k)
         assert ev.converged
-        assert abs(ev.value - oracle) <= 1e-10 * abs(oracle)
-        assert not cheshire_series(1.0, 0.5, 2.5).converged
+        assert abs(ev.value - _tau_mpmath(eta1, x2, k, 30, 9)) <= 1e-10 * abs(ev.value)
+
+    def test_seeded_draws_vs_mpmath(self):
+        # eta1 in [0.2, 2], x2 in [0.1, 20], k / eta1 in [0, 4]: 102 of 150 converge (the series
+        # about tau = 0 converged on 59).  mpmath, not s1_tau_oracle, whose absolute floor
+        # leaves it 1.4e-3 off at (1.821, 16.82, 1.92 eta1).  The stop rule ends a series at two
+        # terms below 1e-10 |sum|, and the geometric tail past them (term ratio up to ~0.8)
+        # leaves a converged value up to 1.5e-10 off here
+        pytest.importorskip("mpmath")
+        rng = random.Random(2026)
+        draws = [(eta1, rng.uniform(0.1, 20), eta1 * rng.uniform(0, 4))
+                 for eta1 in (rng.uniform(0.2, 2) for _ in range(150))]
+        converged = 0
+        for eta1, x2, k in draws:
+            ev = cheshire_series(eta1, x2, k)
+            if ev.converged:
+                converged += 1
+                want = _tau_mpmath(eta1, x2, k, 20, 5)
+                assert abs(ev.value - want) <= 3e-10 * abs(want), (eta1, x2, k)
+        assert converged >= 100
 
     def test_phase_scalar_bounded_by_k_x2(self):
         with pytest.raises(DomainError, match="k_dot_x2"):
@@ -566,14 +617,26 @@ class TestSlaterPairValidation:
                 f(*args)
 
     def test_bounds_validation(self):
-        with pytest.raises(DomainError, match="empty series"):
+        with pytest.raises(DomainError, match="theorem3_series: n_max"):
             theorem3_series(RECON, n_max=-2)
-        with pytest.raises(DomainError, match="empty series"):
+        with pytest.raises(DomainError, match="theorem4_series: n_max"):
             theorem4_series(0.13, 0.17, n_max=-2)
-        with pytest.raises(DomainError, match="theorem3_block_k_terms"):
+        with pytest.raises(DomainError, match="theorem3_series: k_max"):
             theorem3_series(RECON, k_max=0)
         with pytest.raises(DomainError, match="theorem3_block_k_terms"):
             theorem3_block_k_terms(0, RECON, k_max=0)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 4.0, math.nan])
+    @pytest.mark.parametrize("route, arg", [
+        (lambda v: theorem3_series(RECON, n_max=v), "n_max"),
+        (lambda v: theorem3_series(RECON, k_max=v), "k_max"),
+        (lambda v: theorem3_block_k_terms(0, RECON, k_max=v), "k_max"),
+        (lambda v: theorem4_series(0.3, 0.4, n_max=v), "n_max"),
+    ])
+    def test_budgets_must_be_integers(self, route, arg, bad):
+        # a float budget ended in islice's ValueError or range's TypeError
+        with pytest.raises(DomainError, match=f"{arg} must be an integer"):
+            route(bad)
 
 
 class TestReconstructionConvergenceDirection:

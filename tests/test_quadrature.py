@@ -9,7 +9,7 @@ import pytest
 from slater_addition import amplitudes
 from slater_addition import specfun as sf
 from slater_addition.cli import _s1_defining_2d
-from slater_addition.errors import QuadratureError
+from slater_addition.errors import DomainError, QuadratureError
 from slater_addition.quadrature import (
     _WG, _WGK, _XGK, _gk15, integrate_2d, integrate_finite, integrate_semi_infinite,
 )
@@ -90,6 +90,20 @@ class TestFinite:
     def test_empty_interval_rejected(self):
         with pytest.raises(QuadratureError):
             integrate_finite(lambda t: t, 1.0, 1.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # tol = nan stopped after one panel, converged: -3.0e-4 for an integral of 2.6e-7
+        def f(x):
+            return math.exp(-30 * x * x) * math.cos(40 * x)
+
+        p = amplitudes.SlaterPair(0.8, 0.6, 0.5, 0.3)
+        for route in (lambda: integrate_finite(f, 0.0, 1.0, tol),
+                      lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, tol),
+                      lambda: integrate_2d(lambda x, y: x * y, (0.0, 1.0, 0.0, 1.0), tol),
+                      lambda: amplitudes.s1_tau_oracle(p, tol)):
+            with pytest.raises(DomainError, match="tol"):
+                route()
 
     def test_budget_exhaustion_is_flagged(self):
         res = integrate_finite(lambda t: math.sin(300.0 * t * t), 0.0, 20.0, 1e-12,

@@ -205,6 +205,22 @@ class TestBesselIHalf:
         with pytest.raises(DomainError):
             sf.bessel_i_half(-1, 1.0)
 
+    def test_is_the_walk_to_order_150_vs_mpmath(self):
+        # the n-th value of bessel_i_walk, also past order 84, where (2n+1)!! leaves the
+        # factorial cache
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in (0.37, 13.0, 50.0):
+                walked = list(itertools.islice(sf.bessel_i_walk(x), 151))
+                for n in range(85, 151):
+                    got = sf.bessel_i_half(n, x)
+                    assert got == walked[n]
+                    want = mpmath.besseli(n + mpmath.mpf(1) / 2, x)
+                    if want >= sys.float_info.min:
+                        assert float(abs((got - want) / want)) <= 3.1e-15, (x, n)
+        with pytest.raises(CapacityError, match="order 1022"):
+            sf.bessel_i_half(sf.BESSEL_I_WALK_ORDERS, 1.0)
+
     def test_overflow_raises(self):
         # I_{1/2}(700) = 1.5293200e302 (mpmath) is still a double; I_{1/2}(800) ~ 1e346 is not
         assert sf.bessel_i_half(0, 700.0) == pytest.approx(1.5293200e302, rel=1e-7)
@@ -217,7 +233,18 @@ class TestBesselIHalf:
 BESSEL_I_XS = (1e-3, 0.003, 0.01, 0.05, 0.11, 0.37, 0.7, 1.0, 1.2, 2.5, 7.0, 13.0, 20.0, 33.0, 50.0)
 
 
+# SHA-256 over float.hex() of bessel_i_walk at every order 0 ... 1021, x in BESSEL_I_XS, 300, 713
+BESSEL_I_WALK_DIGEST = "75d1f98f686000ed4af9d5a37f90e66b561d87b562276cc5e5083672c210929d"
+
+
 class TestBesselIWalk:
+    def test_walks_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for x in BESSEL_I_XS + (300.0, 713.0):
+            for v in itertools.islice(sf.bessel_i_walk(x), sf.BESSEL_I_WALK_ORDERS):
+                digest.update(v.hex().encode())
+        assert digest.hexdigest() == BESSEL_I_WALK_DIGEST
+
     def test_vs_mpmath(self):
         # orders 0..84 across the block edges at 16, 32, 64 and 83, where I is a normal double
         # (measured worst 1.8e-15)
@@ -286,45 +313,34 @@ class TestBesselIWalk:
                 assert float(abs((got - want) / want)) <= 2e-15, n
 
 
-# y in [-20, 20]: zeros of sin y (g_1 scales the sweep there) and of j_1, j_5 (where g_0 does),
-# tiny and negative arguments, and a seeded spread
-SPHERICAL_YS = (1e-8, -0.3, 0.45, 1.999, 2.0, math.pi, 4.493409457909064, 2 * math.pi - 1e-9,
-                9.355812111042747, -6 * math.pi, 20.0) + tuple(
-    round(random.Random(11).uniform(-20, 20), 6) for _ in range(12))
+class TestCosineMomentWalk:
+    # y = 0, tiny, negative, at the upward/downward switch 2n(2n-1) = y^2 (y ~ 2, 12, 110), and a
+    # seeded spread to |y| = 1000, where the upward run alone covers n <= 60
+    YS = (0.0, 1e-8, -0.3, 1.4, 2.0, -2.2, math.pi, 11.8, 12.5, 100.0, -109.9, 300.0, -1000.0,
+          1000.0) + tuple(round(random.Random(7).uniform(-1000, 1000), 6) for _ in range(10))
 
-
-class TestSphericalBesselWalk:
     def test_vs_mpmath(self):
-        # g_n(y) = 0F1(; n+3/2; -y^2/4) for n <= 60, across the block edges at 20 + ceil|y| and
-        # twice that; where n < |y| the error is scaled by (2n+1)!! |h_n(y)| / |y|^n, the
-        # envelope of |g_n| through the zeros of j_n (measured worst 9.9e-16)
+        # mu_n(y) = 1F2(n+1/2; 1/2, n+3/2; -y^2/4) / (2n+1) for n <= 60, against the envelope
+        # 1/(2n+1) of |mu_n| (measured worst 2.5e-16)
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
-            for y in SPHERICAL_YS:
-                got = list(itertools.islice(sf.spherical_bessel_walk(y), 61))
-                ay = mpmath.mpf(abs(y))
-                for n, g in enumerate(got):
-                    want = mpmath.hyp0f1(n + mpmath.mpf(3) / 2, -ay * ay / 4)
-                    scale = abs(want)
-                    if n < ay:
-                        nu = n + mpmath.mpf(1) / 2
-                        scale = (mpmath.fac2(2 * n + 1) / ay ** n * mpmath.sqrt(mpmath.pi / (2 * ay))
-                                 * mpmath.hypot(mpmath.besselj(nu, ay), mpmath.bessely(nu, ay)))
-                    assert abs(g - want) <= 4e-15 * scale, (y, n)
+            for y in self.YS:
+                got = list(itertools.islice(sf.cosine_moment_walk(y), 61))
+                q = -mpmath.mpf(y) ** 2 / 4
+                for n, mu in enumerate(got):
+                    want = mpmath.hyp1f2(n + 0.5, 0.5, n + 1.5, q) / (2 * n + 1)
+                    assert abs(mu - want) * (2 * n + 1) <= 1e-15, (y, n)
 
-    def test_small_y_and_symmetry(self):
-        assert list(itertools.islice(sf.spherical_bessel_walk(0.0), 5)) == [1.0] * 5
-        assert list(itertools.islice(sf.spherical_bessel_walk(-3.7), 200)) == list(
-            itertools.islice(sf.spherical_bessel_walk(3.7), 200))
-        assert next(sf.spherical_bessel_walk(1e-8)) == 1.0
+    def test_zero_and_symmetry(self):
+        assert list(itertools.islice(sf.cosine_moment_walk(0.0), 6)) == [1 / (2 * n + 1) for n in range(6)]
+        assert list(itertools.islice(sf.cosine_moment_walk(-3.7), 200)) == list(
+            itertools.islice(sf.cosine_moment_walk(3.7), 200))
+        assert next(sf.cosine_moment_walk(1e-8)) == 1.0
 
     def test_errors(self):
         for y in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
-                next(sf.spherical_bessel_walk(y))
-        with pytest.raises(CapacityError):
-            next(sf.spherical_bessel_walk(1000.5))
-        assert math.isfinite(next(sf.spherical_bessel_walk(-1000.0)))
+                next(sf.cosine_moment_walk(y))
 
 
 class TestLegendre:

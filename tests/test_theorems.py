@@ -846,3 +846,7 @@ class TestPolicyAndEnv:
                 TruncationPolicy(rel_tol=bad)
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
+        # NaN passed as a budget; 2.5 ended in islice's ValueError
+        for bad in (math.nan, 2.5, 60.0, True):
+            with pytest.raises(DomainError, match="max_terms must be an integer"):
+                TruncationPolicy(max_terms=bad)
