@@ -27,7 +27,6 @@ from .errors import CapacityError, DomainError, RangeError, TruncationError
 from .quadrature import QuadratureResult, integrate_finite
 from .specfun import (
     bessel_k_half,
-    binomial,
     binomial_general,
     cosine_moment_walk,
     factorial,
@@ -279,9 +278,9 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
 
     total = 0.0 + 0.0j
     for m in range(n + 1):
-        cm = (-1.0) ** m * p.eta1 ** (2 * m) * binomial(n, m)
+        cm = (-1.0) ** m * p.eta1 ** (2 * m) * math.comb(n, m)
         for j in range(n + 1):
-            cj = (-1.0) ** j * p.eta2 ** (2 * j) * binomial(n, j)
+            cj = (-1.0) ** j * p.eta2 ** (2 * j) * math.comb(n, j)
             for cap_j in range(n + 1):
                 ck = k_half_coef(n, cap_j) * 2.0 ** (-cap_j) * x2 ** (-cap_j)
                 total += cm * cj * ck * s_power_channel(3 * n - 2 * m - 2 * j - cap_j)
@@ -355,7 +354,7 @@ def _theorem3_coefs(n: int, lead: float, eta2: float, x2: float) -> list[tuple[f
     # A = sqrt(pi) (-1)^m lead 2^{m+3} Gamma((n+3)/2) / (n+1)! = 4 pi (-1)^m lead / (2^m m!)
     a = math.ldexp((-1) ** m * 4.0 * math.pi * lead / factorial(m), -m)
     # A P_i, with P_i = (-1)^i C(m, i) eta2^{n-2i} x2^{n+2-2i}
-    ap = [a * (-1) ** i * binomial(m, i) * eta2 ** (n - 2 * i) * x2 ** (n + 2 - 2 * i)
+    ap = [a * (-1) ** i * math.comb(m, i) * eta2 ** (n - 2 * i) * x2 ** (n + 2 - 2 * i)
           for i in range(m + 1)]
     # Q_j = 2^{-j} k_half_coef(nu, j) with nu = (|n-1|-1)/2
     nu = abs(n - 1) // 2

@@ -95,21 +95,18 @@ def _t_abc_scaled(R: float, measure: float, t2: float, mu: float) -> tuple[float
             measure * (even + odd) * math.exp(x + R * mu))
 
 
-def _t_abc_oracle_integrand(R: float, folded: bool = False):
-    """The oracle's integrand f(t, mu) over [0, inf) x [-1, 1]: lam = 1 + t^2 and
-    dlam = 2t dt, without the e^{-3R} factor.  folded gives f(t, mu) + f(t, -mu)
-    over [0, inf) x [0, 1], one call sharing the mu-even root and exponent."""
+def _t_abc_oracle_integrand(R: float):
+    """The oracle's integrand f(t, mu) + f(t, -mu) over [0, inf) x [0, 1], where f is the
+    integrand over [0, inf) x [-1, 1] in lam = 1 + t^2, dlam = 2t dt, without the e^{-3R}
+    factor: one call sharing the mu-even root and exponent."""
     measure = 2.0 * R**3
 
     # R is checked by the caller and the nodes lie in the domain, so skip EllipsoidalParams
     def f(t: float, mu: float) -> float:
-        return 2.0 * t * _t_abc_scaled(R, measure, t * t, min(1.0, max(-1.0, mu)))[0]
-
-    def f_folded(t: float, mu: float) -> float:
         at_mu, at_minus_mu = _t_abc_scaled(R, measure, t * t, min(1.0, mu))
         return 2.0 * t * (at_mu + at_minus_mu)
 
-    return f_folded if folded else f
+    return f
 
 
 def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
@@ -123,7 +120,7 @@ def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
     relative accuracy.
     """
     _check_r("t_abc_oracle", R)
-    res = integrate_2d(_t_abc_oracle_integrand(R, folded=True), (0.0, math.inf, 0.0, 1.0), tol)
+    res = integrate_2d(_t_abc_oracle_integrand(R), (0.0, math.inf, 0.0, 1.0), tol)
     peak = math.exp(-3.0 * R)
     return replace(res, value=res.value * peak, error_estimate=res.error_estimate * peak)
 

@@ -92,7 +92,7 @@ _T6_TERMS_J2 = (0.31348, 0.00924, -0.000161, 0.000005)
 
 def _theorem6_g_form_term(j: int, n: int, p: YukawaFormParams) -> float:
     """The paper's theorem-6 term n for real C > 0, with its G factor from meijer_g_0313."""
-    g = meijer_g_0313(j, n - (j + 1) / 2.0, 4.0 / (p.C * p.x2**2), tol=1e-11)
+    g = meijer_g_0313(j, n - (j + 1) / 2.0, 4.0 / (p.C * p.x2**2))
     lead = (-p.B * p.k**2) ** n / math.factorial(n) / math.sqrt(math.pi)
     return lead * p.C ** (j / 2.0 - n - 0.5) * g
 

@@ -7,8 +7,9 @@ recurrence run up and then down, Legendre/Hermite polynomials, the
 upper incomplete gamma function at integer and half-integer first argument
 (one stateless walk down its orders, gamma_walk), the complex error
 function, the Kummer confluent hypergeometric series, the exponential
-integral, and the one Meijer-G special case that is defined operationally
-through an inverse-Gaussian-transform quadrature.
+integral, and the one Meijer-G special case theorem 6 uses, a finite sum of
+half-integer Macdonald functions.  Nothing here calls the quadrature oracle,
+which checks these kernels independently.
 
 Everything here is a pure function of its arguments.  The factorial and
 double-factorial caches are filled lazily with exact integers and are
@@ -69,11 +70,10 @@ CF_DEPTH_MIN = 10
 KUMMER_REL_TOL = 1e-15
 KUMMER_MAX_TERMS = 500
 KUMMER_CANCELLATION_LIMIT = 1e5
-# meijer_g_0313 integrates where some monomial of its integrand is within
-# this many e-folds of the largest peak (e^{-42} ~ 5.7e-19)
-MEIJER_CUT = 42.0
+# bessel_k_half (at non-real z) and meijer_g_0313 raise RangeError where their finite sum
+# cancels past eps sum|term| > CANCELLATION_BOUND |sum|, ~4.5e3-fold
+CANCELLATION_BOUND = 1e-12
 _LOG_DBL_MAX = math.log(sys.float_info.max)
-_LOG_DBL_MIN = math.log(sys.float_info.min)
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)
@@ -107,13 +107,6 @@ def double_factorial(n: int) -> int:
         m = len(_DFACT)
         _DFACT.append(_DFACT[m - 2] * m)
     return _DFACT[n]
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient for nonnegative integer n."""
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 def k_half_coef(n: int, j: int) -> int:
@@ -154,7 +147,7 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
     for z = 0 or non-finite; CapacityError past n = 85 or where K leaves double precision.
     Within 1e-14 of 40-digit mpmath at real z in [1e-2, 700] (worst 6.6e-15), 1e-12 at
     |arg z| <= pi/4 (worst 2.2e-13; the sum cancels up to 3.7e3-fold).  At non-real z, RangeError
-    where eps sum|term| (the sum at |z|) exceeds 1e-12 |sum|, a 4.5e3-fold cancellation.
+    where eps sum|term| (the sum at |z|) exceeds CANCELLATION_BOUND |sum|.
     """
     if n < 0:
         n = -n - 1
@@ -169,7 +162,7 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
     if z.imag != 0:  # every coefficient is positive, so sum|term| is the sum at |z|
         size = sum(factorial(J + n) / (factorial(J) * factorial(n - J)) * (2 * abs(z)) ** (-J)
                    for J in range(n + 1))
-        if sys.float_info.epsilon * size > 1e-12 * abs(s):
+        if sys.float_info.epsilon * size > CANCELLATION_BOUND * abs(s):
             raise RangeError(f"bessel_k_half({n}, {z}): the finite sum cancels {size / abs(s):.3g}-fold")
     pref = cmath.sqrt(math.pi / (2 * z))
     k = pref * cmath.exp(-z) * s
@@ -648,7 +641,7 @@ def kummer_1f1(a: int, b: int, z: complex | float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# exponential integral and the quadrature-defined Meijer G
+# exponential integral and the theorem-6 Meijer G
 # ---------------------------------------------------------------------------
 
 def exp_integral_ei(x: float) -> float:
@@ -658,122 +651,56 @@ def exp_integral_ei(x: float) -> float:
     return -upper_incomplete_gamma(0.0, -x).real
 
 
-def _level_crossing(b: float, inv: float, s0: float, depth: float, side: float) -> float:
-    """A point on the side ``side`` (+1 or -1) of the peak s0 of the concave
-    w(s) = b s - e^s - inv e^{-s} where w has fallen by at least ``depth``.
-
-    Doubling steps reach the far side of the crossing; Newton's method from
-    there stays on that side (the tangent of a concave function lies above it),
-    so the point returned never cuts inside the crossing.
-    """
-    target = b * s0 - math.exp(s0) - inv * math.exp(-s0) - depth
-    s, h = s0 + side, 1.0
-    while b * s - math.exp(s) - inv * math.exp(-s) >= target:
-        h *= 2.0
-        s = s0 + side * h
-    while True:
-        e = math.exp(s)
-        step = (b * s - e - inv / e - target) / (b - e + inv / e)
-        s -= step
-        if abs(step) < 1e-3:
-            return s
-
-
-def meijer_g_0313(j: int, mu: float, arg: float, tol: float = 1e-12) -> float:
+def meijer_g_0313(j: int, mu: float, arg: float) -> float:
     """The G^{0,3}_{3,1} value fixed by the inverse Gaussian transform
 
         int_0^inf rho^mu e^{-a^2/rho - p rho} H_j(a/sqrt(rho)) drho
             = 2^j p^{-mu-1} G^{0,3}_{3,1}( 1/(a^2 p) | (1/2, 1, -mu); (j+1)/2 ),
 
-    evaluated by performing the left-hand quadrature and rescaling by 2^{-j}.
-    No free-standing Meijer-G algorithm is used.
+    as the finite sum the transform reduces to.  With H_j(x) = sum_m c_m x^{j-2m} each
+    monomial integrates by Gradshteyn-Ryzhik 3.471.9 (DLMF 10.32.10),
+    int_0^inf rho^{nu-1} e^{-a^2/rho - rho} drho = 2 a^nu K_nu(2a), so at p = 1, a = arg^{-1/2}
 
-    With t = p rho = e^s the integral depends on a, p only through
-    arg = 1/(a^2 p); let inv = 1/arg.  Writing H_j(x) = x^j sum_m c_m y^m with
-    x = e^{-s/2}/sqrt(arg) and y = x^{-2} = arg e^s, the integrand is a sum
-    of monomials c_m arg^{m-j/2} e^{w_m(s)},
+        G = 2^{-j} sum_m c_m a^{j-2m} 2 a^{nu_m} K_{nu_m}(2a),   nu_m = mu + 1 - j/2 + m.
 
-        w_m(s) = (a+m) s - e^s - inv e^{-s},   a = mu + 1 - j/2,
+    Every nu_m is a half-integer, so every K is a bessel_k_half, exactly when 2 mu - j is an
+    odd integer: theorem 6's mu = n - (j+1)/2 all are.  No free-standing Meijer-G algorithm
+    is used.  DomainError for j not an integer >= 0, 2 mu - j not an odd integer, or arg not
+    finite and positive.  CapacityError where a term or its K leaves the normal doubles (e.g.
+    (0, -60.5, 1e6), where the value is ~1e436).  RangeError where the Hermite terms cancel,
+    eps sum|term| > CANCELLATION_BOUND |G|: at large arg near mu = -(k+3)/2, 0 <= k < j,
+    k = j (mod 2), where the leading large-arg order int_0^inf w^k e^{-w^2} H_j(w) dw
+    vanishes by orthogonality (e.g. (7, -4, 1e8) cancels from ~1e28 to 1.77).
 
-    each concave, with its peak at e^s = (b + sqrt(b^2 + 4 inv))/2, b = a+m
-    (taken as 2 inv/(sqrt(b^2 + 4 inv) - b) when b < 0, which does not
-    cancel).  One adaptive Gauss-Kronrod quadrature at relative tolerance
-    ``tol`` covers the union of the s-intervals on which some monomial is
-    within MEIJER_CUT = 42 e-folds of the largest peak; each node evaluates
-    e^{w_0(s)} times the polynomial in y by Horner's rule, scaled so that the
-    largest peak is 1.  By concavity a monomial's dropped tail beyond a cut
-    s_c is at most e^{w(s_c)}/|w'(s_c)|, so below e^{-42} ~ 5.7e-19 of the
-    largest peak, divided by |w'(s_c)|.
-
-    Domain: integer j >= 0, finite mu, finite arg > 0 (DomainError
-    otherwise).  A largest peak outside the normal double range raises
-    CapacityError.  Where the Hermite terms cancel, so that eps times the
-    summed monomial masses (each taken from its peak's Laplace width)
-    exceeds tol |value|, the requested accuracy cannot be guaranteed and
-    RangeError is raised.  That happens at large arg near
-    mu = -(k+3)/2, 0 <= k < j, k = j (mod 2), where the leading large-arg
-    order int_0^inf w^k e^{-w^2} H_j(w) dw vanishes by orthogonality.  The
-    estimate is conservative: at j >= 7 it also fires at some points where
-    only the terms at one node cancel, e.g. (j, mu, arg) = (7, -1.5, 0.3).
-
-    Measured against mpmath.meijerg at the default tol, the relative error
-    is at most 4.5e-15 over theorem 6's range (j <= 2, mu = n - (j+1)/2 for
-    n <= 20, arg in [10, 1e4]) and 7.6e-14 over j <= 8, mu in [-4, 30],
-    arg in [1e-2, 1e8] away from the cancellation points; at them, values
-    that are returned stay within 2.8e-13.
+    Against 30-digit mpmath.meijerg the relative error is within 25 eps sum|term| / |G|
+    (measured worst 19 eps over 18,440 admissible points, j <= 8, mu in [-4, 30], arg in
+    [1e-2, 1e8]), so within 2.5e-11 wherever a value is returned.  Over theorem 6's range
+    (j <= 2, mu = n - (j+1)/2 for n <= 20, arg in [10, 1e4]) it is at most 6.9e-15; on the
+    grid mu in {-4, -3.5, -3, -1.5, 4.5, 30}, arg in {1e-2, 1, 1e2, 1e4, 1e8}, 1.4e-14 off the
+    cancellation set and 1.6e-13 on it.  The terms also cancel near a zero of G in arg, so
+    the worst returned value off the cancellation set is 3.5e-13 (sum|term| / |G| = 3.5e3).
     """
     if isinstance(j, bool) or not isinstance(j, int) or j < 0:
         raise DomainError(f"meijer_g_0313: j must be an integer >= 0, got {j!r}")
-    if not math.isfinite(mu):
-        raise DomainError(f"meijer_g_0313: mu must be finite, got {mu!r}")
+    if not (2 * mu - j) % 2 == 1:  # NaN and inf too
+        raise DomainError(f"meijer_g_0313: 2 mu - j must be an odd integer, got mu = {mu!r}, j = {j}")
     if not (math.isfinite(arg) and arg > 0):
         raise DomainError(f"meijer_g_0313: arg must be finite and positive, got {arg!r}")
-    from .quadrature import integrate_finite
-
-    inv = 1.0 / arg
-    log_arg = math.log(arg)
-    a = mu + 1.0 - 0.5 * j
-    coefs = [(-1) ** m * 2 ** (j - 2 * m) * factorial(j) // (factorial(m) * factorial(j - 2 * m))
-             for m in range(j // 2 + 1)]
-    peaks = []
-    for m, c in enumerate(coefs):
-        b = a + m
-        root = math.sqrt(b * b + 4.0 * inv)
-        u = 0.5 * (b + root) if b >= 0 else 2.0 * inv / (root - b)
-        s = math.log(u)
-        peak = math.log(abs(c)) + (m - 0.5 * j) * log_arg + b * s - u - inv / u
-        # -w_m''(s) = e^s + inv e^{-s}: the Laplace width of the monomial's peak
-        peaks.append((b, s, peak, math.sqrt(2.0 * math.pi / (u + inv / u))))
-    top = max(peak for _, _, peak, _ in peaks)
-    if not _LOG_DBL_MIN < top < _LOG_DBL_MAX:
-        raise CapacityError(
-            f"meijer_g_0313({j}, {mu}, {arg}): the integrand peaks at e^{top:.1f}, "
-            "outside double precision")
-    lo, hi, mass = math.inf, -math.inf, 0.0
-    for b, s, peak, width in peaks:
-        mass += math.exp(peak - top) * width
-        depth = peak - top + MEIJER_CUT
-        if depth > 0:
-            lo = min(lo, _level_crossing(b, inv, s, depth, -1.0))
-            hi = max(hi, _level_crossing(b, inv, s, depth, 1.0))
-    horner = [float(c) for c in reversed(coefs)]
-    shift = -0.5 * j * log_arg - top
-
-    def integrand(s: float) -> float:
-        e = math.exp(s)
-        y = arg * e
-        poly = 0.0
-        for c in horner:
-            poly = poly * y + c
-        return math.exp(a * s - e - inv / e + shift) * poly
-
-    res = integrate_finite(integrand, lo, hi, tol)
-    res.raise_if_not_converged("meijer_g_0313")
-    if mass * sys.float_info.epsilon > tol * abs(res.value.real):
-        raise RangeError(
-            f"meijer_g_0313({j}, {mu}, {arg}): the Hermite terms cancel to "
-            f"{abs(res.value.real) / mass:.3g} of their size, past what tol = {tol:g} allows")
-    value = 2.0 ** (-j) * math.exp(top) * res.value.real
-    if math.isinf(value):
-        raise CapacityError(f"meijer_g_0313({j}, {mu}, {arg}) overflows double precision")
-    return value
+    z = 2.0 * arg ** -0.5
+    terms = []
+    for m in range(j // 2 + 1):
+        c = (-1) ** m * 2 ** (j - 2 * m) * factorial(j) // (factorial(m) * factorial(j - 2 * m))
+        nu = mu + 1.0 - 0.5 * j + m
+        try:  # a^{j-2m} a^nu in one power of the exact arg
+            t = c * arg ** (-0.5 * (j - 2 * m + nu)) * bessel_k_half(round(nu - 0.5), z).real
+        except OverflowError:
+            t = math.inf
+        if not sys.float_info.min <= abs(t) < math.inf:
+            raise CapacityError(f"meijer_g_0313({j}, {mu}, {arg}): term {m} leaves double precision")
+        terms.append(t)
+    g = math.fsum(terms)
+    size = math.fsum(map(abs, terms))
+    if sys.float_info.epsilon * size > CANCELLATION_BOUND * abs(g):
+        raise RangeError(f"meijer_g_0313({j}, {mu}, {arg}): the Hermite terms cancel "
+                         f"{size / abs(g) if g else math.inf:.3g}-fold")
+    return math.ldexp(g, 1 - j)

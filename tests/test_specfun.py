@@ -43,8 +43,6 @@ class TestFactorials:
             sf.factorial(-1)
 
     def test_binomial(self):
-        assert sf.binomial(6, 2) == 15
-        assert sf.binomial(6, 7) == 0
         assert sf.binomial_general(-2, 3) == pytest.approx(-4.0)
 
 
@@ -358,7 +356,7 @@ class TestLegendre:
     @settings(max_examples=80, deadline=None)
     def test_vs_binomial_sum(self, n, u):
         want = 2.0 ** (-n) * math.fsum(
-            sf.binomial(n, k) ** 2 * (u - 1.0) ** (n - k) * (u + 1.0) ** k
+            math.comb(n, k) ** 2 * (u - 1.0) ** (n - k) * (u + 1.0) ** k
             for k in range(n + 1)
         )
         assert sf.legendre_p(n, u) == pytest.approx(want, abs=1e-11)
@@ -881,8 +879,26 @@ class TestExpIntegral:
             sf.exp_integral_ei(1.0)
 
 
+def _mpmath_meijer_g_mp(mpmath, j, mu, arg):
+    return mpmath.meijerg([[0.5, 1, -mu], []], [[], [(j + 1) / 2]], arg)
+
+
 def _mpmath_meijer_g(mpmath, j, mu, arg):
-    return float(mpmath.meijerg([[0.5, 1, -mu], []], [[], [(j + 1) / 2]], arg))
+    return float(_mpmath_meijer_g_mp(mpmath, j, mu, arg))
+
+
+def _mpmath_meijer_g_condition(mpmath, j, mu, arg):
+    """sum|term| / |sum| of meijer_g_0313's finite Macdonald sum, each term
+    c_m a^{j-2m} 2 a^nu_m K_nu_m(2a) from mpmath.besselk: the factor by which
+    the Hermite terms cancel."""
+    a = mpmath.mpf(arg) ** -0.5
+    terms = []
+    for m in range(j // 2 + 1):
+        c = (-1) ** m * 2 ** (j - 2 * m) * math.factorial(j) // (math.factorial(m) * math.factorial(j - 2 * m))
+        nu = mpmath.mpf(mu) + 1 - mpmath.mpf(j) / 2 + m
+        terms.append(c * a ** (j - 2 * m) * 2 * a ** nu * mpmath.besselk(nu, 2 * a))
+    total = abs(mpmath.fsum(terms))
+    return float(mpmath.fsum(map(abs, terms)) / total) if total else math.inf
 
 
 def _rel(got, want):
@@ -911,10 +927,20 @@ class TestMeijerG:
             with pytest.raises(DomainError):
                 sf.meijer_g_0313(j, mu, arg)
 
+    def test_even_two_mu_minus_j_is_outside_the_domain(self):
+        # the monomials' K orders are half-integers only where 2 mu - j is odd
+        for j, mu, arg in ((0, 0.0, 1.0), (0, -4.0, 1e-2), (7, -1.5, 0.3), (2, 0.3, 1.0),
+                           (1, 1.5, 4.0), (3, 2.25, 4.0)):
+            with pytest.raises(DomainError, match="odd"):
+                sf.meijer_g_0313(j, mu, arg)
+
     def test_overflow_raises(self):
-        # mpmath gives 2.35e432, past the largest double
-        with pytest.raises(CapacityError):
-            sf.meijer_g_0313(0, -60.0, 1e6)
+        # the term's product overflows at the first point, its power of arg at the second
+        mpmath = pytest.importorskip("mpmath")
+        for j, mu, arg in ((0, -60.5, 1e6), (0, -80.5, 1e8)):
+            assert _mpmath_meijer_g_mp(mpmath, j, mu, arg) > sys.float_info.max
+            with pytest.raises(CapacityError):
+                sf.meijer_g_0313(j, mu, arg)
 
     def test_hermite_cancellation_raises(self):
         # at mu = -4 the leading large-arg order of H_7's transform vanishes, so the
@@ -939,7 +965,9 @@ class TestMeijerG:
         mpmath = pytest.importorskip("mpmath")
         raised = []
         with mpmath.workdps(20):
-            for mu in (-4.0, -3.5, -3.0, -2.25, -1.5, 0.3, 4.5, 30.0):
+            for mu in (-4.0, -3.5, -3.0, -1.5, 4.5, 30.0):
+                if (2 * mu - j) % 2 != 1:
+                    continue
                 for arg in (1e-2, 1.0, 1e2, 1e4, 1e8):
                     try:
                         got = sf.meijer_g_0313(j, mu, arg)
@@ -949,6 +977,26 @@ class TestMeijerG:
                     want = _mpmath_meijer_g(mpmath, j, mu, arg)
                     bound = 1e-12 if _hermite_cancels(j, mu) else 1e-13
                     assert _rel(got, want) <= bound, (mu, arg)
-        # the guard sums |monomials|, so past j = 6 it also fires where H_j's own
-        # terms cancel inside a node; below that only on the cancellation set
-        assert j > 6 or all(_hermite_cancels(j, mu) for mu, _ in raised), raised
+        assert all(_hermite_cancels(j, mu) for mu, _ in raised), raised
+
+    def test_seeded_sweep_vs_mpmath(self):
+        # admissible (j, mu, arg), arg log-uniform: the guard raises exactly where the terms
+        # cancel past eps sum|term| > CANCELLATION_BOUND |G| (within a 10% band of rounding),
+        # and a returned value is within 25 eps sum|term| / |G| of mpmath
+        mpmath = pytest.importorskip("mpmath")
+        eps, rng = sys.float_info.epsilon, random.Random(30)
+        limit = sf.CANCELLATION_BOUND / eps
+        with mpmath.workdps(30):
+            for _ in range(300):
+                j = rng.randrange(9)
+                mu = rng.randrange(-7 - j % 2, 61, 2) / 2  # 2 mu - j odd, mu in [-4, 30]
+                arg = 10.0 ** rng.uniform(-2.0, 8.0)
+                cond = _mpmath_meijer_g_condition(mpmath, j, mu, arg)
+                try:
+                    got = sf.meijer_g_0313(j, mu, arg)
+                except RangeError:
+                    assert cond > 0.9 * limit, (j, mu, arg, cond)
+                    continue
+                assert cond < 1.1 * limit, (j, mu, arg, cond)
+                err = _rel(got, _mpmath_meijer_g(mpmath, j, mu, arg))
+                assert err <= 25 * eps * cond, (j, mu, arg, cond, err)
