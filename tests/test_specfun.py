@@ -879,12 +879,8 @@ class TestExpIntegral:
             sf.exp_integral_ei(1.0)
 
 
-def _mpmath_meijer_g_mp(mpmath, j, mu, arg):
-    return mpmath.meijerg([[0.5, 1, -mu], []], [[], [(j + 1) / 2]], arg)
-
-
 def _mpmath_meijer_g(mpmath, j, mu, arg):
-    return float(_mpmath_meijer_g_mp(mpmath, j, mu, arg))
+    return float(mpmath.meijerg([[0.5, 1, -mu], []], [[], [(j + 1) / 2]], arg))
 
 
 def _mpmath_meijer_g_condition(mpmath, j, mu, arg):
@@ -938,7 +934,7 @@ class TestMeijerG:
         # the term's product overflows at the first point, its power of arg at the second
         mpmath = pytest.importorskip("mpmath")
         for j, mu, arg in ((0, -60.5, 1e6), (0, -80.5, 1e8)):
-            assert _mpmath_meijer_g_mp(mpmath, j, mu, arg) > sys.float_info.max
+            assert _mpmath_meijer_g(mpmath, j, mu, arg) == math.inf  # past the largest double
             with pytest.raises(CapacityError):
                 sf.meijer_g_0313(j, mu, arg)
 
