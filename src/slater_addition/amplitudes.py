@@ -5,13 +5,10 @@ The object of study is
     S1(eta1, eta2, x2, k) = 2 pi int_0^1 e^{-i (k.x2) tau} e^{-x2 L}/L dtau,
     L = sqrt((1 - tau)(k^2 tau + eta2^2) + eta1^2 tau),
 
-the general-k overlap of two Slater orbitals with one shifted centre and a
-plane wave.  This module provides its exact closed forms at k = 0, the
-adaptive-quadrature oracle for general k, the Macdonald-series terms in the
-variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) together with their erf and
-incomplete-gamma closed forms, theorem 1 about the vertex of L^2 at eta1 = eta2
-(cheshire_series), one angular integral with a split real/imaginary branch, and
-the double-series reconstructions of the k = 0 closed forms.
+the general-k overlap of two Slater orbitals with one shifted centre and a plane wave: its
+closed forms at k = 0, a quadrature oracle, the Macdonald-series terms in s with their erf and
+incomplete-gamma closed forms, cheshire_series at eta1 = eta2, one angular integral, and the
+double-series reconstructions of the k = 0 closed forms.
 """
 
 from __future__ import annotations
@@ -98,14 +95,17 @@ class SlaterPair:
 # ---------------------------------------------------------------------------
 
 def s1_coulomb_closed(eta1: float, x2: float) -> float:
-    """S1 against the bare Coulomb tail: 4 pi (1 - e^{-eta1 x2}) / (x2 eta1^2)."""
+    """S1 against the bare Coulomb tail: 4 pi (1 - e^{-eta1 x2}) / (x2 eta1^2).  Within 1e-14 of
+    30-digit mpmath for eta1 in [0.05, 50] and eta1 x2 in [0.01, 700]."""
     if not (0 < eta1 < math.inf and 0 < x2 < math.inf):
         raise DomainError("s1_coulomb_closed: eta1, x2 must be positive and finite")
     return 4.0 * math.pi * (1.0 - math.exp(-eta1 * x2)) / (x2 * eta1**2)
 
 
 def s1_two_slater_closed(p: SlaterPair) -> float:
-    """k = 0 closed form: 4 pi (e^{-eta2 x2} - e^{-eta1 x2}) / (x2 (eta1^2 - eta2^2))."""
+    """k = 0 closed form: 4 pi (e^{-eta2 x2} - e^{-eta1 x2}) / (x2 (eta1^2 - eta2^2)).  Within 1e-11
+    of 30-digit mpmath for the theorem-3 box, x2 eta2 <= 0.25 and |eta1^2 - eta2^2| in [0.05, 0.2]
+    eta2^2, and eta1 != eta2 in [0.05, 2] at x2 in [0.05, 2]."""
     if p.eta1 == p.eta2:
         raise DomainError(
             "s1_two_slater_closed is singular at eta1 = eta2; use s1_equal_eta_closed"
@@ -119,7 +119,8 @@ def s1_two_slater_closed(p: SlaterPair) -> float:
 
 
 def s1_equal_eta_closed(eta2: float, x2: float) -> float:
-    """Equal-exponent limit of the k = 0 closed form: 2 pi e^{-x2 eta2} / eta2."""
+    """Equal-exponent limit of the k = 0 closed form: 2 pi e^{-x2 eta2} / eta2.  Within 2e-15 of
+    30-digit mpmath for eta2 in [0.05, 2] and x2 in [1e-6, 20]."""
     if not (0 < eta2 < math.inf and 0 < x2 < math.inf):
         raise DomainError("s1_equal_eta_closed: eta2, x2 must be positive and finite")
     return TWO_PI * math.exp(-x2 * eta2) / eta2
@@ -130,7 +131,9 @@ def s1_equal_eta_closed(eta2: float, x2: float) -> float:
 # ---------------------------------------------------------------------------
 
 def s1_tau_oracle(p: SlaterPair, tol: float = 1e-10) -> QuadratureResult:
-    """2 pi int_0^1 e^{-i (k.x2) tau} e^{-x2 L}/L dtau by adaptive quadrature."""
+    """2 pi int_0^1 e^{-i (k.x2) tau} e^{-x2 L}/L dtau by adaptive quadrature.  Within 1e-10 of
+    20-digit mpmath quadrature for tol in {1e-12, 2e-10, 1e-7}, eta1, eta2 in [0.3, 1.5], x2 in
+    [0.1, 1] and k in [0.05, 0.9]."""
     k2, e1sq, e2sq = p.k**2, p.eta1**2, p.eta2**2
     kx2 = p.k_dot_x2
 
@@ -162,8 +165,9 @@ def s1_series_n_term(n: int, p: SlaterPair, tol: float = 1e-11) -> complex:
         pref(n) int_{eta2}^{eta1} s^{1/2-n} (s^2-eta1^2)^n (s^2-eta2^2)^n
                 K_{n+1/2}(s x2) e^{-i s^2 (k.x2)/(eta1^2-eta2^2)} ds,
 
-    evaluated by quadrature; the orientation of the s interval (and the sign
-    of the prefactor's odd power of eta1^2-eta2^2) handles eta1 < eta2.
+    evaluated by quadrature; the orientation of the s interval (and the sign of the prefactor's odd
+    power of eta1^2-eta2^2) handles eta1 < eta2.  Within 1e-10 of 20-digit mpmath quadrature for n
+    <= 3, tol in {1e-11, 1e-12}, eta1 != eta2 in [0.3, 1.5], x2 in [0.1, 1], k in [0.05, 0.9].
     """
     if p.eta1 == p.eta2:
         raise DomainError("s1_series_n_term: degenerate s interval; use cheshire_series")
@@ -196,10 +200,10 @@ def s1_n0_erf_closed(p: SlaterPair) -> complex:
             [ erf(w(eta1)) - erf(w(eta2)) ],
         beta = i (k.x2)/d,  w(s) = sqrt(beta) s + x2/(2 sqrt(beta)),  d = eta1^2 - eta2^2,
 
-    which for d > 0 matches the erf-difference form whose arguments carry
-    the phase (-1)^{3/4}.
-    One principal sqrt(beta) is used throughout, keeping the identity valid
-    for either sign of d or of the phase scalar.
+    which for d > 0 matches the erf-difference form whose arguments carry the phase (-1)^{3/4}.  One
+    principal sqrt(beta) is used throughout, keeping the identity valid for either sign of d or of
+    the phase scalar.  Within 1e-10 of 20-digit mpmath quadrature for eta1 != eta2 in [0.3, 1.5], x2
+    in [0.1, 1], k in [0.05, 0.9].
     """
     from .specfun import erf_complex
 
@@ -225,13 +229,13 @@ def s1_n0_erf_closed(p: SlaterPair) -> complex:
 def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
     """Term n of the series as a sum of incomplete gamma functions.
 
-    Expanding the binomials and the finite Macdonald series turns term n into
-    channels int s^{q} e^{-s x2 - i s^2 (k.x2)/d} ds with q = 3n-2m-2j-J.
-    Each channel is shifted to a pure Gaussian (s = s' + D) and written as a
-    difference of Gamma((q-K+1)/2, .) values.  For q >= 0 the binomial K-sum
-    is finite; channels with q < 0 are completed with the convergent
-    generalised-binomial series in D/s', whose ratio is below 1 for every
-    admissible geometry since D is purely imaginary and s real.
+    Expanding the binomials and the finite Macdonald series turns term n into channels int s^{q}
+    e^{-s x2 - i s^2 (k.x2)/d} ds with q = 3n-2m-2j-J.  Each channel is shifted to a pure Gaussian
+    (s = s' + D) and written as a difference of Gamma((q-K+1)/2,.) values.  For q >= 0 the binomial
+    K-sum is finite; channels with q < 0 are completed with the convergent generalised-binomial
+    series in D/s', whose ratio is below 1 for every admissible geometry since D is purely imaginary
+    and s real.  Within 1e-10 of 20-digit mpmath quadrature for n = 0, eta1 != eta2 in [0.3, 1.5],
+    x2 in [0.1, 1], k in [0.05, 0.9].
     """
     if p.eta1 == p.eta2:
         raise DomainError("s1_general_term_gamma: eta1 = eta2; use cheshire_series")
@@ -297,10 +301,10 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
         2 pi e^{-iy} sum_n mu_n(y) theorem1_term(n; B = -1/4, C, k, x2),
 
     mu_n(y) = int_0^1 u^{2n} cos(yu) du, with e^{-iy} taken once and every mu_n from one
-    cosine_moment_walk(y).  |B k^2| <= k^2/4 < C on the whole interval, so it converges for any
-    k, its terms shrinking like (k^2 / (4 eta1^2 + k^2))^n; on the default 60-term budget it
-    converges up to k / eta1 ~ 3.5 at x2 eta1 <= 1, less as x2 eta1 grows (~2 at 20), and past
-    that is returned flagged.
+    cosine_moment_walk(y). |B k^2| <= k^2/4 < C on the whole interval, so it converges for any k,
+    its terms shrinking like (k^2 / (4 eta1^2 + k^2))^n; past the term budget it is returned
+    flagged.  Within 3e-10 of 20-digit mpmath quadrature for eta1 in [0.2, 2], x2 in [0.1, 20] and k
+    / eta1 in [0, 4] where converged.
     """
     pair = SlaterPair(eta1, eta1, x2, k, k_dot_x2)
     # B = -1/4 rather than B = -1 and 4^{-n} outside: B k^2 + C = eta1^2 never reaches the pole
@@ -312,9 +316,10 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
 
 
 def theorem2_angular(eta2: float, x1: float, x2: float) -> complex:
-    """int_{-1}^{1} e^{-sqrt(2) eta2 sqrt(-u x1 x2)} / sqrt(-u x1 x2) du
-    = sqrt(2) (-e^{-sqrt(2) sqrt(x1 x2) eta2} + e^{-i sqrt(2) sqrt(x1 x2) eta2}) / (x1 x2 eta2),
-    with the principal branch sqrt(-u) = i sqrt(u) on the u > 0 half.
+    """int_{-1}^{1} e^{-sqrt(2) eta2 sqrt(-u x1 x2)} / sqrt(-u x1 x2) du = sqrt(2) (-e^{-sqrt(2)
+    sqrt(x1 x2) eta2} + e^{-i sqrt(2) sqrt(x1 x2) eta2}) / (x1 x2 eta2), with the principal branch
+    sqrt(-u) = i sqrt(u) on the u > 0 half.  Within 1e-10 of the CLI's quadrature oracle for eta2,
+    x1, x2 in [0.5, 2].
     """
     if not all(0 < v < math.inf for v in (eta2, x1, x2)):
         raise DomainError("theorem2_angular: eta2, x1, x2 must be positive and finite")
@@ -383,13 +388,13 @@ def _theorem3_gammas(p: SlaterPair, n: int, k_max: int) -> Callable[[int], float
 def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
                            policy: TruncationPolicy | None = None,
                            gamma_at=None) -> list[float]:
-    """The k-series of block n (each entry already summed over the finite i, j
-    sums), truncated by the policy tail rule against the block's running sum.
-    k_max caps the number of k terms, also above ``policy.max_terms``.
-    ``gamma_at`` is the _theorem3_gammas lookup a series shares between blocks.
-    The (i, j) sum of a high block cancels, so its k-terms carry few correct
-    digits: at n = 40 max|term|/|sum| grows from ~5e4 (k = 0) to ~7e9 (k = 5),
-    and the k-terms are off by up to ~5e-6 relative to a 60-digit evaluation."""
+    """The k-series of block n (each entry already summed over the finite i, j sums), truncated by
+    the policy tail rule against the block's running sum. k_max caps the number of k terms, also
+    above ``policy.max_terms``. ``gamma_at`` is the _theorem3_gammas lookup a series shares between
+    blocks.  The (i, j) sum of a high block cancels, so its k-terms carry few correct digits.
+    Within 5e-14 relative to the sum of its |terms| of its (i, j) sum of 40-digit mpmath Gamma
+    values for blocks n in {0, 2, 10, 20, 40}, x2 eta2 <= 0.25 and |eta1^2 - eta2^2| <= 0.3
+    eta2^2."""
     coefs = _theorem3_coefs(n, p.eta1, p.eta2, p.x2)
     _check_index("theorem3_block_k_terms", "k_max", k_max, 1)
     gamma_at = gamma_at or _theorem3_gammas(p, n, k_max)
@@ -410,12 +415,12 @@ def theorem3_series(p: SlaterPair, n_max: int = 40, k_max: int = 80,
                     policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """k = 0 reconstruction of s1_two_slater_closed as a double series.
 
-    Terms of the returned evaluation are the per-n blocks for even n <= n_max
-    (the odd-n terms vanish by angular parity), each an inner k-series of at
-    most k_max terms over incomplete gammas, accumulated k-minor with
-    compensated summation.  The expansion is organised around eta2.  The
-    evaluation is flagged unconverged when the k-series of any block it sums
-    runs to its k_max cap.  Integers n_max >= 0 and k_max >= 1 (DomainError otherwise).
+    Terms of the returned evaluation are the per-n blocks for even n <= n_max (the odd-n terms
+    vanish by angular parity), each an inner k-series of at most k_max terms over incomplete gammas,
+    accumulated k-minor with compensated summation.  The expansion is organised around eta2.  The
+    evaluation is flagged unconverged when the k-series of any block it sums runs to its k_max cap.
+    Integers n_max >= 0 and k_max >= 1 (DomainError otherwise).  Within 0.01 of 30-digit mpmath for
+    the defaults, x2 eta2 <= 0.25 and (eta1^2 - eta2^2) / eta2^2 = +-[0.05, 0.2].
     """
     if p.eta1 == p.eta2:
         raise DomainError("theorem3_series: eta1 = eta2; use theorem4_series")
@@ -532,13 +537,10 @@ def theorem4_block(n: int, eta2: float, x2: float) -> float:
 
         4 pi eta2 x2^2 [e^{-z} sum_{p=-1}^{n-1} L_p z^p + E_1(z) (M_{n-2} z^{n-2} + M_n z^n)]
 
-    (p = -2 also at n = 0), from the exact per-n table _theorem4_table and one E_1(z).
-    Within 1e-14 relative of a 60-digit evaluation of the (i, j) sum for n <= 120 and
-    z in [0.005, 3] (measured worst 6.5e-15, at n = 4 near z = 3); the float (i, j) sum
-    it replaces cancels there (block 120 at (0.37, 0.29) came out negative).  The terms
-    cancel as z grows (block 10 at z = 10 is 9e-12 off): RangeError where
-    eps sum|term| exceeds DERIVATIVE_REL_TOL |block|, as at z = 10, n = 10 and
-    z = 30, n = 40."""
+    (p = -2 also at n = 0), from the exact per-n table _theorem4_table and one E_1(z), where the
+    float (i, j) sum cancels.  The terms cancel as z grows: RangeError where eps sum|term| exceeds
+    DERIVATIVE_REL_TOL |block|.  Within 1e-14 of 70-digit mpmath for even n <= 120 and z = x2 eta2
+    in [0.005, 3]."""
     scale, z, emz, e1 = _theorem4_point(eta2, x2)
     return scale * _theorem4_bracket(n, z, emz, e1)
 
@@ -549,8 +551,9 @@ def theorem4_series(eta2: float, x2: float, n_max: int = 40,
     theorem4_block(n) for even n <= n_max, with e^{-z} and E_1(z) taken once per
     series and each block evaluated in O(n) (same domain and RangeError guard).
 
-    No inner geometric-correction series is needed, and all blocks are positive
-    at real parameters.  Integer n_max >= 0 (DomainError otherwise).
+    No inner geometric-correction series is needed, and all blocks are positive at real parameters.
+    Integer n_max >= 0 (DomainError otherwise).  Within 0.01 of 30-digit mpmath for the defaults and
+    x2 eta2 <= 0.25.
     """
     _check_index("theorem4_series", "n_max", n_max)
     scale, z, emz, e1 = _theorem4_point(eta2, x2)
@@ -559,8 +562,9 @@ def theorem4_series(eta2: float, x2: float, n_max: int = 40,
 
 
 def corollary6_n0_closed(eta1: float, eta2: float) -> float:
-    """Closed form of the leading Cartesian-grouping amplitude term:
-    4 pi asinh(sqrt(eta2^2/eta1^2 - 1)) / sqrt(eta2^2 - eta1^2), for eta2 > eta1 > 0.
+    """Closed form of the leading Cartesian-grouping amplitude term: 4 pi asinh(sqrt(eta2^2/eta1^2 -
+    1)) / sqrt(eta2^2 - eta1^2), for eta2 > eta1 > 0.  Within 1e-14 of 30-digit mpmath for eta1 in
+    [0.05, 5] and eta2 / eta1 in [1.01, 20].
     """
     if not math.inf > eta2 > eta1 > 0:
         raise DomainError("corollary6_n0_closed requires finite eta2 > eta1 > 0")

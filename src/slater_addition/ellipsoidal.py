@@ -6,19 +6,9 @@ T(a,bc) couples three exponential centres on a line with separation R:
               ((lam - mu)/R + (lam^2 - mu^2)) e^{-3R lam - R mu}
               e^{-R sqrt(lam^2 + mu^2 - 1)}.
 
-Three routes are provided: the 2-D quadrature oracle, the exact
-Ei/exponential closed form, and the single-series expansion obtained by
-inserting the derivative-form addition theorem (the exponential carries no
-1/L denominator here, so the series of Macdonald order n - 1/2 applies with
-C = lam^2 and B = mu^2 - 1).  The oracle integrates in lam = 1 + t^2, which
-removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
-[0, 1], with the peak factor e^{-3R} applied after the quadrature.  The series
-takes each increment in O(1): its J-sums over Gamma(a, 4R) are integrals H_m(s) of
-K_{m+1/2}, carried by three recurrences on one upward K walk at z = R, anchored where
-they are stable by one sum over a short gamma_walk(3, 4R); its I_{k+1/2}(R) come off
-one Miller Bessel-I walk, read once and only as far as the last increment it can sum.
-It decays algebraically after a few terms; stall_detector quantifies the plateau the
-way the convergence study reports it.
+Three routes: the 2-D quadrature oracle, the exact Ei/exponential closed form, and the series
+from the derivative-form addition theorem (Macdonald order n - 1/2, C = lam^2, B = mu^2 - 1),
+which decays algebraically after a few terms; stall_detector sizes its plateau.
 """
 
 from __future__ import annotations
@@ -76,8 +66,9 @@ class EllipsoidalParams:
 
 
 def t_abc_integrand(pt: EllipsoidalParams) -> float:
-    """Integrand of T(a,bc) including the 2 R^3 measure factor; 0 past lam ~ 1e154, where
-    lam^2 overflows to inf and the exponential has underflowed to 0."""
+    """Integrand of T(a,bc) including the 2 R^3 measure factor; 0 past lam ~ 1e154, where lam^2
+    overflows to inf and the exponential has underflowed to 0.  Within 1e-12 of 30-digit mpmath for
+    R in [0.01, 20], lam in [1, 31] and |mu| <= 1 where the value is a normal double."""
     value = math.exp(-3.0 * pt.R) * _t_abc_scaled(pt.R, 2.0 * pt.R**3, pt.lam - 1.0, pt.mu)[0]
     return 0.0 if math.isnan(value) else value
 
@@ -114,10 +105,11 @@ def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
     with mu folded onto [0, 1]: the quadrature integrates f(t, mu) + f(t, -mu), so
     each evaluation it counts is the integrand at two points.
 
-    The substitution removes the sqrt(lam - 1) edge of the root at lam = 1, and
-    the peak factor e^{-3R} multiplies value and error estimate after the
-    quadrature, so a T far below the quadrature's absolute floor keeps its
-    relative accuracy.
+    The substitution removes the sqrt(lam - 1) edge of the root at lam = 1, and the peak factor
+    e^{-3R} multiplies value and error estimate after the quadrature, so a T far below the
+    quadrature's absolute floor keeps its relative accuracy.  Within 1e-12 of 40-digit mpmath for
+    tol = 1e-10 and R in {0.011, 0.18, 1.1, 5, 8, 12, 20}.  Within 1e-12 of 40-digit mpmath for tol
+    in {1e-9, 2e-9} and R in {0.011, 0.05, 0.11, 0.5, 1.1, 1.2}.
     """
     _check_r("t_abc_oracle", R)
     res = integrate_2d(_t_abc_oracle_integrand(R), (0.0, math.inf, 0.0, 1.0), tol)
@@ -128,16 +120,12 @@ def t_abc_oracle(R: float, tol: float = 1e-9) -> QuadratureResult:
 def t_abc_exact(R: float) -> float:
     """The exact closed form in Ei and exponentials.
 
-    The second group carries a single overall minus sign.  Against the same
-    form in 40-digit mpmath, over 600 log-spaced R, the relative error is at
-    most 4.8e-14 on [0.011, 0.05] and 4.2e-15 on [0.05, 20]; it grows to
-    8.5e-13 at R = 0.001 as the 116/(9R) terms cancel.  Above R = 20 it follows
-    the rounding of 3R in e^{-3R}: at most 5.8e-14 on [20, 236.13] (6,000
-    points), and 1.2e-12 on (236.13, 239.26] (3,000 points), where e^{-3R} is
-    a subnormal double with fewer bits.  From R ~ 93, where Ei(-8R) underflows
-    to 0, the first group (~e^{-5R}) is taken as 0.  At R = 239.27 T(a,bc)
-    leaves the normal doubles, so the domain is 0.001 <= R <= EXACT_MAX_R =
-    239.26: DomainError below, RangeError above.
+    The second group carries a single overall minus sign.  From R ~ 93, where Ei(-8R) underflows to
+    0, the first group (~e^{-5R}) is taken as 0.  At R = 239.27 T(a,bc) leaves the normal doubles,
+    so the domain is 0.001 <= R <= EXACT_MAX_R: DomainError below, RangeError above.  The 116/(9R)
+    terms cancel as R falls, and past R = 236.13 e^{-3R} is subnormal.  Within 2e-12 of 40-digit
+    mpmath for R in [0.001, 0.011].  Within 5.8e-14 of 40-digit mpmath for R in [0.011, 236.13].
+    Within 1.2e-12 of 40-digit mpmath for R in (236.13, 239.26].
     """
     _check_r("t_abc_exact", R)
     if R < 1e-3:
@@ -188,10 +176,10 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
             [I_{n+5/2}(R) (4 G2 + G3 - 16 R^2 G1) R^{-n-1/2}
              + (2n+3) I_{n+3/2}(R) (4 G2 + G3) R^{-n-3/2}],
 
-    with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).
-    Integers n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R = 1e-150 (DomainError
-    otherwise); n <= 86, where k_half_coef's factorials stop (CapacityError beyond; t_abc_series
-    has no such bound); I from bessel_i_walk.
+    with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).  Integers
+    n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R (DomainError otherwise); n <= 86, where
+    k_half_coef's factorials stop (CapacityError beyond).  Within 1e-14 of 40-digit mpmath for n <=
+    86, J <= max(n - 1, 0) and R in [1e-3, 20] where R^{n-3/2} I_{n+5/2}(R) is a normal double.
     """
     _check_r("t_abc_term", R, SERIES_MIN_R)
     _check_index("t_abc_term", "n", n)
@@ -269,30 +257,21 @@ def t_abc_series(R: float, n_max: int = 20,
 
         sqrt(pi) 2^{3/2} R^{3/2-n} [(R I_{n+5/2} + (2n+3) I_{n+3/2}) S_m - R^2 I_{n+5/2} eta_m]
 
-    for n >= 1, m = n - 1, with S_m = R^{2m-1} (H_m(1) + H_m(2)) and eta_m = R^{2m} H_m(0),
-    H_m(s) = int_R^inf z^{s-m-1} e^{-4z} q_m(z) dz, and K_{m+1/2}(z) = sqrt(pi/(2z)) e^{-z} q_m(z).
-    Over the J-sum, sum_J c(m,J) 2^J Gamma(s-m-J, 4R) = 4^{s-m} H_m(s).  The H come from three
-    recurrences driven by one upward K walk at z = R (see _eta_walk), each three-term update
-    one math.fsum; increment 0 is closed in Gamma(3, 4R), Gamma(2, 4R) and Gamma(1, 4R).
-    Reads: the I_{k+1/2}(R), k = 0..top+2, from one bessel_i_walk, and 2a + 4 orders of one
-    gamma_walk(3, 4R) for the anchor a = 0 at R <= 1 and a = ceil(1.3 R) above, capped at
-    m = top - 1, where top is the last increment the sum can draw (n_max, or policy.max_terms
-    - 1 if smaller).  Both walks are read before the first increment; where one stops short,
-    its error is raised by the first increment that needs a missing value.  A series costs
-    O(top): ~44 us at n_max = 20, 0.69x the per-increment dot products it replaced.
-
-    Increments agree with the J-sums of t_abc_term to 2e-15 (n <= 86, where t_abc_term
-    holds), and with 40-digit mpmath to 1.5e-15 relative for R in [0.001, 2.5] and 2.9e-15
-    to R = 20 (n <= 20; increments 87 to 100 within 1.4e-15 at R = 0.5 and 2.5).  Integer
-    n_max >= 0 and R >= SERIES_MIN_R = 1e-150 (DomainError otherwise).  No increment bound
-    short of the walks: CapacityError where the K walk's beta_m ~ (2m-1)!! overflows (m ~ 150
-    at R << 1), where I_{1/2}(R) does (R ~ 714), where the anchor overflows or its Gamma walk
-    passes GAMMA_RECURRENCE_LIMIT (n_max > 100 at R > 60), and at the first increment whose
-    I_{n+3/2}(R) is below the normal doubles unless a bound on it is below half an ulp of
-    increment 0 (n ~ 58 at R = 0.0003, 133 at R = 0.5).  Past R ~ 177.1, where e^{-4R} is
-    not a normal double, no increment has digits: each is NaN and the sum is flagged, never a
-    silent 0.  Convergence plateaus (dominated by the J = n-1 term) rather than failing
-    outright; run stall_detector on the result to size the plateau.
+    for n >= 1, m = n - 1, with S_m = R^{2m-1} (H_m(1) + H_m(2)) and eta_m = R^{2m} H_m(0), H_m(s) =
+    int_R^inf z^{s-m-1} e^{-4z} q_m(z) dz, and K_{m+1/2}(z) = sqrt(pi/(2z)) e^{-z} q_m(z).  Over the
+    J-sum, sum_J c(m,J) 2^J Gamma(s-m-J, 4R) = 4^{s-m} H_m(s).  The H come from three recurrences
+    driven by one upward K walk at z = R (see _eta_walk), each three-term update one math.fsum;
+    increment 0 is closed in Gamma(3, 4R), Gamma(2, 4R) and Gamma(1, 4R).  It reads one
+    bessel_i_walk(R) and 2a + 4 orders of one gamma_walk(3, 4R) for the anchor a (0 at R <= 1, else
+    ceil(1.3 R)), both as far as the last increment the sum can draw and before the first; an
+    increment that needs a missing value raises the walk's error.  Integer n_max >= 0 and R >=
+    SERIES_MIN_R (DomainError otherwise).  CapacityError where the K walk (m ~ 150 at R << 1),
+    I_{1/2}(R) or the anchor overflows, and at the first increment whose I_{n+3/2}(R) is below the
+    normal doubles unless its bound is below half an ulp of increment 0.  Past R ~ 177.1 each
+    increment is NaN and the sum is flagged.  The sum plateaus (the J = n-1 term dominates);
+    stall_detector sizes it.  Within 2.5e-15 of 40-digit mpmath for increments n <= 20 at R in
+    [0.001, 2.5], and 87 <= n <= 100 at R = 0.5 and 2.5.  Within 1e-14 of 40-digit mpmath for
+    increments n <= 20 at R in (2.5, 20].
     """
     _check_r("t_abc_series", R, SERIES_MIN_R)
     _check_index("t_abc_series", "n_max", n_max)

@@ -1,19 +1,8 @@
-"""Special-function kernel over complex arguments.
-
-Self-contained double-precision routines for the half-integer Bessel
-functions, one Miller walk over the orders of I_{n+1/2}(x) (bessel_i_half is
-its n-th value), the cosine moments int_0^1 u^{2n} cos(yu) du by one
-recurrence run up and then down, Legendre/Hermite polynomials, the
-upper incomplete gamma function at integer and half-integer first argument
-(one stateless walk down its orders, gamma_walk), the complex error
-function, the Kummer confluent hypergeometric series, the exponential
-integral, and the one Meijer-G special case theorem 6 uses, a finite sum of
-half-integer Macdonald functions.  Nothing here calls the quadrature oracle,
-which checks these kernels independently.
-
-Everything here is a pure function of its arguments.  The factorial and
-double-factorial caches are filled lazily with exact integers and are
-immutable once written, so concurrent use is safe.
+"""Special-function kernel over complex arguments: half-integer Bessel K and I, cosine moments,
+Legendre and Hermite polynomials, the upper incomplete gamma function at integer and half-integer
+order, erf, Kummer 1F1, Ei and theorem 6's Meijer G, in double precision.  Nothing here calls the
+quadrature oracle.  Every function is pure; the factorial caches hold exact integers, written
+once.  An accuracy claim is a relative error unless it says otherwise.
 """
 
 from __future__ import annotations
@@ -52,18 +41,15 @@ BESSEL_I_WALK_ORDERS = 1022
 # Largest number of recurrence steps an incomplete-gamma walk takes from its anchor.
 GAMMA_RECURRENCE_LIMIT = 400
 # real z from which Gamma(a, z) at integer a < 0 comes from the continued fraction at a: the
-# downward walk loses ~z/|a| per step there (2.8e-14 at z = 7, 2.7e-5 at z = 28)
+# downward walk loses ~z/|a| per step there
 GAMMA_CF_REAL_Z = 5.0
-# real z from which Gamma(a, z) at half-integer a < 0 comes from the continued fraction at a:
-# the walk down from Gamma(1/2, z) is up to 9.6e-16 off from z = 1.2 and 2.2e-14 at 4.8, the
-# fraction within 4.3e-16 on [1, 5] (a in [-60, -0.5], against 40-digit mpmath)
+# real z from which Gamma(a, z) at half-integer a < 0 comes from the continued fraction at a
 GAMMA_CF_HALF_Z = 1.0
-# real z from which the anchor Gamma(1/2, z) is the fraction (5.4e-16; the series 3.3e-15)
+# real z from which the anchor Gamma(1/2, z) is the fraction, where the series cancels
 GAMMA_HALF_ANCHOR_CF_Z = 0.3
 # _gamma_cf at real z >= 1 starts its backward evaluation at depth
 # ceil(CF_DEPTH_SCALE / z) + CF_DEPTH_MIN, ~1.3 (ln(1/eps)/4)^2 / z + 10: the fraction's tail
-# there is below 7.3e-18 relative for every order it serves (a in {0, 1/2}, half-integers in
-# [-399.5, -0.5], integers in [-400, -1] from GAMMA_CF_REAL_Z; z in [1, 10^4], 34-digit mpmath)
+# there is below 7.3e-18 relative for every order it serves
 CF_DEPTH_SCALE = 105.0
 CF_DEPTH_MIN = 10
 # kummer_1f1's Taylor cut-off, term budget, and largest accepted max|term|/|sum| (~5 digits lost)
@@ -85,7 +71,7 @@ _ODD_DFACT = tuple((d / (1 << d.bit_length() - 1), d.bit_length() - 1) for d in
 
 
 def factorial(n: int) -> int:
-    """n! as an exact integer, bounded by FACTORIAL_LIMIT."""
+    """n! as an exact integer.  Exact against math.factorial for 0 <= n <= 170."""
     if n < 0:
         raise DomainError(f"factorial of negative integer {n}")
     if n > FACTORIAL_LIMIT:
@@ -96,7 +82,7 @@ def factorial(n: int) -> int:
 
 
 def double_factorial(n: int) -> int:
-    """n!! (with (-1)!! = 0!! = 1), bounded by FACTORIAL_LIMIT."""
+    """n!! with (-1)!! = 0!! = 1.  Exact against math.prod(range(n, 0, -2)) for -1 <= n <= 170."""
     if n < -1:
         raise DomainError(f"double factorial of {n}")
     if n > FACTORIAL_LIMIT:
@@ -142,12 +128,12 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
 
         K_{n+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_{J=0}^{n} (J+n)!/(J!(n-J)!) (2z)^{-J}
 
-    Negative n is routed through K_{-nu} = K_nu (order -(n+1/2) = (-n-1)+1/2), so e.g. n = -1
-    evaluates K_{-1/2} = K_{1/2}.  All complex powers take the principal branch.  DomainError
-    for z = 0 or non-finite; CapacityError past n = 85 or where K leaves double precision.
-    Within 1e-14 of 40-digit mpmath at real z in [1e-2, 700] (worst 6.6e-15), 1e-12 at
-    |arg z| <= pi/4 (worst 2.2e-13; the sum cancels up to 3.7e3-fold).  At non-real z, RangeError
-    where eps sum|term| (the sum at |z|) exceeds CANCELLATION_BOUND |sum|.
+    Negative n is routed through K_{-nu} = K_nu, principal branch.  DomainError for z = 0 or
+    non-finite; CapacityError past n = 85 or where K leaves double precision.  At non-real z,
+    RangeError where eps sum|term| (the sum at |z|) exceeds CANCELLATION_BOUND |sum|.  Within 1e-14
+    of 40-digit mpmath for -86 <= n <= 85 and real z in [1e-2, 700].  Within 1e-12 of 40-digit
+    mpmath for -86 <= n <= 85, |z| in [1e-2, 700] and |arg z| <= pi/4.  Within 1e-14 of 40-digit
+    mpmath for -9 <= n <= 8, |z| in [0.5, 5] and Re z > 0.
     """
     if n < 0:
         n = -n - 1
@@ -157,32 +143,35 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
     if 2 * n > FACTORIAL_LIMIT:
         raise CapacityError(f"bessel_k_half: order {n}+1/2 exceeds the factorial cache")
     s = 0.0 + 0.0j
-    for J in range(n, -1, -1):
-        s += factorial(J + n) / (factorial(J) * factorial(n - J)) * (2 * z) ** (-J)
-    if z.imag != 0:  # every coefficient is positive, so sum|term| is the sum at |z|
+    try:
+        for J in range(n, -1, -1):
+            s += factorial(J + n) / (factorial(J) * factorial(n - J)) * (2 * z) ** (-J)
+        k = cmath.sqrt(math.pi / (2 * z)) * cmath.exp(-z) * s
+    except OverflowError:  # a power (2z)^{-J} or e^{-z} leaves double precision, and so does K
+        k = math.inf
+    if z.imag != 0 and cmath.isfinite(k):  # every coefficient is positive: sum|term| is the sum at |z|
         size = sum(factorial(J + n) / (factorial(J) * factorial(n - J)) * (2 * abs(z)) ** (-J)
                    for J in range(n + 1))
         if sys.float_info.epsilon * size > CANCELLATION_BOUND * abs(s):
             raise RangeError(f"bessel_k_half({n}, {z}): the finite sum cancels {size / abs(s):.3g}-fold")
-    pref = cmath.sqrt(math.pi / (2 * z))
-    k = pref * cmath.exp(-z) * s
     if not cmath.isfinite(k):
         raise CapacityError(f"bessel_k_half: order {n}+1/2 at z = {z} overflows double precision")
     return k
 
 
 def bessel_i_walk(x: float) -> Iterator[float]:
-    """I_{n+1/2}(x), n < BESSEL_I_WALK_ORDERS = 1022, by Miller's algorithm (Gautschi, SIAM
-    Rev. 9 (1967)) over f_n = 0F1(; n+3/2; x^2/4) = Gamma(n+3/2) (2/x)^{n+1/2} I_{n+1/2}(x)
-    (DLMF 10.39.9): f_{n-1} = f_n + x^2 f_{n+1} / ((2n+1)(2n+3)) down from (0, 1) past a top
-    order, in blocks of orders lo ... top (lo + 1 ... top after the first), each scaled to the
-    last value of the one before and the first to I_{1/2}(x) = sqrt(2/(pi x)) sinh x; each top
-    doubles the last.  f_n times x^n / (2n+1)!! = (m^n / M) 2^{en - t} for x = m 2^e, m in
-    [1/2, 1), (2n+1)!! = M 2^t: m^n stays normal to order 1021.  Below the normal doubles the
-    product is rounded once, to a subnormal or 0.0.  DomainError for x not positive and finite;
-    CapacityError at the first value where I_{1/2}(x) overflows (x ~ 714), and past order 1021.
-    Within 3.1e-15 of 40-digit mpmath where I is a normal double at orders <= 150, x in
-    [1e-3, 50] (worst 2.99e-15 over 375 x), 2e-14 at orders <= 1021, x <= 713 (1.50e-14)."""
+    """I_{n+1/2}(x), n < BESSEL_I_WALK_ORDERS = 1022, by Miller's algorithm (Gautschi, SIAM Rev. 9
+    (1967)) over f_n = 0F1(; n+3/2; x^2/4) = Gamma(n+3/2) (2/x)^{n+1/2} I_{n+1/2}(x) (DLMF 10.39.9):
+    f_{n-1} = f_n + x^2 f_{n+1} / ((2n+1)(2n+3)) down from (0, 1) past a top order, in blocks of
+    orders lo ... top (lo + 1 ... top after the first), each scaled to the last value of the one
+    before and the first to I_{1/2}(x) = sqrt(2/(pi x)) sinh x; each top doubles the last. f_n times
+    x^n / (2n+1)!! = (m^n / M) 2^{en - t} for x = m 2^e, m in [1/2, 1), (2n+1)!! = M 2^t: m^n stays
+    normal to order 1021.  Below the normal doubles the product is rounded once, to a subnormal or
+    0.0.  DomainError for x not positive and finite; CapacityError where I_{1/2}(x) overflows (x ~
+    714), and past order 1021.  Within 2e-15 of 40-digit mpmath for orders 0 to 84 at x in [1e-3,
+    50] or [700, 713.9] where I is a normal double.  Within 3.1e-15 of 40-digit mpmath for orders 85
+    to 150 at x in [1e-3, 50] where I is a normal double.  Within 2e-14 of 40-digit mpmath for
+    orders 151 to 1021 at x in [100, 713]."""
     if not 0 < x < math.inf:
         raise DomainError(f"bessel_i_walk: x = {x}, must be positive and finite")
     try:
@@ -212,8 +201,9 @@ def bessel_i_walk(x: float) -> Iterator[float]:
 
 
 def bessel_i_half(n: int, x: float) -> float:
-    """Modified Bessel function I_{n+1/2}(x), the n-th value of bessel_i_walk(x), with its
-    domain, accuracy and errors: 0 <= n <= 1021 and finite x > 0 (DomainError for n < 0)."""
+    """Modified Bessel function I_{n+1/2}(x), the n-th value of bessel_i_walk(x), with its errors
+    (DomainError for n < 0).  Within 3.1e-15 of 40-digit mpmath for orders 85 to 150 at x in {0.37,
+    13, 50} where I is a normal double."""
     if n < 0:
         raise DomainError("bessel_i_half: order index n must be >= 0")
     return next(itertools.islice(bessel_i_walk(x), n, None))
@@ -222,11 +212,11 @@ def bessel_i_half(n: int, x: float) -> float:
 def cosine_moment_walk(y: float) -> Iterator[float]:
     """mu_0(y), mu_1(y), ... with mu_n(y) = int_0^1 u^{2n} cos(yu) du, even in y, |mu_n| <=
     1/(2n+1), mu_n(0) = 1/(2n+1).  By parts, y^2 mu_n = y sin y + 2n cos y - 2n(2n-1) mu_{n-1},
-    which multiplies an error by 2n(2n-1)/y^2: upward from mu_0 = sin y / y while that is <= 1,
-    then downward in blocks lo ... top, each started at mu = 0 where the product of
-    y^2/(2m(2m-1)) over the orders past top falls below 1e-17, each top doubling the last.  No
-    order bound; O(n + |y|) work for n values.  DomainError for y not finite.  Within 1e-15 of
-    the envelope 1/(2n+1) of 30-digit mpmath at n <= 60, |y| <= 1000 (worst 2.5e-16)."""
+    which multiplies an error by 2n(2n-1)/y^2: upward from mu_0 = sin y / y while that is <= 1, then
+    downward in blocks lo ... top, each started at mu = 0 where the product of y^2/(2m(2m-1)) over
+    the orders past top falls below 1e-17, each top doubling the last.  No order bound; O(n + |y|)
+    work for n values.  DomainError for y not finite.  Within 1e-15 relative to the envelope
+    1/(2n+1) of 30-digit mpmath for n <= 60 and |y| <= 1000."""
     if not math.isfinite(y):
         raise DomainError(f"cosine_moment_walk: y = {y} is not finite")
     sin, c, y2 = math.sin(y), math.cos(y), y * y
@@ -256,10 +246,11 @@ def cosine_moment_walk(y: float) -> Iterator[float]:
 # ---------------------------------------------------------------------------
 
 def legendre_walk(u: float) -> Iterator[float]:
-    """P_0(u), P_1(u), P_2(u), ... on [-1, 1], one step of the three-term recurrence
-    P_{m+1} = ((2m+1) u P_m - m P_{m-1}) / (m+1) per value; |u| > 1 or a NaN u raises
-    DomainError at the first value.  The one Legendre recurrence of the package: a series
-    that needs many degrees at one u walks it once."""
+    """P_0(u), P_1(u), P_2(u), ... on [-1, 1], one step of the three-term recurrence P_{m+1} =
+    ((2m+1) u P_m - m P_{m-1}) / (m+1) per value; |u| > 1 or a NaN u raises DomainError at the first
+    value.  The one Legendre recurrence of the package: a series that needs many degrees at one u
+    walks it once.  Within 2e-14 absolute of 40-digit mpmath for degrees 0 to 84 and |u| <= 0.99.
+    Within 5e-13 absolute of 40-digit mpmath for degrees 0 to 84 and 1e-9 <= 1 - |u| <= 1e-2."""
     if not abs(u) <= 1.0:
         raise DomainError(f"legendre_p: u = {u} is outside [-1, 1]")
     p0, p1 = 1.0, u
@@ -270,20 +261,16 @@ def legendre_walk(u: float) -> Iterator[float]:
 
 
 def legendre_p(n: int, u: float) -> float:
-    """Legendre polynomial P_n(u), the n-th value of legendre_walk(u).
-
-    Domain: integer 0 <= n <= 84 and |u| <= 1 (DomainError for n < 0, |u| > 1 or NaN).
-    There the absolute error is at most 5e-13.  Measured against 40-digit
-    mpmath.legendre: at most 2.2e-15 for |u| <= 0.99, and 2.0e-13 within 1e-7
-    of u = +-1 at n = 84, where the rounding of each step adds up in P_n ~ 1.
-    """
+    """Legendre polynomial P_n(u), the n-th value of legendre_walk(u) (DomainError for n < 0).
+    Within 1e-12 absolute of 40-digit mpmath for 0 <= n <= 300 and |u| <= 1."""
     if n < 0:
         raise DomainError("legendre_p: negative degree")
     return next(itertools.islice(legendre_walk(u), n, None))
 
 
 def hermite_h(j: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_j(x) by recurrence."""
+    """Physicists' Hermite polynomial H_j(x) by recurrence.  Within 1e-14 relative to sum|term| =
+    |H_j(i|x|)| of 30-digit mpmath for 0 <= j <= 30 and |x| <= 10."""
     if j < 0:
         raise DomainError("hermite_h: negative degree")
     h0, h1 = 1.0, 2.0 * x
@@ -299,7 +286,8 @@ def cos_power_to_legendre(j: int) -> dict[int, float]:
 
     c_m = (2m+1) j! 2^{(m-j)/2} / ( ((j-m)/2)! (j+m+1)!! ),  m = j, j-2, ..., (0 or 1),
 
-    so only m of the same parity as j appear.
+    so only m of the same parity as j appear.  Within 1e-15 of the exact projection (2m+1)/2 int u^j
+    P_m(u) du for 0 <= j <= 84.
     """
     if j < 0:
         raise DomainError("cos_power_to_legendre: negative power")
@@ -383,10 +371,8 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
 
     At real z (a float, or a complex with zero imaginary part) the fraction is evaluated once,
     backward in float arithmetic from the a-priori level _cf_depth(z), and the value is a float.
-    That depth is validated for z >= 1 (a = 1/2: z >= 0.3; see CF_DEPTH_SCALE): the fraction
-    from it is within 1 ulp of the fraction from 50 levels deeper, and the backward pass rounds
-    far less than a forward running product (E_1 over z in [1, 10]: 3.8e-16 relative at worst;
-    modified Lentz was 1.1e-14 off on [1, 3]).  Complex z runs modified Lentz forward and stops
+    That depth (see CF_DEPTH_SCALE) holds for z >= 1 (a = 1/2: z >= 0.3), and the backward pass
+    rounds far less than a forward running product.  Complex z runs modified Lentz forward and stops
     where a level changes the value by less than 1e-16 relative: the depth a complex argument
     needs is not known in advance.
     """
@@ -419,10 +405,9 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
 def _gamma_anchor(b: float, z: complex | float, emz: complex | float) -> complex | float:
     """Gamma(b, z) at an anchor b: E_1(z) at b = 0, Gamma(1/2, z) at b = 1/2, with emz = e^{-z};
     a float z and emz give a float.  The anchors come from the ascending series at |z| < 2,
-    and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)): from there the backward fraction
-    is the more accurate (9e-16 against 4.5e-15 on [1, 2]; 5.4e-16 against 3.3e-15 on
-    [0.3, 1)).  The fraction converges well only away from the branch cut; at steep arguments
-    the (entire) series is used instead, up to the modulus where its e^{|z|} cancellation
+    and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)), from where the backward fraction
+    is the more accurate.  The fraction converges well only away from the branch cut; at steep
+    arguments the (entire) series is used instead, up to the modulus where its e^{|z|} cancellation
     still leaves ~11 digits, and beyond it a failed fraction raises TruncationError."""
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
     if abs(z) < (2.0 if z.imag else GAMMA_HALF_ANCHOR_CF_Z if b else 1.0) or (steep and abs(z) <= 9.0):
@@ -470,21 +455,16 @@ _NOT_FINITE = "upper_incomplete_gamma overflowed double precision"
 
 
 def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
-    """Gamma(a, z), Gamma(a - 1, z), ... for integer or half-integer a, with a and z validated and
-    e^{-z} taken once per walk, floats at real z; nothing is kept between walks.  The orders
-    above Gamma(1, z) or Gamma(1/2, z) are walked up from it and handed out top-down, those at
-    and below Gamma(0, z) or Gamma(1/2, z) walked down from it.  Each order raises where the walk
-    reaches it, as upper_incomplete_gamma(order, z) does.
+    """Gamma(a, z), Gamma(a - 1, z), ... for integer or half-integer a, e^{-z} taken once per walk,
+    floats at real z.  Orders above Gamma(1, z) or Gamma(1/2, z) are walked up from it and handed
+    out top-down, those at and below Gamma(0, z) or Gamma(1/2, z) walked down.  Each order raises
+    where the walk reaches it, as upper_incomplete_gamma(order, z) does.
 
-    Below the anchor each order costs one step of the generator's own loop: one recurrence
-    step (a power z^b, a multiply, a subtract and a divide; the continued fraction at b where
-    it takes over) and three checks, a depth past GAMMA_RECURRENCE_LIMIT, an OverflowError or
-    ZeroDivisionError from the step (CapacityError naming the order about to be handed out)
-    and a value that is not finite.  That is ~0.1 us per order at real z (218 orders from
-    a = 18 at z = 0.1 in 23 us, CPython 3.11 on a 2-vCPU x86-64 VM).  T(a,bc)'s walk,
-    Gamma(3, z) down to Gamma(-40, z) at real z in [0.2, 4.8], is within 1.5e-14 relative of
-    40-digit mpmath (measured worst 1.01e-14 over 36,000 walks, at a = -4 and -5 near
-    z = 4.5 to 4.8, where the walk down from E_1 loses ~z/|a| per step)."""
+    Each order below the anchor is one recurrence step (the fraction at b where it takes over),
+    checked for depth, overflow and a finite value.  Within 5e-14 of 40-digit mpmath for theorem 3's
+    walk, a = 18 down to -199 short of overflow, real z in [0.005, 0.25].  Within 1.5e-14 of
+    40-digit mpmath for T(a,bc)'s walk, a = 3 down to -40, real z in [0.044, 4.8].  Within 1e-14 of
+    40-digit mpmath for integer and half-integer a in [-42, 3] and real z in [5, 40]."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"upper_incomplete_gamma: z = {z} is not finite")
@@ -550,22 +530,17 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
 
 
 def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
-    """Upper incomplete gamma Gamma(a, z) for integer or half-integer a: the first value of
-    gamma_walk(a, z), which moves from Gamma(1, z) = e^{-z}, Gamma(0, z) = E_1(z) or
-    Gamma(1/2, z) to a by Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z}.  z may be complex but
-    must stay off the negative real axis, where the principal branch of z^a has its cut.  A
-    non-finite a or z raises DomainError; where the walk leaves double precision,
-    CapacityError is raised.  E_1(z) = Gamma(0, z) at real z in [1e-3, 700] is within 2e-15
-    relative of mpmath.e1 (measured worst 8.6e-16 over 30,000 log-spaced points, from the
-    series just below z = 1).  At real z the anchors E_1 and Gamma(1/2, z) come from the
-    ascending series below z = 1 (Gamma(1/2, z): 0.3) and from one backward pass of the
-    continued fraction above, both in float arithmetic (within 4.0e-16 of 40-digit mpmath over
-    8,002 points in z in [1, 10]; 5.4e-16 on [0.3, 1)).  The orders a < 0 are evaluated by the
-    continued fraction at a, since the downward step loses ~z/|a| per order, at real z >=
-    GAMMA_CF_REAL_Z = 5 for integer a and z >= GAMMA_CF_HALF_Z = 1 for half-integer a: over a
-    in [-60, -0.5] and z in [5, 100] it is within 3.4e-16 of 80-digit mpmath (measured worst
-    3.3e-16) wherever the value is a normal double, and within 4.3e-16 of 40-digit mpmath for
-    half-integer a in [-60, -0.5] and z in [1, 5].
+    """Upper incomplete gamma Gamma(a, z) for integer or half-integer a, the first value of
+    gamma_walk(a, z), by Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z} from Gamma(1, z) = e^{-z},
+    E_1(z) or Gamma(1/2, z), off the negative real axis (the cut of z^a).  DomainError for a
+    non-finite a or z, CapacityError where the walk leaves double precision.  At real z the orders a
+    < 0 come from the continued fraction at a from GAMMA_CF_REAL_Z (integer a) or GAMMA_CF_HALF_Z,
+    since the downward step loses ~z/|a| per order.  Within 2e-15 of 40-digit mpmath for integer and
+    half-integer a in [0, 3] and real z in [1e-3, 700].  Within 5e-16 of 80-digit mpmath for integer
+    and half-integer a in [-60, -0.5] and real z in [5, 100].  Within 5e-16 of 80-digit mpmath for
+    half-integer a in [-59.5, -0.5] and real z in [1, 5].  Within 2e-13 of 40-digit mpmath for
+    integer and half-integer a in [-12, 12] and non-real z, |z| <= 3.  Within 5e-12 of 40-digit
+    mpmath for a = 1/2 and non-real z, Re z >= 0, |z| <= 5000.
     """
     return complex(next(gamma_walk(a, z)))
 
@@ -577,13 +552,12 @@ def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
 def erf_complex(z: complex | float) -> complex:
     """Error function of a complex argument; odd in z.
 
-    Real arguments delegate to math.erf.  After the odd reduction to Re z >= 0, arguments with
-    Re z <= 2 go through the entire Taylor series (whose e^{2 Re(z)^2} cancellation then costs
-    at most ~3.5 digits, at any height short of overflow) and the rest through
-    erf(z) = 1 - Gamma(1/2, z^2)/sqrt(pi), whose continued fraction holds full precision once
-    Re z >= 2.  Where e^{-z^2} itself overflows double precision, RangeError is raised.  For
-    |Re z|, |Im z| <= 25 it is within 1e-12 of 40-digit mpmath relative to
-    max(|erf z|, |erfc z|), ~1 at the zeros of erf (worst 4.8e-13).
+    Real arguments delegate to math.erf.  After the odd reduction to Re z >= 0, arguments with Re z
+    <= 2 go through the entire Taylor series (whose e^{2 Re(z)^2} cancellation then costs at most
+    ~3.5 digits, at any height short of overflow) and the rest through erf(z) = 1 - Gamma(1/2,
+    z^2)/sqrt(pi), whose continued fraction holds full precision once Re z >= 2.  Where e^{-z^2}
+    itself overflows double precision, RangeError is raised.  Within 1e-12 relative to max(|erf z|,
+    |erfc z|) of 40-digit mpmath for |Re z|, |Im z| <= 25.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -609,9 +583,9 @@ def erf_complex(z: complex | float) -> complex:
 def kummer_1f1(a: int, b: int, z: complex | float) -> complex:
     """Confluent hypergeometric 1F1(a; b; z) by its Taylor series, for integers b >= a >= 1.
 
-    Off the positive real axis the terms cancel, costing ~log10(max|term|/|sum|)
-    digits: past KUMMER_CANCELLATION_LIMIT = 1e5 RangeError is raised.  Below
-    that bound the measured relative error stays under 1e-11.
+    Off the positive real axis the terms cancel, costing ~log10(max|term|/|sum|) digits: past
+    KUMMER_CANCELLATION_LIMIT = 1e5 RangeError is raised.  Within 1e-11 of 30-digit mpmath for
+    integers 1 <= a <= 30, a <= b <= a + 32 and |z| <= 20 where max|term| <= 1e5 |sum|.
     """
     if not (isinstance(a, int) and isinstance(b, int) and b >= a >= 1):
         raise DomainError("kummer_1f1 requires integers b >= a >= 1")
@@ -645,7 +619,9 @@ def kummer_1f1(a: int, b: int, z: complex | float) -> complex:
 # ---------------------------------------------------------------------------
 
 def exp_integral_ei(x: float) -> float:
-    """Exponential integral Ei(x) for x < 0, via Ei(x) = -E_1(-x)."""
+    """Exponential integral Ei(x) for x < 0, via Ei(x) = -E_1(-x).  Within 2e-15 of 30-digit mpmath
+    for x in [-700, -1e-3].  Within 1e-12 of the CLI's quadrature oracle for x in {-9.6, -3, -1,
+    -0.1}."""
     if x >= 0:
         raise DomainError("exp_integral_ei is defined here for x < 0 only")
     return -upper_incomplete_gamma(0.0, -x).real
@@ -664,21 +640,20 @@ def meijer_g_0313(j: int, mu: float, arg: float) -> float:
         G = 2^{-j} sum_m c_m a^{j-2m} 2 a^{nu_m} K_{nu_m}(2a),   nu_m = mu + 1 - j/2 + m.
 
     Every nu_m is a half-integer, so every K is a bessel_k_half, exactly when 2 mu - j is an
-    odd integer: theorem 6's mu = n - (j+1)/2 all are.  No free-standing Meijer-G algorithm
-    is used.  DomainError for j not an integer >= 0, 2 mu - j not an odd integer, or arg not
-    finite and positive.  CapacityError where a term or its K leaves the normal doubles (e.g.
-    (0, -60.5, 1e6), where the value is ~1e436).  RangeError where the Hermite terms cancel,
+    odd integer: theorem 6's mu = n - (j+1)/2 all are.  DomainError for j not an integer >= 0,
+    2 mu - j not an odd integer, or arg not finite and positive.  CapacityError where a term or
+    its K leaves the normal doubles.  RangeError where the Hermite terms cancel,
     eps sum|term| > CANCELLATION_BOUND |G|: at large arg near mu = -(k+3)/2, 0 <= k < j,
     k = j (mod 2), where the leading large-arg order int_0^inf w^k e^{-w^2} H_j(w) dw
-    vanishes by orthogonality (e.g. (7, -4, 1e8) cancels from ~1e28 to 1.77).
+    vanishes by orthogonality (e.g. (7, -4, 1e8) cancels from ~1e28 to 1.77), and near a zero of
+    G in arg.
 
-    Against 30-digit mpmath.meijerg the relative error is within 25 eps sum|term| / |G|
-    (measured worst 19 eps over 18,440 admissible points, j <= 8, mu in [-4, 30], arg in
-    [1e-2, 1e8]), so within 2.5e-11 wherever a value is returned.  Over theorem 6's range
-    (j <= 2, mu = n - (j+1)/2 for n <= 20, arg in [10, 1e4]) it is at most 6.9e-15; on the
-    grid mu in {-4, -3.5, -3, -1.5, 4.5, 30}, arg in {1e-2, 1, 1e2, 1e4, 1e8}, 1.4e-14 off the
-    cancellation set and 1.6e-13 on it.  The terms also cancel near a zero of G in arg, so
-    the worst returned value off the cancellation set is 3.5e-13 (sum|term| / |G| = 3.5e3).
+    Within 25 times eps sum|term| / |G| of 30-digit mpmath for j <= 8, 2 mu - j odd, mu in [-4, 30]
+    and arg in [1e-2, 1e8].  Within 1e-14 of 20-digit mpmath for theorem 6's range, j <= 2, mu = n -
+    (j+1)/2 for n <= 20 and arg in [10, 1e4].  Within 1e-13 of 20-digit mpmath for j <= 8 on the
+    grid mu in {-4, -3.5, -3, -1.5, 4.5, 30}, arg in {1e-2, 1, 1e2, 1e4, 1e8} off the cancellation
+    set.  Within 1e-12 of 20-digit mpmath for that grid on the cancellation set mu = -(k+3)/2, 0 <=
+    k < j, k = j (mod 2).
     """
     if isinstance(j, bool) or not isinstance(j, int) or j < 0:
         raise DomainError(f"meijer_g_0313: j must be an integer >= 0, got {j!r}")

@@ -1,14 +1,13 @@
 """Amplitude integrals: closed forms, series terms, double-series reconstructions."""
 
 import cmath
-import functools
 import itertools
 import math
-import random
 import tracemalloc
 
 import pytest
 
+from contract import tau_mpmath
 from slater_addition import amplitudes, cli
 from slater_addition.amplitudes import (
     SlaterPair,
@@ -28,7 +27,7 @@ from slater_addition.amplitudes import (
     theorem4_series,
     _theorem3_coefs,
 )
-from slater_addition.errors import DomainError, RangeError
+from slater_addition.errors import DomainError
 from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import (
     cosine_moment_walk,
@@ -116,9 +115,6 @@ class TestSeriesTerms:
         partial = sum(s1_series_n_term(n, PAIR) for n in range(4))
         assert abs(partial - oracle) <= 1e-3 * abs(oracle)
 
-    def test_erf_closed_form_equals_quadrature_term(self):
-        assert abs(s1_n0_erf_closed(PAIR) - s1_series_n_term(0, PAIR)) <= 1e-9
-
     def test_erf_closed_form_conjugation(self):
         flipped = SlaterPair(PAIR.eta1, PAIR.eta2, PAIR.x2, PAIR.k, k_dot_x2=-PAIR.k_dot_x2)
         assert s1_n0_erf_closed(flipped) == s1_n0_erf_closed(PAIR).conjugate()
@@ -166,21 +162,6 @@ class TestSeriesTerms:
                    lambda: s1_general_term_gamma(0, p)):
             with pytest.raises(DomainError):
                 fn()
-
-
-def _tau_mpmath(eta1: float, x2: float, k: float, dps: int, pieces: int) -> complex:
-    """2 pi int_0^1 e^{-i k x2 tau} e^{-x2 L}/L dtau, L^2 = eta1^2 + k^2 tau(1 - tau), by mpmath
-    quadrature at dps digits over pieces - 1 equal panels."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        e1, x, kk = (mp.mpf(v) for v in (eta1, x2, k))
-
-        def integrand(tau):
-            ell = mp.sqrt(e1**2 + kk**2 * tau * (1 - tau))
-            return mp.exp(mp.mpc(-x * ell, -kk * x * tau)) / ell
-
-        return complex(2 * mp.pi * mp.quad(integrand, mp.linspace(0, 1, pieces)))
 
 
 class TestCheshireSeries:
@@ -242,18 +223,10 @@ class TestCheshireSeries:
                                              (1.2, 16.0, 1.0)])
     def test_large_phase_vs_mpmath(self, eta1, x2, k):
         # k.x2 from 16 to 27: a 1F1 Taylor series per term cancels there past 5 digits
-        mp = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         ev = cheshire_series(eta1, x2, k)
-        with mp.workdps(30):
-            e1, x, kk = (mp.mpf(v) for v in (eta1, x2, k))
-
-            def integrand(tau):
-                ell = mp.sqrt(e1**2 + kk**2 * tau * (1 - tau))
-                return mp.exp(mp.mpc(-x * ell, -kk * x * tau)) / ell
-
-            want = complex(2 * mp.pi * mp.quad(integrand, mp.linspace(0, 1, 9)))
         assert ev.converged
-        assert abs(ev.value - want) <= 1e-10 * abs(want)
+        assert abs(ev.value - tau_mpmath(eta1, eta1, x2, k, 30, 9)) <= 1e-10 * abs(ev.value)
 
     def test_long_budget_keeps_memory_small(self):
         # the sweep grows with the terms drawn, not with max_terms
@@ -285,46 +258,10 @@ class TestCheshireSeries:
         pytest.importorskip("mpmath")
         ev = cheshire_series(eta1, x2, k)
         assert ev.converged
-        assert abs(ev.value - _tau_mpmath(eta1, x2, k, 30, 9)) <= 1e-10 * abs(ev.value)
-
-    def test_seeded_draws_vs_mpmath(self):
-        # eta1 in [0.2, 2], x2 in [0.1, 20], k / eta1 in [0, 4]: 102 of 150 converge (the series
-        # about tau = 0 converged on 59).  mpmath, not s1_tau_oracle, whose absolute floor
-        # leaves it 1.4e-3 off at (1.821, 16.82, 1.92 eta1).  The stop rule ends a series at two
-        # terms below 1e-10 |sum|, and the geometric tail past them (term ratio up to ~0.8)
-        # leaves a converged value up to 1.5e-10 off here
-        pytest.importorskip("mpmath")
-        rng = random.Random(2026)
-        draws = [(eta1, rng.uniform(0.1, 20), eta1 * rng.uniform(0, 4))
-                 for eta1 in (rng.uniform(0.2, 2) for _ in range(150))]
-        converged = 0
-        for eta1, x2, k in draws:
-            ev = cheshire_series(eta1, x2, k)
-            if ev.converged:
-                converged += 1
-                want = _tau_mpmath(eta1, x2, k, 20, 5)
-                assert abs(ev.value - want) <= 3e-10 * abs(want), (eta1, x2, k)
-        assert converged >= 100
-
-    def test_phase_scalar_bounded_by_k_x2(self):
-        with pytest.raises(DomainError, match="k_dot_x2"):
-            cheshire_series(0.8, 0.5, 0.1, k_dot_x2=5.0)
+        assert abs(ev.value - tau_mpmath(eta1, eta1, x2, k, 30, 9)) <= 1e-10 * abs(ev.value)
 
 
 class TestTheorem2Angular:
-    def test_against_split_branch_quadrature(self):
-        # the u < 0 and u > 0 halves, regularised by w = sqrt(|u|)
-        from slater_addition.quadrature import integrate_finite
-
-        eta2, x1, x2 = 1.0, 1.0, 1.0
-        c = math.sqrt(2 * x1 * x2) * eta2
-        neg = integrate_finite(lambda w: 2 * math.exp(-c * w) / math.sqrt(x1 * x2), 0, 1, 1e-13)
-        pos = integrate_finite(
-            lambda w: 2 * cmath.exp(-1j * c * w) / (1j * math.sqrt(x1 * x2)), 0, 1, 1e-13
-        )
-        got = theorem2_angular(eta2, x1, x2)
-        assert abs(got - (neg.value + pos.value)) <= 1e-10 * abs(got)
-
     def test_small_exponent_expansion(self):
         got = theorem2_angular(1e-4, 1.0, 1.0)
         assert abs(got - 2.0 * (1.0 - 1.0j)) <= 5e-4
@@ -397,29 +334,6 @@ class TestTheorem3Series:
             theorem3_series(SlaterPair(eta1=0.5, eta2=0.5, x2=1.0))
 
 
-def _per_term_k_series(n, p, k_count):
-    """(k-term, sum of |term|) of block n with every (k, i, j) term built from
-    scratch, the way the blocks were summed before their coefficients were
-    hoisted out of k."""
-    gamma_at = functools.cache(lambda a: upper_incomplete_gamma(a, p.x2 * p.eta2).real)
-    fact = math.factorial
-
-    def term(k, i, j):
-        num = (math.sqrt(math.pi) * (-1.0) ** (n // 2) * (-1.0) ** (k - i) * p.eta1
-               * 2.0 ** (-j + n / 2.0 + 3.0) * math.gamma((n + 3) / 2.0) * math.comb(n // 2, i)
-               * p.eta2 ** (n - 2 * i) * math.prod((n + 3) / 2.0 + m for m in range(k))
-               * fact((abs(n - 1) + 2 * j - 1) // 2))
-        den = fact(j) * fact(k) * fact(n + 1) * fact((abs(n - 1) - 2 * j - 1) // 2)
-        return (num / den * p.x2 ** (n + 2 * k + 2 - 2 * i) * (p.eta1**2 - p.eta2**2) ** k
-                * gamma_at(2 * i - j - 2 * k - n // 2 - 2))
-
-    out = []
-    for k in range(k_count):
-        terms = [term(k, i, j) for i in range(n // 2 + 1) for j in range(1 if n == 0 else n // 2)]
-        out.append((math.fsum(terms), math.fsum(map(abs, terms))))
-    return out
-
-
 class TestBlockCoefficients:
     @pytest.mark.parametrize("n", [0, 2, 10, 40])
     def test_theorem4_block_is_theorem3_k0_at_equal_exponents(self, n):
@@ -427,19 +341,10 @@ class TestBlockCoefficients:
         # closed form at n = 40, and it is the inaccurate one), so the two are compared
         # on the scale of the terms that sum adds
         p = SlaterPair(0.37, 0.37, 0.29)
-        _, magnitude = _per_term_k_series(n, p, 1)[0]
+        coefs = _theorem3_coefs(n, 0.37, 0.37, 0.29)
+        magnitude = sum(abs(c * upper_incomplete_gamma(a, 0.29 * 0.37).real) for c, a in coefs)
         got = theorem3_block_k_terms(n, p, k_max=1)[0]
         assert abs(got - theorem4_block(n, 0.37, 0.29)) <= 1e-12 * magnitude
-
-    @pytest.mark.parametrize("n", [2, 10, 40])
-    @pytest.mark.parametrize("p", [RECON, SlaterPair(0.52, 0.5, 0.45), SlaterPair(0.3, 0.32, 0.7)])
-    def test_k_terms_match_per_term_formula(self, n, p):
-        # the (i, j) sums cancel (max|term| / |sum| reaches 4e10 at n = 40), so
-        # both summation orders are compared on the scale of the terms they add
-        got = theorem3_block_k_terms(n, p, k_max=80)
-        want = _per_term_k_series(n, p, len(got))
-        for k, (g, (w, magnitude)) in enumerate(zip(got, want)):
-            assert abs(g - w) <= 1e-12 * magnitude, k
 
     @pytest.mark.parametrize("lead, eta2, x2", [
         (0.37, 0.37, 0.29), (0.11, 0.13, 0.17), (0.52, 0.5, 0.45), (1.0, 0.1, 2.5), (0.3, 0.32, 0.7),
@@ -476,63 +381,13 @@ class TestTheorem4Series:
         hi = theorem3_series(SlaterPair(0.13 * (1 - 1e-4), 0.13, 0.17), n_max=8, k_max=60).value.real
         assert min(lo, hi) <= mid <= max(lo, hi)
 
-    def test_odd_block_rejected(self):
-        with pytest.raises(DomainError):
-            theorem4_block(3, 0.13, 0.17)
-
-
-def _mp_theorem4_block(mp, n, eta2, x2):
-    """Block n as the defining (i, j) sum of incomplete gammas, at the working precision."""
-    m, nu = n // 2, abs(n - 1) // 2
-    e, x = mp.mpf(eta2), mp.mpf(x2)
-    z = e * x
-    gammas = {}
-    total = mp.mpf(0)
-    for i in range(m + 1):
-        for j in range(nu + 1):
-            order = 2 * i - j - m - 2
-            if order not in gammas:
-                gammas[order] = mp.gammainc(order, z)
-            coef = mp.mpf((-1) ** i * math.comb(m, i) * math.factorial(nu + j)) / (
-                math.factorial(j) * math.factorial(nu - j) * 2**j)
-            total += coef * z ** (n - 2 * i) * gammas[order]
-    return 4 * mp.pi * e * x * x * (-1) ** m / (mp.mpf(2) ** m * math.factorial(m)) * total
-
 
 class TestTheorem4ClosedForm:
-    @pytest.mark.parametrize("n", [80, 120])
-    def test_high_blocks_vs_mpmath(self, n):
-        # the float (i, j) sum gave 5.10e-4 at n = 80 (2.2e-5 off) and -1.75e-3 at n = 120
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(70):
-            want = _mp_theorem4_block(mp, n, 0.37, 0.29)
-            assert abs(theorem4_block(n, 0.37, 0.29) - want) <= 1e-14 * abs(want)
-
     def test_every_block_positive_to_the_60_block_budget(self):
         ev = theorem4_series(0.37, 0.29, n_max=118, policy=TruncationPolicy(max_terms=60))
         assert ev.terms_used == 60
         assert all(t.real > 0 for t in ev.terms)
         assert [t.real for t in ev.terms] == [theorem4_block(n, 0.37, 0.29) for n in range(0, 119, 2)]
-
-    @pytest.mark.parametrize("n", [0, 2, 6, 14, 40, 76, 120])
-    def test_vs_mpmath_on_its_domain(self, n):
-        # n <= 120, z = x2 eta2 in [0.005, 3]: 1e-14 relative
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(70):
-            for eta2, z in ((0.9, 0.005), (0.2, 0.04), (1.7, 0.3), (0.5, 1.1), (1.3, 2.05), (0.7, 3.0)):
-                x2 = z / eta2
-                want = _mp_theorem4_block(mp, n, eta2, x2)
-                assert abs(theorem4_block(n, eta2, x2) - want) <= 1e-14 * abs(want), (n, z)
-
-    def test_cancellation_is_a_range_error(self):
-        # at z = 30 the closed form's terms cancel to 2e-14 of their size; the float
-        # (i, j) sum returned a value 1.2e-4 off there without an error
-        with pytest.raises(RangeError, match="cancels"):
-            theorem4_block(40, 1.0, 30.0)
-        with pytest.raises(RangeError, match="cancels"):
-            theorem4_series(1.0, 30.0)
-        # z = 3 is far inside the bound
-        assert theorem4_block(40, 1.0, 3.0) > 0
 
     def test_series_takes_e1_once(self, monkeypatch):
         calls = []
@@ -587,10 +442,6 @@ class TestCorollary6N0:
         assert corollary6_n0_closed(0.7 * lam, 1.9 * lam) == pytest.approx(
             corollary6_n0_closed(0.7, 1.9) / lam, rel=1e-13
         )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            corollary6_n0_closed(2.0, 1.0)
 
 
 class TestSlaterPairValidation:

@@ -1,8 +1,6 @@
 """Ellipsoidal-coordinate case study: oracle, exact form, series, stall."""
 
-import functools
 import math
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,28 +24,6 @@ from slater_addition.specfun import bessel_i_half
 from slater_addition.theorems import SeriesEvaluation, TruncationPolicy
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_gamma(mpmath, a, R, dps):
-    with mpmath.workdps(dps):
-        return mpmath.gammainc(a, 4 * mpmath.mpf(R))
-
-
-def _mp_increment(mpmath, n, R):
-    """Increment n of the T(a,bc) series as the J-sum of t_abc_term's formula, in mpmath, with
-    the K coefficient c(m, J) = (m+J)!/(J! (m-J)!) as an exact integer (k_half_coef stops at
-    170!)."""
-    dps, m, R = mpmath.mp.dps, max(n - 1, 0), mpmath.mpf(R)
-    i_top, i_low = mpmath.besseli(n + 2.5, R), mpmath.besseli(n + 1.5, R)
-    total = 0
-    for big_j in range(m + 1):
-        g1, g2, g3 = (_mp_gamma(mpmath, k - big_j - n, float(R), dps) for k in (1, 2, 3))
-        total += (mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** (big_j + 2 * n - 4.5) * R ** (2 * n)
-                  * (math.factorial(m + big_j) // (math.factorial(big_j) * math.factorial(m - big_j)))
-                  * (i_top * (4 * g2 + g3 - 16 * R**2 * g1) * R ** (-n - 0.5)
-                     + (2 * n + 3) * i_low * (4 * g2 + g3) * R ** (-n - 1.5)))
-    return total
-
-
 def _fake_eval(terms):
     s = 0.0
     for t in terms:
@@ -62,21 +38,6 @@ def _fake_eval(terms):
 
 
 class TestOracleAndExact:
-    @pytest.mark.parametrize("R", [0.011, 0.11, 0.5, 1.1])
-    def test_exact_matches_oracle(self, R):
-        oracle = t_abc_oracle(R, tol=1e-9)
-        assert oracle.converged
-        exact = t_abc_exact(R)
-        assert abs(exact - oracle.value.real) <= max(oracle.error_estimate, 1e-7 * exact)
-
-    @pytest.mark.parametrize("R", [0.011, 0.18, 1.1, 5.0, 8.0, 12.0, 20.0])
-    def test_oracle_tight_across_separations(self, R):
-        # with e^{-3R} taken outside, a T far below the quadrature's absolute
-        # floor (T(20) ~ 1e-26) keeps its relative accuracy
-        oracle = t_abc_oracle(R, 1e-10)
-        assert oracle.converged
-        exact = t_abc_exact(R)
-        assert abs(oracle.value.real - exact) <= 1e-12 * exact
 
     def test_oracle_cost_at_unit_separation(self):
         # the compare command's oracle tolerance; 45,795 evaluations in lam
@@ -98,11 +59,6 @@ class TestOracleAndExact:
         # lam^2 overflows to inf where the exponential has underflowed to 0
         assert t_abc_integrand(EllipsoidalParams(1.0, 1e200, 0.0)) == 0.0
 
-    def test_exact_below_its_domain_raises(self):
-        # the 1/R terms cancel: 5.9e-12 off at R = 1e-4
-        with pytest.raises(DomainError, match="R >= 0.001"):
-            t_abc_exact(1e-4)
-
     @pytest.mark.parametrize("R", [239.27, 240.0, 300.0, 1e5, 1e200])
     def test_exact_above_its_domain_raises(self, R, capsys):
         # T(a,bc) leaves the normal doubles at R ~ 239.27; at 1e200 R^2 overflows
@@ -112,39 +68,8 @@ class TestOracleAndExact:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_exact_finite_at_the_top_of_its_domain(self):
-        assert sys.float_info.min <= t_abc_exact(EXACT_MAX_R) < 1e-307
-
-    @pytest.mark.parametrize("R, bound", [(236.0, 5.8e-14), (239.0, 1.2e-12)])
-    def test_exact_past_the_first_groups_overflow_vs_mpmath(self, R, bound):
-        # e^{3R} times the first group's polynomial overflowed from R ~ 232 while Ei(-8R) was
-        # already 0; past R = 236.13 e^{-3R} is subnormal and carries fewer bits
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            r = mpmath.mpf(R)
-            c, c3, d = mpmath.mpf(116) / (9 * r), mpmath.mpf(116) / 3, mpmath.mpf(131) / (3 * r)
-            groups = (
-                mpmath.exp(3 * r) * (-16 * r**2 + 44 * r + c - c3) * mpmath.ei(-8 * r),
-                -mpmath.exp(-3 * r) * (16 * r**2 + 44 * r + c + c3)
-                * (mpmath.ei(-2 * r) + 2 * mpmath.log(2)),
-                mpmath.exp(-3 * r) * (624 * r**2 + 2256 * r + d + 1670) / 16,
-                -mpmath.exp(-5 * r) * (160 * r + d + 34) / 16,
-            )
-            want = mpmath.fsum(groups) / 81
-            assert float(abs((t_abc_exact(R) - want) / want)) <= bound
-
-    def test_reference_values(self):
-        assert t_abc_exact(0.11) == pytest.approx(0.360071, abs=1e-6)
-        assert t_abc_exact(1.1) == pytest.approx(0.06739364, abs=1e-7)
-
     def test_large_separation_decays(self):
         assert t_abc_oracle(30.0, tol=1e-6).value.real < 1e-30
-
-    def test_positive_over_sweep(self):
-        r = 0.01
-        while r <= 5.0:
-            assert t_abc_exact(r) > 0.0
-            r *= 1.6
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -180,12 +105,6 @@ class TestSeries:
             rest = sum(abs(t_abc_term(n, j, R)) for j in range(n - 1))
             assert top > rest
 
-    def test_j_bound_enforced(self):
-        with pytest.raises(DomainError):
-            t_abc_term(0, 1, 0.11)
-        with pytest.raises(DomainError):
-            t_abc_term(3, 3, 0.11)
-
     @pytest.mark.parametrize("route", [
         lambda: t_abc_term(2.0, 1, 0.11), lambda: t_abc_term(2, 1.0, 0.11),
         lambda: t_abc_term(True, 0, 0.11), lambda: t_abc_term(1, False, 0.11),
@@ -196,13 +115,6 @@ class TestSeries:
         # floats, bools and negative values are not indices
         with pytest.raises(DomainError, match=r"t_abc_(term|series): (n|J|n_max) must be an integer"):
             route()
-
-    @pytest.mark.parametrize("route", [t_abc_series, lambda R: t_abc_term(0, 0, R)])
-    @pytest.mark.parametrize("R", [1e-300, 1e-200, 9e-151])
-    def test_below_the_series_floor(self, route, R):
-        # Gamma(-2, 4R) leaves double precision below R ~ 1e-155, R^{-3/2} below ~1e-205
-        with pytest.raises(DomainError, match="R >= 1e-150"):
-            route(R)
 
     @pytest.mark.parametrize("R", [1e-150, 1e-50, 1e-10])
     def test_tiny_separation_is_three_eighths(self, R):
@@ -223,19 +135,6 @@ class TestSeries:
             want = math.fsum(t_abc_term(n, big_j, R) for big_j in range(max(n, 1)))
             assert got.imag == 0.0 and abs(got.real - want) <= 2e-15 * abs(want), (R, n)
 
-    @pytest.mark.parametrize("R, tol", [
-        (0.001, 2.5e-15), (0.003, 2.5e-15), (0.05, 2.5e-15), (0.11, 2.5e-15), (0.49, 2.5e-15),
-        (0.51, 2.5e-15), (1.1, 2.5e-15), (2.5, 2.5e-15),
-        (7.0, 1e-14),  # 4R = 28: Gamma(a < 0, 4R) from the continued fraction at a
-    ])
-    def test_series_increments_vs_mpmath(self, R, tol):
-        mpmath = pytest.importorskip("mpmath")
-        ev = t_abc_series(R, n_max=20)
-        with mpmath.workdps(40):
-            for n, got in enumerate(ev.terms):
-                want = _mp_increment(mpmath, n, R)
-                assert float(abs((got.real - want) / want)) <= tol, (R, n)
-
     @pytest.mark.parametrize("n_max", [0, 1, 14, 20])
     def test_series_calls_no_bessel_i_half(self, n_max, monkeypatch):
         # I_{k+1/2}(R), k = 1..n_max+2, come from one Miller walk, none from the ascending series
@@ -249,33 +148,6 @@ class TestSeries:
         assert not hasattr(ellipsoidal, "bessel_i_half")
         assert t_abc_series(0.37, n_max=n_max).terms_used == n_max + 1
         assert orders == []
-
-    @pytest.mark.parametrize("R", [0.5, 2.5])
-    def test_series_increments_past_86_vs_mpmath(self, R):
-        # no row of k_half_coef's factorials bounds the series: increments 87..100 come from the
-        # same K walk and H recurrences as the first ones
-        mpmath = pytest.importorskip("mpmath")
-        ev = t_abc_series(R, n_max=100, policy=TruncationPolicy(rel_tol=1e-300, max_terms=101))
-        assert ev.terms_used == 101
-        with mpmath.workdps(40):
-            for n in range(87, 101):
-                want = _mp_increment(mpmath, n, R)
-                assert float(abs((ev.terms[n].real - want) / want)) <= 2.5e-15, (R, n)
-
-    @pytest.mark.parametrize("R", [
-        *(0.001 * 20000 ** (i / 39) for i in range(40)),  # 40 log-spaced R in [0.001, 20]
-        1.0 - 1e-9, 1.0 + 1e-9,  # the anchor leaves m = 0
-        # each side of every step of the anchor m = ceil(1.3 R) up to R = 12
-        *(k / 1.3 * (1.0 + side) for k in range(1, 16) for side in (-1e-9, 1e-9)),
-    ])
-    def test_series_anchor_rule_vs_mpmath(self, R):
-        mpmath = pytest.importorskip("mpmath")
-        tol = 2.5e-15 if R <= 2.5 else 1e-14
-        ev = t_abc_series(R, n_max=20)
-        with mpmath.workdps(40):
-            for n, got in enumerate(ev.terms):
-                want = _mp_increment(mpmath, n, R)
-                assert float(abs((got.real - want) / want)) <= tol, (R, n)
 
     @pytest.mark.parametrize("R, n_max, orders", [
         (0.7, 20, 4),  # anchored at m = 0: Gamma(3, 4R) .. Gamma(0, 4R)
@@ -374,7 +246,6 @@ class TestSeries:
     def test_series_walks_no_deeper_than_it_sums(self, R, n_max, value, terms_used, converged):
         ev = t_abc_series(R, n_max=n_max)
         assert (ev.value.real.hex(), ev.terms_used, ev.converged) == (value, terms_used, converged)
-
 
     @pytest.mark.parametrize("R, message", [
         # I_{59+1/2}(0.0003) is below the normal doubles while increment 58 is not negligible
