@@ -1,4 +1,4 @@
-"""contract.py's rows run, their claims in the docstrings, README's table and a row per public callable."""
+"""contract.py's rows: values, outside points, docstring claims, README's table, a row per public callable."""
 
 import contextlib
 import inspect
@@ -11,35 +11,37 @@ from contract import NO_ROW, ROWS
 from slater_addition import amplitudes, ellipsoidal, specfun, theorems
 
 
-@pytest.mark.parametrize("row", [
-    pytest.param(row, id=row.id, marks=[pytest.mark.xfail(strict=True, reason=row.open)] if row.open else [])
-    for row in ROWS
+@pytest.mark.parametrize("row, case", [
+    pytest.param(row, case, id="-".join([row.id, *map(str, case)]),
+                 marks=[pytest.mark.xfail(strict=True, reason=row.open)] * bool(row.open))
+    for row in ROWS for case in row.cases or [()]
 ])
-def test_row(row):
-    for out in row.outside:
-        with pytest.raises(out.error):
-            out.call()
+def test_row(row, case):
     if "mpmath" in row.reference:
         pytest.importorskip("mpmath")
     count = 0
-    with contextlib.closing(row.checks(random.Random(row.id))) as checks:
-        for err, where in checks:
+    with contextlib.closing(row.checks(random.Random(row.id), *case)) as checks:
+        for count, (err, where) in enumerate(checks, 1):
             assert err <= row.bound, (err, where)
-            count += 1
     assert count >= row.points
 
 
-def test_every_claim_is_in_its_docstring():
-    # whitespace-normalised
-    missing = [row.claim for row in ROWS
-               if not row.open and " ".join(row.claim.split()) not in " ".join((row.func.__doc__ or "").split())]
-    assert not missing
+@pytest.mark.parametrize("row, out", [
+    pytest.param(row, out, id=f"{row.id}-{out.error.__name__}-{out.text}") for row in ROWS for out in row.outside
+])
+def test_outside_the_domain_raises(row, out):
+    with pytest.raises(out.error):
+        out.call()
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=row.id) for row in ROWS if not row.open])
+def test_claim_is_in_its_docstring(row):
+    assert " ".join(row.claim.split()) in " ".join((row.func.__doc__ or "").split())  # whitespace-normalised
 
 
 def test_readme_table_is_rendered_from_the_rows():
-    # `PYTHONPATH=src python tests/contract.py` rewrites it
     text = contract.README.read_text()
-    assert text == contract.with_table(text)
+    assert text == contract.with_table(text)  # `PYTHONPATH=src python tests/contract.py` rewrites it
 
 
 @pytest.mark.parametrize("module", [specfun, theorems, amplitudes, ellipsoidal])
