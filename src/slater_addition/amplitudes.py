@@ -5,10 +5,13 @@ The object of study is
     S1(eta1, eta2, x2, k) = 2 pi int_0^1 e^{-i (k.x2) tau} e^{-x2 L}/L dtau,
     L = sqrt((1 - tau)(k^2 tau + eta2^2) + eta1^2 tau),
 
-the general-k overlap of two Slater orbitals with one shifted centre and a plane wave: its
-closed forms at k = 0, a quadrature oracle, the Macdonald-series terms in s with their erf and
-incomplete-gamma closed forms, cheshire_series at eta1 = eta2, one angular integral, and the
-double-series reconstructions of the k = 0 closed forms.
+the general-k overlap of two Slater orbitals with one shifted centre and a
+plane wave.  This module provides its exact closed forms at k = 0, the
+adaptive-quadrature oracle for general k, the Macdonald-series terms in the
+variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) together with their erf and
+incomplete-gamma closed forms, theorem 1 about the vertex of L^2 at eta1 = eta2
+(cheshire_series), one angular integral with a split real/imaginary branch, and
+the double-series reconstructions of the k = 0 closed forms.
 """
 
 from __future__ import annotations
@@ -302,9 +305,10 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
 
     mu_n(y) = int_0^1 u^{2n} cos(yu) du, with e^{-iy} taken once and every mu_n from one
     cosine_moment_walk(y). |B k^2| <= k^2/4 < C on the whole interval, so it converges for any k,
-    its terms shrinking like (k^2 / (4 eta1^2 + k^2))^n; past the term budget it is returned
-    flagged.  Within 3e-10 of 20-digit mpmath quadrature for eta1 in [0.2, 2], x2 in [0.1, 20] and k
-    / eta1 in [0, 4] where converged.
+    its terms shrinking like (k^2 / (4 eta1^2 + k^2))^n; on the default 60-term budget it converges
+    up to k / eta1 ~ 3.5 at x2 eta1 <= 1, less as x2 eta1 grows (~2 at 20), and past that is
+    returned flagged.  Within 3e-10 of 20-digit mpmath quadrature for eta1 in [0.2, 2], x2 in [0.1,
+    20] and k / eta1 in [0, 4] where converged.
     """
     pair = SlaterPair(eta1, eta1, x2, k, k_dot_x2)
     # B = -1/4 rather than B = -1 and 4^{-n} outside: B k^2 + C = eta1^2 never reaches the pole
@@ -391,7 +395,9 @@ def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
     """The k-series of block n (each entry already summed over the finite i, j sums), truncated by
     the policy tail rule against the block's running sum. k_max caps the number of k terms, also
     above ``policy.max_terms``. ``gamma_at`` is the _theorem3_gammas lookup a series shares between
-    blocks.  The (i, j) sum of a high block cancels, so its k-terms carry few correct digits.
+    blocks.  The (i, j) sum of a high block cancels, so its k-terms carry few correct digits: at
+    n = 40 max|term|/|sum| grows from ~5e4 (k = 0) to ~7e9 (k = 5), and the k-terms are off by up
+    to ~5e-6 relative to a 60-digit evaluation.
     Within 5e-14 relative to the sum of its |terms| of its (i, j) sum of 40-digit mpmath Gamma
     values for blocks n in {0, 2, 10, 20, 40}, x2 eta2 <= 0.25 and |eta1^2 - eta2^2| <= 0.3
     eta2^2."""
@@ -538,9 +544,10 @@ def theorem4_block(n: int, eta2: float, x2: float) -> float:
         4 pi eta2 x2^2 [e^{-z} sum_{p=-1}^{n-1} L_p z^p + E_1(z) (M_{n-2} z^{n-2} + M_n z^n)]
 
     (p = -2 also at n = 0), from the exact per-n table _theorem4_table and one E_1(z), where the
-    float (i, j) sum cancels.  The terms cancel as z grows: RangeError where eps sum|term| exceeds
-    DERIVATIVE_REL_TOL |block|.  Within 1e-14 of 70-digit mpmath for even n <= 120 and z = x2 eta2
-    in [0.005, 3]."""
+    float (i, j) sum cancels (block 120 at (0.37, 0.29) came out negative).  The terms cancel as z
+    grows (block 10 at z = 10 is 9e-12 off): RangeError where eps sum|term| exceeds
+    DERIVATIVE_REL_TOL |block|, as at z = 10, n = 10 and z = 30, n = 40.  Within 1e-14 of 70-digit
+    mpmath for even n <= 120 and z = x2 eta2 in [0.005, 3]."""
     scale, z, emz, e1 = _theorem4_point(eta2, x2)
     return scale * _theorem4_bracket(n, z, emz, e1)
 

@@ -9,8 +9,13 @@ Every public operation of the library is reachable as an eval target;
 compare pairs a target with its registered oracle (an independent quadrature
 or a closed form); table renders per-term report rows as CSV or JSON.
 
-The TARGETS table declares every target's parameters by the signature of its
-``run(ctx, **params)``; ``_TYPES`` coerces them (integers integral, other numbers finite).
+The TARGETS table is the single declaration of every target's parameters:
+the signature of its ``run(ctx, **params)`` names them, and a default makes
+one optional.  One name -> type map (``_TYPES``) coerces them for every
+target: integer parameters must take integral values, every other number
+must be finite and not a boolean, and an unknown key, on the command line or
+in a scenario file, is an error.  The comparison tolerance (``--tol`` or
+``tol =``) must be finite and > 0.
 
 Scenario files are plain ``key = value`` lines with ``#`` comments and
 complex values written ``re+imi``.  Exit codes: 0 success/converged,

@@ -41,15 +41,18 @@ BESSEL_I_WALK_ORDERS = 1022
 # Largest number of recurrence steps an incomplete-gamma walk takes from its anchor.
 GAMMA_RECURRENCE_LIMIT = 400
 # real z from which Gamma(a, z) at integer a < 0 comes from the continued fraction at a: the
-# downward walk loses ~z/|a| per step there
+# downward walk loses ~z/|a| per step there (2.8e-14 at z = 7, 2.7e-5 at z = 28)
 GAMMA_CF_REAL_Z = 5.0
-# real z from which Gamma(a, z) at half-integer a < 0 comes from the continued fraction at a
+# real z from which Gamma(a, z) at half-integer a < 0 comes from the continued fraction at a:
+# the walk down from Gamma(1/2, z) is up to 9.6e-16 off from z = 1.2 and 2.2e-14 at 4.8, the
+# fraction within 4.3e-16 on [1, 5] (a in [-60, -0.5], against 40-digit mpmath)
 GAMMA_CF_HALF_Z = 1.0
-# real z from which the anchor Gamma(1/2, z) is the fraction, where the series cancels
+# real z from which the anchor Gamma(1/2, z) is the fraction (5.4e-16; the series 3.3e-15)
 GAMMA_HALF_ANCHOR_CF_Z = 0.3
 # _gamma_cf at real z >= 1 starts its backward evaluation at depth
 # ceil(CF_DEPTH_SCALE / z) + CF_DEPTH_MIN, ~1.3 (ln(1/eps)/4)^2 / z + 10: the fraction's tail
-# there is below 7.3e-18 relative for every order it serves
+# there is below 7.3e-18 relative for every order it serves (a in {0, 1/2}, half-integers in
+# [-399.5, -0.5], integers in [-400, -1] from GAMMA_CF_REAL_Z; z in [1, 10^4], 34-digit mpmath)
 CF_DEPTH_SCALE = 105.0
 CF_DEPTH_MIN = 10
 # kummer_1f1's Taylor cut-off, term budget, and largest accepted max|term|/|sum| (~5 digits lost)
@@ -130,10 +133,11 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
 
     Negative n is routed through K_{-nu} = K_nu, principal branch.  DomainError for z = 0 or
     non-finite; CapacityError past n = 85 or where K leaves double precision.  At non-real z,
-    RangeError where eps sum|term| (the sum at |z|) exceeds CANCELLATION_BOUND |sum|.  Within 1e-14
-    of 40-digit mpmath for -86 <= n <= 85 and real z in [1e-2, 700].  Within 1e-12 of 40-digit
-    mpmath for -86 <= n <= 85, |z| in [1e-2, 700] and |arg z| <= pi/4.  Within 1e-14 of 40-digit
-    mpmath for -9 <= n <= 8, |z| in [0.5, 5] and Re z > 0.
+    RangeError where eps sum|term| (the sum at |z|) exceeds CANCELLATION_BOUND |sum|; in the sector
+    |arg z| <= pi/4 the sum cancels up to 3.7e3-fold.  Within 1e-14 of 40-digit mpmath for -86 <= n
+    <= 85 and real z in [1e-2, 700].  Within 1e-12 of 40-digit mpmath for -86 <= n <= 85, |z| in
+    [1e-2, 700] and |arg z| <= pi/4.  Within 1e-14 of 40-digit mpmath for -9 <= n <= 8, |z| in [0.5,
+    5] and Re z > 0.
     """
     if n < 0:
         n = -n - 1
@@ -201,9 +205,9 @@ def bessel_i_walk(x: float) -> Iterator[float]:
 
 
 def bessel_i_half(n: int, x: float) -> float:
-    """Modified Bessel function I_{n+1/2}(x), the n-th value of bessel_i_walk(x), with its errors
-    (DomainError for n < 0).  Within 3.1e-15 of 40-digit mpmath for orders 85 to 150 at x in {0.37,
-    13, 50} where I is a normal double."""
+    """Modified Bessel function I_{n+1/2}(x), the n-th value of bessel_i_walk(x), with its domain
+    and errors: 0 <= n <= 1021 and finite x > 0 (DomainError for n < 0).  Within 3.1e-15 of 40-digit
+    mpmath for orders 85 to 150 at x in {0.37, 13, 50} where I is a normal double."""
     if n < 0:
         raise DomainError("bessel_i_half: order index n must be >= 0")
     return next(itertools.islice(bessel_i_walk(x), n, None))
@@ -371,8 +375,10 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
 
     At real z (a float, or a complex with zero imaginary part) the fraction is evaluated once,
     backward in float arithmetic from the a-priori level _cf_depth(z), and the value is a float.
-    That depth (see CF_DEPTH_SCALE) holds for z >= 1 (a = 1/2: z >= 0.3), and the backward pass
-    rounds far less than a forward running product.  Complex z runs modified Lentz forward and stops
+    That depth is validated for z >= 1 (a = 1/2: z >= 0.3; see CF_DEPTH_SCALE): the fraction
+    from it is within 1 ulp of the fraction from 50 levels deeper, and the backward pass rounds
+    far less than a forward running product (E_1 over z in [1, 10]: 3.8e-16 relative at worst;
+    modified Lentz was 1.1e-14 off on [1, 3]).  Complex z runs modified Lentz forward and stops
     where a level changes the value by less than 1e-16 relative: the depth a complex argument
     needs is not known in advance.
     """
@@ -405,8 +411,9 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
 def _gamma_anchor(b: float, z: complex | float, emz: complex | float) -> complex | float:
     """Gamma(b, z) at an anchor b: E_1(z) at b = 0, Gamma(1/2, z) at b = 1/2, with emz = e^{-z};
     a float z and emz give a float.  The anchors come from the ascending series at |z| < 2,
-    and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)), from where the backward fraction
-    is the more accurate.  The fraction converges well only away from the branch cut; at steep
+    and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)): from there the backward fraction
+    is the more accurate (9e-16 against 4.5e-15 on [1, 2]; 5.4e-16 against 3.3e-15 on
+    [0.3, 1)).  The fraction converges well only away from the branch cut; at steep
     arguments the (entire) series is used instead, up to the modulus where its e^{|z|} cancellation
     still leaves ~11 digits, and beyond it a failed fraction raises TruncationError."""
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
@@ -460,11 +467,15 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
     out top-down, those at and below Gamma(0, z) or Gamma(1/2, z) walked down.  Each order raises
     where the walk reaches it, as upper_incomplete_gamma(order, z) does.
 
-    Each order below the anchor is one recurrence step (the fraction at b where it takes over),
-    checked for depth, overflow and a finite value.  Within 5e-14 of 40-digit mpmath for theorem 3's
-    walk, a = 18 down to -199 short of overflow, real z in [0.005, 0.25].  Within 1.5e-14 of
-    40-digit mpmath for T(a,bc)'s walk, a = 3 down to -40, real z in [0.044, 4.8].  Within 1e-14 of
-    40-digit mpmath for integer and half-integer a in [-42, 3] and real z in [5, 40]."""
+    Below the anchor each order costs one step of the generator's own loop: one recurrence step (a
+    power z^b, a multiply, a subtract and a divide; the continued fraction at b where it takes over)
+    and three checks, a depth past GAMMA_RECURRENCE_LIMIT, an OverflowError or ZeroDivisionError
+    from the step (CapacityError naming the order about to be handed out) and a value that is not
+    finite.  That is ~0.1 us per order at real z (218 orders from a = 18 at z = 0.1 in 23 us,
+    CPython 3.11 on a 2-vCPU x86-64 VM).  Within 5e-14 of 40-digit mpmath for theorem 3's walk, a =
+    18 down to -199 short of overflow, real z in [0.005, 0.25].  Within 1.5e-14 of 40-digit mpmath
+    for T(a,bc)'s walk, a = 3 down to -40, real z in [0.044, 4.8].  Within 1e-14 of 40-digit mpmath
+    for integer and half-integer a in [-42, 3] and real z in [5, 40]."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"upper_incomplete_gamma: z = {z} is not finite")
@@ -639,14 +650,14 @@ def meijer_g_0313(j: int, mu: float, arg: float) -> float:
 
         G = 2^{-j} sum_m c_m a^{j-2m} 2 a^{nu_m} K_{nu_m}(2a),   nu_m = mu + 1 - j/2 + m.
 
-    Every nu_m is a half-integer, so every K is a bessel_k_half, exactly when 2 mu - j is an
-    odd integer: theorem 6's mu = n - (j+1)/2 all are.  DomainError for j not an integer >= 0,
-    2 mu - j not an odd integer, or arg not finite and positive.  CapacityError where a term or
-    its K leaves the normal doubles.  RangeError where the Hermite terms cancel,
-    eps sum|term| > CANCELLATION_BOUND |G|: at large arg near mu = -(k+3)/2, 0 <= k < j,
-    k = j (mod 2), where the leading large-arg order int_0^inf w^k e^{-w^2} H_j(w) dw
-    vanishes by orthogonality (e.g. (7, -4, 1e8) cancels from ~1e28 to 1.77), and near a zero of
-    G in arg.
+    Every nu_m is a half-integer, so every K is a bessel_k_half, exactly when 2 mu - j is an odd
+    integer: theorem 6's mu = n - (j+1)/2 all are.  DomainError for j not an integer >= 0, 2 mu - j
+    not an odd integer, or arg not finite and positive.  CapacityError where a term or its K leaves
+    the normal doubles (e.g. (0, -60.5, 1e6), where the value is ~1e436).  RangeError where the
+    Hermite terms cancel, eps sum|term| > CANCELLATION_BOUND |G|: at large arg near mu = -(k+3)/2, 0
+    <= k < j, k = j (mod 2), where the leading large-arg order int_0^inf w^k e^{-w^2} H_j(w) dw
+    vanishes by orthogonality (e.g. (7, -4, 1e8) cancels from ~1e28 to 1.77), and near a zero of G
+    in arg.
 
     Within 25 times eps sum|term| / |G| of 30-digit mpmath for j <= 8, 2 mu - j odd, mu in [-4, 30]
     and arg in [1e-2, 1e8].  Within 1e-14 of 20-digit mpmath for theorem 6's range, j <= 2, mu = n -

@@ -4,11 +4,23 @@ The closed form treated throughout is
 
     yukawa_form:  e^{-x2 sqrt(B k^2 + C)} / sqrt(B k^2 + C),
 
-expanded for |B k^2| < |C| into Macdonald-function series of increasing half-integer order:
-the base theorem, its derivative and the Meijer-G generalisation, all x2-derivatives of the base
-term from one upward Bessel-K walk per series; the six corollary substitutions; and the
-two-range min/max expansion as a baseline.  Outside |B k^2| < |C| a series comes back with
-``converged = False``.  It also holds accumulate_series, the truncation engine.
+expanded for |B k^2| < |C| into Macdonald-function series with increasing
+half-integer order (an alternating series when B, C > 0): the base theorem,
+its derivative (no 1/L denominator) and the Meijer-G generalisation, all as
+x2-derivatives of the base term (e^{-z} times one polynomial in z = x2 sqrt(C)
+per order and term, all from one upward Bessel-K walk per series and a
+two-term recurrence across orders), the six corollary substitutions that
+specialise the same identity to spherical and Cartesian Slater-orbital
+geometry, and the classical two-range min/max expansion kept as a baseline.
+
+The truncation engine shared by every series in the package also lives
+here: Kahan-compensated accumulation that stops once ``TAIL_WINDOW``
+consecutive terms drop below ``rel_tol * |sum|``, or after ``max_terms``
+terms (60 unless a ``TruncationPolicy`` says otherwise).  It sums in floats
+while the terms are real, derives partial sums on demand and reports the
+cancellation max|term| / |value|.  At a real C > 0 the theorem series run in
+floats.  The theorems' series take any k: outside |B k^2| < |C| their terms
+do not shrink, so they come back with ``converged = False``.
 """
 
 from __future__ import annotations

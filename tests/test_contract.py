@@ -30,7 +30,7 @@ def test_row(row, case):
     pytest.param(row, out, id=f"{row.id}-{out.error.__name__}-{out.text}") for row in ROWS for out in row.outside
 ])
 def test_outside_the_domain_raises(row, out):
-    with pytest.raises(out.error):
+    with pytest.raises(out.error, match=out.match):
         out.call()
 
 

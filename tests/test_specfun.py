@@ -77,21 +77,18 @@ class TestBesselKHalf:
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_argument_is_a_domain_error(bad):
-    with pytest.raises(DomainError, match="finite"):
-        sf.bessel_i_half(2, bad)
-    with pytest.raises(DomainError, match="finite"):
-        sf.bessel_k_half(2, bad)
-    with pytest.raises(DomainError, match="finite"):
-        sf.bessel_k_half(2, complex(1.0, bad))
-    with pytest.raises(DomainError, match="finite"):
-        sf.upper_incomplete_gamma(2.0, bad)
-    with pytest.raises(DomainError, match="finite"):
-        sf.upper_incomplete_gamma(bad, 1.0)
-    with pytest.raises(DomainError, match="finite"):
-        next(sf.gamma_walk(2.0, bad))
+    for call in (lambda: sf.bessel_i_half(2, bad), lambda: sf.bessel_k_half(2, bad),
+                 lambda: sf.bessel_k_half(2, complex(1.0, bad)), lambda: sf.upper_incomplete_gamma(2.0, bad),
+                 lambda: sf.upper_incomplete_gamma(bad, 1.0), lambda: next(sf.gamma_walk(2.0, bad))):
+        with pytest.raises(DomainError, match="finite"):
+            call()
 
 
 class TestBesselIHalf:
+    @pytest.mark.parametrize("x", [0.37, 13.0, 50.0])
+    def test_is_the_walk_past_the_factorial_cache(self, x):
+        walked = itertools.islice(sf.bessel_i_walk(x), 85, 151)  # (2n+1)!! past the cache from n = 85
+        assert [sf.bessel_i_half(n, x) for n in range(85, 151)] == list(walked)
 
     def test_i_three_halves_closed_form(self):
         x = 2.0

@@ -1,7 +1,6 @@
 """Addition theorems: golden terms, corollary groupings, two-range baseline."""
 
 import cmath
-import functools
 import itertools
 import math
 import random
@@ -10,13 +9,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from contract import mp_theorem6_term
+from contract import mp_theorem6_term, p_nj_coefs
 from slater_addition import theorems as th
 from slater_addition.amplitudes import cheshire_series, s1_equal_eta_closed
 from slater_addition.errors import CapacityError, DomainError, PoleError, RangeError
-from slater_addition.specfun import (
-    bessel_i_walk, bessel_k_half, cos_power_to_legendre, k_half_coef, legendre_p,
-)
+from slater_addition.specfun import bessel_i_walk, bessel_k_half, cos_power_to_legendre, legendre_p
 from slater_addition.theorems import (
     CorollaryConfig,
     TruncationPolicy,
@@ -175,19 +172,9 @@ class TestTheorem5:
             assert fd == pytest.approx(t5, rel=1e-6)
 
 
-@functools.cache
 def _exact_coefs(n, j):
-    """P_{n,j} / (n! 4^n), highest power first: the exact reference for theorem 6's walk.
-    x^{n+1/2} K_{n+1/2}(xs) is sqrt(pi/2s) e^{-xs} (2s)^{-n} sum_p c(n, n-p) (2xs)^p with
-    c = k_half_coef (DLMF 10.49.12), and (-d/dx)^j [e^{-xs} Q] = e^{-xs} (s - d/dx)^j Q, so the
-    alternating derivative sum cancels exactly in the integers
-    beta_p = sum_i (-1)^i binom(j, i) c(n, n-p-i) 2^{p+i} (p+i)!/p!."""
-    scale = math.factorial(n) * 4**n
-    return tuple(
-        sum((-1) ** i * math.comb(j, i) * k_half_coef(n, n - p - i) * 2 ** (p + i)
-            * math.perm(p + i, i) for i in range(min(j, n - p) + 1)) / scale
-        for p in range(n, -1, -1)
-    )
+    """P_{n,j} / (n! 4^n), highest power first: the exact reference for theorem 6's walk."""
+    return tuple(b / (math.factorial(n) * 4**n) for b in reversed(p_nj_coefs(j, n)))
 
 
 class TestTheorem6:
