@@ -8,8 +8,8 @@ The object of study is
 the general-k overlap of two Slater orbitals with one shifted centre and a
 plane wave.  This module provides its exact closed forms at k = 0, the
 adaptive-quadrature oracle for general k, the Macdonald-series terms in the
-variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) together with their erf and
-incomplete-gamma closed forms, theorem 1 about the vertex of L^2 at eta1 = eta2
+variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) with the erf and
+incomplete-gamma closed forms of term 0, theorem 1 about the vertex of L^2 at eta1 = eta2
 (cheshire_series), one angular integral with a split real/imaginary branch, and
 the double-series reconstructions of the k = 0 closed forms.
 """
@@ -23,12 +23,12 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .errors import CapacityError, DomainError, RangeError, TruncationError
+from .errors import CapacityError, DomainError, RangeError
 from .quadrature import QuadratureResult, integrate_finite
 from .specfun import (
     bessel_k_half,
-    binomial_general,
     cosine_moment_walk,
+    erf_complex,
     factorial,
     gamma_walk,
     k_half_coef,
@@ -208,8 +208,6 @@ def s1_n0_erf_closed(p: SlaterPair) -> complex:
     the phase scalar.  Within 1e-10 of 20-digit mpmath quadrature for eta1 != eta2 in [0.3, 1.5], x2
     in [0.1, 1], k in [0.05, 0.9].
     """
-    from .specfun import erf_complex
-
     if p.eta1 == p.eta2:
         raise DomainError("s1_n0_erf_closed: eta1 = eta2; use cheshire_series")
     if p.k == 0 or p.k_dot_x2 == 0:
@@ -230,16 +228,17 @@ def s1_n0_erf_closed(p: SlaterPair) -> complex:
 
 
 def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
-    """Term n of the series as a sum of incomplete gamma functions.
+    """Term n = 0 of the series as one incomplete-gamma channel.
 
-    Expanding the binomials and the finite Macdonald series turns term n into channels int s^{q}
-    e^{-s x2 - i s^2 (k.x2)/d} ds with q = 3n-2m-2j-J.  Each channel is shifted to a pure Gaussian
-    (s = s' + D) and written as a difference of Gamma((q-K+1)/2,.) values.  For q >= 0 the binomial
-    K-sum is finite; channels with q < 0 are completed with the convergent generalised-binomial
-    series in D/s', whose ratio is below 1 for every admissible geometry since D is purely imaginary
-    and s real.  Within 1e-10 of 20-digit mpmath quadrature for n = 0, eta1 != eta2 in [0.3, 1.5],
-    x2 in [0.1, 1], k in [0.05, 0.9].
+    The shift s = t + D, D = i x2 d / (2 k.x2), turns e^{-s x2 - i s^2 (k.x2)/d} into a constant
+    phase times the pure Gaussian e^{-a t^2}, a = i (k.x2)/d, whose integral over the shifted
+    segment t1 = eta2 - D ... t2 = eta1 - D is (1/2) a^{-1/2} [Gamma(1/2, a t1^2) - Gamma(1/2, a
+    t2^2)].  Terms n >= 1 come from s1_series_n_term (DomainError here).  Within 1e-10 of 20-digit
+    mpmath quadrature for n = 0, eta1 != eta2 in [0.3, 1.5], x2 in [0.1, 1], k in [0.05, 0.9].
     """
+    if n != 0:
+        raise DomainError(f"s1_general_term_gamma: term n = {n!r} has no incomplete-gamma form here; "
+                          "use s1_series_n_term")
     if p.eta1 == p.eta2:
         raise DomainError("s1_general_term_gamma: eta1 = eta2; use cheshire_series")
     if p.k == 0 or p.k_dot_x2 == 0:
@@ -249,49 +248,11 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
     x2 = p.x2
     a = 1j * kx2 / d              # gaussian coefficient after the shift
     big_d = 1j * x2 * d / (2.0 * kx2)
-    t1 = p.eta2 - big_d
-    t2 = p.eta1 - big_d
     phase = cmath.exp(-1j * x2 * x2 * d / (4.0 * kx2))
-    # K_{n+1/2}(s x2)'s sqrt(pi/(2 s x2)); its s^{-1/2} cancels the s^{1/2} of s1_series_n_term
-    pref = _series_prefactor(n, p) * math.sqrt(math.pi / (2.0 * x2))
-
-    # Gamma((q+1)/2, a t^2) at each segment end t, integer and half-integer orders off one walk each
-    ends = [(gamma_walk(1.5 * n + 0.5, w), gamma_walk(1.5 * n, w)) for w in (a * t1 * t1, a * t2 * t2)]
-    gausses: list[complex] = []  # gauss(3n - i) at index i
-
-    def gauss(q: int) -> complex:
-        # int_{t1}^{t2} t^q e^{-a t^2} dt along the shifted segment
-        while len(gausses) <= 3 * n - q:
-            g1, g2 = (next(walks[len(gausses) % 2]) for walks in ends)
-            gausses.append(0.5 * a ** ((len(gausses) - 3 * n - 1) / 2.0) * (g1 - g2))
-        return gausses[3 * n - q]
-
-    def s_power_channel(q: int) -> complex:
-        # int_{eta2}^{eta1} s^q e^{-s x2} e^{-i s^2 (k.x2)/d} ds / phase
-        total = 0.0 + 0.0j
-        kk = 0
-        while True:
-            coeff = binomial_general(q, kk)
-            if coeff == 0.0:
-                break
-            piece = coeff * big_d**kk * gauss(q - kk)
-            total += piece
-            kk += 1
-            if kk > 8 and abs(piece) <= 1e-15 * max(abs(total), 1e-300):
-                break
-            if kk > 600:
-                raise TruncationError("s1_general_term_gamma: shift series stalled")
-        return total
-
-    total = 0.0 + 0.0j
-    for m in range(n + 1):
-        cm = (-1.0) ** m * p.eta1 ** (2 * m) * math.comb(n, m)
-        for j in range(n + 1):
-            cj = (-1.0) ** j * p.eta2 ** (2 * j) * math.comb(n, j)
-            for cap_j in range(n + 1):
-                ck = k_half_coef(n, cap_j) * 2.0 ** (-cap_j) * x2 ** (-cap_j)
-                total += cm * cj * ck * s_power_channel(3 * n - 2 * m - 2 * j - cap_j)
-    return pref * phase * total
+    # K_{1/2}(s x2)'s sqrt(pi/(2 s x2)); its s^{-1/2} cancels the s^{1/2} of s1_series_n_term
+    pref = _series_prefactor(0, p) * math.sqrt(math.pi / (2.0 * x2))
+    g1, g2 = (next(gamma_walk(0.5, a * t * t)) for t in (p.eta2 - big_d, p.eta1 - big_d))
+    return pref * phase * (0.5 * a**-0.5 * (g1 - g2))
 
 
 def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = None,

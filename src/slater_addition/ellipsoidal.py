@@ -171,13 +171,6 @@ def _row(n: int) -> tuple[float, ...]:
                  for big_j in range(nt + 1))
 
 
-def _scales(n: int, R: float, r16: float, i_low: float, i_top: float) -> tuple[float, float]:
-    # R^{2n} (X + Y) and 16 R^{2n+2} X, with r16 = 16 R^3, X = I_{n+5/2}(R) R^{-n-1/2} =
-    # i_top R^{-n-1/2} and Y = (2n+3) I_{n+3/2}(R) R^{-n-3/2} = (2n+3) i_low R^{-n-3/2}
-    r = R ** (n - 1.5)
-    return r * (R * i_top + (2 * n + 3) * i_low), r16 * r * i_top
-
-
 def t_abc_term(n: int, big_j: int, R: float) -> float:
     """The (n, J) contribution after both angular moments are expressed in
     modified Bessel I and the lam integral in incomplete gammas:
@@ -188,8 +181,9 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
 
     with c = k_half_coef, the K finite-series coefficient, and Gm = Gamma(m - J - n, 4R).  Integers
     n >= 0 and 0 <= J <= max(n-1, 0), R >= SERIES_MIN_R (DomainError otherwise); n <= 86, where
-    k_half_coef's factorials stop (CapacityError beyond).  Within 1e-14 of 40-digit mpmath for n <=
-    86, J <= max(n - 1, 0) and R in [1e-3, 20] where R^{n-3/2} I_{n+5/2}(R) is a normal double.
+    k_half_coef's factorials stop, and I_{n+3/2}(R) and the Gm normal doubles (CapacityError
+    otherwise).  Within 1e-14 of 40-digit mpmath for n <= 86, J <= max(n - 1, 0) and R in [1e-3, 20]
+    where I_{n+3/2}(R) and Gamma(m - J - n, 4R), m = 1, 2, 3, are normal doubles.
     """
     _check_r("t_abc_term", R, SERIES_MIN_R)
     _check_index("t_abc_term", "n", n)
@@ -199,8 +193,17 @@ def t_abc_term(n: int, big_j: int, R: float) -> float:
         raise DomainError(f"t_abc_term: J = {big_j} outside 0..{nt}")
     k = n + big_j  # the walk from Gamma(3, 4R) reads Gamma(3 - k, 4R) at index k
     g3, g2, g1 = itertools.islice(gamma_walk(3.0 - k, 4.0 * R), 3)
-    p, q = _scales(n, R, 16.0 * R**3, *itertools.islice(bessel_i_walk(R), n + 1, n + 3))
-    return _row(n)[big_j] * (p * (4.0 * g2 + g3) - q * g1)
+    i_low, i_top = itertools.islice(bessel_i_walk(R), n + 1, n + 3)
+    if min(i_low, g1, g2, g3) < sys.float_info.min:
+        raise CapacityError(f"t_abc_term: I_{{{n + 1}+1/2}}({R}) or Gamma({1 - k}..{3 - k}, {4.0 * R}) "
+                            "is below the normal doubles")
+    # R^{n-3/2} I_{n+5/2}(R) alone is 0.0 at n = 79, R = 0.0675, where the term is not: the powers
+    # of two of R^n, the I factor and the Gamma factor are summed apart from their mantissas
+    u = R * i_top + (2 * n + 3) * i_low
+    mu, eu = math.frexp(u)
+    mw, ew = math.frexp(4.0 * g2 + g3 - 16.0 * R**3 * i_top / u * g1)
+    mant, expo = math.frexp(R)
+    return math.ldexp(_row(n)[big_j] * mant**n * R**-1.5 * (mu * mw), eu + ew + expo * n)
 
 
 def _k_walk(R: float, top: int) -> list[float]:
@@ -304,7 +307,9 @@ def t_abc_series(R: float, n_max: int = 20,
         if len(i_half) < 3:
             raise i_error
         g0, g1, g2 = gammas[:3]
-        p, q = _scales(0, R, 16.0 * R**3, i_half[1], i_half[2])
+        # increment 0's Bessel factors, R^{-3/2} (R I_{5/2} + 3 I_{3/2}) and 16 R^{3/2} I_{5/2}
+        r = R**-1.5
+        p, q = r * (R * i_half[2] + 3 * i_half[1]), 16.0 * R**3 * r * i_half[2]
         a00 = _row(0)[0]
         first = p * (a00 * (4.0 * g1 + g0)) - q * (a00 * g2)
         yield first

@@ -103,14 +103,6 @@ def k_half_coef(n: int, j: int) -> int:
     return factorial(n + j) // (factorial(j) * factorial(n - j))
 
 
-def binomial_general(p: int, k: int) -> float:
-    """Generalised binomial coefficient p(p-1)...(p-k+1)/k! for integer p of any sign."""
-    num = 1.0
-    for i in range(k):
-        num *= p - i
-    return num / factorial(k)
-
-
 def read_walk(values: Iterator, count: int) -> tuple[list, SlaterAdditionError | None]:
     """The first count values of a walk, or those before the error that stopped it, and that
     error, for the caller that needs a value past them to raise where a lazy read would have."""

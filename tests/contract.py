@@ -615,7 +615,7 @@ def _t_abc_terms(rng: random.Random) -> Checks:
     with mp.workdps(40):
         for n in (rng.randint(0, 86) for _ in range(100)):
             big_j, R = rng.randint(0, max(n - 1, 0)), logu(rng, 1e-3, 20)
-            if mp.mpf(R) ** (n - 1.5) * mp.besseli(n + 2.5, R) >= TINY:
+            if min(mp.besseli(n + 1.5, R), *(_mp_gamma(m - big_j - n, R) for m in (1, 2, 3))) >= TINY:
                 yield rel(el.t_abc_term(n, big_j, R), _mp_increment(n, R, (big_j,))), (n, big_j, R)
 
 
@@ -841,12 +841,14 @@ def _rows() -> tuple[Row, ...]:
             outside=(Outside("k = 0", lambda: am.s1_n0_erf_closed(am.SlaterPair(0.8, 0.5, 1.0)), DomainError),)),
         Row(am.s1_general_term_gamma, f"n = 0, {pair_box}", "20-digit mpmath quadrature", 1e-10, 10,
             lambda rng: _series_terms(am.s1_general_term_gamma, [(0, _pair(rng)) for _ in range(10)]),
-            outside=(Outside("k = 0", lambda: am.s1_general_term_gamma(0, am.SlaterPair(0.8, 0.5, 1)), DomainError),)),
-        Row(am.s1_general_term_gamma, f"n in {{1, 3}}, {pair_box}", "20-digit mpmath quadrature", 1e-10, 3,
-            lambda rng: _series_terms(am.s1_general_term_gamma, [
-                (1, am.SlaterPair(0.968, 0.5538, 0.5035, 0.4027)), (1, am.SlaterPair(0.65, 1.0438, 0.6761, 0.2833)),
-                (3, am.SlaterPair(1.1229, 1.1869, 0.6722, 0.3779))]),
-            open="NaN at n = 1, CapacityError factorial(171) at n = 1, and 2e-5 off at n = 3"),
+            outside=(Outside("k = 0", lambda: am.s1_general_term_gamma(0, am.SlaterPair(0.8, 0.5, 1)), DomainError),
+                     # terms n >= 1 at the benchmark's block-series and oracle-check probe inputs
+                     *(at(am.s1_general_term_gamma, n, am.SlaterPair(*pair), error=DomainError,
+                          match="use s1_series_n_term", text=f"n = {n}, " + ", ".join(map(str, pair)))
+                       for n, *pair in ((1, 0.968, 0.5538, 0.5035, 0.4027), (2, 0.968, 0.5538, 0.5035, 0.4027),
+                                        (3, 0.968, 0.5538, 0.5035, 0.4027), (1, 0.65, 1.0438, 0.6761, 0.2833),
+                                        (3, 0.7714, 1.0435, 0.113, 0.1117), (3, 1.1229, 1.1869, 0.6722, 0.3779),
+                                        (1, 1.2696, 0.695, 0.8859, 0.3023), (3, 0.5192, 0.9115, 0.9048, 0.4802))))),
         Row(am.cheshire_series, "eta1 in [0.2, 2], x2 in [0.1, 20] and k / eta1 in [0, 4] where converged",
             "20-digit mpmath quadrature", 3e-10, 105, _cheshire,
             outside=(Outside("|k.x2| > k x2", lambda: am.cheshire_series(0.8, 0.5, 0.1, 5.0), DomainError,
@@ -900,12 +902,14 @@ def _rows() -> tuple[Row, ...]:
             _t_abc_exact(0.011, 236.13, (0.011, 0.05, 20.0, 236.0), 180)),
         Row(el.t_abc_exact, "R in (236.13, 239.26]", "40-digit mpmath", 1.2e-12, 62,
             _t_abc_exact(236.14, 239.26, (239.0, el.EXACT_MAX_R))),
-        Row(el.t_abc_term, "n <= 86, J <= max(n - 1, 0) and R in [1e-3, 20] where R^{n-3/2} I_{n+5/2}(R) is a normal "
-            "double", "40-digit mpmath", 1e-14, 83, _t_abc_terms,
+        Row(el.t_abc_term, "n <= 86, J <= max(n - 1, 0) and R in [1e-3, 20] where I_{n+3/2}(R) and Gamma(m - J - n, "
+            "4R), m = 1, 2, 3, are normal doubles", "40-digit mpmath", 1e-14, 83, _t_abc_terms,
             outside=(at(el.t_abc_term, 0, 1, 0.11, error=DomainError), at(el.t_abc_term, 3, 3, 0.11, error=DomainError),
                      *(at(el.t_abc_term, n, J, R, error=DomainError, match="R >= 1e-150")
                        for n, J in ((0, 0), (2, 1)) for R in (1e-300, 1e-200, 9e-151)),
-                     at(el.t_abc_term, 2.0, 1, 0.11, error=DomainError))),
+                     at(el.t_abc_term, 2.0, 1, 0.11, error=DomainError),
+                     *(at(el.t_abc_term, *args, error=CapacityError, match="below the normal doubles")
+                       for args in ((1, 0, 1e-130), (77, 76, 20.0))))),
         Row(el.t_abc_series, "increments n <= 20 at R in [0.001, 2.5], and 87 <= n <= 100 at R = 0.5 and 2.5",
             "40-digit mpmath", 2.5e-15, 6, _t_abc_increments,
             outside=(at(el.t_abc_series, 0.0, error=DomainError),

@@ -3,11 +3,12 @@
 import cmath
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
 
-from contract import tau_mpmath
+from contract import _pair, tau_mpmath
 from slater_addition import amplitudes, cli
 from slater_addition.amplitudes import (
     SlaterPair,
@@ -115,22 +116,37 @@ class TestSeriesTerms:
         partial = sum(s1_series_n_term(n, PAIR) for n in range(4))
         assert abs(partial - oracle) <= 1e-3 * abs(oracle)
 
+    def test_gamma_and_erf_forms_of_term_zero_agree(self):
+        # two closed forms off independent kernels, gamma_walk and erf_complex, tighter than the
+        # 1e-10 quadrature rows of either; the Gamma(1/2, .) difference cancels as eta1 -> eta2,
+        # 4e-12 at eta1 / eta2 = 0.996
+        rng = random.Random(0)
+        for p in (_pair(rng) for _ in range(600)):
+            erf0 = s1_n0_erf_closed(p)
+            assert abs(s1_general_term_gamma(0, p) - erf0) <= 1e-11 * abs(erf0), p
+
     def test_erf_closed_form_conjugation(self):
         flipped = SlaterPair(PAIR.eta1, PAIR.eta2, PAIR.x2, PAIR.k, k_dot_x2=-PAIR.k_dot_x2)
         assert s1_n0_erf_closed(flipped) == s1_n0_erf_closed(PAIR).conjugate()
 
+    @staticmethod
+    def _gamma_form_matches_quadrature(n, pair, tol):
+        # term 0 is one Gamma(1/2, .) channel; terms n >= 1 are left to the quadrature
+        if n == 0:
+            quad = s1_series_n_term(0, pair, tol=1e-12)
+            assert abs(s1_general_term_gamma(0, pair) - quad) <= tol * abs(quad)
+        else:
+            with pytest.raises(DomainError, match="use s1_series_n_term"):
+                s1_general_term_gamma(n, pair)
+
     @pytest.mark.parametrize("n", range(4))
     def test_gamma_form_equals_quadrature_term(self, n):
-        quad = s1_series_n_term(n, PAIR, tol=1e-12)
-        gamma = s1_general_term_gamma(n, PAIR)
-        assert abs(gamma - quad) <= 1e-6 * abs(quad)
+        self._gamma_form_matches_quadrature(n, PAIR, 1e-6)
 
     @pytest.mark.parametrize("n", range(3))
     def test_gamma_form_reversed_orientation(self, n):
         rev = SlaterPair(eta1=0.66, eta2=0.82, x2=0.36, k=0.19)
-        quad = s1_series_n_term(n, rev, tol=1e-12)
-        gamma = s1_general_term_gamma(n, rev)
-        assert abs(gamma - quad) <= 1e-8 * abs(quad)
+        self._gamma_form_matches_quadrature(n, rev, 1e-8)
         erf0 = s1_n0_erf_closed(rev)
         assert abs(erf0 - s1_series_n_term(0, rev)) <= 1e-8 * abs(erf0)
 
@@ -138,12 +154,12 @@ class TestSeriesTerms:
     @pytest.mark.parametrize("pair", [
         PAIR,
         SlaterPair(eta1=0.66, eta2=0.82, x2=0.36, k=0.19),
-        SlaterPair(eta1=0.968, eta2=0.5538, x2=0.5035, k=0.4027),  # NaN at n = 1, 2
-        SlaterPair(eta1=0.65, eta2=1.0438, x2=0.6761, k=0.2833),  # CapacityError at n = 1
+        SlaterPair(eta1=0.968, eta2=0.5538, x2=0.5035, k=0.4027),  # benchmark probes of n = 1, 2
+        SlaterPair(eta1=0.65, eta2=1.0438, x2=0.6761, k=0.2833),  # benchmark probe of n = 1
     ])
     def test_shared_ladders_match_one_walk_per_gamma(self, n, pair, monkeypatch):
-        # the segment-end walks against a fresh upper_incomplete_gamma walk per
-        # Gamma value: bit-identical values, NaNs and exceptions
+        # the segment-end Gamma(1/2, .) walks against upper_incomplete_gamma: bit-identical
+        # values at n = 0, and the same DomainError at n >= 1
         def outcome():
             try:
                 v = s1_general_term_gamma(n, pair)

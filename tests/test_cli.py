@@ -8,7 +8,7 @@ import pytest
 
 from slater_addition import amplitudes, ellipsoidal, specfun, theorems
 from slater_addition import reproduce
-from slater_addition.cli import TARGETS, main, parse_value
+from slater_addition.cli import EXIT_ERROR, TARGETS, main, parse_value
 
 GOLDEN_ARGS = ["--param", "B=0.13", "--param", "C=0.11", "--param", "k=0.17",
                "--param", "x2=0.23"]
@@ -142,10 +142,17 @@ class TestCompare:
         assert "within_tol = true" in capsys.readouterr().out
 
     def test_term_pair_oracle(self, capsys):
-        rc = main(["compare", "s1_general_term_gamma", "--param", "n=1",
+        rc = main(["compare", "s1_general_term_gamma", "--param", "n=0",
                    "--param", "eta1=0.82", "--param", "eta2=0.66", "--param", "x2=0.36",
                    "--param", "k=0.19", "--tol", "1e-6"])
         assert rc == 0
+
+    def test_gamma_form_past_term_zero_names_the_quadrature(self, capsys):
+        rc = main(["compare", "s1_general_term_gamma", "--param", "n=1",
+                   "--param", "eta1=0.82", "--param", "eta2=0.66", "--param", "x2=0.36",
+                   "--param", "k=0.19", "--tol", "1e-6"])
+        assert rc == EXIT_ERROR
+        assert "s1_series_n_term" in capsys.readouterr().err
 
 
 class TestTable:
@@ -277,11 +284,11 @@ SMOKE = {
     "s1_equal_eta": (["--param", "eta2=0.66", "--param", "x2=0.36"], "1e-8"),
     "s1_tau_oracle": (["--param", "eta1=0.82", "--param", "eta2=0.66", "--param", "x2=0.36",
                        "--param", "k=0.19"], None),
-    "s1_series_n_term": (["--param", "n=1", "--param", "eta1=0.82", "--param", "eta2=0.66",
+    "s1_series_n_term": (["--param", "n=0", "--param", "eta1=0.82", "--param", "eta2=0.66",
                           "--param", "x2=0.36", "--param", "k=0.19"], "1e-6"),
     "s1_n0_erf": (["--param", "eta1=0.82", "--param", "eta2=0.66", "--param", "x2=0.36",
                    "--param", "k=0.19"], "1e-8"),
-    "s1_general_term_gamma": (["--param", "n=2", "--param", "eta1=0.82", "--param",
+    "s1_general_term_gamma": (["--param", "n=0", "--param", "eta1=0.82", "--param",
                                "eta2=0.66", "--param", "x2=0.36", "--param", "k=0.19"],
                               "1e-5"),
     "cheshire": (["--param", "eta1=0.82", "--param", "x2=0.36", "--param", "k=0.19"],

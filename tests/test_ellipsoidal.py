@@ -105,6 +105,11 @@ class TestSeries:
             rest = sum(abs(t_abc_term(n, j, R)) for j in range(n - 1))
             assert top > rest
 
+    def test_term_keeps_a_tiny_bessel_factor_against_large_gammas(self):
+        # R^{n-3/2} I_{n+5/2}(R) is below the doubles here, the term itself is not; 40-digit mpmath
+        want = 7.470967808070783e-111
+        assert abs(t_abc_term(79, 37, 0.0675) - want) <= 1e-14 * want
+
     @pytest.mark.parametrize("route", [
         lambda: t_abc_term(2.0, 1, 0.11), lambda: t_abc_term(2, 1.0, 0.11),
         lambda: t_abc_term(True, 0, 0.11), lambda: t_abc_term(1, False, 0.11),

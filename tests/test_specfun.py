@@ -17,11 +17,6 @@ from slater_addition.errors import CapacityError, DomainError, RangeError, Slate
 SQRT_PI = math.sqrt(math.pi)
 
 
-class TestFactorials:
-    def test_binomial(self):
-        assert sf.binomial_general(-2, 3) == pytest.approx(-4.0)
-
-
 class TestBesselKHalf:
     def test_k_half_closed_form(self):
         # K_{1/2}(z) = sqrt(pi/(2z)) e^{-z}, exactly as built
