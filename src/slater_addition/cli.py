@@ -227,6 +227,13 @@ def _ei_oracle(ctx: Context, x: float) -> float:
     return -res.value
 
 
+def _s1_gamma_oracle(ctx: Context, n: int, quad_tol: float, **pair) -> complex:
+    if n != 0:
+        raise UsageError(f"compare s1_series_n_term has an oracle at n = 0 only (the incomplete-gamma "
+                         f"channel), got n = {n}")
+    return amplitudes.s1_general_term_gamma(0, amplitudes.SlaterPair(**pair))
+
+
 def _s1_defining_2d(eta1: float, eta2: float | None, x2: float, tol: float) -> QuadratureResult:
     # int d^3x1 (e^{-eta1 x1}/x1) f(x12): reduced to (x1, u) with u = cos(theta).
     # The u-integral has a kink in x1 at x1 = x2, where x12 vanishes at u = 1,
@@ -360,8 +367,7 @@ TARGETS: dict[str, Target] = {
     "s1_series_n_term": Target(
         lambda c, n, eta1, eta2, x2, k, k_dot_x2=None, quad_tol=1e-11: amplitudes.s1_series_n_term(
             n, amplitudes.SlaterPair(eta1, eta2, x2, k, k_dot_x2), quad_tol),
-        lambda c, n, quad_tol, **pair: amplitudes.s1_general_term_gamma(
-            n, amplitudes.SlaterPair(**pair)),
+        _s1_gamma_oracle,
         ("s1_series_n_term",),
     ),
     "s1_n0_erf": Target(

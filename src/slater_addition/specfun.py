@@ -304,34 +304,18 @@ def cos_power_to_legendre(j: int) -> dict[int, float]:
 # upper incomplete gamma, integer and half-integer first argument
 # ---------------------------------------------------------------------------
 
-def _exp1_small(z: complex | float) -> complex | float:
-    """E_1(z) = Gamma(0, z) by the ascending series, |z| small, z off (-inf, 0]; a float z runs
-    it in float arithmetic."""
-    real = isinstance(z, float)
-    total = -0.5772156649015328606 - (math.log(z) if real else cmath.log(z))
-    term = 1.0 if real else 1.0 + 0.0j
-    for k in range(1, 200):
-        term *= -z / k
-        total -= term / k
-        if abs(term) < 1e-18 * k:
-            return total
-    raise TruncationError("E1 small-z series did not converge")
-
-
-def _gamma_series_small(a: float, z: complex | float) -> complex | float:
-    """Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k)), a not a nonpositive integer;
-    a float z runs it in float arithmetic."""
-    real = isinstance(z, float)
-    s = 1.0 / a if real else 1.0 / a + 0.0j
-    term = 1.0 if real else 1.0 + 0.0j
-    for k in range(1, 300):
+def _gamma_series(a: float, z: complex | float, s: complex | float) -> complex | float:
+    """s + sum_{k>=1} (-z)^k / (k! (a+k)), the terms past k = 0 of the ascending series gamma(a, z)
+    = z^a sum_k (-z)^k / (k! (a+k)) (DLMF 8.7.1), in z's own number type: E_1, Gamma(1/2, z) and
+    erf sum it from their own first terms.  It stops at the first term below 1e-18 max(a + k, |s|):
+    an increment below 1e-18, or a term below 1e-18 |s|."""
+    term = 1.0
+    for k in range(1, 1200):
         term *= -z / k
         s += term / (a + k)
-        if abs(term) < 1e-18 * max(1.0, abs(s)):
-            break
-    else:
-        raise TruncationError("incomplete gamma small-z series did not converge")
-    return math.gamma(a) - z**a * s
+        if abs(term) < 1e-18 * max(a + k, abs(s)):
+            return s
+    raise TruncationError("incomplete gamma ascending series did not converge")
 
 
 def _cf_depth(z: float) -> int:
@@ -402,43 +386,19 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
 
 def _gamma_anchor(b: float, z: complex | float, emz: complex | float) -> complex | float:
     """Gamma(b, z) at an anchor b: E_1(z) at b = 0, Gamma(1/2, z) at b = 1/2, with emz = e^{-z};
-    a float z and emz give a float.  The anchors come from the ascending series at |z| < 2,
-    and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)): from there the backward fraction
-    is the more accurate (9e-16 against 4.5e-15 on [1, 2]; 5.4e-16 against 3.3e-15 on
+    a float z and emz give a float.  The anchors come from the ascending series _gamma_series at
+    |z| < 2, and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)): from there the backward
+    fraction is the more accurate (9e-16 against 4.5e-15 on [1, 2]; 5.4e-16 against 3.3e-15 on
     [0.3, 1)).  The fraction converges well only away from the branch cut; at steep
     arguments the (entire) series is used instead, up to the modulus where its e^{|z|} cancellation
     still leaves ~11 digits, and beyond it a failed fraction raises TruncationError."""
     steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
     if abs(z) < (2.0 if z.imag else GAMMA_HALF_ANCHOR_CF_Z if b else 1.0) or (steep and abs(z) <= 9.0):
-        return _exp1_small(z) if b == 0.0 else _gamma_series_small(0.5, z)
+        if b:  # Gamma(1/2, z) = sqrt(pi) - z^{1/2} (2 + sum)
+            return _SQRT_PI - z**0.5 * _gamma_series(0.5, z, 2.0)
+        log = math.log if isinstance(z, float) else cmath.log
+        return -_gamma_series(0.0, z, 0.5772156649015328606 + log(z))  # E_1 = -(gamma_E + ln z + sum)
     return _gamma_cf(b, z, emz)
-
-
-def _gamma_up(b: float, z: complex | float, emz: complex | float,
-              g: complex | float | None) -> Iterator[complex | float]:
-    """Gamma(b, z) (g, or else the anchor Gamma(1/2, z)), Gamma(b + 1, z), ..., unchecked, by
-    Gamma(b + 1) = b Gamma(b) + z^b e^{-z} with emz = e^{-z}."""
-    if g is None:
-        g = _gamma_anchor(b, z, emz)
-    yield g
-    while True:
-        g = b * g + z**b * emz
-        b += 1.0
-        yield g
-
-
-def _checked(values: Iterator, count: int, depth: int, order: float) -> list:
-    # the next count values of a walk, the last of them Gamma(order), depth steps from its anchor,
-    # under the walk's three checks
-    if depth > GAMMA_RECURRENCE_LIMIT:
-        raise _past_limit(depth)
-    try:
-        run = list(itertools.islice(values, count))
-    except (OverflowError, ZeroDivisionError) as exc:  # z^b leaves double precision
-        raise _overflow(order) from exc
-    if not all(map(cmath.isfinite, run)):
-        raise CapacityError(_NOT_FINITE)
-    return run
 
 
 def _past_limit(depth: int) -> CapacityError:
@@ -459,15 +419,18 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
     out top-down, those at and below Gamma(0, z) or Gamma(1/2, z) walked down.  Each order raises
     where the walk reaches it, as upper_incomplete_gamma(order, z) does.
 
-    Below the anchor each order costs one step of the generator's own loop: one recurrence step (a
-    power z^b, a multiply, a subtract and a divide; the continued fraction at b where it takes over)
-    and three checks, a depth past GAMMA_RECURRENCE_LIMIT, an OverflowError or ZeroDivisionError
-    from the step (CapacityError naming the order about to be handed out) and a value that is not
-    finite.  That is ~0.1 us per order at real z (218 orders from a = 18 at z = 0.1 in 23 us,
-    CPython 3.11 on a 2-vCPU x86-64 VM).  Within 5e-14 of 40-digit mpmath for theorem 3's walk, a =
-    18 down to -199 short of overflow, real z in [0.005, 0.25].  Within 1.5e-14 of 40-digit mpmath
-    for T(a,bc)'s walk, a = 3 down to -40, real z in [0.044, 4.8].  Within 1e-14 of 40-digit mpmath
-    for integer and half-integer a in [-42, 3] and real z in [5, 40]."""
+    At and below the anchor one loop takes every order, the anchor at its step 0, each step one
+    recurrence step (a power z^b, a multiply, a subtract and a divide; the continued fraction at b
+    where it takes over) and three checks: a depth past GAMMA_RECURRENCE_LIMIT, an OverflowError or
+    ZeroDivisionError from the step (CapacityError naming the order about to be handed out, or the
+    first order while the walk is above it) and a value that is not finite (raised once the first
+    order is reached).  That is ~0.15 us per order at real z (218 orders from a = 18 at z = 0.1 in
+    32-35 us, CPython 3.11 on a 2-vCPU x86-64 VM).  Within 5e-14 of 40-digit mpmath for theorem 3's
+    walk, a = 18 down to -199 short of overflow, real z in [0.005, 0.25].  Within 1.5e-14 of
+    40-digit mpmath for T(a,bc)'s walk, a = 3 down to -40, real z in [0.044, 4.8].  Within 1e-14 of
+    40-digit mpmath for integer and half-integer a in [-42, 3] and real z in [5, 40].  Within 6e-16
+    of 80-digit mpmath for T(a,bc)'s walk at R in [10, 20], a = 3 down to the last normal value,
+    real z in [40, 80]."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"upper_incomplete_gamma: z = {z} is not finite")
@@ -488,47 +451,49 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
                 raise CapacityError(f"upper_incomplete_gamma: Gamma({two_a / 2.0}) overflows") from exc
             yield complex(g)
     half = two_a % 2  # the half-integer orders walk both ways from Gamma(1/2)
+    first = two_a / 2.0  # the first order handed out
     up = two_a > half
     depth = (two_a - 2 + half) // 2 if up else (half - two_a) // 2  # steps from the anchor to a
-    emz = _checked(map(cmath.exp, [-z]), 1, depth, two_a / 2.0)[0]  # under the first order's checks
-    if z.imag == 0:
-        z, emz = z.real, emz.real
+    if depth > GAMMA_RECURRENCE_LIMIT:
+        raise _past_limit(depth)
     b = half / 2.0  # the anchor at and below which the walk goes down: Gamma(0) or Gamma(1/2)
-    g = None
-    if up:  # up from Gamma(1) or Gamma(1/2) to a, handed out top-down
-        run = _checked(_gamma_up(1.0 - b, z, emz, None if half else emz), depth + 1, depth,
-                       two_a / 2.0)
-        yield from reversed(run)
-        g = run[0] if half else None
-        two_a, depth = -half, half
-    # down by Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1), or at real z >= GAMMA_CF_REAL_Z
-    # (integer b) or GAMMA_CF_HALF_Z (half-integer b) by the fraction at each order
-    cf = isinstance(z, float) and z >= (GAMMA_CF_HALF_Z if half else GAMMA_CF_REAL_Z)
-    isfinite = math.isfinite if isinstance(z, float) else cmath.isfinite
-    # from the anchor to the first order, two_a / 2, depth steps below it: an overflow on the
-    # way names that order, and a non-finite value raises once it is reached
     try:
-        if g is None:
-            g = _gamma_anchor(b, z, emz)
-        finite = isfinite(g)
-        for _ in range(depth):
-            b -= 1.0
-            g = _gamma_cf(b, z, emz) if cf else (g - z**b * emz) / b
-            finite = finite and isfinite(g)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _overflow(two_a / 2.0) from exc
-    if not finite:
-        raise CapacityError(_NOT_FINITE)
-    yield g
-    for _ in range(depth, GAMMA_RECURRENCE_LIMIT):  # then one checked step per order
-        b -= 1.0
-        try:
-            g = _gamma_cf(b, z, emz) if cf else (g - z**b * emz) / b
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _overflow(b) from exc
-        if not isfinite(g):
+        emz = cmath.exp(-z)
+        if z.imag == 0:
+            z, emz = z.real, emz.real
+        if up:  # Gamma(c + 1) = c Gamma(c) + z^c e^{-z} from Gamma(1) or Gamma(1/2), handed out top-down
+            c, run = 1.0 - b, [_gamma_anchor(b, z, emz) if half else emz]
+            for _ in range(depth):
+                run.append(c * run[-1] + z**c * emz)
+                c += 1.0
+    except (OverflowError, ZeroDivisionError) as exc:  # z^c or e^{-z} leaves double precision
+        raise _overflow(first) from exc
+    isfinite = math.isfinite if isinstance(z, float) else cmath.isfinite
+    if up:
+        if not all(map(isfinite, run)):
             raise CapacityError(_NOT_FINITE)
-        yield g
+        yield from reversed(run)
+        first = -half / 2.0
+    g = run[0] if up and half else None
+    # down by Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1), or at real z >= GAMMA_CF_REAL_Z
+    # (integer b) or GAMMA_CF_HALF_Z (half-integer b) by the fraction at each order, from the anchor
+    # at step 0; above the first order an overflow names it, and a non-finite value raises there
+    cf = isinstance(z, float) and z >= (GAMMA_CF_HALF_Z if half else GAMMA_CF_REAL_Z)
+    finite = True
+    for step in range(GAMMA_RECURRENCE_LIMIT + 1):
+        try:
+            if step:
+                b -= 1.0
+                g = _gamma_cf(b, z, emz) if cf else (g - z**b * emz) / b
+            elif g is None:
+                g = _gamma_anchor(b, z, emz)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _overflow(min(b, first)) from exc
+        finite = finite and isfinite(g)
+        if b <= first:
+            if not finite:
+                raise CapacityError(_NOT_FINITE)
+            yield g
     raise _past_limit(GAMMA_RECURRENCE_LIMIT + 1)
 
 
@@ -556,11 +521,12 @@ def erf_complex(z: complex | float) -> complex:
     """Error function of a complex argument; odd in z.
 
     Real arguments delegate to math.erf.  After the odd reduction to Re z >= 0, arguments with Re z
-    <= 2 go through the entire Taylor series (whose e^{2 Re(z)^2} cancellation then costs at most
-    ~3.5 digits, at any height short of overflow) and the rest through erf(z) = 1 - Gamma(1/2,
-    z^2)/sqrt(pi), whose continued fraction holds full precision once Re z >= 2.  Where e^{-z^2}
-    itself overflows double precision, RangeError is raised.  Within 1e-12 relative to max(|erf z|,
-    |erfc z|) of 40-digit mpmath for |Re z|, |Im z| <= 25.
+    <= 2 go through erf(z) = gamma(1/2, z^2)/sqrt(pi), the entire ascending series that E_1 and
+    Gamma(1/2, z) share (its e^{2 Re(z)^2} cancellation then costs at most ~3.5 digits, at any
+    height short of overflow), and the rest through erf(z) = 1 - Gamma(1/2, z^2)/sqrt(pi), whose
+    continued fraction holds full precision once Re z >= 2.  Where e^{-z^2} itself overflows double
+    precision, RangeError is raised.  Within 1e-12 relative to max(|erf z|, |erfc z|) of 40-digit
+    mpmath for |Re z|, |Im z| <= 25.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -570,16 +536,8 @@ def erf_complex(z: complex | float) -> complex:
     z2 = z * z
     if -z2.real > 700.0:
         raise RangeError(f"erf_complex: e^(-z^2) overflows for z = {z}")
-    if z.real <= 2.0:
-        # 2/sqrt(pi) sum_k (-1)^k z^{2k+1} / (k! (2k+1))
-        term = z
-        total = z
-        for k in range(1, 1200):
-            term *= -z2 / k
-            total += term / (2 * k + 1)
-            if abs(term) < 1e-18 * (2 * k + 1) * max(abs(total), 1e-30):
-                return 2.0 / _SQRT_PI * total
-        raise TruncationError("erf Taylor series did not converge")
+    if z.real <= 2.0:  # gamma(1/2, z^2) / sqrt(pi) = z (2 + sum) / sqrt(pi)
+        return z * _gamma_series(0.5, z2, 2.0) / _SQRT_PI
     return 1.0 - _gamma_cf(0.5, z2, cmath.exp(-z2)) / _SQRT_PI
 
 

@@ -154,6 +154,14 @@ class TestCompare:
         assert rc == EXIT_ERROR
         assert "s1_series_n_term" in capsys.readouterr().err
 
+    def test_quadrature_term_past_zero_has_no_oracle(self, capsys):
+        rc = main(["compare", "s1_series_n_term", "--param", "n=1",
+                   "--param", "eta1=0.82", "--param", "eta2=0.66", "--param", "x2=0.36",
+                   "--param", "k=0.19", "--tol", "1e-6"])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "has an oracle at n = 0 only" in err and "use s1_series_n_term" not in err
+
 
 class TestTable:
     def test_csv_golden_terms_and_determinism(self, capsys, tmp_path):
