@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .errors import CapacityError, DomainError, RangeError
 from .quadrature import QuadratureResult, integrate_finite
@@ -32,7 +32,6 @@ from .specfun import (
     factorial,
     gamma_walk,
     k_half_coef,
-    read_walk,
     upper_incomplete_gamma,
 )
 from .theorems import (
@@ -332,79 +331,68 @@ def _theorem3_coefs(n: int, lead: float, eta2: float, x2: float) -> list[tuple[f
     return [(api * qj, 2 * i - j - m - 2) for i, api in enumerate(ap) for j, qj in enumerate(q)]
 
 
-def _theorem3_gammas(p: SlaterPair, n: int, k_max: int) -> Callable[[int], float]:
-    """order -> Re Gamma(order, x2 eta2) off one gamma_walk, over the orders m - 2 down to
-    -nu - m - 2 k_max that the first k_max >= 1 k-terms of blocks 0 ... n read (see
-    _theorem3_coefs); an order the walk did not reach raises the error that stopped it."""
-    m, nu = n // 2, abs(n - 1) // 2
-    values, error = read_walk(gamma_walk(m - 2, p.x2 * p.eta2), 2 * m + nu + 2 * k_max - 1)
-
-    table = {m - 2 - i: g.real for i, g in enumerate(values)}
-
-    def gamma_at(order: int) -> float:
-        try:
-            return table[order]
-        except KeyError:  # an order the walk did not reach
-            raise error from None
-
-    return gamma_at
-
-
-def theorem3_block_k_terms(n: int, p: SlaterPair, k_max: int,
-                           policy: TruncationPolicy | None = None,
-                           gamma_at=None) -> list[float]:
-    """The k-series of block n (each entry already summed over the finite i, j sums), truncated by
-    the policy tail rule against the block's running sum. k_max caps the number of k terms, also
-    above ``policy.max_terms``. ``gamma_at`` is the _theorem3_gammas lookup a series shares between
-    blocks.  The (i, j) sum of a high block cancels, so its k-terms carry few correct digits: at
-    n = 40 max|term|/|sum| grows from ~5e4 (k = 0) to ~7e9 (k = 5), and the k-terms are off by up
-    to ~5e-6 relative to a 60-digit evaluation.
+def theorem3_block_k_terms(n: int, p: SlaterPair,
+                           policy: TruncationPolicy | None = None) -> SeriesEvaluation:
+    """The k-series of block n (each term already summed over the finite i, j sums) under the
+    policy: its tail rule against the block's running sum and its max_terms budget.  Its incomplete
+    gammas come off one gamma_walk from the block's top order m - 2, read as far as a term first
+    needs; a term past where the walk stopped raises the walk's error.  The (i, j) sum of a high
+    block cancels, so its k-terms carry few correct digits: at n = 40 max|term|/|sum| grows from
+    ~5e4 (k = 0) to ~7e9 (k = 5), and the k-terms are off by up to ~5e-6 relative to a 60-digit
+    evaluation.
     Within 5e-14 relative to the sum of its |terms| of its (i, j) sum of 40-digit mpmath Gamma
     values for blocks n in {0, 2, 10, 20, 40}, x2 eta2 <= 0.25 and |eta1^2 - eta2^2| <= 0.3
     eta2^2."""
     coefs = _theorem3_coefs(n, p.eta1, p.eta2, p.x2)
-    _check_index("theorem3_block_k_terms", "k_max", k_max, 1)
-    gamma_at = gamma_at or _theorem3_gammas(p, n, k_max)
+    top = n // 2 - 2  # the highest order a block reads (see _theorem3_coefs)
+    walk = gamma_walk(top, p.x2 * p.eta2)
+    table: list[float] = []  # Re Gamma(top - i, x2 eta2), i = 0, 1, ...
+
+    def gamma_at(order: int) -> float:
+        try:
+            return table[top - order]
+        except IndexError:  # the first term to need this order reads the walk on to it
+            while len(table) <= top - order:
+                table.append(next(walk).real)
+            return table[top - order]
+
     ratio = p.x2 * p.x2 * (p.eta1**2 - p.eta2**2)
 
     def k_terms():
         # b_k = (-1)^k ((n+3)/2)_k / k! (x2^2 (eta1^2 - eta2^2))^k
         b_k = 1.0
-        for k in range(k_max):
+        for k in itertools.count():
             yield math.fsum(b_k * c * gamma_at(order - 2 * k) for c, order in coefs)
             b_k *= -((n + 3) / 2.0 + k) / (k + 1) * ratio
 
-    ev = accumulate_series(k_terms(), replace(policy or TruncationPolicy(), max_terms=k_max))
-    return [t.real for t in ev.terms]
+    return accumulate_series(k_terms(), policy)
 
 
-def theorem3_series(p: SlaterPair, n_max: int = 40, k_max: int = 80,
+def theorem3_series(p: SlaterPair, n_max: int = 40,
                     policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """k = 0 reconstruction of s1_two_slater_closed as a double series.
 
     Terms of the returned evaluation are the per-n blocks for even n <= n_max (the odd-n terms
-    vanish by angular parity), each an inner k-series of at most k_max terms over incomplete gammas,
-    accumulated k-minor with compensated summation.  The expansion is organised around eta2.  The
-    evaluation is flagged unconverged when the k-series of any block it sums runs to its k_max cap.
-    Integers n_max >= 0 and k_max >= 1 (DomainError otherwise).  Within 0.01 of 30-digit mpmath for
-    the defaults, x2 eta2 <= 0.25 and (eta1^2 - eta2^2) / eta2^2 = +-[0.05, 0.2].
+    vanish by angular parity), each the math.fsum of an inner k-series over incomplete gammas
+    (theorem3_block_k_terms) under the same policy as the outer series.  The expansion is organised
+    around eta2.  The evaluation is flagged unconverged when the k-series of any block it sums is.
+    Integer n_max >= 0 (DomainError otherwise).  Within 0.01 of 30-digit mpmath for the defaults,
+    x2 eta2 <= 0.25 and (eta1^2 - eta2^2) / eta2^2 = +-[0.05, 0.2].
     """
     if p.eta1 == p.eta2:
         raise DomainError("theorem3_series: eta1 = eta2; use theorem4_series")
     _check_index("theorem3_series", "n_max", n_max)
-    _check_index("theorem3_series", "k_max", k_max, 1)
-    gamma_at = _theorem3_gammas(p, n_max, k_max)  # spans every block's orders
-    capped = False
+    converged = True
 
     def blocks():
-        nonlocal capped
+        nonlocal converged
         for n in range(0, n_max + 1, 2):
-            ks = theorem3_block_k_terms(n, p, k_max, policy, gamma_at)
-            capped |= len(ks) == k_max
-            yield math.fsum(ks)
+            ks = theorem3_block_k_terms(n, p, policy)
+            converged &= ks.converged
+            yield math.fsum(t.real for t in ks.terms)
 
     ev = accumulate_series(blocks(), policy)
-    return replace(ev, converged=False) if capped else ev
+    return ev if converged else replace(ev, converged=False)
 
 
 @functools.cache

@@ -56,7 +56,7 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 # as parsed: Gamma(a, z) takes half-integer a, kummer_1f1 checks its own
 # integer a, and C may be negative or complex.
 _TYPES = {
-    **dict.fromkeys(("n", "j", "b", "n_max", "k_max", "n_terms", "window"), int),
+    **dict.fromkeys(("n", "j", "b", "n_max", "n_terms", "window"), int),
     **dict.fromkeys(("B", "k", "x2", "eta", "x1", "cos_theta", "y1", "z1", "z2", "eta1", "eta2",
                      "k_dot_x2", "quad_tol", "R", "x", "u", "mu", "arg"), float),
     "z": complex,
@@ -394,8 +394,8 @@ TARGETS: dict[str, Target] = {
         ("theorem2_angular",),
     ),
     "theorem3": Target(
-        lambda c, eta1, eta2, x2, n_max=40, k_max=80: amplitudes.theorem3_series(
-            amplitudes.SlaterPair(eta1, eta2, x2), n_max, k_max),
+        lambda c, eta1, eta2, x2, n_max=40: amplitudes.theorem3_series(
+            amplitudes.SlaterPair(eta1, eta2, x2), n_max),
         lambda c, eta1, eta2, x2, **_: amplitudes.s1_two_slater_closed(
             amplitudes.SlaterPair(eta1, eta2, x2)),
         ("theorem3_series", "theorem3_block_k_terms"),

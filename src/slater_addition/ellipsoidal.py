@@ -16,7 +16,7 @@ removes the sqrt(lam - 1) edge of the root at lam = 1, over mu folded onto
 takes each increment in O(1): its J-sums over Gamma(a, 4R) are integrals H_m(s) of
 K_{m+1/2}, carried by three recurrences on one upward K walk at z = R, anchored where
 they are stable by one sum over a short gamma_walk(3, 4R); its I_{k+1/2}(R) come off
-one Miller Bessel-I walk, read once and only as far as the last increment it can sum.
+one Miller Bessel-I walk, read as each increment first needs it.
 It decays algebraically after a few terms; stall_detector quantifies the plateau the
 way the convergence study reports it.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from .errors import CapacityError, DomainError, RangeError
 from .quadrature import QuadratureResult, integrate_2d
-from .specfun import bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef, read_walk
+from .specfun import bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef
 from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, _check_index, accumulate_series
 
 __all__ = [
@@ -275,15 +275,19 @@ def t_abc_series(R: float, n_max: int = 20,
     J-sum, sum_J c(m,J) 2^J Gamma(s-m-J, 4R) = 4^{s-m} H_m(s).  The H come from three recurrences
     driven by one upward K walk at z = R (see _eta_walk), each three-term update one math.fsum;
     increment 0 is closed in Gamma(3, 4R), Gamma(2, 4R) and Gamma(1, 4R).  It reads one
-    bessel_i_walk(R) and 2a + 4 orders of one gamma_walk(3, 4R) for the anchor a (0 at R <= 1, else
-    ceil(1.3 R)), both as far as the last increment the sum can draw and before the first; an
-    increment that needs a missing value raises the walk's error.  A series costs O(top): ~44 us
-    at n_max = 20, 0.69x the per-increment dot products it replaced.  Integer n_max >= 0 and R >=
-    SERIES_MIN_R (DomainError otherwise).  CapacityError where the K walk's beta_m ~ (2m-1)!!
-    overflows (m ~ 150 at R << 1), where I_{1/2}(R) does (R ~ 714), where the anchor overflows or
-    its Gamma walk passes GAMMA_RECURRENCE_LIMIT (n_max > 100 at R > 60), and at the first
-    increment whose I_{n+3/2}(R) is below the normal doubles unless a bound on it is below half an
-    ulp of increment 0 (n ~ 58 at R = 0.0003, 133 at R = 0.5).  Past R ~ 177.1 each
+    bessel_i_walk(R) and one gamma_walk(3, 4R) where an increment first needs their values:
+    increment 0 reads I_{k+1/2}(R) and Gamma(3 - k, 4R) for k < 3, each later increment one more I,
+    and increment 1 the rest of the 2a + 4 Gamma orders for the anchor a (0 at R <= 1, else
+    ceil(1.3 R), at most top - 1 for the last increment top the sum can draw); a walk's error is
+    raised at the increment that first needs a value past where the walk stopped.  A series costs
+    O(top): ~44 us at n_max = 20, 0.69x the per-increment dot products it replaced.  Integer n_max
+    >= 0 and R >= SERIES_MIN_R (DomainError otherwise).  CapacityError, where the budget draws that
+    far: where I_{1/2}(R) overflows (R >= 714); at the first increment whose I_{n+3/2}(R) is below
+    the normal doubles unless a bound on it is below half an ulp of increment 0 (n = 54 at R = 1e-4,
+    64 at 1e-3, 133 at 0.5, 151 at 1.1); at increment m + 1 where the K walk's beta_m ~ (2m-1)!!
+    overflows (m = 152 at R = 1.2 to 200 at R = 92); where the anchor overflows (a >= 111 to 121
+    from R = 92.5); and where its 2a + 4 Gamma orders pass GAMMA_RECURRENCE_LIMIT (a >= 201:
+    R > 153.8 and n_max >= 202).  Past R ~ 177.1 each
     increment is NaN and the sum is flagged.  The sum plateaus (the J = n-1 term dominates);
     stall_detector sizes it.  Within 2.5e-15 of 40-digit mpmath for increments n <= 20 at R in
     [0.001, 2.5], and 87 <= n <= 100 at R = 0.5 and 2.5.  Within 1e-14 of 40-digit mpmath for
@@ -294,29 +298,27 @@ def t_abc_series(R: float, n_max: int = 20,
     policy = policy or DEFAULT_POLICY
     top = min(n_max, policy.max_terms - 1)  # the last increment the sum can draw
     anchor = 0 if R <= 1.0 else min(math.ceil(1.3 * R), max(top - 1, 0))
-    gammas, gamma_error = read_walk(gamma_walk(3.0, 4.0 * R), 2 * anchor + 4)  # G_k
-    i_half, i_error = read_walk(bessel_i_walk(R), top + 3)  # I_{k+1/2}(R)
 
     def increments():
+        i_walk = bessel_i_walk(R)  # I_{k+1/2}(R), read as each increment first needs it
+        _, i_low, i_top = itertools.islice(i_walk, 3)  # I_{1/2}, I_{3/2}, I_{5/2} for increment 0
         if math.exp(-4.0 * R) < sys.float_info.min:  # e^{-4R} is not a normal double
-            for n in range(n_max + 1):
-                if n + 3 > len(i_half):
-                    raise i_error
+            yield math.nan
+            for _ in range(n_max):
+                next(i_walk)
                 yield math.nan
             return
-        if len(i_half) < 3:
-            raise i_error
-        g0, g1, g2 = gammas[:3]
+        g_walk = gamma_walk(3.0, 4.0 * R)  # G_k = Gamma(3 - k, 4R), k < 3 for increment 0
+        g0, g1, g2 = gammas = list(itertools.islice(g_walk, 3))
         # increment 0's Bessel factors, R^{-3/2} (R I_{5/2} + 3 I_{3/2}) and 16 R^{3/2} I_{5/2}
         r = R**-1.5
-        p, q = r * (R * i_half[2] + 3 * i_half[1]), 16.0 * R**3 * r * i_half[2]
+        p, q = r * (R * i_top + 3 * i_low), 16.0 * R**3 * r * i_top
         a00 = _row(0)[0]
         first = p * (a00 * (4.0 * g1 + g0)) - q * (a00 * g2)
         yield first
         if not top:
             return
-        if len(gammas) < 2 * anchor + 4:
-            raise gamma_error
+        gammas += itertools.islice(g_walk, 2 * anchor + 1)  # k < 2a + 4, for the anchor
         beta = _k_walk(R, top - 1)
         k_error = CapacityError(
             f"t_abc_series: the K walk overflows double precision at m = {len(beta)}")
@@ -327,7 +329,11 @@ def t_abc_series(R: float, n_max: int = 20,
         r15, r2, r3 = R**1.5, R * R, 3.0 * R
         mant, expo = math.frexp(R)  # R^{-n} = mant^{-n} 2^{-expo n}, applied by ldexp
         normal, negligible = sys.float_info.min, 0.5 * sys.float_info.epsilon * abs(first)
-        for n, b, e, i_low, i_top in zip(itertools.count(1), beta, eta, i_half[2:], i_half[3:]):
+        for n in range(1, top + 1):
+            i_low, i_top = i_top, next(i_walk)  # I_{n+3/2}(R), I_{n+5/2}(R)
+            if n > len(beta):
+                raise k_error
+            b, e = beta[n - 1], eta[n - 1]
             if i_low < normal and _lost(n, R, mant, expo, (R + 2 * n + 3) * abs(
                     theta + R * zeta) + r2 * abs(e)) > negligible:
                 raise CapacityError(f"t_abc_series: increment {n} needs I_{{{n + 1}+1/2}}({R}), "
@@ -336,8 +342,6 @@ def t_abc_series(R: float, n_max: int = 20,
             yield _SERIES_SCALE * math.ldexp(r15 * bracket * mant**-n, -expo * n)
             # the H_{m+1}(1) and H_{m+1}(2) relations times R^{2m+1} and R^{2m}
             theta, zeta = b - r3 * e, math.fsum((b, e, -r3 * theta))
-        if min(len(beta), len(i_half) - 3) < top:  # a walk stopped short of the top increment
-            raise i_error if len(i_half) - 3 <= len(beta) else k_error
 
     return accumulate_series(increments(), policy)
 

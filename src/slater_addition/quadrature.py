@@ -72,10 +72,6 @@ class QuadratureResult:
     evaluations: int
     converged: bool
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
     def raise_if_not_converged(self, context: str = "integral") -> None:
         if not self.converged:
             raise QuadratureError(

@@ -159,6 +159,11 @@ _T3_PAIR = amplitudes.SlaterPair(eta1=0.11, eta2=0.13, x2=0.17)
 _T3_CLOSED = 51.3025821
 _T3_N0_K = (39.1836, 8.45916, 2.008, 0.499656, 0.127812, 0.033291, 0.008782, 0.002339, 0.000628)
 _T3_BLOCKS = (0.632872, 0.137535, 0.0593952, 0.033087)
+_NINE_K_TERMS = TruncationPolicy(max_terms=9)
+
+
+def _t3_k_terms(n: int, policy: TruncationPolicy) -> list[float]:
+    return [t.real for t in amplitudes.theorem3_block_k_terms(n, _T3_PAIR, policy).terms]
 
 
 def chk_theorem3_closed() -> tuple[bool, str]:
@@ -167,7 +172,7 @@ def chk_theorem3_closed() -> tuple[bool, str]:
 
 
 def chk_theorem3_n0_k_terms() -> tuple[bool, str]:
-    ks = amplitudes.theorem3_block_k_terms(0, _T3_PAIR, k_max=9)
+    ks = _t3_k_terms(0, _NINE_K_TERMS)
     terms_ok = all(_close(g, w, 5e-4) for g, w in zip(ks, _T3_N0_K))
     block = math.fsum(ks[:9])
     block_ok = _close(block, 50.3232, 5e-4)
@@ -178,11 +183,8 @@ def chk_theorem3_n0_k_terms() -> tuple[bool, str]:
 
 
 def _t3_blocks() -> list[float]:
-    pol = TruncationPolicy(rel_tol=1e-12, max_terms=200)
-    return [
-        math.fsum(amplitudes.theorem3_block_k_terms(n, _T3_PAIR, k_max=80, policy=pol))
-        for n in (2, 4, 6, 8)
-    ]
+    pol = TruncationPolicy(rel_tol=1e-12, max_terms=80)
+    return [math.fsum(_t3_k_terms(n, pol)) for n in (2, 4, 6, 8)]
 
 
 def chk_theorem3_blocks() -> tuple[bool, str]:
@@ -192,7 +194,7 @@ def chk_theorem3_blocks() -> tuple[bool, str]:
 
 
 def chk_theorem3_total() -> tuple[bool, str]:
-    block0 = math.fsum(amplitudes.theorem3_block_k_terms(0, _T3_PAIR, k_max=9))
+    block0 = math.fsum(_t3_k_terms(0, _NINE_K_TERMS))
     total = block0 + math.fsum(_t3_blocks())
     return _close(total, 51.1861, 1e-3), f"five-block total {total:.4f} vs 51.1861 (atol 1e-3)"
 
@@ -324,7 +326,7 @@ def chk_theorem2_grid() -> tuple[bool, str]:
 
 
 def chk_theorem3_imag_residue() -> tuple[bool, str]:
-    ev = amplitudes.theorem3_series(_T3_PAIR, n_max=8, k_max=60)
+    ev = amplitudes.theorem3_series(_T3_PAIR, n_max=8)
     resid = abs(ev.value.imag)
     return resid < 1e-12, f"imaginary residue {resid:.1e} (bound 1e-12)"
 

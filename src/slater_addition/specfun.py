@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Iterator
 
-from .errors import CapacityError, DomainError, RangeError, SlaterAdditionError, TruncationError
+from .errors import CapacityError, DomainError, RangeError, TruncationError
 
 __all__ = [
     "factorial",
@@ -101,17 +101,6 @@ def double_factorial(n: int) -> int:
 def k_half_coef(n: int, j: int) -> int:
     """(n+j)!/(j!(n-j)!), the coefficient of (2z)^{-j} in K_{n+1/2}(z), as an exact integer."""
     return factorial(n + j) // (factorial(j) * factorial(n - j))
-
-
-def read_walk(values: Iterator, count: int) -> tuple[list, SlaterAdditionError | None]:
-    """The first count values of a walk, or those before the error that stopped it, and that
-    error, for the caller that needs a value past them to raise where a lazy read would have."""
-    taken: list = []
-    try:
-        taken.extend(itertools.islice(values, count))
-    except SlaterAdditionError as exc:
-        return taken, exc
-    return taken, None
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,6 @@ class SeriesEvaluation:
     cancellation: float
 
     @property
-    def real(self) -> float:
-        return self.value.real
-
-    @property
     def partial_sums(self) -> tuple[complex, ...]:
         """The Kahan partial sums of ``terms``, bit for bit those of accumulate_series; the last
         is ``value``."""

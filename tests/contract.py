@@ -532,7 +532,7 @@ def _block_k_terms(rng: random.Random) -> Checks:
             z, ratio, gamma = mp.mpf(x2) * e2, mp.mpf(x2) ** 2 * (mp.mpf(e1) ** 2 - e2**2), functools.cache(mp.gammainc)
             for n in (0, 2, 10, 20, 40):
                 b_k = mp.mpf(1)  # (-1)^k ((n+3)/2)_k / k! (x2^2 (eta1^2 - eta2^2))^k
-                for k, got in enumerate(am.theorem3_block_k_terms(n, am.SlaterPair(e1, e2, x2), k_max=80)):
+                for k, got in enumerate(t.real for t in am.theorem3_block_k_terms(n, am.SlaterPair(e1, e2, x2)).terms):
                     terms = [b_k * c * gamma(order - 2 * k, z) for c, order in am._theorem3_coefs(n, e1, e2, x2)]
                     yield float(abs(got - mp.fsum(terms)) / mp.fsum(map(abs, terms))), (n, k, e1, e2, x2)
                     b_k *= -(mp.mpf(n + 3) / 2 + k) / (k + 1) * ratio
@@ -871,18 +871,20 @@ def _rows() -> tuple[Row, ...]:
         Row(am.theorem3_block_k_terms, f"blocks n in {{0, 2, 10, 20, 40}}, {box} and |eta1^2 - eta2^2| <= 0.3 eta2^2",
             "its (i, j) sum of 40-digit mpmath Gamma values", 5e-14, 351, _block_k_terms,
             "relative to the sum of its |terms|",
-            (at(am.theorem3_block_k_terms, 3, recon, 9, error=DomainError, text="odd n"),
-             at(am.theorem3_block_k_terms, 0, recon, 0, error=DomainError, text="k_max = 0"))),
+            (at(am.theorem3_block_k_terms, 3, recon, error=DomainError, text="odd n"),)),
         Row(am.theorem3_series, f"the defaults, {box} and (eta1^2 - eta2^2) / eta2^2 = +-[0.05, 0.2]",
             "30-digit mpmath", 1e-2, 6,
             lambda rng: _block_series(lambda *a: am.theorem3_series(am.SlaterPair(*a)), _mp_two_slater,
                                       [_theorem3_box(rng) for _ in range(6)]),
-            outside=(Outside("eta1 = eta2", lambda: am.theorem3_series(am.SlaterPair(0.5, 0.5, 1)), DomainError),)),
+            outside=(Outside("eta1 = eta2", lambda: am.theorem3_series(am.SlaterPair(0.5, 0.5, 1)), DomainError),
+                     Outside("(eta1, eta2, x2) = (1.05e-5, 1e-5, 1)",
+                             lambda: am.theorem3_series(am.SlaterPair(1.05e-5, 1e-5, 1.0)), CapacityError,
+                             r"the walk to a = -62\.0 overflows"))),
         Row(am.theorem3_series, "the defaults, x2 eta2 in [0.5, 1.35] and |eta1^2 - eta2^2| < eta2^2",
             "30-digit mpmath", 1e-2, 3,
             lambda rng: _block_series(lambda *a: am.theorem3_series(am.SlaterPair(*a)), _mp_two_slater,
                                       [(1.2, 1.0, 0.5), (0.7, 0.9, 1.5), (0.9, 0.6, 0.8)]),
-            open="1.3% and 3.3% off, and 1.5e14 flagged at (0.9, 0.6, 0.8)"),
+            open="1.3% and 3.3% off, and -3.4e10 flagged at (0.9, 0.6, 0.8)"),
         Row(am.theorem4_block, "even n <= 120 and z = x2 eta2 in [0.005, 3]", "70-digit mpmath", 1e-14, 46,
             sweep(am.theorem4_block, _mp_theorem4_block, _theorem4_draws),
             outside=(at(am.theorem4_block, 40, 1.0, 30.0, error=RangeError, match="cancels"),
@@ -924,7 +926,13 @@ def _rows() -> tuple[Row, ...]:
             "40-digit mpmath", 2.5e-15, 6, _t_abc_increments,
             outside=(at(el.t_abc_series, 0.0, error=DomainError),
                      *(at(el.t_abc_series, R, error=DomainError, match="R >= 1e-150")
-                       for R in (1e-300, 1e-200, 9e-151))),
+                       for R in (1e-300, 1e-200, 9e-151)),
+                     at(el.t_abc_series, 800.0, error=CapacityError, match=r"I_\{1/2\}\(800\.0\) overflows"),
+                     *(at(el.t_abc_series, R, n_max, th.TruncationPolicy(1e-300, n_max + 1), error=CapacityError,
+                          match=match, text=f"{R}, n_max = {n_max}, max_terms = {n_max + 1}, rel_tol = 1e-300")
+                       for R, n_max, match in ((160.0, 210, "recurrence depth 401 exceeds bound 400"),
+                                               (100.0, 150, "anchor of the eta walk at m = 130 overflows"),
+                                               (2.0, 400, "the K walk overflows double precision at m = 152")))),
             cases=tuple((R, 20, 0) for R in T_ABC_RS if R <= 2.5) + ((0.5, 100, 87), (2.5, 100, 87))),
         Row(el.t_abc_series, "increments n <= 20 at R in (2.5, 20]", "40-digit mpmath", 1e-14, 21,
             _t_abc_increments, cases=tuple((R, 20, 0) for R in T_ABC_RS if R > 2.5)),

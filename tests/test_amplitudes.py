@@ -28,7 +28,7 @@ from slater_addition.amplitudes import (
     theorem4_series,
     _theorem3_coefs,
 )
-from slater_addition.errors import DomainError
+from slater_addition.errors import CapacityError, DomainError
 from slater_addition.quadrature import integrate_2d
 from slater_addition.specfun import (
     cosine_moment_walk,
@@ -294,50 +294,56 @@ class TestTheorem3Series:
     def test_higher_block_k_terms(self):
         want_n2 = (0.527506, 0.082122, 0.017650, 0.004191, 0.001043, 0.000267,
                    0.00007, 0.000018, 5e-6)
-        got = theorem3_block_k_terms(2, RECON, k_max=9)
+        nine = TruncationPolicy(max_terms=9)
+        got = [t.real for t in theorem3_block_k_terms(2, RECON, nine).terms]
         for g, w in zip(got, want_n2):
             assert g == pytest.approx(w, abs=5e-6)
         want_n4 = (0.115654, 0.017087, 0.003642, 0.000862, 0.000214, 0.00005,
                    0.000014, 3e-6, 1e-6)
-        got = theorem3_block_k_terms(4, RECON, k_max=9)
+        got = [t.real for t in theorem3_block_k_terms(4, RECON, nine).terms]
         for g, w in zip(got, want_n4):
             assert g == pytest.approx(w, abs=5e-6)
 
-    def test_k_max_caps_block_above_policy_budget(self):
-        # a tail rule that never fires: k_max, not max_terms = 3, ends the k-series
-        never = TruncationPolicy(rel_tol=1e-300, max_terms=3)
-        got = theorem3_block_k_terms(2, RECON, k_max=9, policy=never)
-        assert got == theorem3_block_k_terms(2, RECON, k_max=9)
-        assert len(got) == 9
+    def test_block_k_series_runs_under_the_policy_budget(self):
+        # a tail rule that never fires: max_terms = 3 ends the k-series, flagged
+        ev = theorem3_block_k_terms(2, RECON, TruncationPolicy(rel_tol=1e-300, max_terms=3))
+        assert ev.terms_used == 3 and not ev.converged
+
+    def test_k_series_closing_its_tail_window_on_the_last_budgeted_term_is_converged(self):
+        # block 0's k-series meets the tail rule on its 20th term
+        policy = TruncationPolicy(max_terms=20)
+        assert theorem3_block_k_terms(0, RECON, policy).terms_used == 20
+        assert theorem3_series(RECON, n_max=0, policy=policy).converged
 
     def test_blocks_positive_and_monotone_partials(self):
-        ev = theorem3_series(RECON, n_max=8, k_max=60)
+        ev = theorem3_series(RECON, n_max=8)
         assert all(t.real > 0 for t in ev.terms)
         for a, b in zip(ev.partial_sums, ev.partial_sums[1:]):
             assert b.real > a.real
         assert abs(ev.value.imag) < 1e-12
 
     def test_converges_toward_closed_form(self):
-        ev = theorem3_series(RECON, n_max=8, k_max=80)
+        ev = theorem3_series(RECON, n_max=8)
         closed = s1_two_slater_closed(RECON)
         assert 0 < closed - ev.value.real < 0.2
 
     def test_swapped_exponents_converge_to_same_value(self):
         swapped = SlaterPair(eta1=0.13, eta2=0.11, x2=0.17)
-        ev = theorem3_series(swapped, n_max=8, k_max=80)
+        ev = theorem3_series(swapped, n_max=8)
         closed = s1_two_slater_closed(swapped)
         assert closed == pytest.approx(s1_two_slater_closed(RECON), rel=1e-14)
         assert 0 < closed - ev.value.real < 0.2
 
     def test_past_validity_ratio_flagged(self):
-        # |eta1^2 - eta2^2| / eta2^2 = 3: the k-series of each block runs to k_max
-        assert not theorem3_series(SlaterPair(eta1=1.0, eta2=0.5, x2=0.4), n_max=2, k_max=4).converged
+        # |eta1^2 - eta2^2| / eta2^2 = 3: the k-series of each block runs to its budget
+        assert not theorem3_series(SlaterPair(eta1=1.0, eta2=0.5, x2=0.4), n_max=2,
+                                   policy=TruncationPolicy(max_terms=4)).converged
 
     @pytest.mark.parametrize("pair", [
-        SlaterPair(eta1=0.6165, eta2=0.4665, x2=0.6202),    # ratio 0.75, 5.0e-3 off
-        SlaterPair(eta1=0.5 * math.sqrt(1.9), eta2=0.5, x2=0.3),  # ratio 0.9, 91x off
+        SlaterPair(eta1=0.6165, eta2=0.4665, x2=0.6202),    # ratio 0.75, 7.8e-3 off
+        SlaterPair(eta1=0.5 * math.sqrt(1.9), eta2=0.5, x2=0.3),  # ratio 0.9, 26x off
     ])
-    def test_flagged_where_a_block_k_series_runs_to_k_max(self, pair):
+    def test_flagged_where_a_block_k_series_runs_to_its_budget(self, pair):
         ev = theorem3_series(pair)
         assert abs(ev.value.real / s1_two_slater_closed(pair) - 1) > 1e-3
         assert not ev.converged
@@ -349,6 +355,16 @@ class TestTheorem3Series:
         with pytest.raises(DomainError):
             theorem3_series(SlaterPair(eta1=0.5, eta2=0.5, x2=1.0))
 
+    def test_block_past_where_its_walk_stopped_raises_the_walk_error(self):
+        # block 0 reads Gamma(-2 - 2k, 1e-5): the walk overflows at order -62, k = 30
+        never = TruncationPolicy(rel_tol=1e-300, max_terms=60)
+        with pytest.raises(CapacityError, match=r"the walk to a = -62\.0 overflows"):
+            theorem3_block_k_terms(0, SlaterPair(1.05e-5, 1e-5, 1.0), never)
+
+    def test_converged_short_of_the_order_whose_walk_overflows(self):
+        # at x2 eta2 = 1e-5 the walk to Gamma(-62, .) overflows; n_max = 40 reaches it (see contract.py)
+        assert theorem3_series(SlaterPair(1.05e-5, 1e-5, 1.0), n_max=4).converged
+
 
 class TestBlockCoefficients:
     @pytest.mark.parametrize("n", [0, 2, 10, 40])
@@ -359,7 +375,7 @@ class TestBlockCoefficients:
         p = SlaterPair(0.37, 0.37, 0.29)
         coefs = _theorem3_coefs(n, 0.37, 0.37, 0.29)
         magnitude = sum(abs(c * upper_incomplete_gamma(a, 0.29 * 0.37).real) for c, a in coefs)
-        got = theorem3_block_k_terms(n, p, k_max=1)[0]
+        got = theorem3_block_k_terms(n, p).terms[0].real
         assert abs(got - theorem4_block(n, 0.37, 0.29)) <= 1e-12 * magnitude
 
     @pytest.mark.parametrize("lead, eta2, x2", [
@@ -393,8 +409,8 @@ class TestTheorem4Series:
 
     def test_bracketed_by_neighbouring_theorem3(self):
         mid = theorem4_series(0.13, 0.17, n_max=8).value.real
-        lo = theorem3_series(SlaterPair(0.13 * (1 + 1e-4), 0.13, 0.17), n_max=8, k_max=60).value.real
-        hi = theorem3_series(SlaterPair(0.13 * (1 - 1e-4), 0.13, 0.17), n_max=8, k_max=60).value.real
+        lo = theorem3_series(SlaterPair(0.13 * (1 + 1e-4), 0.13, 0.17), n_max=8).value.real
+        hi = theorem3_series(SlaterPair(0.13 * (1 - 1e-4), 0.13, 0.17), n_max=8).value.real
         assert min(lo, hi) <= mid <= max(lo, hi)
 
 
@@ -488,16 +504,10 @@ class TestSlaterPairValidation:
             theorem3_series(RECON, n_max=-2)
         with pytest.raises(DomainError, match="theorem4_series: n_max"):
             theorem4_series(0.13, 0.17, n_max=-2)
-        with pytest.raises(DomainError, match="theorem3_series: k_max"):
-            theorem3_series(RECON, k_max=0)
-        with pytest.raises(DomainError, match="theorem3_block_k_terms"):
-            theorem3_block_k_terms(0, RECON, k_max=0)
 
     @pytest.mark.parametrize("bad", [True, 2.5, 4.0, math.nan])
     @pytest.mark.parametrize("route, arg", [
         (lambda v: theorem3_series(RECON, n_max=v), "n_max"),
-        (lambda v: theorem3_series(RECON, k_max=v), "k_max"),
-        (lambda v: theorem3_block_k_terms(0, RECON, k_max=v), "k_max"),
         (lambda v: theorem4_series(0.3, 0.4, n_max=v), "n_max"),
     ])
     def test_budgets_must_be_integers(self, route, arg, bad):
@@ -515,6 +525,6 @@ class TestReconstructionConvergenceDirection:
 
     def test_theorem3_residual_shrinks_with_bounds(self):
         closed = s1_two_slater_closed(RECON)
-        r8 = closed - theorem3_series(RECON, n_max=8, k_max=60).value.real
-        r16 = closed - theorem3_series(RECON, n_max=16, k_max=60).value.real
+        r8 = closed - theorem3_series(RECON, n_max=8).value.real
+        r16 = closed - theorem3_series(RECON, n_max=16).value.real
         assert 0 < r16 < r8

@@ -101,7 +101,7 @@ class TestEval:
 class TestCompare:
     def test_theorem3_residual_after_five_blocks(self, capsys):
         rc = main(["compare", "theorem3", "--param", "eta1=0.11", "--param", "eta2=0.13",
-                   "--param", "x2=0.17", "--param", "n_max=8", "--param", "k_max=80"])
+                   "--param", "x2=0.17", "--param", "n_max=8"])
         out = capsys.readouterr().out
         assert rc == 2  # residual ~0.116 exceeds the default tolerance
         assert "abs_error = 0.116" in out

@@ -24,6 +24,10 @@ class TestRegistry:
         assert declared - set(_TYPES) == {"a", "C"}
         assert set(_TYPES) <= declared
 
+    def test_readme_lists_every_integer_parameter(self):
+        listed = re.search(r"^- Integer parameters \(([^)]*)\)", README.read_text(), re.M).group(1)
+        assert re.findall(r"`(\w+)`", listed) == [name for name, kind in _TYPES.items() if kind is int]
+
     def test_parser_is_built_once(self):
         assert make_parser() is make_parser()
 
