@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import CapacityError, DomainError, RangeError
+from .errors import CapacityError, DomainError, RangeError, _check_index
 from .quadrature import QuadratureResult, integrate_finite
 from .specfun import (
     bessel_k_half,
@@ -39,7 +39,6 @@ from .theorems import (
     SeriesEvaluation,
     TruncationPolicy,
     YukawaFormParams,
-    _check_index,
     _macdonald_terms,
     _series_eval,
     accumulate_series,
@@ -171,6 +170,7 @@ def s1_series_n_term(n: int, p: SlaterPair, tol: float = 1e-11) -> complex:
     power of eta1^2-eta2^2) handles eta1 < eta2.  Within 1e-10 of 20-digit mpmath quadrature for n
     <= 3, tol in {1e-11, 1e-12}, eta1 != eta2 in [0.3, 1.5], x2 in [0.1, 1], k in [0.05, 0.9].
     """
+    _check_index("s1_series_n_term", "n", n)
     if p.eta1 == p.eta2:
         raise DomainError("s1_series_n_term: degenerate s interval; use cheshire_series")
     d = p.eta1**2 - p.eta2**2
@@ -235,6 +235,7 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
     t2^2)].  Terms n >= 1 come from s1_series_n_term (DomainError here).  Within 1e-10 of 20-digit
     mpmath quadrature for n = 0, eta1 != eta2 in [0.3, 1.5], x2 in [0.1, 1], k in [0.05, 0.9].
     """
+    _check_index("s1_general_term_gamma", "n", n)
     if n != 0:
         raise DomainError(f"s1_general_term_gamma: term n = {n!r} has no incomplete-gamma form here; "
                           "use s1_series_n_term")
@@ -317,7 +318,7 @@ def _theorem3_coefs(n: int, lead: float, eta2: float, x2: float) -> list[tuple[f
     Theorem 3 has lead = eta1 (at lead = eta1 = eta2 the k = 0 term is theorem4_block,
     which has its own closed form).  Each coefficient is a
     product A P_i Q_j of an n-only, an (n, i) and an (n, j) factor."""
-    if n % 2 != 0 or n < 0:
+    if n % 2 != 0:
         raise DomainError("theorem3/theorem4 blocks exist for even n >= 0 only")
     m = n // 2
     # A = sqrt(pi) (-1)^m lead 2^{m+3} Gamma((n+3)/2) / (n+1)! = 4 pi (-1)^m lead / (2^m m!)
@@ -343,6 +344,7 @@ def theorem3_block_k_terms(n: int, p: SlaterPair,
     Within 5e-14 relative to the sum of its |terms| of its (i, j) sum of 40-digit mpmath Gamma
     values for blocks n in {0, 2, 10, 20, 40}, x2 eta2 <= 0.25 and |eta1^2 - eta2^2| <= 0.3
     eta2^2."""
+    _check_index("theorem3_block_k_terms", "n", n)
     coefs = _theorem3_coefs(n, p.eta1, p.eta2, p.x2)
     top = n // 2 - 2  # the highest order a block reads (see _theorem3_coefs)
     walk = gamma_walk(top, p.x2 * p.eta2)
@@ -443,7 +445,7 @@ def _theorem4_bracket(n: int, z: float, emz: float, e1: float) -> float:
     emz = e^{-z} and e1 = E_1(z), in O(n); RangeError where the terms cancel.
     The guard first tries the per-order bound _theorem4_abs_sum(n) max(1, z)^{n+1} on the
     sizes of the e^{-z} terms, and sweeps those sizes one by one only where that fails."""
-    if n % 2 != 0 or n < 0:
+    if n % 2 != 0:
         raise DomainError("theorem3/theorem4 blocks exist for even n >= 0 only")
     ell, (m_lo, m_hi) = _theorem4_table(n)
     poly = 0.0
@@ -497,6 +499,7 @@ def theorem4_block(n: int, eta2: float, x2: float) -> float:
     grows (block 10 at z = 10 is 9e-12 off): RangeError where eps sum|term| exceeds
     DERIVATIVE_REL_TOL |block|, as at z = 10, n = 10 and z = 30, n = 40.  Within 1e-14 of 70-digit
     mpmath for even n <= 120 and z = x2 eta2 in [0.005, 3]."""
+    _check_index("theorem4_block", "n", n)
     scale, z, emz, e1 = _theorem4_point(eta2, x2)
     return scale * _theorem4_bracket(n, z, emz, e1)
 

@@ -29,10 +29,10 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import CapacityError, DomainError, RangeError
+from .errors import CapacityError, DomainError, RangeError, _check_index
 from .quadrature import QuadratureResult, integrate_2d
 from .specfun import bessel_i_walk, exp_integral_ei, gamma_walk, k_half_coef
-from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, _check_index, accumulate_series
+from .theorems import DEFAULT_POLICY, SeriesEvaluation, TruncationPolicy, accumulate_series
 
 __all__ = [
     "EllipsoidalParams",

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one check of an integer argument."""
 
 
 class SlaterAdditionError(Exception):
@@ -32,3 +32,9 @@ class QuadratureError(SlaterAdditionError, ArithmeticError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+
+def _check_index(name: str, arg: str, value: int, low: float = 0) -> None:
+    """DomainError unless value (an index, order, degree or budget) is an int >= low, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise DomainError(f"{name}: {arg} must be an integer >= {low}, got {value!r}")

@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Iterator
 
-from .errors import CapacityError, DomainError, RangeError, TruncationError
+from .errors import CapacityError, DomainError, RangeError, TruncationError, _check_index
 
 __all__ = [
     "factorial",
@@ -120,6 +120,7 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
     [1e-2, 700] and |arg z| <= pi/4.  Within 1e-14 of 40-digit mpmath for -9 <= n <= 8, |z| in [0.5,
     5] and Re z > 0.
     """
+    _check_index("bessel_k_half", "n", n, -math.inf)
     if n < 0:
         n = -n - 1
     z = complex(z)
@@ -187,10 +188,9 @@ def bessel_i_walk(x: float) -> Iterator[float]:
 
 def bessel_i_half(n: int, x: float) -> float:
     """Modified Bessel function I_{n+1/2}(x), the n-th value of bessel_i_walk(x), with its domain
-    and errors: 0 <= n <= 1021 and finite x > 0 (DomainError for n < 0).  Within 3.1e-15 of 40-digit
-    mpmath for orders 85 to 150 at x in {0.37, 13, 50} where I is a normal double."""
-    if n < 0:
-        raise DomainError("bessel_i_half: order index n must be >= 0")
+    and errors: an int 0 <= n <= 1021 (DomainError below 0) and finite x > 0.  Within 3.1e-15 of
+    40-digit mpmath for orders 85 to 150 at x in {0.37, 13, 50} where I is a normal double."""
+    _check_index("bessel_i_half", "n", n)
     return next(itertools.islice(bessel_i_walk(x), n, None))
 
 
@@ -237,31 +237,28 @@ def legendre_walk(u: float) -> Iterator[float]:
     walks it once.  Within 2e-14 absolute of 40-digit mpmath for degrees 0 to 84 and |u| <= 0.99.
     Within 5e-13 absolute of 40-digit mpmath for degrees 0 to 84 and 1e-9 <= 1 - |u| <= 1e-2."""
     if not abs(u) <= 1.0:
-        raise DomainError(f"legendre_p: u = {u} is outside [-1, 1]")
-    p0, p1 = 1.0, u
-    yield p0
-    for m in itertools.count(1):
+        raise DomainError(f"legendre_walk: u = {u} is outside [-1, 1]")
+    p0, p1 = 0.0, 1.0  # P_{-1}, P_0: the first step gives P_1 = u
+    for m in itertools.count():
         yield p1
         p0, p1 = p1, ((2 * m + 1) * u * p1 - m * p0) / (m + 1)
 
 
 def legendre_p(n: int, u: float) -> float:
-    """Legendre polynomial P_n(u), the n-th value of legendre_walk(u) (DomainError for n < 0).
-    Within 1e-12 absolute of 40-digit mpmath for 0 <= n <= 300 and |u| <= 1."""
-    if n < 0:
-        raise DomainError("legendre_p: negative degree")
+    """Legendre polynomial P_n(u), the n-th value of legendre_walk(u) (DomainError unless n is an
+    int >= 0).  Within 1e-12 absolute of 40-digit mpmath for 0 <= n <= 300 and |u| <= 1."""
+    _check_index("legendre_p", "n", n)
     return next(itertools.islice(legendre_walk(u), n, None))
 
 
 def hermite_h(j: int, x: float) -> float:
     """Physicists' Hermite polynomial H_j(x) by recurrence.  Within 1e-14 relative to sum|term| =
     |H_j(i|x|)| of 30-digit mpmath for 0 <= j <= 30 and |x| <= 10."""
-    if j < 0:
-        raise DomainError("hermite_h: negative degree")
-    h0, h1 = 1.0, 2.0 * x
-    if j == 0:
-        return h0
-    for m in range(1, j):
+    _check_index("hermite_h", "j", j)
+    if not math.isfinite(x):
+        raise DomainError(f"hermite_h: x = {x} is not finite")
+    h0, h1 = 0.0, 1.0  # H_{-1}, H_0: the first step gives H_1 = 2x
+    for m in range(j):
         h0, h1 = h1, 2.0 * x * h1 - 2.0 * m * h0
     return h1
 
@@ -274,8 +271,7 @@ def cos_power_to_legendre(j: int) -> dict[int, float]:
     so only m of the same parity as j appear.  Within 1e-15 of the exact projection (2m+1)/2 int u^j
     P_m(u) du for 0 <= j <= 84.
     """
-    if j < 0:
-        raise DomainError("cos_power_to_legendre: negative power")
+    _check_index("cos_power_to_legendre", "j", j)
     coeffs: dict[int, float] = {}
     m = j
     while m >= 0:
@@ -514,10 +510,12 @@ def erf_complex(z: complex | float) -> complex:
     Gamma(1/2, z) share (its e^{2 Re(z)^2} cancellation then costs at most ~3.5 digits, at any
     height short of overflow), and the rest through erf(z) = 1 - Gamma(1/2, z^2)/sqrt(pi), whose
     continued fraction holds full precision once Re z >= 2.  Where e^{-z^2} itself overflows double
-    precision, RangeError is raised.  Within 1e-12 relative to max(|erf z|, |erfc z|) of 40-digit
-    mpmath for |Re z|, |Im z| <= 25.
+    precision, RangeError is raised; a z that is not finite is a DomainError.  Within 1e-12 relative
+    to max(|erf z|, |erfc z|) of 40-digit mpmath for |Re z|, |Im z| <= 25.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"erf_complex: z = {z} is not finite")
     if z.imag == 0.0:
         return complex(math.erf(z.real))
     if z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0):
@@ -537,9 +535,11 @@ def kummer_1f1(a: int, b: int, z: complex | float) -> complex:
     KUMMER_CANCELLATION_LIMIT = 1e5 RangeError is raised.  Within 1e-11 of 30-digit mpmath for
     integers 1 <= a <= 30, a <= b <= a + 32 and |z| <= 20 where max|term| <= 1e5 |sum|.
     """
-    if not (isinstance(a, int) and isinstance(b, int) and b >= a >= 1):
-        raise DomainError("kummer_1f1 requires integers b >= a >= 1")
+    _check_index("kummer_1f1", "a", a, 1)
+    _check_index("kummer_1f1", "b", b, a)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"kummer_1f1: z = {z} is not finite")
     term = 1.0 + 0.0j
     total = term
     peak = 1.0
@@ -605,8 +605,7 @@ def meijer_g_0313(j: int, mu: float, arg: float) -> float:
     set.  Within 1e-12 of 20-digit mpmath for that grid on the cancellation set mu = -(k+3)/2, 0 <=
     k < j, k = j (mod 2).
     """
-    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-        raise DomainError(f"meijer_g_0313: j must be an integer >= 0, got {j!r}")
+    _check_index("meijer_g_0313", "j", j)
     if not (2 * mu - j) % 2 == 1:  # NaN and inf too
         raise DomainError(f"meijer_g_0313: 2 mu - j must be an odd integer, got mu = {mu!r}, j = {j}")
     if not (math.isfinite(arg) and arg > 0):

@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, DomainError, PoleError, RangeError
+from .errors import CapacityError, DomainError, PoleError, RangeError, _check_index
 from .specfun import (
     bessel_i_walk,
     bessel_k_half,
@@ -90,12 +90,6 @@ class YukawaFormParams:
             raise DomainError("YukawaFormParams: k must be nonnegative")
         if self.B * self.k**2 + self.C == 0:
             raise PoleError("YukawaFormParams: B k^2 + C = 0")
-
-
-def _check_index(name: str, arg: str, value: int, low: int = 0) -> None:
-    """DomainError unless value, an index or a term budget, is an int >= low (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise DomainError(f"{name}: {arg} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -251,8 +245,7 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
     A non-real C takes that prefactor as C^{(j-1)/2} / C^n, C^n by repeated squaring."""
     _check_index("theorem6_term", "j", j)
     name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
-    if first < 0:
-        raise DomainError(f"{name}: n must be >= 0")
+    _check_index(name, "n", first)
     real = isinstance(p.C, (int, float)) and not isinstance(p.C, bool) and p.C > 0
     if real:
         c, sqrt, exp, isfinite = float(p.C), math.sqrt, math.exp, math.isfinite
@@ -505,8 +498,7 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
     """
     if eta <= 0 or x1 <= 0 or x2 <= 0:
         raise DomainError("two_range_mos: eta, x1, x2 must be positive")
-    if n_terms < 1:
-        raise DomainError("two_range_mos: n_terms must be >= 1")
+    _check_index("two_range_mos", "n_terms", n_terms, 1)
     if x1 == x2:
         warnings.warn(
             "two_range_mos at x1 = x2: evaluated on the boundary of the stated "

@@ -710,7 +710,9 @@ def _rows() -> tuple[Row, ...]:
             1849, _cos_powers, outside=(at(sf.cos_power_to_legendre, -1, error=DomainError),
                                         at(sf.cos_power_to_legendre, 85, error=CapacityError))),
         Row(sf.hermite_h, "0 <= j <= 30 and |x| <= 10", "30-digit mpmath", 1e-14, 150, _hermite,
-            "relative to sum|term| = |H_j(i|x|)|", (at(sf.hermite_h, -1, 1.0, error=DomainError),)),
+            "relative to sum|term| = |H_j(i|x|)|",
+            (at(sf.hermite_h, -1, 1.0, error=DomainError),
+             at(sf.hermite_h, 3, math.nan, error=DomainError, match="not finite"))),
         Row(sf.gamma_walk, "theorem 3's walk, a = 18 down to -199 short of overflow, real z in [0.005, 0.25]",
             "40-digit mpmath", 5e-14, 1570,
             lambda rng: _gamma_walks([(18.0, z) for z in (0.005, 0.01, 0.03, 0.07, 0.12, 0.25)]
@@ -749,10 +751,14 @@ def _rows() -> tuple[Row, ...]:
             sweep(lambda z: (sf.erf_complex(z) - mp.erf(z)) / max(abs(mp.erf(z)), abs(mp.erfc(z))), lambda z: 0,
                   lambda rng: [(z,) for z in (0.5 + 0.5j, 2 - 1j, 0.3 + 2j, 4.2 + 0.4j, 1.2 + 4j, 0.4 - 6j, 3 + 3j)]
                   + [(complex(rng.uniform(-25, 25), rng.uniform(-25, 25)),) for _ in range(200)], 40, True),
-            "relative to max(|erf z|, |erfc z|)", (at(sf.erf_complex, 1 + 40j, error=RangeError),)),
+            "relative to max(|erf z|, |erfc z|)",
+            (at(sf.erf_complex, 1 + 40j, error=RangeError),
+             *(at(sf.erf_complex, z, error=DomainError, match="not finite")
+               for z in (math.nan, complex(1, math.nan), complex(math.inf, 1), math.inf, -math.inf)))),
         Row(sf.kummer_1f1, "integers 1 <= a <= 30, a <= b <= a + 32 and |z| <= 20 where max|term| <= 1e5 |sum|",
             "30-digit mpmath", 1e-11, 106, _kummer,
             outside=(at(sf.kummer_1f1, 2, 1, 0.5, error=DomainError),
+                     at(sf.kummer_1f1, 1, 2, math.nan, error=DomainError, match="not finite"),
                      at(sf.kummer_1f1, 4, 8, -30j, error=RangeError, match="cancels"),
                      at(sf.kummer_1f1, 1, 2, -40.0, error=RangeError))),
         Row(sf.exp_integral_ei, "x in [-700, -1e-3]", "30-digit mpmath", 2e-15, 101,
@@ -788,12 +794,17 @@ def _rows() -> tuple[Row, ...]:
         Row(th.theorem1_term, f"n <= 120 at {non_real}, where the term is a normal double", exact_p,
             1.5e-14, 96, _terms_non_real_c(0, 12),
             outside=(at(th.theorem1_term, 20, th.YukawaFormParams(1.0, 1e-20, 1.0, 1.0), error=CapacityError,
-                        match="overflows", text="n = 20, C = 1e-20"),)),
+                        match="overflows", text="n = 20, C = 1e-20"),
+                     at(th.theorem1_term, 2.5, golden, error=DomainError, match="n must be an integer",
+                        text="n = 2.5"))),
         Row(th.theorem5_term, f"n <= 120 at {non_real}, where the term is a normal double", exact_p,
-            1.5e-14, 96, _terms_non_real_c(1, 12)),
+            1.5e-14, 96, _terms_non_real_c(1, 12),
+            outside=(at(th.theorem5_term, 2.5, golden, error=DomainError, match="n must be an integer",
+                        text="n = 2.5"),)),
         Row(th.theorem6_term, f"j <= 8, n in {{0, 1, 2, 5, 10, 20, 30}}, {t6_box}", exact_p, 1e-14, 630,
             _theorem6_derivative, "times min(kappa, 10 at j <= 2 or 1000), kappa = sum|beta_p z^p| / |P_{n,j}(z)|,",
             (at(th.theorem6_term, -1, 0, golden, error=DomainError, text="j = -1"),
+             at(th.theorem6_term, 2, 2.5, golden, error=DomainError, match="n must be an integer", text="n = 2.5"),
              at(th.theorem6_term, 2, 2, th.YukawaFormParams(0.5, 1, 0.5, (1 + 5**0.5) / 2), error=RangeError,
                 text="j = n = 2 at the root z = (1 + 5^0.5)/2 of P_{2,2}"))),
         Row(th.theorem6_term, f"3 <= j <= 8, n in {{0, 1, 2, 5, 10, 20}}, {t6_box}",
@@ -871,7 +882,9 @@ def _rows() -> tuple[Row, ...]:
         Row(am.theorem3_block_k_terms, f"blocks n in {{0, 2, 10, 20, 40}}, {box} and |eta1^2 - eta2^2| <= 0.3 eta2^2",
             "its (i, j) sum of 40-digit mpmath Gamma values", 5e-14, 351, _block_k_terms,
             "relative to the sum of its |terms|",
-            (at(am.theorem3_block_k_terms, 3, recon, error=DomainError, text="odd n"),)),
+            (at(am.theorem3_block_k_terms, 3, recon, error=DomainError, text="odd n"),
+             *(at(am.theorem3_block_k_terms, n, recon, error=DomainError, match="n must be an integer", text=f"n = {n}")
+               for n in (4.0, 2.5)))),
         Row(am.theorem3_series, f"the defaults, {box} and (eta1^2 - eta2^2) / eta2^2 = +-[0.05, 0.2]",
             "30-digit mpmath", 1e-2, 6,
             lambda rng: _block_series(lambda *a: am.theorem3_series(am.SlaterPair(*a)), _mp_two_slater,
@@ -888,7 +901,9 @@ def _rows() -> tuple[Row, ...]:
         Row(am.theorem4_block, "even n <= 120 and z = x2 eta2 in [0.005, 3]", "70-digit mpmath", 1e-14, 46,
             sweep(am.theorem4_block, _mp_theorem4_block, _theorem4_draws),
             outside=(at(am.theorem4_block, 40, 1.0, 30.0, error=RangeError, match="cancels"),
-                     at(am.theorem4_block, 3, 0.13, 0.17, error=DomainError))),
+                     at(am.theorem4_block, 3, 0.13, 0.17, error=DomainError),
+                     *(at(am.theorem4_block, n, 0.13, 0.17, error=DomainError, match="n must be an integer")
+                       for n in (4.0, 2.5)))),
         Row(am.theorem4_series, f"the defaults and {box}", "30-digit mpmath", 1e-2, 12,
             lambda rng: _block_series(am.theorem4_series, _mp_equal_eta, [_theorem3_box(rng, True) for _ in range(12)]),
             outside=(at(am.theorem4_series, 1.0, 30.0, error=RangeError, match="cancels"),)),
