@@ -276,7 +276,8 @@ def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = N
     p = YukawaFormParams(-0.25, eta1**2 + k * k / 4.0, k, x2)
     y = pair.k_dot_x2 / 2.0
     phase = TWO_PI * cmath.exp(-1j * y)
-    terms = (phase * mu * t for mu, t in zip(cosine_moment_walk(y), _macdonald_terms(p, 0)))
+    base = _macdonald_terms("cheshire_series", p, 0)
+    terms = (phase * mu * t for mu, t in zip(cosine_moment_walk(y), base))
     return _series_eval(terms, p, policy)
 
 

@@ -22,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _check_index
 
 __all__ = [
     "QuadratureResult",
@@ -121,8 +121,10 @@ def integrate_finite(f, a: float, b: float, tol: float = 1e-10,
     f may return float or complex; endpoint values are never requested, so
     integrable endpoint singularities are admissible.  A NaN or infinity from
     the integrand flags the result as non-converged instead of poisoning a
-    "converged" answer.  DomainError unless tol is positive and finite.
+    "converged" answer.  DomainError unless tol is positive and finite and max_evals an integer
+    >= 1.
     """
+    _check_index("integrate_finite", "max_evals", max_evals, 1)
     if not 0 < tol < math.inf:
         raise DomainError(f"integrate_finite: tol = {tol}, must be positive and finite")
     if not a < b:
@@ -159,8 +161,9 @@ def integrate_semi_infinite(f, a: float, tol: float = 1e-10,
 
     Uses the compactifying map t = a + u/(1-u).  Overflow while evaluating
     the far tail is treated as an exactly-vanishing contribution, which is
-    sound only because of the decay precondition.
+    sound only because of the decay precondition.  DomainError unless max_evals is an integer >= 1.
     """
+    _check_index("integrate_semi_infinite", "max_evals", max_evals, 1)
 
     def g(u: float):
         w = 1.0 - u
@@ -179,8 +182,10 @@ def integrate_2d(f, domain: tuple[float, float, float, float], tol: float = 1e-8
     """Nested adaptive integral of f(x, y) over [ax, bx] x [ay, by].
 
     bx may be math.inf.  The inner (y) integral runs at a twentieth of the
-    requested tolerance; its worst error is folded into the outer estimate.
+    requested tolerance; its worst error is folded into the outer estimate.  DomainError unless
+    max_evals is an integer >= 1.
     """
+    _check_index("integrate_2d", "max_evals", max_evals, 1)
     ax, bx, ay, by = domain
     inner_tol = tol / 20.0
     inner_budget = min(50_000, max(2000, max_evals // 100))

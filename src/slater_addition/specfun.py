@@ -71,6 +71,9 @@ _DFACT: list[int] = [1, 1]
 # (M, t) with (2n+1)!! = M 2^t, M in [1, 2] rounded once, for bessel_i_walk's orders
 _ODD_DFACT = tuple((d / (1 << d.bit_length() - 1), d.bit_length() - 1) for d in
                    itertools.accumulate(range(1, 2 * BESSEL_I_WALK_ORDERS, 2), int.__mul__))
+# (2n+1)(2n+3) as exact floats for the Miller recurrence's orders: the last block's top is below
+# 2 BESSEL_I_WALK_ORDERS, and its start at most 34 orders above it (r < 1/2)
+_MILLER_DENOMS = tuple(float((2 * n + 1) * (2 * n + 3)) for n in range(2 * BESSEL_I_WALK_ORDERS + 40))
 
 
 def factorial(n: int) -> int:
@@ -145,19 +148,13 @@ def bessel_k_half(n: int, z: complex | float) -> complex:
     return k
 
 
-def bessel_i_walk(x: float) -> Iterator[float]:
-    """I_{n+1/2}(x), n < BESSEL_I_WALK_ORDERS = 1022, by Miller's algorithm (Gautschi, SIAM Rev. 9
-    (1967)) over f_n = 0F1(; n+3/2; x^2/4) = Gamma(n+3/2) (2/x)^{n+1/2} I_{n+1/2}(x) (DLMF 10.39.9):
-    f_{n-1} = f_n + x^2 f_{n+1} / ((2n+1)(2n+3)) down from (0, 1) past a top order, in blocks of
-    orders lo ... top (lo + 1 ... top after the first), each scaled to the last value of the one
-    before and the first to I_{1/2}(x) = sqrt(2/(pi x)) sinh x; each top doubles the last. f_n times
-    x^n / (2n+1)!! = (m^n / M) 2^{en - t} for x = m 2^e, m in [1/2, 1), (2n+1)!! = M 2^t: m^n stays
-    normal to order 1021.  Below the normal doubles the product is rounded once, to a subnormal or
-    0.0.  DomainError for x not positive and finite; CapacityError where I_{1/2}(x) overflows (x ~
-    714), and past order 1021.  Within 2e-15 of 40-digit mpmath for orders 0 to 84 at x in [1e-3,
-    50] or [700, 713.9] where I is a normal double.  Within 3.1e-15 of 40-digit mpmath for orders 85
-    to 150 at x in [1e-3, 50] where I is a normal double.  Within 2e-14 of 40-digit mpmath for
-    orders 151 to 1021 at x in [100, 713]."""
+def _scaled_i_blocks(x: float) -> Iterator[list[float]]:
+    """w_n = I_{n+1/2}(x) (2n+1)!! / x^n, n < BESSEL_I_WALK_ORDERS, in blocks, by Miller's algorithm
+    (Gautschi, SIAM Rev. 9 (1967)) over f_n = 0F1(; n+3/2; x^2/4) (DLMF 10.39.9), f_{n-1} = f_n + x^2
+    f_{n+1} / ((2n+1)(2n+3)) down from (0, 1) past a top order, in blocks of orders lo ... top (lo + 1
+    ... top after the first), each scaled to the last value of the one before and the first to w_0 =
+    I_{1/2}(x) = sqrt(2/(pi x)) sinh x; each top doubles the last.  w_n falls from w_0 towards
+    sqrt(2x/pi), a normal double.  bessel_i_walk's errors, raised at the first block or past the last."""
     if not 0 < x < math.inf:
         raise DomainError(f"bessel_i_walk: x = {x}, must be positive and finite")
     try:
@@ -167,23 +164,35 @@ def bessel_i_walk(x: float) -> Iterator[float]:
         anchor = half * (0.5 * _SQRT_2_PI / math.sqrt(x) * half)
     if anchor == math.inf:
         raise CapacityError(f"bessel_i_walk: I_{{1/2}}({x}) overflows double precision")
-    m, e = math.frexp(x)
-    x2, orders = x * x, enumerate(_ODD_DFACT)
+    x2 = x * x
     lo, top = 0, 22 + math.ceil(x)  # a first block through order 22 + ceil(x): T(a,bc) reads 0 ... 22
     while True:
         # past top, a start's error decays like r^2 per order, r = x / (top + sqrt(top^2 + x^2))
         r = x / (top + math.sqrt(top * top + x2))
         f_up, f, block = 0.0, 1.0, []  # the f from the start down to f_lo
-        for d in range(2 * (top + math.ceil(-10.0 / math.log10(r))) + 1, 2 * lo + 1, -2):  # d = 2n+1
-            f_up, f = f, f + x2 * f_up / (d * (d + 2))
+        for denom in _MILLER_DENOMS[top + math.ceil(-10.0 / math.log10(r)):lo:-1]:  # (2n+1)(2n+3)
+            f_up, f = f, f + x2 * f_up / denom
             block.append(f)
         block = block[:lo - top - 2:-1]  # f_lo, ..., f_top
         scale = anchor / block[0]
-        for w, (n, (mant, t)) in zip(map(scale.__mul__, block[lo > 0:]), orders):
-            yield math.ldexp(w * (m ** n / mant), e * n - t)
-        if n == BESSEL_I_WALK_ORDERS - 1:
+        yield list(map(scale.__mul__, block[lo > 0:BESSEL_I_WALK_ORDERS - lo]))
+        if top >= BESSEL_I_WALK_ORDERS - 1:
             raise CapacityError(f"bessel_i_walk: order {BESSEL_I_WALK_ORDERS}+1/2 is past the walk's last")
         anchor, lo, top = scale * block[-1], top, 2 * top
+
+
+def bessel_i_walk(x: float) -> Iterator[float]:
+    """I_{n+1/2}(x), n < BESSEL_I_WALK_ORDERS = 1022, the ldexp view of _scaled_i_blocks: w_n x^n /
+    (2n+1)!! = (w_n m^n / M) 2^{en - t} for x = m 2^e, m in [1/2, 1), (2n+1)!! = M 2^t, rounded once
+    (to a subnormal or 0.0 below the normal doubles).  DomainError for x not positive and finite;
+    CapacityError where I_{1/2}(x) overflows (x ~ 714), and past order 1021.  Within 2e-15 of 40-digit
+    mpmath for orders 0 to 84 at x in [1e-3, 50] or [700, 713.9] where I is a normal double.  Within
+    3.1e-15 of 40-digit mpmath for orders 85 to 150 at x in [1e-3, 50] where I is a normal double.
+    Within 2e-14 of 40-digit mpmath for orders 151 to 1021 at x in [100, 713]."""
+    m, e = math.frexp(x)
+    for n, w, (mant, t) in zip(itertools.count(), itertools.chain.from_iterable(_scaled_i_blocks(x)),
+                               _ODD_DFACT):
+        yield math.ldexp(w * (m ** n / mant), e * n - t)
 
 
 def bessel_i_half(n: int, x: float) -> float:

@@ -228,7 +228,7 @@ def _power(c: complex, n: int) -> complex:
     return out
 
 
-def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[complex]:
+def _macdonald_terms(name: str, p: YukawaFormParams, j: int, first: int = 0) -> Iterator[complex]:
     """Terms first, first + 1, ... of theorem 1 (j = 0), theorem 5 (j = 1) or theorem 6 (order
     j), (-d/dx2)^j of theorem 1's term: (-B k^2)^n C^{j/2-n-1/2} e^{-z} w_{n,j}(z) at
     z = x2 sqrt(C), w_{n,j} = P_{n,j}/(n! 4^n), with sqrt(C) and e^{-z} computed once.  One upward
@@ -242,9 +242,9 @@ def _macdonald_terms(p: YukawaFormParams, j: int, first: int = 0) -> Iterator[co
     A real C > 0 (a float or an int, not a bool) runs the walk in floats and yields floats; any
     other C runs it in complex arithmetic.  The two agree bit for bit at even j; at odd j,
     C^{j/2-n-1/2} is an integer power, which libm's pow and the complex power round differently.
-    A non-real C takes that prefactor as C^{(j-1)/2} / C^n, C^n by repeated squaring."""
-    _check_index("theorem6_term", "j", j)
-    name = ("theorem1_term", "theorem5_term")[j] if j < 2 else "theorem6_term"
+    A non-real C takes that prefactor as C^{(j-1)/2} / C^n, C^n by repeated squaring.  Its errors
+    name the public function the caller passes as name."""
+    _check_index(name, "j", j)
     _check_index(name, "n", first)
     real = isinstance(p.C, (int, float)) and not isinstance(p.C, bool) and p.C > 0
     if real:
@@ -308,7 +308,7 @@ def theorem1_term(n: int, p: YukawaFormParams) -> complex:
     non-real C, |C| in [0.05, 4], |B k^2/C| in [0.3, 0.9], k in [0.05, 1], x2 in [0.05, 2], where
     the term is a normal double.
     """
-    return next(_macdonald_terms(p, 0, n))
+    return next(_macdonald_terms("theorem1_term", p, 0, n))
 
 
 def theorem5_term(n: int, p: YukawaFormParams) -> complex:
@@ -317,7 +317,7 @@ def theorem5_term(n: int, p: YukawaFormParams) -> complex:
     P_{n,j} in 40-digit mpmath for n <= 120 at non-real C, |C| in [0.05, 4], |B k^2/C| in [0.3,
     0.9], k in [0.05, 1], x2 in [0.05, 2], where the term is a normal double.
     """
-    return next(_macdonald_terms(p, 1, n))
+    return next(_macdonald_terms("theorem5_term", p, 1, n))
 
 
 def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
@@ -336,7 +336,7 @@ def theorem6_term(j: int, n: int, p: YukawaFormParams) -> complex:
     = 1e-16.  Within 3e-14 of exact P_{n,j} in 40-digit mpmath for j = 5, n <= 120 at non-real C,
     |C| in [0.05, 4], |B k^2/C| in [0.3, 0.9], k in [0.05, 1], x2 in [0.05, 2], where the term is a
     normal double."""
-    return next(_macdonald_terms(p, j, n))
+    return next(_macdonald_terms("theorem6_term", p, j, n))
 
 
 def _series_eval(terms: Iterator[complex], p: YukawaFormParams,
@@ -349,14 +349,14 @@ def theorem1_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None) -
     """Partial sums of theorem1_term; converges to yukawa_form(p) for |B k^2| < |C|.  Within 1e-9 of
     30-digit mpmath for |B k^2/C| <= 0.5, any arg C, |C| in [0.05, 9], k in [0.05, 3], x2 in [0.05,
     2], and the golden C4 grid."""
-    return _series_eval(_macdonald_terms(p, 0), p, policy)
+    return _series_eval(_macdonald_terms("theorem1_eval", p, 0), p, policy)
 
 
 def theorem5_eval(p: YukawaFormParams, policy: TruncationPolicy | None = None) -> SeriesEvaluation:
     """Partial sums of theorem5_term; converges to exp(-x2 sqrt(Bk^2+C)) for |B k^2| < |C|.  Within
     1e-9 of 30-digit mpmath for |B k^2/C| <= 0.5, any arg C, |C| in [0.05, 9], k in [0.05, 3], x2 in
     [0.05, 2]."""
-    return _series_eval(_macdonald_terms(p, 1), p, policy)
+    return _series_eval(_macdonald_terms("theorem5_eval", p, 1), p, policy)
 
 
 def theorem6_eval(j: int, p: YukawaFormParams,
@@ -367,7 +367,7 @@ def theorem6_eval(j: int, p: YukawaFormParams,
     3, |B k^2/C| <= 0.5, any arg C, |C| in [0.05, 9], k in [0.05, 3], x2 in [0.05, 2].  Within 3e-14
     of exact P_{n,j} in 40-digit mpmath for terms n <= 60 of j <= 5 at x2 sqrt(C) = 53.7i, 5.8
     sqrt(-1.5446), 7 sqrt(0.65 + 1.69i) and 7 sqrt(2)."""
-    return _series_eval(_macdonald_terms(p, j), p, policy)
+    return _series_eval(_macdonald_terms("theorem6_eval", p, j), p, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +476,30 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
             total += x2_powers[j] * math.comb(n, j) * x1_powers[2 * n - j] * cos_powers[j]
         return total
 
-    terms = (t * inner(n) for n, t in enumerate(_macdonald_terms(replace(p, B=1.0), 0)))
+    base = _macdonald_terms("corollary1_legendre_eval", replace(p, B=1.0), 0)
+    terms = (t * inner(n) for n, t in enumerate(base))
     return _series_eval(terms, p, policy)
 
 
 # ---------------------------------------------------------------------------
 # two-range baseline
 # ---------------------------------------------------------------------------
+
+def _two_range_terms(name: str, eta: float, x1: float, x2: float, cos_theta: float,
+                     n_terms: int) -> list[float]:
+    # two_range_mos_terms for the public function name, which its errors and warning name
+    if eta <= 0 or x1 <= 0 or x2 <= 0:
+        raise DomainError(f"{name}: eta, x1, x2 must be positive")
+    _check_index(name, "n_terms", n_terms, 1)
+    if x1 == x2:
+        warnings.warn(f"{name} at x1 = x2: evaluated on the boundary of the stated domain 0 < x_< < x_> "
+                      "(by continuity)", stacklevel=3)
+    lo, hi = min(x1, x2), max(x1, x2)
+    pref = 1.0 / math.sqrt(x1 * x2)
+    walks = zip(range(n_terms), legendre_walk(cos_theta), bessel_i_walk(eta * lo))
+    return [pref * (2 * n + 1) * legendre * i_half * bessel_k_half(n, eta * hi).real
+            for n, legendre, i_half in walks]
+
 
 def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
                         n_terms: int) -> list[float]:
@@ -496,25 +513,7 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
     relative to (2n+1) |I K| / sqrt(x1 x2) of 30-digit mpmath for n < 84, x_< / x_> in [0.15, 0.9],
     |cos theta| <= 0.9, eta in [0.1, 1.5], x_> in [0.5, 2.5].
     """
-    if eta <= 0 or x1 <= 0 or x2 <= 0:
-        raise DomainError("two_range_mos: eta, x1, x2 must be positive")
-    _check_index("two_range_mos", "n_terms", n_terms, 1)
-    if x1 == x2:
-        warnings.warn(
-            "two_range_mos at x1 = x2: evaluated on the boundary of the stated "
-            "domain 0 < x_< < x_> (by continuity)",
-            stacklevel=3,
-        )
-    lo, hi = min(x1, x2), max(x1, x2)
-    pref = 1.0 / math.sqrt(x1 * x2)
-    return [
-        pref
-        * (2 * n + 1)
-        * legendre
-        * i_half
-        * bessel_k_half(n, eta * hi).real
-        for n, legendre, i_half in zip(range(n_terms), legendre_walk(cos_theta), bessel_i_walk(eta * lo))
-    ]
+    return _two_range_terms("two_range_mos_terms", eta, x1, x2, cos_theta, n_terms)
 
 
 def two_range_mos_eval(eta: float, x1: float, x2: float, cos_theta: float,
@@ -523,4 +522,4 @@ def two_range_mos_eval(eta: float, x1: float, x2: float, cos_theta: float,
     mpmath for 84 terms, x_< / x_> in [0.15, 0.3], |cos theta| <= 0.9, eta in [0.3, 1.5], x_> in
     [0.5, 2.5].  Within 0.0001 of 30-digit mpmath for 84 terms, x_< / x_> in [0.15, 0.9], |cos
     theta| <= 0.9, eta in [0.3, 1.5], x_> in [0.5, 2.5]."""
-    return math.fsum(two_range_mos_terms(eta, x1, x2, cos_theta, n_terms))
+    return math.fsum(_two_range_terms("two_range_mos_eval", eta, x1, x2, cos_theta, n_terms))

@@ -937,18 +937,22 @@ def _rows() -> tuple[Row, ...]:
                      at(el.t_abc_term, 2.0, 1, 0.11, error=DomainError),
                      *(at(el.t_abc_term, *args, error=CapacityError, match="below the normal doubles")
                        for args in ((1, 0, 1e-130), (77, 76, 20.0))))),
-        Row(el.t_abc_series, "increments n <= 20 at R in [0.001, 2.5], and 87 <= n <= 100 at R = 0.5 and 2.5",
-            "40-digit mpmath", 2.5e-15, 6, _t_abc_increments,
+        Row(el.t_abc_series, "increments n <= 20 at R in [0.001, 2.5], and 87 <= n <= 100 at R = 0.5 and 2.5, "
+            "n <= 400 at R = 2 and n <= 59 at R = 0.0003", "40-digit mpmath", 2.5e-15, 6, _t_abc_increments,
             outside=(at(el.t_abc_series, 0.0, error=DomainError),
                      *(at(el.t_abc_series, R, error=DomainError, match="R >= 1e-150")
                        for R in (1e-300, 1e-200, 9e-151)),
                      at(el.t_abc_series, 800.0, error=CapacityError, match=r"I_\{1/2\}\(800\.0\) overflows"),
+                     # Gamma(-19, 600) is subnormal: the anchor would lose its digits
+                     at(el.t_abc_series, 150.0, error=CapacityError,
+                        match=r"anchor of the eta walk at m = 19 reads Gamma\(-19, 600\.0\)"),
                      *(at(el.t_abc_series, R, n_max, th.TruncationPolicy(1e-300, n_max + 1), error=CapacityError,
                           match=match, text=f"{R}, n_max = {n_max}, max_terms = {n_max + 1}, rel_tol = 1e-300")
                        for R, n_max, match in ((160.0, 210, "recurrence depth 401 exceeds bound 400"),
-                                               (100.0, 150, "anchor of the eta walk at m = 130 overflows"),
-                                               (2.0, 400, "the K walk overflows double precision at m = 152")))),
-            cases=tuple((R, 20, 0) for R in T_ABC_RS if R <= 2.5) + ((0.5, 100, 87), (2.5, 100, 87))),
+                                               (100.0, 150, r"anchor of the eta walk at m = 130 reads "
+                                                            r"Gamma\(-130, 400\.0\), which is below")))),
+            cases=tuple((R, 20, 0) for R in T_ABC_RS if R <= 2.5) + ((0.5, 100, 87), (2.5, 100, 87), (2.0, 400, 0),
+                                                                      (0.0003, 59, 0))),
         Row(el.t_abc_series, "increments n <= 20 at R in (2.5, 20]", "40-digit mpmath", 1e-14, 21,
             _t_abc_increments, cases=tuple((R, 20, 0) for R in T_ABC_RS if R > 2.5)),
     )

@@ -267,6 +267,15 @@ class TestCheshireSeries:
         oracle = s1_tau_oracle(SlaterPair(1.0, 1.0, 0.5, 5.0), 1e-12).value
         assert ev.converged and abs(ev.value - oracle) <= 1e-9 * abs(oracle)
 
+    def test_walk_errors_name_cheshire_series(self, monkeypatch):
+        # no input reaches an error of the shared Macdonald walk here (C = eta1^2 + k^2/4 > 0 and
+        # its terms shrink), so the name it would raise under is read off the call
+        names, walk = [], amplitudes._macdonald_terms
+        monkeypatch.setattr(amplitudes, "_macdonald_terms",
+                            lambda name, *args: names.append(name) or walk(name, *args))
+        assert cheshire_series(0.82, 0.5, 0.3).converged
+        assert names == ["cheshire_series"]
+
     @pytest.mark.parametrize("eta1, x2, k", [(0.3332, 0.8282, 0.6364), (0.3521, 0.6133, 0.7506),
                                              (0.3479, 0.7074, 0.8142)])
     def test_past_k_2_eta1_vs_mpmath(self, eta1, x2, k):

@@ -2,6 +2,7 @@
 
 import contextlib
 import inspect
+import math
 import random
 import re
 
@@ -9,7 +10,7 @@ import pytest
 
 import contract
 from contract import NO_ROW, ROWS
-from slater_addition import amplitudes, ellipsoidal, specfun, theorems
+from slater_addition import amplitudes, ellipsoidal, quadrature, specfun, theorems
 from slater_addition.errors import DomainError
 
 MODULES = (specfun, theorems, amplitudes, ellipsoidal)
@@ -82,6 +83,9 @@ VALID_CALLS = {
     ellipsoidal.t_abc_term: dict(n=2, big_j=1, R=0.11),
     ellipsoidal.t_abc_series: dict(R=0.11, n_max=4),
     ellipsoidal.stall_detector: dict(evaluation=ellipsoidal.t_abc_series(0.5), window=2),
+    quadrature.integrate_finite: dict(f=math.exp, a=0.0, b=1.0, max_evals=100),
+    quadrature.integrate_semi_infinite: dict(f=lambda t: math.exp(-t), a=0.0, max_evals=100),
+    quadrature.integrate_2d: dict(f=lambda x, y: x * y, domain=(0.0, 1.0, 0.0, 1.0), max_evals=100),
 }
 # public functions whose int parameters keep checks of their own, and why
 EXEMPT = {
@@ -96,7 +100,7 @@ SPOKEN = {"big_j": "J"}  # a parameter the message names as its formula does
 
 @pytest.mark.parametrize("func, param", [
     pytest.param(func, name, id=f"{func.__name__}-{name}")
-    for module in MODULES for func in map(module.__dict__.get, module.__all__)
+    for module in (*MODULES, quadrature) for func in map(module.__dict__.get, module.__all__)
     if inspect.isfunction(func) and func.__name__ not in EXEMPT
     for name, parameter in inspect.signature(func).parameters.items() if parameter.annotation == "int"
 ])

@@ -214,12 +214,12 @@ class TestSeries:
         assert walks == [(3.0, 4.0 * R)]
 
     @pytest.mark.parametrize("R, value, terms_used, converged", [
-        # bits of the increments from the K walk and H recurrences, the float Gamma walk's
-        # anchor and the Miller I walk
+        # bits of the increments from the (2m+3)!!-scaled K walk and H recurrences, the float
+        # Gamma walk's anchor and the scaled Miller I walk
         (0.05, "0x1.7c76fc4c40398p-2", 21, True),
-        (0.49, "0x1.c8240c9dac699p-3", 21, True),
-        (0.51, "0x1.b91f5e11efe65p-3", 21, True),
-        (1.2, "0x1.bad9fc80958dep-5", 21, True),
+        (0.49, "0x1.c8240c9dac698p-3", 21, True),
+        (0.51, "0x1.b91f5e11efe67p-3", 21, True),
+        (1.2, "0x1.bad9fc80958ddp-5", 21, True),
         (7.0, "0x1.ad75ab48b65c1p-27", 21, True),
     ])
     def test_series_values_pinned(self, R, value, terms_used, converged):
@@ -245,16 +245,14 @@ class TestSeries:
     @pytest.mark.parametrize("R, n_max, value, terms_used, converged", [
         # the term budget (60) stops the first, the tail rule the second, both far short of
         # the Gamma orders -(2 n_max + 1) that an eager walk to n_max would reach
-        (0.11, 300, "0x1.70b680175e570p-2", 60, False),
-        (0.0003, 59, "0x1.7ffff6d1e1fe0p-2", 4, True),
+        (0.11, 300, "0x1.70b680175e56fp-2", 60, False),
+        (0.0003, 59, "0x1.7ffff6d1e1fe1p-2", 4, True),
     ])
     def test_series_walks_no_deeper_than_it_sums(self, R, n_max, value, terms_used, converged):
         ev = t_abc_series(R, n_max=n_max)
         assert (ev.value.real.hex(), ev.terms_used, ev.converged) == (value, terms_used, converged)
 
     @pytest.mark.parametrize("R, message", [
-        # I_{59+1/2}(0.0003) is below the normal doubles while increment 58 is not negligible
-        (0.0003, r"increment 58 needs I_\{59\+1/2\}\(0.0003\), which is below the normal doubles"),
         (1000.0, "bessel_i_walk: I_.* overflows"),
     ])
     def test_short_walk_raises_at_the_increment_that_needs_it(self, R, message):
@@ -262,6 +260,16 @@ class TestSeries:
         # raised by the increment that needs its missing value, as a lazy read raised it
         with pytest.raises(CapacityError, match=message):
             t_abc_series(R, n_max=59, policy=TruncationPolicy(rel_tol=1e-300, max_terms=60))
+
+    @pytest.mark.parametrize("R, n_max, order", [
+        (150.0, 20, -19),  # the leading Gamma(-19, 600) is subnormal: increment 20 was 0.38 off
+        (145.2, 20, -20),  # Gamma(-20, 580.8) is, and J = 1 carries a third of the anchor
+        (42.4, 100, -104),  # Gamma(-104 .. -112, 169.6) underflow: the anchor would lose 2e-14
+    ])
+    def test_anchor_on_subnormal_gammas_raises(self, R, n_max, order):
+        # the anchor's digits in Gamma(-a-J, 4R) below the normal doubles are not returned as a value
+        with pytest.raises(CapacityError, match=rf"anchor of the eta walk .* reads Gamma\({order}, "):
+            t_abc_series(R, n_max=n_max, policy=TruncationPolicy(rel_tol=1e-300, max_terms=n_max + 1))
 
 
 class TestStallDetector:

@@ -132,6 +132,25 @@ class TestBesselIWalk:
                 want = mpmath.besseli(n + mpmath.mpf(1) / 2, x)
                 assert float(abs(walked[n] - want)) <= 2e-15 * want + 5e-324, n
 
+    @pytest.mark.parametrize("x", [1e-150, 0.003, 0.37, 50.0])
+    def test_scaled_walk_keeps_its_digits_where_i_underflows(self, x):
+        # w_n = I_{n+1/2}(x) (2n+1)!! / x^n, which bessel_i_walk views, stays between sqrt(2x/pi)
+        # and I_{1/2}(x) at every order, also where I itself has left the doubles
+        mpmath = pytest.importorskip("mpmath")
+        scaled = list(itertools.islice(itertools.chain.from_iterable(sf._scaled_i_blocks(x)), 151))
+        assert all(math.sqrt(2.0 * x / math.pi) * (1 - 1e-15) <= w <= scaled[0] for w in scaled)
+        with mpmath.workdps(40):
+            for n in (0, 1, 27, 75, 150):
+                want = mpmath.besseli(n + mpmath.mpf(1) / 2, x) * mpmath.fac2(2 * n + 1) / mpmath.mpf(x) ** n
+                assert float(abs(scaled[n] / want - 1)) <= 3.1e-15, n
+
+    def test_scaled_walk_stops_where_the_walk_does(self):
+        # seven blocks, to orders 23, 46, ..., 736 and then 1021 of the one to 1472
+        blocks = sf._scaled_i_blocks(0.37)
+        assert [len(b) for b in itertools.islice(blocks, 7)] == [24, 23, 46, 92, 184, 368, 285]
+        with pytest.raises(CapacityError, match="past the walk's last"):
+            next(blocks)
+
 
 class TestCosineMomentWalk:
     def test_zero_and_symmetry(self):

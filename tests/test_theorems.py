@@ -294,7 +294,7 @@ class TestMacdonaldWalk:
         for x2 in (0.05, 0.6, 2.0):
             p = YukawaFormParams(B=0.35, C=C, k=0.8, x2=x2)
             for j in (0, 1):
-                walk = list(itertools.islice(th._macdonald_terms(p, j), 61))
+                walk = list(itertools.islice(th._macdonald_terms("theorem6_eval", p, j), 61))
                 for n, got in enumerate(walk):
                     want, _ = _horner_term(n, p, j)
                     assert abs(got - want) <= 1e-14 * abs(want), (x2, j, n)
@@ -345,17 +345,17 @@ class TestMacdonaldWalk:
     def test_real_c_walk_yields_floats(self):
         for C in (0.7, 2):
             for j in range(4):
-                assert type(next(th._macdonald_terms(replace(GOLDEN, C=C), j))) is float
+                assert type(next(th._macdonald_terms("theorem6_eval", replace(GOLDEN, C=C), j))) is float
         for C in (-0.7, 0.7 + 0j, True):
-            assert type(next(th._macdonald_terms(replace(GOLDEN, C=C), 0))) is complex
+            assert type(next(th._macdonald_terms("theorem6_eval", replace(GOLDEN, C=C), 0))) is complex
 
     def test_single_terms_are_the_walk_values(self):
         p = YukawaFormParams(B=0.3, C=0.5 - 0.2j, k=0.9, x2=1.3)
+        walk = [list(itertools.islice(th._macdonald_terms("theorem6_eval", p, j), 25)) for j in range(4)]
         for j in range(4):
-            walk = list(itertools.islice(th._macdonald_terms(p, j), 25))
-            assert [theorem6_term(j, n, p) for n in range(25)] == walk, j
-        assert [theorem1_term(n, p) for n in range(25)] == list(itertools.islice(th._macdonald_terms(p, 0), 25))
-        assert [theorem5_term(n, p) for n in range(25)] == list(itertools.islice(th._macdonald_terms(p, 1), 25))
+            assert [theorem6_term(j, n, p) for n in range(25)] == walk[j], j
+        assert [theorem1_term(n, p) for n in range(25)] == walk[0]
+        assert [theorem5_term(n, p) for n in range(25)] == walk[1]
 
     def test_truncation_matches_exact_polynomial_series(self):
         # the stop rule sees the walk's terms as it saw the exact-polynomial terms: the same
@@ -610,9 +610,10 @@ class TestTwoRangeBaseline:
             two_range_mos_eval(0.13, 0.3, 0.17, 0.4, n_terms)
 
     def test_equal_radii_warns_but_evaluates(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="two_range_mos_eval at x1 = x2") as record:
             val = two_range_mos_eval(0.8, 1.0, 1.0, 0.3, n_terms=60)
         assert math.isfinite(val)
+        assert record[0].filename == __file__  # the warning points at the caller's line
 
     def test_cancellation_metric_exceeds_one_range(self):
         eta, x2, u = 0.13, 1.0, 0.4
@@ -623,6 +624,28 @@ class TestTwoRangeBaseline:
         ev = theorem1_eval(corollary_to_params(cfg))
         metric_one = max(abs(t) for t in ev.terms) / abs(ev.value)
         assert metric_two > metric_one
+
+
+C_ZERO = YukawaFormParams(B=0.3, C=0.0, k=0.5, x2=1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: theorem1_eval(C_ZERO), PoleError, "theorem1_eval: C = 0"),
+    (lambda: theorem5_eval(C_ZERO), PoleError, "theorem5_eval: C = 0"),
+    (lambda: th.theorem6_eval(1.5, GOLDEN), DomainError, "theorem6_eval: j must be an integer"),
+    (lambda: theorem1_term(0, C_ZERO), PoleError, "theorem1_term: C = 0"),
+    (lambda: theorem5_term(0, C_ZERO), PoleError, "theorem5_term: C = 0"),
+    (lambda: theorem6_term(2.5, 0, GOLDEN), DomainError, "theorem6_term: j must be an integer"),
+    # C = x2^2 underflows to 0 in the C1 mapping
+    (lambda: corollary1_legendre_eval(CorollaryConfig("C1", 0.8, 0.5, 1e-200, 0.3)), PoleError,
+     "corollary1_legendre_eval: C = 0"),
+    (lambda: two_range_mos_terms(-1.0, 0.3, 0.2, 0.4, 3), DomainError, "two_range_mos_terms: eta"),
+    (lambda: two_range_mos_eval(0.13, 0.3, 0.2, 0.4, 0), DomainError, "two_range_mos_eval: n_terms"),
+])
+def test_errors_name_the_function_called(call, error, message):
+    # the shared walks raise under the public name the caller passes them, not a sibling's
+    with pytest.raises(error, match=f"^{message}"):
+        call()
 
 
 class TestAccumulateSeries:
