@@ -8,10 +8,11 @@ The object of study is
 the general-k overlap of two Slater orbitals with one shifted centre and a
 plane wave.  This module provides its exact closed forms at k = 0, the
 adaptive-quadrature oracle for general k, the Macdonald-series terms in the
-variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) with the erf and
-incomplete-gamma closed forms of term 0, theorem 1 about the vertex of L^2 at eta1 = eta2
-(cheshire_series), one angular integral with a split real/imaginary branch, and
-the double-series reconstructions of the k = 0 closed forms.
+variable s = sqrt((eta1^2-eta2^2) tau + eta2^2) with the erf closed form
+of term 0, which its incomplete-gamma form returns, theorem 1 about the vertex
+of L^2 at eta1 = eta2 (cheshire_series), one angular integral with a split
+real/imaginary branch, and the double-series reconstructions of the k = 0
+closed forms.
 """
 
 from __future__ import annotations
@@ -227,13 +228,15 @@ def s1_n0_erf_closed(p: SlaterPair) -> complex:
 
 
 def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
-    """Term n = 0 of the series as one incomplete-gamma channel.
+    """Term n = 0 of the series as one incomplete-gamma channel, s1_n0_erf_closed's value.
 
     The shift s = t + D, D = i x2 d / (2 k.x2), turns e^{-s x2 - i s^2 (k.x2)/d} into a constant
     phase times the pure Gaussian e^{-a t^2}, a = i (k.x2)/d, whose integral over the shifted
     segment t1 = eta2 - D ... t2 = eta1 - D is (1/2) a^{-1/2} [Gamma(1/2, a t1^2) - Gamma(1/2, a
-    t2^2)].  Terms n >= 1 come from s1_series_n_term (DomainError here).  Within 1e-10 of 20-digit
-    mpmath quadrature for n = 0, eta1 != eta2 in [0.3, 1.5], x2 in [0.1, 1], k in [0.05, 0.9].
+    t2^2)].  By Gamma(1/2, w^2) = sqrt(pi) erfc(w) (DLMF 8.4.6) that is s1_n0_erf_closed's erf
+    difference, which is returned bit for bit.  Terms n >= 1 come from s1_series_n_term
+    (DomainError here).  Within 1e-10 of 20-digit mpmath quadrature for n = 0, eta1 != eta2 in
+    [0.3, 1.5], x2 in [0.1, 1], k in [0.05, 0.9].
     """
     _check_index("s1_general_term_gamma", "n", n)
     if n != 0:
@@ -243,16 +246,7 @@ def s1_general_term_gamma(n: int, p: SlaterPair) -> complex:
         raise DomainError("s1_general_term_gamma: eta1 = eta2; use cheshire_series")
     if p.k == 0 or p.k_dot_x2 == 0:
         raise DomainError("s1_general_term_gamma needs a nonzero phase scalar")
-    d = p.eta1**2 - p.eta2**2
-    kx2 = p.k_dot_x2
-    x2 = p.x2
-    a = 1j * kx2 / d              # gaussian coefficient after the shift
-    big_d = 1j * x2 * d / (2.0 * kx2)
-    phase = cmath.exp(-1j * x2 * x2 * d / (4.0 * kx2))
-    # K_{1/2}(s x2)'s sqrt(pi/(2 s x2)); its s^{-1/2} cancels the s^{1/2} of s1_series_n_term
-    pref = _series_prefactor(0, p) * math.sqrt(math.pi / (2.0 * x2))
-    g1, g2 = (next(gamma_walk(0.5, a * t * t)) for t in (p.eta2 - big_d, p.eta1 - big_d))
-    return pref * phase * (0.5 * a**-0.5 * (g1 - g2))
+    return s1_n0_erf_closed(p)
 
 
 def cheshire_series(eta1: float, x2: float, k: float, k_dot_x2: float | None = None,
@@ -349,14 +343,14 @@ def theorem3_block_k_terms(n: int, p: SlaterPair,
     coefs = _theorem3_coefs(n, p.eta1, p.eta2, p.x2)
     top = n // 2 - 2  # the highest order a block reads (see _theorem3_coefs)
     walk = gamma_walk(top, p.x2 * p.eta2)
-    table: list[float] = []  # Re Gamma(top - i, x2 eta2), i = 0, 1, ...
+    table: list[float] = []  # Gamma(top - i, x2 eta2), i = 0, 1, ...
 
     def gamma_at(order: int) -> float:
         try:
             return table[top - order]
         except IndexError:  # the first term to need this order reads the walk on to it
             while len(table) <= top - order:
-                table.append(next(walk).real)
+                table.append(next(walk))
             return table[top - order]
 
     ratio = p.x2 * p.x2 * (p.eta1**2 - p.eta2**2)
@@ -484,7 +478,7 @@ def _theorem4_point(eta2: float, x2: float) -> tuple[float, float, float, float]
     if not (0 < eta2 < math.inf and 0 < x2 < math.inf):
         raise DomainError(f"theorem4: eta2 = {eta2}, x2 = {x2}, must be positive and finite")
     z = x2 * eta2
-    return 4.0 * math.pi * eta2 * x2 * x2, z, math.exp(-z), upper_incomplete_gamma(0.0, z).real
+    return 4.0 * math.pi * eta2 * x2 * x2, z, math.exp(-z), upper_incomplete_gamma(0.0, z)
 
 
 def theorem4_block(n: int, eta2: float, x2: float) -> float:

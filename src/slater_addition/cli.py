@@ -227,11 +227,11 @@ def _ei_oracle(ctx: Context, x: float) -> float:
     return -res.value
 
 
-def _s1_gamma_oracle(ctx: Context, n: int, quad_tol: float, **pair) -> complex:
+def _s1_n0_oracle(ctx: Context, n: int, quad_tol: float, **pair) -> complex:
     if n != 0:
-        raise UsageError(f"compare s1_series_n_term has an oracle at n = 0 only (the incomplete-gamma "
-                         f"channel), got n = {n}")
-    return amplitudes.s1_general_term_gamma(0, amplitudes.SlaterPair(**pair))
+        raise UsageError(f"compare s1_series_n_term has an oracle at n = 0 only (the erf closed "
+                         f"form), got n = {n}")
+    return amplitudes.s1_n0_erf_closed(amplitudes.SlaterPair(**pair))
 
 
 def _s1_defining_2d(eta1: float, eta2: float | None, x2: float, tol: float) -> QuadratureResult:
@@ -367,7 +367,7 @@ TARGETS: dict[str, Target] = {
     "s1_series_n_term": Target(
         lambda c, n, eta1, eta2, x2, k, k_dot_x2=None, quad_tol=1e-11: amplitudes.s1_series_n_term(
             n, amplitudes.SlaterPair(eta1, eta2, x2, k, k_dot_x2), quad_tol),
-        _s1_gamma_oracle,
+        _s1_n0_oracle,
         ("s1_series_n_term",),
     ),
     "s1_n0_erf": Target(
@@ -380,7 +380,7 @@ TARGETS: dict[str, Target] = {
         lambda c, n, eta1, eta2, x2, k, k_dot_x2=None: amplitudes.s1_general_term_gamma(
             n, amplitudes.SlaterPair(eta1, eta2, x2, k, k_dot_x2)),
         lambda c, n, **pair: amplitudes.s1_series_n_term(n, amplitudes.SlaterPair(**pair)),
-        ("s1_general_term_gamma", "upper_incomplete_gamma"),
+        ("s1_general_term_gamma",),
     ),
     "cheshire": Target(
         lambda c, eta1, x2, k, k_dot_x2=None: amplitudes.cheshire_series(eta1, x2, k, k_dot_x2),

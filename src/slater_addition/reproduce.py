@@ -298,9 +298,9 @@ def chk_corollary_mutual() -> tuple[bool, str]:
 def chk_gamma_recurrence() -> tuple[bool, str]:
     worst = 0.0
     for a in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
-        for z in (0.0221, 0.5, 2.3, 5.0, 1.5 + 0.5j, 0.3 - 0.8j):
+        for z in (0.0221, 0.5, 2.3, 5.0):
             lhs = upper_incomplete_gamma(a + 1.0, z)
-            rhs = a * upper_incomplete_gamma(a, z) + z**a * cmath.exp(-z)
+            rhs = a * upper_incomplete_gamma(a, z) + z**a * math.exp(-z)
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst <= 1e-10, f"worst relative recurrence defect {worst:.2e} (tol 1e-10)"
 

@@ -1,8 +1,8 @@
 """Special-function kernel over complex arguments: half-integer Bessel K and I, cosine moments,
 Legendre and Hermite polynomials, the upper incomplete gamma function at integer and half-integer
-order, erf, Kummer 1F1, Ei and theorem 6's Meijer G, in double precision.  Nothing here calls the
-quadrature oracle.  Every function is pure; the factorial caches hold exact integers, written
-once.  An accuracy claim is a relative error unless it says otherwise.
+order and real argument, erf, Kummer 1F1, Ei and theorem 6's Meijer G, in double precision.
+Nothing here calls the quadrature oracle.  Every function is pure; the factorial caches hold exact
+integers and the cos^j Legendre cache its rows, each written once.  An accuracy claim is a relative error unless it says otherwise.
 """
 
 from __future__ import annotations
@@ -272,26 +272,26 @@ def hermite_h(j: int, x: float) -> float:
     return h1
 
 
+_COS_POWER_ROWS: dict[int, tuple[tuple[int, float], ...]] = {}  # j -> ((m, c_m), ...), m = j, j - 2
+
+
 def cos_power_to_legendre(j: int) -> dict[int, float]:
     """{m: c_m} with cos^j(theta) = sum_m c_m P_m(cos theta):
 
     c_m = (2m+1) j! 2^{(m-j)/2} / ( ((j-m)/2)! (j+m+1)!! ),  m = j, j-2, ..., (0 or 1),
 
-    so only m of the same parity as j appear.  Within 1e-15 of the exact projection (2m+1)/2 int u^j
+    so only m of the same parity as j appear.  Each row is built once from exact integers and
+    cached; every call returns a new dict.  Within 1e-15 of the exact projection (2m+1)/2 int u^j
     P_m(u) du for 0 <= j <= 84.
     """
     _check_index("cos_power_to_legendre", "j", j)
-    coeffs: dict[int, float] = {}
-    m = j
-    while m >= 0:
-        coeffs[m] = (
-            (2 * m + 1)
-            * factorial(j)
-            * 2.0 ** ((m - j) / 2)
-            / (factorial((j - m) // 2) * double_factorial(j + m + 1))
-        )
-        m -= 2
-    return coeffs
+    row = _COS_POWER_ROWS.get(j)
+    if row is None:
+        row = _COS_POWER_ROWS[j] = tuple(
+            (m, (2 * m + 1) * factorial(j) * 2.0 ** ((m - j) / 2)
+             / (factorial((j - m) // 2) * double_factorial(j + m + 1)))
+            for m in range(j, -1, -2))
+    return dict(row)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +343,15 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
     """Gamma(a, z) = e^{-z} z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))) (DLMF 8.9.2),
     emz is e^{-z}.
 
-    At real z (a float, or a complex with zero imaginary part) the fraction is evaluated once,
-    backward in float arithmetic from the a-priori level _cf_depth(z), and the value is a float.
-    That depth is validated for z >= 1 (a = 1/2: z >= 0.3; see CF_DEPTH_SCALE): the fraction
-    from it is within 1 ulp of the fraction from 50 levels deeper, and the backward pass rounds
-    far less than a forward running product (E_1 over z in [1, 10]: 3.8e-16 relative at worst;
-    modified Lentz was 1.1e-14 off on [1, 3]).  Complex z runs modified Lentz forward and stops
-    where a level changes the value by less than 1e-16 relative: the depth a complex argument
-    needs is not known in advance.
+    At a float z the fraction is evaluated once, backward in float arithmetic from the a-priori
+    level _cf_depth(z), and the value is a float.  That depth is validated for z >= 1 (a = 1/2:
+    z >= 0.3; see CF_DEPTH_SCALE): the fraction from it is within 1 ulp of the fraction from 50
+    levels deeper, and the backward pass rounds far less than a forward running product (E_1 over
+    z in [1, 10]: 3.8e-16 relative at worst; modified Lentz was 1.1e-14 off on [1, 3]).  The
+    non-real z of erf_complex run modified Lentz forward and stop where a level changes the value
+    by less than 1e-16 relative: the depth a complex argument needs is not known in advance.
     """
-    if z.imag == 0:
-        z, emz = z.real, emz.real
+    if isinstance(z, float):
         return emz * z**a / _cf_backward(a, z, _cf_depth(z))
     tiny = 1e-300
     b = z + 1.0 - a
@@ -378,20 +376,15 @@ def _gamma_cf(a: float, z: complex | float, emz: complex | float) -> complex | f
     raise TruncationError("incomplete gamma continued fraction did not converge")
 
 
-def _gamma_anchor(b: float, z: complex | float, emz: complex | float) -> complex | float:
-    """Gamma(b, z) at an anchor b: E_1(z) at b = 0, Gamma(1/2, z) at b = 1/2, with emz = e^{-z};
-    a float z and emz give a float.  The anchors come from the ascending series _gamma_series at
-    |z| < 2, and at real z only below 1 (E_1) or 0.3 (Gamma(1/2, z)): from there the backward
-    fraction is the more accurate (9e-16 against 4.5e-15 on [1, 2]; 5.4e-16 against 3.3e-15 on
-    [0.3, 1)).  The fraction converges well only away from the branch cut; at steep
-    arguments the (entire) series is used instead, up to the modulus where its e^{|z|} cancellation
-    still leaves ~11 digits, and beyond it a failed fraction raises TruncationError."""
-    steep = z.real < 0.35 * abs(z)  # |arg z| beyond ~70 degrees
-    if abs(z) < (2.0 if z.imag else GAMMA_HALF_ANCHOR_CF_Z if b else 1.0) or (steep and abs(z) <= 9.0):
+def _gamma_anchor(b: float, z: float, emz: float) -> float:
+    """Gamma(b, z) at an anchor b and real z > 0: E_1(z) at b = 0, Gamma(1/2, z) at b = 1/2, with
+    emz = e^{-z}.  The ascending series _gamma_series below z = 1 (E_1) or 0.3 (Gamma(1/2, z)), the
+    backward fraction from there, where it is the more accurate (9e-16 against 4.5e-15 on [1, 2];
+    5.4e-16 against 3.3e-15 on [0.3, 1))."""
+    if z < (GAMMA_HALF_ANCHOR_CF_Z if b else 1.0):
         if b:  # Gamma(1/2, z) = sqrt(pi) - z^{1/2} (2 + sum)
             return _SQRT_PI - z**0.5 * _gamma_series(0.5, z, 2.0)
-        log = math.log if isinstance(z, float) else cmath.log
-        return -_gamma_series(0.0, z, 0.5772156649015328606 + log(z))  # E_1 = -(gamma_E + ln z + sum)
+        return -_gamma_series(0.0, z, 0.5772156649015328606 + math.log(z))  # E_1 = -(gamma_E + ln z + sum)
     return _gamma_cf(b, z, emz)
 
 
@@ -407,33 +400,36 @@ def _overflow(order: float) -> CapacityError:
 _NOT_FINITE = "upper_incomplete_gamma overflowed double precision"
 
 
-def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
-    """Gamma(a, z), Gamma(a - 1, z), ... for integer or half-integer a, e^{-z} taken once per walk,
-    floats at real z.  Orders above Gamma(1, z) or Gamma(1/2, z) are walked up from it and handed
-    out top-down, those at and below Gamma(0, z) or Gamma(1/2, z) walked down.  Each order raises
-    where the walk reaches it, as upper_incomplete_gamma(order, z) does.
+def gamma_walk(a: float, z: float) -> Iterator[float]:
+    """Gamma(a, z), Gamma(a - 1, z), ... as floats for integer or half-integer a and real z >= 0,
+    e^{-z} taken once per walk.  Orders above Gamma(1, z) or Gamma(1/2, z) are walked up from it and
+    handed out top-down, those at and below Gamma(0, z) or Gamma(1/2, z) walked down.  Each order
+    raises where the walk reaches it, as upper_incomplete_gamma(order, z) does; a non-real z is a
+    DomainError naming upper_incomplete_gamma.
 
     At and below the anchor one loop takes every order, the anchor at its step 0, each step one
     recurrence step (a power z^b, a multiply, a subtract and a divide; the continued fraction at b
     where it takes over) and three checks: a depth past GAMMA_RECURRENCE_LIMIT, an OverflowError or
     ZeroDivisionError from the step (CapacityError naming the order about to be handed out, or the
     first order while the walk is above it) and a value that is not finite (raised once the first
-    order is reached).  That is ~0.15 us per order at real z (218 orders from a = 18 at z = 0.1 in
-    32-35 us, CPython 3.11 on a 2-vCPU x86-64 VM).  Within 5e-14 of 40-digit mpmath for theorem 3's
-    walk, a = 18 down to -199 short of overflow, real z in [0.005, 0.25].  Within 1.5e-14 of
-    40-digit mpmath for T(a,bc)'s walk, a = 3 down to -40, real z in [0.044, 4.8].  Within 1e-14 of
-    40-digit mpmath for integer and half-integer a in [-42, 3] and real z in [5, 40].  Within 6e-16
-    of 80-digit mpmath for T(a,bc)'s walk at R in [10, 20], a = 3 down to the last normal value,
-    real z in [40, 80]."""
-    z = complex(z)
-    if not cmath.isfinite(z):
+    order is reached).  That is ~0.15 us per order (218 orders from a = 18 at z = 0.1 in 32-35 us,
+    CPython 3.11 on a 2-vCPU x86-64 VM).  Within 5e-14 of 40-digit mpmath for theorem 3's walk, a =
+    18 down to -199 short of overflow, real z in [0.005, 0.25].  Within 1.5e-14 of 40-digit mpmath
+    for T(a,bc)'s walk, a = 3 down to -40, real z in [0.044, 4.8].  Within 1e-14 of 40-digit mpmath
+    for integer and half-integer a in [-42, 3] and real z in [5, 40].  Within 6e-16 of 80-digit
+    mpmath for T(a,bc)'s walk at R in [10, 20], a = 3 down to the last normal value, real z in [40,
+    80]."""
+    if z.imag:
+        raise DomainError(f"upper_incomplete_gamma: z = {z} is not real")
+    z = float(z.real)
+    if not math.isfinite(z):
         raise DomainError(f"upper_incomplete_gamma: z = {z} is not finite")
     if not math.isfinite(a):
         raise DomainError(f"upper_incomplete_gamma: a = {a} is not finite")
     two_a = round(2 * a)
     if abs(2 * a - two_a) > 1e-12:
         raise DomainError(f"upper_incomplete_gamma: a = {a} is not integer or half-integer")
-    if z.imag == 0 and z.real < 0:
+    if z < 0:
         raise DomainError("upper_incomplete_gamma: z on the negative real axis")
     if z == 0:  # Gamma(a, 0) = Gamma(a); the walk ends at the first a <= 0
         for two_a in itertools.count(two_a, -2):
@@ -443,7 +439,7 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
                 g = math.gamma(two_a / 2.0)
             except OverflowError as exc:
                 raise CapacityError(f"upper_incomplete_gamma: Gamma({two_a / 2.0}) overflows") from exc
-            yield complex(g)
+            yield g
     half = two_a % 2  # the half-integer orders walk both ways from Gamma(1/2)
     first = two_a / 2.0  # the first order handed out
     up = two_a > half
@@ -451,28 +447,24 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
     if depth > GAMMA_RECURRENCE_LIMIT:
         raise _past_limit(depth)
     b = half / 2.0  # the anchor at and below which the walk goes down: Gamma(0) or Gamma(1/2)
-    try:
-        emz = cmath.exp(-z)
-        if z.imag == 0:
-            z, emz = z.real, emz.real
-        if up:  # Gamma(c + 1) = c Gamma(c) + z^c e^{-z} from Gamma(1) or Gamma(1/2), handed out top-down
+    emz = math.exp(-z)
+    if up:  # Gamma(c + 1) = c Gamma(c) + z^c e^{-z} from Gamma(1) or Gamma(1/2), handed out top-down
+        try:
             c, run = 1.0 - b, [_gamma_anchor(b, z, emz) if half else emz]
             for _ in range(depth):
                 run.append(c * run[-1] + z**c * emz)
                 c += 1.0
-    except (OverflowError, ZeroDivisionError) as exc:  # z^c or e^{-z} leaves double precision
-        raise _overflow(first) from exc
-    isfinite = math.isfinite if isinstance(z, float) else cmath.isfinite
-    if up:
-        if not all(map(isfinite, run)):
+        except (OverflowError, ZeroDivisionError) as exc:  # z^c leaves double precision
+            raise _overflow(first) from exc
+        if not all(map(math.isfinite, run)):
             raise CapacityError(_NOT_FINITE)
         yield from reversed(run)
         first = -half / 2.0
     g = run[0] if up and half else None
-    # down by Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1), or at real z >= GAMMA_CF_REAL_Z
-    # (integer b) or GAMMA_CF_HALF_Z (half-integer b) by the fraction at each order, from the anchor
-    # at step 0; above the first order an overflow names it, and a non-finite value raises there
-    cf = isinstance(z, float) and z >= (GAMMA_CF_HALF_Z if half else GAMMA_CF_REAL_Z)
+    # down by Gamma(b-1) = (Gamma(b) - z^{b-1} e^{-z}) / (b-1), or at z >= GAMMA_CF_REAL_Z (integer
+    # b) or GAMMA_CF_HALF_Z (half-integer b) by the fraction at each order, from the anchor at step
+    # 0; above the first order an overflow names it, and a non-finite value raises there
+    cf = z >= (GAMMA_CF_HALF_Z if half else GAMMA_CF_REAL_Z)
     finite = True
     for step in range(GAMMA_RECURRENCE_LIMIT + 1):
         try:
@@ -483,7 +475,7 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
                 g = _gamma_anchor(b, z, emz)
         except (OverflowError, ZeroDivisionError) as exc:
             raise _overflow(min(b, first)) from exc
-        finite = finite and isfinite(g)
+        finite = finite and math.isfinite(g)
         if b <= first:
             if not finite:
                 raise CapacityError(_NOT_FINITE)
@@ -491,20 +483,18 @@ def gamma_walk(a: float, z: complex | float) -> Iterator[complex | float]:
     raise _past_limit(GAMMA_RECURRENCE_LIMIT + 1)
 
 
-def upper_incomplete_gamma(a: float, z: complex | float) -> complex:
-    """Upper incomplete gamma Gamma(a, z) for integer or half-integer a, the first value of
-    gamma_walk(a, z), by Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z} from Gamma(1, z) = e^{-z},
-    E_1(z) or Gamma(1/2, z), off the negative real axis (the cut of z^a).  DomainError for a
-    non-finite a or z, CapacityError where the walk leaves double precision.  At real z the orders a
-    < 0 come from the continued fraction at a from GAMMA_CF_REAL_Z (integer a) or GAMMA_CF_HALF_Z,
+def upper_incomplete_gamma(a: float, z: float) -> float:
+    """Upper incomplete gamma Gamma(a, z) for integer or half-integer a and real z >= 0, the first
+    value of gamma_walk(a, z), by Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z} from Gamma(1, z) =
+    e^{-z}, E_1(z) or Gamma(1/2, z).  DomainError for a non-finite a or z, a non-real or negative z
+    and a <= 0 at z = 0, CapacityError where the walk leaves double precision.  The orders a < 0
+    come from the continued fraction at a from GAMMA_CF_REAL_Z (integer a) or GAMMA_CF_HALF_Z,
     since the downward step loses ~z/|a| per order.  Within 2e-15 of 40-digit mpmath for integer and
     half-integer a in [0, 3] and real z in [1e-3, 700].  Within 5e-16 of 80-digit mpmath for integer
     and half-integer a in [-60, -0.5] and real z in [5, 100].  Within 5e-16 of 80-digit mpmath for
-    half-integer a in [-59.5, -0.5] and real z in [1, 5].  Within 2e-13 of 40-digit mpmath for
-    integer and half-integer a in [-12, 12] and non-real z, |z| <= 3.  Within 5e-12 of 40-digit
-    mpmath for a = 1/2 and non-real z, Re z >= 0, |z| <= 5000.
+    half-integer a in [-59.5, -0.5] and real z in [1, 5].
     """
-    return complex(next(gamma_walk(a, z)))
+    return next(gamma_walk(a, z))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +573,7 @@ def exp_integral_ei(x: float) -> float:
     -0.1}."""
     if x >= 0:
         raise DomainError("exp_integral_ei is defined here for x < 0 only")
-    return -upper_incomplete_gamma(0.0, -x).real
+    return -upper_incomplete_gamma(0.0, -x)
 
 
 def meijer_g_0313(j: int, mu: float, arg: float) -> float:

@@ -242,8 +242,9 @@ def _macdonald_terms(name: str, p: YukawaFormParams, j: int, first: int = 0) -> 
     A real C > 0 (a float or an int, not a bool) runs the walk in floats and yields floats; any
     other C runs it in complex arithmetic.  The two agree bit for bit at even j; at odd j,
     C^{j/2-n-1/2} is an integer power, which libm's pow and the complex power round differently.
-    A non-real C takes that prefactor as C^{(j-1)/2} / C^n, C^n by repeated squaring.  Its errors
-    name the public function the caller passes as name."""
+    A non-real C takes that prefactor as C^{(j-1)/2} / C^n, C^n by repeated squaring, and a real
+    C < 0 as |C|^{j/2-n-1/2} times its phase, a power of +-i.  Its errors name the public function
+    the caller passes as name."""
     _check_index(name, "j", j)
     _check_index(name, "n", first)
     real = isinstance(p.C, (int, float)) and not isinstance(p.C, bool) and p.C > 0
@@ -259,6 +260,10 @@ def _macdonald_terms(name: str, p: YukawaFormParams, j: int, first: int = 0) -> 
         yield from itertools.repeat(0.0 if real else 0j)
     B, k, z2, r = p.B, p.k, z * z, abs(z)
     root = c ** ((j - 1) / 2) if c.imag else None  # at non-real C, C^{j/2-n-1/2} = root / C^n
+    # at real C < 0, arg C = +-pi with the sign of its zero imaginary part: C^e = |C|^e (+-i)^{2e},
+    # the phase exact where the complex power rounds pi e
+    neg = -c.real if not c.imag and c.real < 0 else None
+    turns = (1, 1j, -1, -1j) if math.copysign(1.0, c.imag) > 0 else (1, -1j, -1, 1j)
     w_prev, w, total, err = 1.0, 1.0, 0.0, 0.0  # w_{n-1,0}, w_{n,0}, the sum so far, its rounding
     if j >= 2:  # w_{n,i} for i <= j, and the same walk on |z|; theorems 1 and 5 need neither
         row, size = [1.0] * (j + 1), [1.0] * (j + 1)
@@ -272,7 +277,10 @@ def _macdonald_terms(name: str, p: YukawaFormParams, j: int, first: int = 0) -> 
                 poly = row[j]
             # powers of exact inputs; only where C^{-n-1/2} overflows, (-Bk^2/C)^n (n-fold rounding)
             try:
-                power = c ** (j / 2 - n - 0.5) if root is None else root / _power(c, n)
+                if neg is not None:
+                    power = neg ** (j / 2 - n - 0.5) * turns[(j - 1 - 2 * n) % 4]
+                else:
+                    power = c ** (j / 2 - n - 0.5) if root is None else root / _power(c, n)
                 unit = (-1.0) ** n * B**n * k ** (2 * n) * power * decay
                 term = unit * poly
             except (OverflowError, ZeroDivisionError):  # C^m under- or overflows in the power
@@ -306,7 +314,9 @@ def theorem1_term(n: int, p: YukawaFormParams) -> complex:
     """Term n of the base series: sqrt(2/pi) (-1)^n B^n k^{2n} / n! 2^{-n} x2^{n+1/2} C^{-n/2-1/4}
     K_{n+1/2}(x2 sqrt(C)).  Within 1.5e-14 of exact P_{n,j} in 40-digit mpmath for n <= 120 at
     non-real C, |C| in [0.05, 4], |B k^2/C| in [0.3, 0.9], k in [0.05, 1], x2 in [0.05, 2], where
-    the term is a normal double.
+    the term is a normal double.  Within 2e-15 of exact P_{n,j} in 40-digit mpmath for n <= 120 at
+    real C in {-0.08, -0.4, -1.5, -3}, x2 in {0.05, 0.6, 2}, |B k^2/C| in [0.3, 0.9], k in [0.05,
+    1], where the term is a normal double.
     """
     return next(_macdonald_terms("theorem1_term", p, 0, n))
 
@@ -400,14 +410,16 @@ class CorollaryConfig:
     def __post_init__(self):
         if self.variant not in COROLLARY_VARIANTS:
             raise DomainError(f"unknown corollary variant {self.variant!r}")
-        if self.eta <= 0:
-            raise DomainError("CorollaryConfig: eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise DomainError(f"CorollaryConfig: eta = {self.eta}, must be positive and finite")
         if self.variant in ("C1", "C2", "C3", "C4"):
-            if self.x1 <= 0 or self.x2 <= 0:
-                raise DomainError("spherical corollaries need x1, x2 > 0")
-            if abs(self.cos_theta) > 1:
+            if not (0 < self.x1 < math.inf and 0 < self.x2 < math.inf):
+                raise DomainError("spherical corollaries need finite x1, x2 > 0")
+            if not abs(self.cos_theta) <= 1:  # NaN too
                 raise DomainError("|cos_theta| must be <= 1")
         else:
+            if not all(map(math.isfinite, (self.x1, self.y1, self.z1, self.z2))):
+                raise DomainError("Cartesian corollaries need finite x1, y1, z1, z2")
             if self.x1**2 + self.y1**2 <= 0:
                 raise DomainError("Cartesian corollaries need x1^2 + y1^2 > 0")
 
@@ -488,8 +500,10 @@ def corollary1_legendre_eval(cfg: CorollaryConfig,
 def _two_range_terms(name: str, eta: float, x1: float, x2: float, cos_theta: float,
                      n_terms: int) -> list[float]:
     # two_range_mos_terms for the public function name, which its errors and warning name
-    if eta <= 0 or x1 <= 0 or x2 <= 0:
-        raise DomainError(f"{name}: eta, x1, x2 must be positive")
+    if not all(0 < v < math.inf for v in (eta, x1, x2)):
+        raise DomainError(f"{name}: eta, x1, x2 must be positive and finite, got {eta}, {x1}, {x2}")
+    if not abs(cos_theta) <= 1:  # NaN too
+        raise DomainError(f"{name}: cos_theta = {cos_theta} is outside [-1, 1]")
     _check_index(name, "n_terms", n_terms, 1)
     if x1 == x2:
         warnings.warn(f"{name} at x1 = x2: evaluated on the boundary of the stated domain 0 < x_< < x_> "
@@ -507,11 +521,12 @@ def two_range_mos_terms(eta: float, x1: float, x2: float, cos_theta: float,
 
         x1^{-1/2} x2^{-1/2} (2n+1) P_n(cos) I_{n+1/2}(eta x_<) K_{n+1/2}(eta x_>).
 
-    1 <= n_terms <= 86: bessel_k_half's CapacityError past order 85 stops a longer expansion.  The
-    P_n come from one legendre_walk (DomainError for cos_theta outside [-1, 1]) and the
-    I_{n+1/2}(eta x_<) from one bessel_i_walk (CapacityError where I_{1/2} overflows).  Within 1e-14
-    relative to (2n+1) |I K| / sqrt(x1 x2) of 30-digit mpmath for n < 84, x_< / x_> in [0.15, 0.9],
-    |cos theta| <= 0.9, eta in [0.1, 1.5], x_> in [0.5, 2.5].
+    DomainError unless eta, x1 and x2 are positive and finite and |cos_theta| <= 1.  1 <= n_terms
+    <= 86: bessel_k_half's CapacityError past order 85 stops a longer expansion.  The P_n come from
+    one legendre_walk and the I_{n+1/2}(eta x_<) from one bessel_i_walk (CapacityError where
+    I_{1/2} overflows).  Within 1e-14 relative to (2n+1) |I K| / sqrt(x1 x2)
+    of 30-digit mpmath for n < 84, x_< / x_> in [0.15, 0.9], |cos theta| <= 0.9, eta in [0.1,
+    1.5], x_> in [0.5, 2.5].
     """
     return _two_range_terms("two_range_mos_terms", eta, x1, x2, cos_theta, n_terms)
 

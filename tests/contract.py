@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from slater_addition import amplitudes as am, cli, ellipsoidal as el, specfun as sf, theorems as th
-from slater_addition.errors import CapacityError, DomainError, PoleError, RangeError, TruncationError
+from slater_addition.errors import CapacityError, DomainError, PoleError, RangeError
 
 try:
     import mpmath as mp
@@ -192,28 +192,19 @@ def _hermite(rng: random.Random) -> Checks:
             yield float(abs(sf.hermite_h(j, x) - mp.hermite(j, x)) / scale), (j, x)
 
 
-def _gamma_walks(starts: Iterable[tuple[float, complex | float]], count: int, dps: int = 40) -> Checks:
-    # count orders of each walk against dps-digit mpmath.gammainc, floats at real z; a walk stops
-    # at its first CapacityError, which it may raise only where the value is past 1e300
+def _gamma_walks(starts: Iterable[tuple[float, float]], count: int, dps: int = 40) -> Checks:
+    # count orders of each walk against dps-digit mpmath.gammainc, each a float; a walk stops at
+    # its first CapacityError, which it may raise only where the value is past 1e300
     with mp.workdps(dps):
         for a, z in starts:
-            w, i = mp.mpmathify(z), -1
+            w, i = mp.mpf(z), -1
             try:
                 for i, g in enumerate(itertools.islice(sf.gamma_walk(a, z), count)):
                     want = mp.gammainc(a - i, w)
                     if abs(want) >= TINY:
-                        yield (rel(g, want) if type(g) is type(z) else math.inf), (a - i, z)
+                        yield (rel(g, want) if type(g) is float else math.inf), (a - i, z)
             except CapacityError:
                 yield (0.0 if abs(mp.gammainc(a - i - 1, w)) >= 1e300 else math.inf), (a - i - 1, z)
-            except TruncationError:
-                yield math.inf, (a - i - 1, z, "TruncationError")
-
-
-def _gamma_complex(radii: tuple[float, float], halves: tuple[int, int], sector: float, count: int,
-                   fixed: tuple = ()) -> Callable[[random.Random], Checks]:
-    # a = halves / 2 at non-real z, |z| log-uniform in radii and |arg z| <= sector
-    draw = lambda rng: (rng.randint(*halves) / 2, cmath.rect(logu(rng, *radii), rng.uniform(-sector, sector)))
-    return lambda rng: _gamma_walks(list(fixed) + [draw(rng) for _ in range(count)], 1)
 
 
 def _gamma_anchors(rng: random.Random) -> Checks:
@@ -336,6 +327,19 @@ def _terms_non_real_c(j: int, count: int) -> Callable[[random.Random], Checks]:
                     if abs(got) > 1e-290:
                         yield rel(got, mp_theorem6_term(j, n, p)), (j, n, p)
     return checks
+
+
+def _terms_negative_c(rng: random.Random) -> Checks:
+    # theorem 1's terms at real C < 0 to order 120, where the term is a normal double; the phase of
+    # C^{-n-1/2} is a power of i, which a complex power rounds by ~n ulp of pi
+    with mp.workdps(40):
+        for C, x2 in itertools.product((-0.08, -0.4, -1.5, -3.0), (0.05, 0.6, 2.0)):
+            k = rng.uniform(0.05, 1.0)
+            p = th.YukawaFormParams(rng.choice((-1, 1)) * rng.uniform(0.3, 0.9) * -C / k**2, C, k, x2)
+            for n in (0, 1, 5, 20, 40, 60, 86, 100, 120):
+                got = th.theorem1_term(n, p)
+                if abs(got) > 1e-290:
+                    yield rel(got, mp_theorem6_term(0, n, p)), (n, p)
 
 
 def _theorem6_condition(j: int, n: int, z: float) -> float:
@@ -730,23 +734,15 @@ def _rows() -> tuple[Row, ...]:
         Row(GAMMA, "integer and half-integer a in [0, 3] and real z in [1e-3, 700]", "40-digit mpmath", 2e-15, 1150,
             _gamma_anchors, outside=(
                 *(at(GAMMA, *a, error=DomainError) for a in ((-1.0, 0.0), (0.25, 1.0), (1.0, -3.0), (math.nan, 1.0))),
-                *(at(GAMMA, *a, error=CapacityError) for a in ((-500.0, 0.5), (-120.0, 0.001), (300.0, 50.0))))),
+                *(at(GAMMA, *a, error=CapacityError) for a in ((-500.0, 0.5), (-120.0, 0.001), (300.0, 50.0))),
+                *(at(GAMMA, *a, error=DomainError, match="is not real") for a in (
+                    (-3.0, 1.5 + 0.5j), (0.5, 0.8 + 6j), (-9.5, 20j), (-5.0, -21.59 - 0.339j))))),
         Row(GAMMA, "integer and half-integer a in [-60, -0.5] and real z in [5, 100]", "80-digit mpmath", 5e-16, 150,
-            sweep(lambda a, z: GAMMA(a, z).real, lambda a, z: mp.gammainc(a, z),
+            sweep(GAMMA, lambda a, z: mp.gammainc(a, z),
                   lambda rng: [(-rng.randrange(1, 121) / 2, rng.uniform(5, 100)) for _ in range(150)], 80)),
         Row(GAMMA, "half-integer a in [-59.5, -0.5] and real z in [1, 5]", "80-digit mpmath", 5e-16, 151,
-            sweep(lambda a, z: GAMMA(a, z).real, lambda a, z: mp.gammainc(a, z),
+            sweep(GAMMA, lambda a, z: mp.gammainc(a, z),
                   lambda rng: [(-4.5, 4.8)] + [(-0.5 - rng.randrange(60), rng.uniform(1, 5)) for _ in range(150)], 80)),
-        Row(GAMMA, "integer and half-integer a in [-12, 12] and non-real z, |z| <= 3", "40-digit mpmath", 2e-13, 100,
-            _gamma_complex((1e-3, 3.0), (-24, 24), math.pi, 100, ((-3.0, 1.5 + 0.5j), (-2.5, -2.1 - 0.5j),
-                                                                   (1.5, -1 + 2j))),
-            outside=tuple(at(GAMMA, a, z, error=TruncationError, match="did not converge")
-                          for a, z in ((-5.0, -21.59 - 0.339j), (8.5, -23.55 - 0.0062j)))),
-        Row(GAMMA, "a = 1/2 and non-real z, Re z >= 0, |z| <= 5000", "40-digit mpmath", 5e-12, 130,
-            _gamma_complex((1e-2, 5000.0), (1, 1), math.pi / 2, 150)),
-        Row(GAMMA, "integer and half-integer a in [-12, -0.5] and non-real z, |z| in [3, 30]", "40-digit mpmath",
-            1e-13, 31, _gamma_complex((3.0, 30.0), (-24, -1), math.pi, 30, ((-9.5, 20j),)),
-            open="9.4e-9 at a = -9.5, z = 20i, the walk down losing ~|z|/|a| a step; TruncationError near the cut"),
         Row(sf.erf_complex, "|Re z|, |Im z| <= 25", "40-digit mpmath", 1e-12, 207,
             sweep(lambda z: (sf.erf_complex(z) - mp.erf(z)) / max(abs(mp.erf(z)), abs(mp.erfc(z))), lambda z: 0,
                   lambda rng: [(z,) for z in (0.5 + 0.5j, 2 - 1j, 0.3 + 2j, 4.2 + 0.4j, 1.2 + 4j, 0.4 - 6j, 3 + 3j)]
@@ -797,6 +793,8 @@ def _rows() -> tuple[Row, ...]:
                         match="overflows", text="n = 20, C = 1e-20"),
                      at(th.theorem1_term, 2.5, golden, error=DomainError, match="n must be an integer",
                         text="n = 2.5"))),
+        Row(th.theorem1_term, "n <= 120 at real C in {-0.08, -0.4, -1.5, -3}, x2 in {0.05, 0.6, 2}, |B k^2/C| in "
+            "[0.3, 0.9], k in [0.05, 1], where the term is a normal double", exact_p, 2e-15, 100, _terms_negative_c),
         Row(th.theorem5_term, f"n <= 120 at {non_real}, where the term is a normal double", exact_p,
             1.5e-14, 96, _terms_non_real_c(1, 12),
             outside=(at(th.theorem5_term, 2.5, golden, error=DomainError, match="n must be an integer",
@@ -829,6 +827,8 @@ def _rows() -> tuple[Row, ...]:
         Row(th.two_range_mos_eval, "84 terms, " + two_range.format(0.3), "30-digit mpmath", 1e-12, 25,
             sweep(eval84, _mp_slater, lambda rng: [_two_range_draw(rng, 0.3) for _ in range(25)]),
             outside=(at(th.two_range_mos_eval, 1.0, 0.3, 1.0, 1.5, error=DomainError),
+                     *(at(th.two_range_mos_eval, *a, error=DomainError, match="^two_range_mos_eval: eta, x1, x2")
+                       for a in ((0.5, 0.3, math.nan, 0.5), (math.nan, 0.3, 0.5, 0.5), (0.5, math.inf, 0.5, 0.5))),
                      at(th.two_range_mos_eval, 1.0, 800.0, 801.0, 0.5, 5, error=CapacityError))),
         Row(th.two_range_mos_eval, "84 terms, " + two_range.format(0.9), "30-digit mpmath", 1e-4, 25,
             sweep(eval84, _mp_slater, lambda rng: [_two_range_draw(rng, 0.9) for _ in range(25)])),

@@ -116,14 +116,13 @@ class TestSeriesTerms:
         partial = sum(s1_series_n_term(n, PAIR) for n in range(4))
         assert abs(partial - oracle) <= 1e-3 * abs(oracle)
 
-    def test_gamma_and_erf_forms_of_term_zero_agree(self):
-        # two closed forms off independent kernels, gamma_walk and erf_complex, tighter than the
-        # 1e-10 quadrature rows of either; the Gamma(1/2, .) difference cancels as eta1 -> eta2,
-        # 4e-12 at eta1 / eta2 = 0.996
+    def test_gamma_form_of_term_zero_is_the_erf_form(self):
+        # Gamma(1/2, w^2) = sqrt(pi) erfc(w): the incomplete-gamma form of term 0 returns the erf
+        # closed form's value, bit for bit
         rng = random.Random(0)
         for p in (_pair(rng) for _ in range(600)):
-            erf0 = s1_n0_erf_closed(p)
-            assert abs(s1_general_term_gamma(0, p) - erf0) <= 1e-11 * abs(erf0), p
+            got, want = s1_general_term_gamma(0, p), s1_n0_erf_closed(p)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), p
 
     def test_erf_closed_form_conjugation(self):
         flipped = SlaterPair(PAIR.eta1, PAIR.eta2, PAIR.x2, PAIR.k, k_dot_x2=-PAIR.k_dot_x2)
@@ -131,7 +130,7 @@ class TestSeriesTerms:
 
     @staticmethod
     def _gamma_form_matches_quadrature(n, pair, tol):
-        # term 0 is one Gamma(1/2, .) channel; terms n >= 1 are left to the quadrature
+        # term 0 is the erf closed form; terms n >= 1 are left to the quadrature
         if n == 0:
             quad = s1_series_n_term(0, pair, tol=1e-12)
             assert abs(s1_general_term_gamma(0, pair) - quad) <= tol * abs(quad)
@@ -157,20 +156,21 @@ class TestSeriesTerms:
         SlaterPair(eta1=0.968, eta2=0.5538, x2=0.5035, k=0.4027),  # benchmark probes of n = 1, 2
         SlaterPair(eta1=0.65, eta2=1.0438, x2=0.6761, k=0.2833),  # benchmark probe of n = 1
     ])
-    def test_shared_ladders_match_one_walk_per_gamma(self, n, pair, monkeypatch):
-        # the segment-end Gamma(1/2, .) walks against upper_incomplete_gamma: bit-identical
-        # values at n = 0, and the same DomainError at n >= 1
+    def test_gamma_form_reads_no_incomplete_gamma(self, n, pair, monkeypatch):
+        # term 0 is the erf closed form, and n >= 1 raises before any kernel runs: neither reads
+        # the Gamma(a, z) walk
         def outcome():
             try:
                 v = s1_general_term_gamma(n, pair)
-            except Exception as exc:
-                return type(exc)
+            except DomainError as exc:
+                return str(exc)
             return v.real.hex(), v.imag.hex()
 
-        shared = outcome()
-        monkeypatch.setattr(amplitudes, "gamma_walk", lambda a, z: (
-            upper_incomplete_gamma(a - i, z) for i in itertools.count()))
-        assert outcome() == shared
+        want = outcome()
+        monkeypatch.setattr(amplitudes, "gamma_walk", None)
+        monkeypatch.setattr(amplitudes, "upper_incomplete_gamma", None)
+        assert outcome() == want
+        assert (n == 0) == isinstance(want, tuple)
 
     def test_degenerate_interval_rejected(self):
         p = SlaterPair(eta1=0.5, eta2=0.5, x2=1.0, k=0.2)
@@ -383,7 +383,7 @@ class TestBlockCoefficients:
         # on the scale of the terms that sum adds
         p = SlaterPair(0.37, 0.37, 0.29)
         coefs = _theorem3_coefs(n, 0.37, 0.37, 0.29)
-        magnitude = sum(abs(c * upper_incomplete_gamma(a, 0.29 * 0.37).real) for c, a in coefs)
+        magnitude = sum(abs(c * upper_incomplete_gamma(a, 0.29 * 0.37)) for c, a in coefs)
         got = theorem3_block_k_terms(n, p).terms[0].real
         assert abs(got - theorem4_block(n, 0.37, 0.29)) <= 1e-12 * magnitude
 

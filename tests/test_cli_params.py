@@ -51,7 +51,11 @@ class TestCoercion:
 
     def test_gamma_keeps_half_integer_a(self, capsys):
         assert main(["compare", "upper_incomplete_gamma", "--param", "a=-2.5",
-                     "--param", "z=1.5+0.5i", "--tol", "1e-9"]) == 0
+                     "--param", "z=1.5", "--tol", "1e-9"]) == 0
+
+    def test_gamma_at_non_real_z_is_a_domain_error(self, capsys):
+        assert main(["eval", "upper_incomplete_gamma", "--param", "a=-2.5", "--param", "z=1.5+0.5i"]) == 1
+        assert capsys.readouterr().err.startswith("error: upper_incomplete_gamma: z = (1.5+0.5j) is not real")
 
     @pytest.mark.parametrize("args", [
         ["eval", "theorem1", "--param", "B=true", "--param", "C=0.11", "--param", "k=0.17",

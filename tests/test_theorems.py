@@ -270,13 +270,16 @@ class TestTheorem6:
 
 def _horner_term(n, p, j):
     """Term n of theorem 6 of order j from the exact polynomial _exact_coefs(n, j) by Horner,
-    with the series' exact-power prefactor; also the polynomial's condition sum|a z^p| / |P(z)|."""
+    with the series' exact-power prefactor; also the polynomial's condition sum|a z^p| / |P(z)|.
+    At real C < 0 the power is |C|^e i^{2e}, its phase exact: the complex power rounds pi e."""
     c = complex(p.C)
     z = p.x2 * cmath.sqrt(c)
     poly = size = 0.0
     for a in _exact_coefs(n, j):
         poly, size = poly * z + a, size * abs(z) + abs(a)
-    scale = (-1.0) ** n * p.B**n * p.k ** (2 * n) * c ** (j / 2 - n - 0.5)
+    e = j / 2 - n - 0.5
+    power = abs(c) ** e * 1j ** ((j - 1 - 2 * n) % 4) if c.imag == 0 and c.real < 0 else c**e
+    scale = (-1.0) ** n * p.B**n * p.k ** (2 * n) * power
     return scale * cmath.exp(-z) * poly, size / abs(poly)
 
 
@@ -481,6 +484,16 @@ class TestCorollaries:
         with pytest.raises(DomainError):
             CorollaryConfig(variant="C5", eta=1.0, x1=0.0, y1=0.0, z1=1.0, z2=0.0)
 
+    @pytest.mark.parametrize("variant, bad", [
+        ("C4", dict(eta=math.inf)), ("C4", dict(eta=math.nan)), ("C4", dict(x1=math.inf)),
+        ("C4", dict(x2=math.nan)), ("C4", dict(cos_theta=math.nan)), ("C5", dict(y1=math.nan)),
+        ("C6", dict(z1=math.inf)),
+    ])
+    def test_config_rejects_non_finite_geometry(self, variant, bad):
+        geometry = dict(eta=1.0, x1=0.5, x2=1.0, cos_theta=0.3, y1=0.2, z1=0.3, z2=0.1)
+        with pytest.raises(DomainError):
+            CorollaryConfig(variant, **{**geometry, **bad})
+
 
 def _legendre_inner_sum(cfg, n):
     """Corollary 1's finite second series at term n, every cos^j rebuilt from legendre_p."""
@@ -641,6 +654,12 @@ C_ZERO = YukawaFormParams(B=0.3, C=0.0, k=0.5, x2=1.0)
      "corollary1_legendre_eval: C = 0"),
     (lambda: two_range_mos_terms(-1.0, 0.3, 0.2, 0.4, 3), DomainError, "two_range_mos_terms: eta"),
     (lambda: two_range_mos_eval(0.13, 0.3, 0.2, 0.4, 0), DomainError, "two_range_mos_eval: n_terms"),
+    # eta, x1, x2 are checked finite at entry, before a kernel sees them
+    (lambda: two_range_mos_eval(0.5, 0.3, math.nan, 0.5), DomainError, "two_range_mos_eval: eta, x1, x2"),
+    (lambda: two_range_mos_eval(math.nan, 0.3, 0.5, 0.5), DomainError, "two_range_mos_eval: eta, x1, x2"),
+    (lambda: two_range_mos_eval(0.5, math.inf, 0.5, 0.5), DomainError, "two_range_mos_eval: eta, x1, x2"),
+    (lambda: two_range_mos_terms(math.inf, 0.3, 0.5, 0.5, 3), DomainError, "two_range_mos_terms: eta, x1, x2"),
+    (lambda: two_range_mos_eval(0.5, 0.3, 0.5, math.nan), DomainError, "two_range_mos_eval: cos_theta"),
 ])
 def test_errors_name_the_function_called(call, error, message):
     # the shared walks raise under the public name the caller passes them, not a sibling's
